@@ -1,0 +1,3 @@
+class SimpleMath {
+    static int mult2(int x) { return (?? * {| x , 0 |}); }
+}

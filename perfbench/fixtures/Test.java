@@ -1,0 +1,3 @@
+class Test {
+    harness static void test() { assert(SimpleMath.mult2(3) == 6); }
+}
