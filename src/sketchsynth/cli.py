@@ -19,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from . import bitvec as B
 from . import decode, engine
 from .classtable import build_class_table
 from .desugar import desugar
@@ -62,8 +63,8 @@ def build_arg_parser():
     p.add_argument("files", nargs="+", help="sketch source files")
     p.add_argument("--out", default="result", help="output directory")
     p.add_argument("--hole-bits", type=int, default=5,
-                   help="bit width of integer holes (widened to cover "
-                        "program literals)")
+                   help="bit width of integer holes, 1 to 32 (widened to "
+                        "cover program literals)")
     p.add_argument("--unroll-max", type=int, default=8,
                    help="maximum unrolling of any single minrepeat block")
     p.add_argument("--loop-bound", type=int, default=64,
@@ -73,10 +74,9 @@ def build_arg_parser():
     p.add_argument("--timeout", type=float, default=600.0,
                    help="overall wall-clock limit in seconds")
     p.add_argument("--seed", type=int, default=0,
-                   help="random seed (the search is deterministic; recorded "
-                        "for reproducibility)")
+                   help="accepted and ignored (the search is deterministic)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker count; results are independent of it")
+                   help="accepted and ignored (the search is sequential)")
     p.add_argument("--emit-ir", action="store_true",
                    help="dump the lowered IR under <out>/ir/")
     p.add_argument("--emit-tables", action="store_true",
@@ -112,6 +112,9 @@ def main(argv=None):
 
 
 def _run(args, log, out_dir):
+    if not 1 <= args.hole_bits <= 32:
+        raise SketchError(
+            f"--hole-bits must be between 1 and 32, got {args.hole_bits}")
     ast = parse_program(args.files)
     log.stage("rewriting syntax sugar")
     log.stage("specializing class-level generator")
@@ -131,7 +134,7 @@ def _run(args, log, out_dir):
     cfg = engine.EngineConfig(
         hole_bits=args.hole_bits, unroll_max=args.unroll_max,
         loop_bound=args.loop_bound, step_limit=args.step_limit,
-        timeout=args.timeout, seed=args.seed, jobs=args.jobs)
+        timeout=args.timeout)
     log.stage("solving")
     result = engine.solve(program, cfg)
 
@@ -169,7 +172,8 @@ def _solution_records(registry, solution):
     hole_insts, choice_insts = registry.instantiate(solution.assignment.repeat_counts)
     out = []
     for inst in hole_insts:
-        out.append(("hole", inst.name, solution.assignment.values[inst.name]))
+        out.append(("hole", inst.name,
+                    B.to_signed(solution.assignment.values[inst.name])))
     for inst in choice_insts:
         out.append(("choice", inst.name, solution.assignment.values[inst.name]))
     for info in registry.repeats:

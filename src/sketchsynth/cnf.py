@@ -265,38 +265,30 @@ class CnfBuilder:
         self._bits[term.tid] = r
         return r
 
-    def assert_term(self, term, gate=None):
-        """Add ``term`` as a hard constraint; with ``gate`` (a literal), add
-        ``gate -> term`` instead so the constraint can be enabled by
-        assumption."""
+    def assert_term(self, term):
+        """Add ``term`` as a hard constraint."""
         bit = self.blast(term)
-        if bit is True:
-            return
         if bit is False:
-            if gate is None:
-                self.contradiction = True
-            else:
-                self.add_clause([-gate])
-            return
-        if gate is None:
+            self.contradiction = True
+        elif bit is not True:
             self.add_clause([bit])
-        else:
-            self.add_clause([-gate, bit])
-
-    def reify(self, term):
-        """Literal equivalent to ``term`` (or a bool constant)."""
-        bit = self.blast(term)
-        return bit
 
     def model_value(self, name, model):
-        """Integer value of a bitvector variable under a SAT model (a set of
-        true literals)."""
-        bits = self.var_bits.get(name)
-        if bits is None:
-            return 0
-        v = 0
-        for i, b in enumerate(bits):
-            if b is True or (not isinstance(b, bool) and
-                             (b in model if b > 0 else -b not in model)):
-                v |= 1 << i
-        return v
+        """Integer value of a bitvector variable under a SAT model."""
+        return bits_value(self.var_bits.get(name, ()), model)
+
+
+def lit_true(bit, model):
+    """Whether a bit holds under a SAT model (the set of true variables)."""
+    if isinstance(bit, bool):
+        return bit
+    return bit in model if bit > 0 else -bit not in model
+
+
+def bits_value(bits, model):
+    """Unsigned integer value of blasted bits (LSB first) under a model."""
+    v = 0
+    for i, b in enumerate(bits):
+        if lit_true(b, model):
+            v |= 1 << i
+    return v

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 
 from . import ast_nodes as A
+from . import bitvec as B
 from .errors import IncompleteSolutionError
 
 
@@ -40,7 +41,7 @@ def _subst(node, registry, assignment, iteration):
         v = _value_for(registry, assignment, node.uid, it)
         if info.is_bool:
             return A.BoolLit(value=bool(v), span=node.span)
-        return A.IntLit(value=int(v), span=node.span)
+        return A.IntLit(value=B.to_signed(v), span=node.span)
     if isinstance(node, A.Choice):
         info = registry.choice_info(node.uid)
         it = iteration if info.template_of is not None else None
@@ -273,6 +274,9 @@ def _fmt_expr(e, parent_prec):
         text = f"{_fmt_expr(e.left, p)} {e.op} {_fmt_expr(e.right, p + 1)}"
         return f"({text})" if parent_prec > p else text
     if isinstance(e, A.UnOp):
-        text = f"{e.op}{_fmt_expr(e.operand, _UNARY_PREC)}"
+        operand = _fmt_expr(e.operand, _UNARY_PREC)
+        if e.op == "-" and operand.startswith("-"):
+            operand = f"({operand})"        # not "--5", a decrement
+        text = f"{e.op}{operand}"
         return f"({text})" if parent_prec > _UNARY_PREC else text
     raise AssertionError(f"unknown expression {type(e).__name__}")

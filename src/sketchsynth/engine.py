@@ -6,9 +6,17 @@ constraint system over the hole/choice variables; a SAT check decides whether
 any candidate passes every harness at that depth.  On the first satisfiable
 depth, objectives are minimized lexicographically, then every unknown is
 minimized in registry order (canonicalization), making the reported
-assignment independent of solver internals.  The winner is replayed
-concretely before being returned; a candidate rejected only by resource
-limits is blocked and the search resumed.
+assignment independent of solver internals.
+
+Minimization fixes a term's blasted bits from the MSB down under
+assumptions, preferring 1 on the sign bit and 0 on every other bit: that is
+the signed 32-bit minimum.  Narrow unknowns have a constant-0 sign bit, so
+they come out as their unsigned minimum.  A SAT call is made only when the
+current model does not already have the preferred bit.
+
+The winner is replayed concretely before being returned; a candidate
+rejected only by resource limits is blocked, the assumptions are dropped and
+the search resumed.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 from . import bitvec as B
 from . import sat
-from .cnf import CnfBuilder
+from .cnf import CnfBuilder, bits_value, lit_true
 from .interp import (
     ConcreteUnknowns, HarnessFailure, Interp, StepLimitExceeded,
     SymbolicUnknowns,
@@ -32,8 +40,6 @@ class EngineConfig:
     loop_bound: int = 64
     step_limit: int = 100_000
     timeout: float = 600.0
-    seed: int = 0
-    jobs: int = 1
 
 
 @dataclass
@@ -166,11 +172,12 @@ class _DepthProblem:
         self.cb = CnfBuilder()
         self.solver = sat.Solver(deadline=deadline)
         self._synced = 0
-        self.objective_terms = []
+        self.objective_bits = []    # (name, blasted bits) per objective
         self.feasible = self._encode()
 
     def _encode(self):
         constraints = []
+        objectives = []
         try:
             for h in self.program.harnesses:
                 interp = Interp(self.program, self.unknowns, self.vector,
@@ -184,7 +191,7 @@ class _DepthProblem:
                                 step_limit=self.cfg.step_limit)
                 interp.init_statics()
                 for name, expr in self.program.objectives:
-                    self.objective_terms.append((name, interp.eval_objective(expr)))
+                    objectives.append((name, interp.eval_objective(expr)))
                 constraints.extend(interp.constraints)
         except (HarnessFailure, StepLimitExceeded):
             return False
@@ -194,6 +201,9 @@ class _DepthProblem:
                 B.ult(B.var(inst.name, width), B.const(inst.info.arity)))
         for c in constraints:
             self.cb.assert_term(c)
+        # blasted before the first solve, so every model assigns their bits
+        self.objective_bits = [(name, self.cb.blast(term))
+                               for name, term in objectives]
         return not self.cb.contradiction
 
     def _sync(self):
@@ -221,50 +231,31 @@ class _DepthProblem:
             for bit in self.cb.var_bits.get(inst.name, []):
                 if isinstance(bit, bool):
                     continue
-                lit = abs(bit)
-                true_now = (lit in model) == (bit > 0)
-                clause.append(-bit if true_now else bit)
+                clause.append(-bit if lit_true(bit, model) else bit)
         if not clause:
             return False
         self.cb.add_clause(clause)
         return True
 
-    def assert_hard(self, term):
-        self.cb.assert_term(term)
-
-    def gate_for(self, term):
-        """Assumption literal implying ``term``."""
-        gate = self.cb.new_var()
-        self.cb.assert_term(term, gate=gate)
-        return gate
-
-    def retire(self, gate):
-        self.cb.add_clause([-gate])
-
-    def minimize_term(self, term, model, assumptions=()):
-        """Minimum (signed) value of ``term`` over models satisfying the
-        assumptions; returns (min_value, model attaining it).  Binary search
-        with single-use assumption gates."""
-        best = B.to_signed(B.evaluate(term, self._model_env(model)))
-        best_model = model
-        lo = -(1 << (B.WIDTH - 1))
-        while lo < best:
-            mid = lo + (best - lo) // 2
-            gate = self.gate_for(B.sle(term, B.const(mid)))
-            m = self.solve(assumptions=tuple(assumptions) + (gate,))
-            self.retire(gate)
-            if m is None:
-                lo = mid + 1
-            else:
-                best = B.to_signed(B.evaluate(term, self._model_env(m)))
-                best_model = m
-        return best, best_model
-
-    def _model_env(self, model):
-        env = {}
-        for inst in self.hole_insts + self.choice_insts:
-            env[inst.name] = self.cb.model_value(inst.name, model)
-        return env
+    def fix_bits(self, bits, model, assumptions):
+        """Fix ``bits`` (a blasted term, LSB first) from the MSB down to the
+        signed minimum over models satisfying ``assumptions``: 1 preferred on
+        the sign bit, 0 on every other bit.  Each chosen literal is appended
+        to ``assumptions``; returns a model attaining the minimum."""
+        sign = len(bits) - 1
+        for i in range(sign, -1, -1):
+            bit = bits[i]
+            if isinstance(bit, bool):
+                continue
+            want = bit if i == sign else -bit
+            if not lit_true(want, model):
+                m = self.solve(assumptions + [want])
+                if m is None:
+                    want = -want
+                else:
+                    model = m
+            assumptions.append(want)
+        return model
 
 
 # -- top level -------------------------------------------------------------
@@ -309,37 +300,26 @@ def _solve_at_depth(program, prob, cfg):
     """None if no candidate survives at this depth; otherwise the canonical
     minimal assignment, objective values and candidate count."""
     candidates = 0
-    width = effective_hole_width(program, cfg)
     while True:
         model = prob.solve()
         if model is None:
             return None
         # lexicographic objective minimization, then canonicalization
-        # (smallest value for every unknown in registry order); all bounds
-        # are assumption-gated so a later rejection can roll them back
-        gates = []
-        objective_values = {}
-        for name, term in prob.objective_terms:
-            v, model = prob.minimize_term(term, model, assumptions=gates)
-            gates.append(prob.gate_for(B.sle(term, B.const(v))))
-            objective_values[name] = v
+        # (smallest value for every unknown in registry order); the fixed
+        # bits are assumptions, so a later rejection just drops them
+        assumptions = []
+        for _, bits in prob.objective_bits:
+            model = prob.fix_bits(bits, model, assumptions)
         for inst in prob.hole_insts + prob.choice_insts:
-            if inst.uid.kind == "choice":
-                w = max(1, (inst.info.arity - 1).bit_length())
-            elif getattr(inst.info, "is_bool", False):
-                w = 1
-            else:
-                w = width
-            term = B.var(inst.name, w)
-            v, model = prob.minimize_term(term, model, assumptions=gates)
-            gates.append(prob.gate_for(B.ule(term, B.const(v))))
+            model = prob.fix_bits(prob.cb.var_bits.get(inst.name, []), model,
+                                  assumptions)
+        objective_values = {name: B.to_signed(bits_value(bits, model))
+                            for name, bits in prob.objective_bits}
         assignment = prob.model_assignment(model)
         candidates += 1
         outcome = _replay(program, assignment, cfg)
         if outcome == "pass":
             return assignment, objective_values, candidates
-        for g in gates:
-            prob.retire(g)
         # a resource-limit rejection is candidate-specific: block and retry;
         # a semantic failure would contradict the encoding, so fail loudly
         if outcome == "resource":
@@ -357,13 +337,3 @@ def _replay(program, assignment, cfg):
             return "resource" if out.status == "resource" else "fail"
     return "pass"
 
-
-def minimize_objectives(program, prob, model):
-    """Lexicographic objective minimization (exposed for tests); returns
-    ({name: min}, model)."""
-    out = {}
-    for name, term in prob.objective_terms:
-        v, model = prob.minimize_term(term, model)
-        prob.assert_hard(B.sle(term, B.const(v)))
-        out[name] = v
-    return out, model

@@ -3,8 +3,8 @@
 Deterministic by construction: VSIDS activities break ties on variable
 index, and no randomized restarts or phase flipping are used, so identical
 clause streams always yield identical models.  Supports solving under
-assumptions, which the engine uses for objective minimization and
-canonicalization without re-encoding.
+assumptions, which the engine uses to fix the bits of objectives and
+unknowns one at a time without re-encoding.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ class Solver:
         self.var_decay = 0.95
         self.phase = []
         self.ok = True
+        self._qhead = 0            # trail index of the next literal to propagate
         self.deadline = deadline
         self._ticks = 0
 
@@ -44,10 +45,6 @@ class Solver:
             self.reason.append(None)
             self.activity.append(0.0)
             self.phase.append(False)
-
-    def new_var(self):
-        self.ensure_vars(self.nvars + 1)
-        return self.nvars
 
     def add_clause(self, lits):
         if not self.ok:
@@ -111,7 +108,7 @@ class Solver:
     # -- unit propagation --------------------------------------------------
 
     def propagate(self):
-        qhead = getattr(self, "_qhead", 0)
+        qhead = self._qhead
         while qhead < len(self.trail):
             self._ticks += 1
             if self.deadline is not None and self._ticks % 4096 == 0:
@@ -206,7 +203,7 @@ class Solver:
                 self.phase[i] = self.assign[i]
                 self.assign[i] = None
                 self.reason[i] = None
-        self._qhead = min(getattr(self, "_qhead", 0), len(self.trail))
+        self._qhead = min(self._qhead, len(self.trail))
 
     # -- decision heuristics -----------------------------------------------
 

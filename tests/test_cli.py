@@ -2,8 +2,9 @@
 
 import re
 
-from conftest import program_files
+from conftest import program_files, run_front_end
 from sketchsynth import cli
+from sketchsynth.interp import ConcreteUnknowns, Interp
 
 STAGES = [
     "rewriting syntax sugar",
@@ -101,6 +102,41 @@ def test_emit_flags_write_debug_dumps(tmp_path):
     desugared = (out / "desugared" / "SimpleMath.java").read_text()
     # the desugared dump keeps the sketch constructs
     assert "??" in desugared and "{|" in desugared
+
+
+def test_hole_bits_outside_word_width_gives_exit_2(tmp_path, capsys):
+    for bits in ("0", "33", "40"):
+        code, _ = run(tmp_path, *program_files("Test.java", "SimpleMath.java"),
+                      "--hole-bits", bits)
+        assert code == cli.EXIT_INPUT
+        assert "--hole-bits" in capsys.readouterr().err
+
+
+def test_full_width_holes_take_signed_minimum_and_decode_as_java(tmp_path):
+    # a is minimized first, to -2^31; b must then be 7.  Pinning a only by
+    # an unsigned bound would let b's minimization move a to 0..4.
+    src = tmp_path / "A.java"
+    src.write_text("""
+        class A {
+            static int a = ??;
+            static int b = ??;
+            harness static void t() {
+                assert a < 5;
+                if (a >= 0) { assert b == 0 - 2147483647; }
+                else { assert b == 7; }
+            }
+        }""")
+    code, out = run(tmp_path, str(src), "--hole-bits", "32")
+    assert code == cli.EXIT_SOLVED
+    lines = (out / "solution.txt").read_text().splitlines()
+    assert lines[:2] == ["hole e_h1 = -2147483648", "hole e_h2 = 7"]
+    text = (out / "java" / "A.java").read_text()
+    assert "static int a = -2147483648;" in text
+    assert "static int b = 7;" in text
+    # the decoded source reparses, and its harness body passes as is
+    _, registry, _, prog = run_front_end(texts=[("A.java", text)])
+    assert len(registry) == 0
+    Interp(prog, ConcreteUnknowns(registry, {}), {}).run_harness("t_A")
 
 
 def test_engine_flags_are_honored(tmp_path):

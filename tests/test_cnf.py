@@ -81,18 +81,6 @@ def test_signed_comparison_uses_sign_bit():
     assert solve_builder(cb2) is None
 
 
-def test_gated_constraints_only_bind_under_assumption():
-    B.clear_cache()
-    cb = CnfBuilder()
-    x = B.var("x", 3)
-    cb.assert_term(B.eq(x, B.const(6)))
-    gate = cb.new_var()
-    cb.assert_term(B.eq(x, B.const(1)), gate=gate)
-    assert solve_builder(cb) is not None           # gate free: satisfiable
-    assert solve_builder(cb, [gate]) is None        # assumed: contradiction
-    assert solve_builder(cb, [-gate]) is not None
-
-
 def test_contradiction_flag_on_false_assertion():
     B.clear_cache()
     cb = CnfBuilder()

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import CADSR, DB, MULT2, program_files, run_front_end
+from sketchsynth import bitvec as B
 from sketchsynth import decode, engine
 from sketchsynth.errors import IncompleteSolutionError
 from sketchsynth.interp import ConcreteUnknowns, Interp
@@ -63,6 +64,17 @@ def test_bool_holes_render_as_keywords():
     concrete = decode.apply_solution(
         ast, registry, engine.Assignment({"e_h1": 1}, {}))
     assert "b = true" in decode.unparse_program(concrete)["f.java"]
+
+
+def test_negative_hole_under_unary_minus_is_parenthesized():
+    ast, registry, _, _ = run_front_end(
+        texts=[("f.java", "class A { static int s = -??; }")])
+    concrete = decode.apply_solution(
+        ast, registry, engine.Assignment({"e_h1": B.to_unsigned(-5)}, {}))
+    text = decode.unparse_program(concrete)["f.java"]
+    assert "s = -(-5);" in text
+    assert decode.unparse_program(parse_program_texts([("f.java", text)])) \
+        == {"f.java": text}
 
 
 @pytest.mark.parametrize("names", [MULT2, DB, CADSR], ids=["mult2", "db", "cadsr"])

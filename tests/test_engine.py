@@ -68,6 +68,20 @@ def test_objective_minimized_before_canonicalization():
     assert result.assignment.values == {"e_h1": 3, "e_h2": 4}
 
 
+def test_negative_objective_minimized_as_signed():
+    # read as unsigned, s - 10 would be smallest at s = 10
+    result, _ = solve_texts("""
+        class A {
+            static int s = ??;
+            harness static void t() {
+                assert s >= 3;
+                minimize(s - 10);
+            }
+        }""")
+    assert result.objective_values == {"t_A": -7}
+    assert result.assignment.values == {"e_h1": 3}
+
+
 def test_minimal_repeat_depth_wins_over_objective():
     # depth 1 admits objective value 5; depth 2 would admit 0, but the
     # search must never get there
