@@ -52,16 +52,10 @@ class TypeRef(Node):
     args: list = field(default_factory=list)
     span: Optional[SourceSpan] = None
 
-    def erased(self):
-        return TypeRef(self.name, [], self.span)
-
     def __str__(self):
         if self.args:
             return f"{self.name}<{', '.join(str(a) for a in self.args)}>"
         return self.name
-
-
-PRIMITIVES = {"int", "boolean", "char", "String", "void"}
 
 
 # --------------------------------------------------------------------------

@@ -45,11 +45,6 @@ def _mk(op, args=(), payload=None, is_bool=False):
     return t
 
 
-def clear_cache():
-    """Drop the intern table (mainly for memory-sensitive test loops)."""
-    _table.clear()
-
-
 def to_signed(u):
     return u - (1 << WIDTH) if u & SIGN_BIT else u
 

@@ -23,11 +23,6 @@ PRIMITIVE_TAGS = {
 }
 
 
-def mangle_inner(inner, outer):
-    """``Inner_Outer`` naming rule (collisions handled by the desugarer)."""
-    return f"{inner}_{outer}"
-
-
 def mangle_param(tag):
     return tag.cls if tag.kind == "obj" else tag.kind
 
@@ -82,10 +77,6 @@ class ClassTable:
         self.classes = []           # ClassInfo, index == cid
         self.by_name = {}
         self.method_ids = {}        # mangled -> mid
-        self.methods_by_id = []     # MethodInfo, index == mid
-        self.belongs_to = {}        # mid -> cid
-        self.arg_num = {}           # mid -> int
-        self.arg_type = {}          # (mid, i) -> TypeTag
         self.subcls = []            # bool matrix
         self.field_layout = []      # [(owner, name, TypeTag)] instance slots
         self.static_fields = []     # [(owner, name, TypeTag)]
@@ -268,13 +259,8 @@ def _new_method(table, info):
         while f"{base}_{k}" in table.method_ids:
             k += 1
         info.mangled = f"{base}_{k}"
-    info.mid = len(table.methods_by_id)
+    info.mid = len(table.method_ids)
     table.method_ids[info.mangled] = info.mid
-    table.methods_by_id.append(info)
-    table.belongs_to[info.mid] = table.id_of(info.declaring)
-    table.arg_num[info.mid] = len(info.params)
-    for i, (_, tag) in enumerate(info.params):
-        table.arg_type[(info.mid, i)] = tag
     return info
 
 

@@ -64,7 +64,7 @@ def build_arg_parser():
     p.add_argument("--out", default="result", help="output directory")
     p.add_argument("--hole-bits", type=int, default=5,
                    help="bit width of integer holes, 1 to 32 (widened to "
-                        "cover program literals)")
+                        "cover program literals, up to 31 bits)")
     p.add_argument("--unroll-max", type=int, default=8,
                    help="maximum unrolling of any single minrepeat block")
     p.add_argument("--loop-bound", type=int, default=64,
@@ -125,7 +125,7 @@ def _run(args, log, out_dir):
     program = lower_program(ast, table, registry)
 
     if args.emit_desugared:
-        _dump_tree(out_dir / "desugared", decode.unparse_program(ast, concrete=False))
+        _dump_tree(out_dir / "desugared", decode.unparse_program(ast))
     if args.emit_tables:
         _dump_text(out_dir / "tables" / "classes.txt", _format_tables(table))
     if args.emit_ir:
@@ -155,9 +155,8 @@ def _run(args, log, out_dir):
         if kind in ("hole", "choice"):
             owner_cls = _owner_class(registry, name)
             log.debug(f"replaced: {owner_cls}.{name} = {value}")
-    concrete = decode.apply_solution(ast, registry, result.assignment)
     log.stage("decoding")
-    texts = decode.unparse_program(concrete)
+    texts = decode.unparse_program(ast, registry, result.assignment)
     _dump_tree(out_dir / "java", texts)
     _write_solution(out_dir / "solution.txt", registry, result)
     log.stage("synthesis done")

@@ -66,24 +66,26 @@ class Solution:
     wall_ms: int = 0
 
 
-class Unsat:
-    def __init__(self, candidates=0, depth_reached=0, wall_ms=0):
-        self.candidates = candidates
-        self.depth_reached = depth_reached
-        self.wall_ms = wall_ms
+@dataclass
+class _NoSolution:
+    candidates: int = 0
+    depth_reached: int = 0
+    wall_ms: int = 0
 
 
-class Timeout:
-    def __init__(self, candidates=0, depth_reached=0, wall_ms=0):
-        self.candidates = candidates
-        self.depth_reached = depth_reached
-        self.wall_ms = wall_ms
+class Unsat(_NoSolution):
+    """No candidate passes within the bounds."""
+
+
+class Timeout(_NoSolution):
+    """The wall-clock limit ran out first."""
 
 
 def effective_hole_width(program, cfg):
     """Holes widen beyond the configured bits when the program mentions
-    literals that would not fit."""
-    need = program.max_literal.bit_length()
+    literals that would not fit, to at most 31 bits: only a configured
+    width of 32 makes holes signed."""
+    need = min(program.max_literal.bit_length(), 31)
     return max(cfg.hole_bits, need, 1)
 
 

@@ -56,15 +56,7 @@ class SignatureClashError(SketchError):
     pass
 
 
-class CollisionError(SketchError):
-    pass
-
-
 class TypeLoweringError(SketchError):
-    pass
-
-
-class UnknownBuiltinError(SketchError):
     pass
 
 

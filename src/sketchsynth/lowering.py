@@ -72,7 +72,6 @@ class _Lowerer:
             for f in ci.decl.fields():
                 if f.is_static and f.init is not None:
                     env = _Env(self, ci, None, static=True)
-                    _, _, tag = self.table.resolve_field(ci.name, f.name)[1], None, None
                     owner, ftag, _ = self.table.resolve_field(ci.name, f.name)
                     expr, _ = env.lower_expr(f.init, expected=ftag)
                     body.append(I.AssignStatic(owner, f.name, expr))
@@ -151,8 +150,8 @@ class _Lowerer:
         name = "dyn_dispatch_" + "_".join([plain_sig[0], *plain_sig[1]])
         if name not in self._dispatch_built:
             self._dispatch_built.add(name)
-            self.prog.functions[name] = make_dyn_dispatch(plain_sig, self.table,
-                                                          name=name)
+            self.prog.functions[name] = make_dyn_dispatch(name, plain_sig,
+                                                          self.table)
         return I.Call(name, [recv] + args, span=span)
 
     def _arm_call(self, impl, recv, args, span):
@@ -161,7 +160,7 @@ class _Lowerer:
         return I.Call(impl.mangled, [recv] + args, span=span)
 
 
-def make_dyn_dispatch(plain_sig, table, name=None):
+def make_dyn_dispatch(name, plain_sig, table):
     """Chain of ``if (self.class_id == C) return impl(self, ...)`` arms in
     ascending class-id order, trapping when no arm matches."""
     arms = table.implementations(plain_sig)
@@ -179,17 +178,7 @@ def make_dyn_dispatch(plain_sig, table, name=None):
             I.Bin("==", I.ClassIdRead(I.LocalRead("self")), I.Const(cid, T.INT)),
             ret))
     body.append(I.AssertInstr(I.Const(False, T.BOOL)))
-    if name is None:
-        name = "dyn_dispatch_" + "_".join([plain_sig[0], *plain_sig[1]])
     return I.IrFunction(name, params, body)
-
-
-def lower_minrepeat(block_instrs, n, registry, repeat_uid):
-    """n sequential copies of the template; copy i reads the iteration-i
-    instances of the template unknowns.  Used by the interpreter when a
-    repeat count is fixed; the IR itself keeps the template."""
-    assert n >= 0
-    return [(i, block_instrs) for i in range(n)]
 
 
 # --------------------------------------------------------------------------

@@ -428,29 +428,17 @@ def parse_program(files):
     """Parse and merge ≥1 source files, rejecting duplicate type names."""
     if not files:
         raise ValueError("at least one input file is required")
-    units = []
-    for f in files:
-        path = Path(f)
-        text = path.read_text(encoding="utf-8")
-        units.append(parse_source(text, path))
-    ast = A.SketchAst(units=units)
-    seen = {}
-    for unit in ast.units:
-        for decl in unit.types:
-            if decl.name in seen:
-                raise DuplicateTypeError(decl.name, seen[decl.name], decl.span)
-            seen[decl.name] = decl.span
-    return ast
+    return parse_program_texts(
+        (path, path.read_text(encoding="utf-8")) for path in map(Path, files))
 
 
 def parse_program_texts(named_texts):
-    """Like parse_program but over (name, text) pairs; used by tests."""
+    """Like parse_program but over (name, text) pairs."""
     units = [parse_source(text, name) for name, text in named_texts]
-    ast = A.SketchAst(units=units)
     seen = {}
-    for unit in ast.units:
+    for unit in units:
         for decl in unit.types:
             if decl.name in seen:
                 raise DuplicateTypeError(decl.name, seen[decl.name], decl.span)
             seen[decl.name] = decl.span
-    return ast
+    return A.SketchAst(units=units)

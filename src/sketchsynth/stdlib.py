@@ -94,8 +94,6 @@ BUILTIN_CLASSES = (
         )),
 )
 
-BUILTIN_CLASS_NAMES = {c.name for c in BUILTIN_CLASSES}
-
 # constructors, keyed by class name
 BUILTIN_CTORS = {
     "LinkedList": "LinkedList.new",

@@ -31,7 +31,6 @@ class UnknownId:
 @dataclass
 class HoleInfo:
     uid: UnknownId
-    bit_width: Optional[int] = None   # set by the engine from config
     is_bool: bool = False             # set during lowering from context
     template_of: Optional[UnknownId] = None
 
@@ -46,8 +45,6 @@ class ChoiceInfo:
 @dataclass
 class RepeatInfo:
     uid: UnknownId
-    min: int = 0
-    max: Optional[int] = None         # set by the engine from config
 
 
 @dataclass(frozen=True)
@@ -76,9 +73,6 @@ class UnknownRegistry:
 
     def choice_info(self, uid):
         return self._find(self.choices, uid)
-
-    def repeat_info(self, uid):
-        return self._find(self.repeats, uid)
 
     @staticmethod
     def _find(entries, uid):

@@ -8,10 +8,6 @@ from sketchsynth import bitvec as B
 MASK = B.MASK
 
 
-def setup_function(_fn):
-    B.clear_cache()
-
-
 def to_u(v):
     return v & MASK
 

@@ -2,7 +2,10 @@
 
 import re
 
-from conftest import program_files, run_front_end
+import pytest
+
+from conftest import (CADSR, CADSR_SMALL, DB, MULT2, PROGRAMS, program_files,
+                      run_front_end)
 from sketchsynth import cli
 from sketchsynth.interp import ConcreteUnknowns, Interp
 
@@ -34,6 +37,17 @@ def test_solved_run_writes_full_output_tree(tmp_path):
     java = sorted(p.name for p in (out / "java").iterdir())
     assert java == ["SimpleMath.java", "Test.java"]
     assert "return 2 * x;" in (out / "java" / "SimpleMath.java").read_text()
+
+
+@pytest.mark.parametrize("name, names", [
+    ("mult2", MULT2), ("db", DB), ("cadsr", CADSR),
+    ("cadsr-small", CADSR_SMALL)], ids=["mult2", "db", "cadsr", "cadsr-small"])
+def test_decoded_sources_match_expected_bytes(tmp_path, name, names):
+    code, out = run(tmp_path, *program_files(*names))
+    assert code == cli.EXIT_SOLVED
+    expected = PROGRAMS / "expected" / name
+    assert ({p.name: p.read_bytes() for p in (out / "java").iterdir()}
+            == {p.name: p.read_bytes() for p in expected.iterdir()})
 
 
 def test_solution_file_format(tmp_path):
@@ -137,6 +151,16 @@ def test_full_width_holes_take_signed_minimum_and_decode_as_java(tmp_path):
     _, registry, _, prog = run_front_end(texts=[("A.java", text)])
     assert len(registry) == 0
     Interp(prog, ConcreteUnknowns(registry, {}), {}).run_harness("t_A")
+
+
+def test_wide_literal_does_not_make_narrow_holes_signed(tmp_path):
+    # -2147483648 widens the holes to 31 bits, not 32, so h stays unsigned
+    src = tmp_path / "A.java"
+    src.write_text("class A { static int h = ??; "
+                   "harness static void t() { assert h >= -2147483648; } }")
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 0"
 
 
 def test_engine_flags_are_honored(tmp_path):

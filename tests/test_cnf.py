@@ -10,10 +10,6 @@ from sketchsynth import sat
 from sketchsynth.cnf import CnfBuilder
 
 
-def setup_function(_fn):
-    B.clear_cache()
-
-
 def solve_builder(cb, assumptions=()):
     s = sat.Solver()
     s.ensure_vars(cb.nvars)
@@ -25,7 +21,6 @@ def solve_builder(cb, assumptions=()):
 def forced_value(op, a, b, width=4):
     """Constrain two narrow variables to constants, solve, and read back the
     value of ``op(x, y)`` through a fresh result variable."""
-    B.clear_cache()
     cb = CnfBuilder()
     x, y = B.var("x", width), B.var("y", width)
     cb.assert_term(B.eq(x, B.const(a)))
@@ -57,7 +52,6 @@ def test_division_circuits(a, b):
 def test_comparison_constraints_prune_models():
     rng = random.Random(3)
     for _ in range(40):
-        B.clear_cache()
         a, b = rng.randrange(16), rng.randrange(16)
         cb = CnfBuilder()
         x, y = B.var("x", 4), B.var("y", 4)
@@ -69,7 +63,6 @@ def test_comparison_constraints_prune_models():
 
 
 def test_signed_comparison_uses_sign_bit():
-    B.clear_cache()
     cb = CnfBuilder()
     x = B.var("x")
     cb.assert_term(B.eq(x, B.const(-5)))
@@ -82,14 +75,12 @@ def test_signed_comparison_uses_sign_bit():
 
 
 def test_contradiction_flag_on_false_assertion():
-    B.clear_cache()
     cb = CnfBuilder()
     cb.assert_term(B.FALSE)
     assert cb.contradiction
 
 
 def test_bool_hole_as_width_one_variable():
-    B.clear_cache()
     cb = CnfBuilder()
     p = B.eq(B.var("b", 1), B.const(1))
     cb.assert_term(p)

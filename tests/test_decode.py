@@ -20,16 +20,15 @@ def solve_files(names, **cfg_kw):
 
 def test_mult2_substitution_yields_two_times_x():
     ast, registry, _, result, _ = solve_files(MULT2)
-    concrete = decode.apply_solution(ast, registry, result.assignment)
-    text = decode.unparse_program(concrete)
+    text = decode.unparse_program(ast, registry, result.assignment)
     (math_file,) = [t for f, t in text.items() if "SimpleMath" in f]
     assert "return 2 * x;" in math_file
 
 
 def test_no_sketch_tokens_and_no_sketch_modifiers_in_output():
     ast, registry, _, result, _ = solve_files(DB)
-    concrete = decode.apply_solution(ast, registry, result.assignment)
-    blob = "".join(decode.unparse_program(concrete).values())
+    blob = "".join(
+        decode.unparse_program(ast, registry, result.assignment).values())
     for token in ("??", "{|", "|}", "minrepeat", "harness", "generator",
                   "minimize"):
         assert token not in blob
@@ -37,8 +36,8 @@ def test_no_sketch_tokens_and_no_sketch_modifiers_in_output():
 
 def test_minrepeat_expands_to_per_iteration_copies():
     ast, registry, _, result, _ = solve_files(DB)
-    concrete = decode.apply_solution(ast, registry, result.assignment)
-    blob = "".join(decode.unparse_program(concrete).values())
+    blob = "".join(
+        decode.unparse_program(ast, registry, result.assignment).values())
     depth = result.assignment.repeat_counts["e_r1"]
     assert depth == blob.count("if (state == ")
 
@@ -47,7 +46,7 @@ def test_unknown_free_program_round_trips_unchanged():
     ast, registry, _, prog = run_front_end(
         texts=[("f.java", "class A { int f(int x) { return x + 1; } }")])
     empty = engine.Assignment({}, {})
-    assert (decode.unparse_program(decode.apply_solution(ast, registry, empty))
+    assert (decode.unparse_program(ast, registry, empty)
             == decode.unparse_program(ast))
 
 
@@ -55,23 +54,50 @@ def test_missing_value_raises_incomplete_solution():
     ast, registry, _, _ = run_front_end(
         texts=[("f.java", "class A { static int s = ??; }")])
     with pytest.raises(IncompleteSolutionError):
-        decode.apply_solution(ast, registry, engine.Assignment({}, {}))
+        decode.unparse_program(ast, registry, engine.Assignment({}, {}))
+
+
+def test_missing_repeat_count_raises_incomplete_solution():
+    ast, registry, _, _ = run_front_end(texts=[(
+        "f.java", "class A { static void f() { minrepeat { int x = 1; } } }")])
+    with pytest.raises(IncompleteSolutionError, match="no count for 'e_r1'"):
+        decode.unparse_program(ast, registry, engine.Assignment({}, {}))
+
+
+def test_out_of_range_choice_raises_incomplete_solution():
+    ast, registry, _, _ = run_front_end(
+        texts=[("f.java", "class A { static int s = {| 1, 2 |}; }")])
+    with pytest.raises(IncompleteSolutionError, match="out of range"):
+        decode.unparse_program(
+            ast, registry, engine.Assignment({"e_c1": 2}, {}))
+
+
+def test_minrepeat_copies_read_their_own_iteration_values():
+    ast, registry, _, _ = run_front_end(texts=[("f.java", """
+        class A { static int acc; harness static void t() {
+            if (acc > 0) minrepeat { acc = acc + ??; minimize(acc); } } }""")])
+    text = decode.unparse_program(ast, registry, engine.Assignment(
+        {"e_h1_0": 2, "e_h1_1": 3}, {"e_r1": 2}))["f.java"]
+    assert ("if (acc > 0) {\n"
+            "            acc = acc + 2;\n"
+            "            acc = acc + 3;\n"
+            "        }") in text
+    assert "minimize" not in text
 
 
 def test_bool_holes_render_as_keywords():
     ast, registry, _, _ = run_front_end(
         texts=[("f.java", "class A { static boolean b = ??; }")])
-    concrete = decode.apply_solution(
-        ast, registry, engine.Assignment({"e_h1": 1}, {}))
-    assert "b = true" in decode.unparse_program(concrete)["f.java"]
+    text = decode.unparse_program(
+        ast, registry, engine.Assignment({"e_h1": 1}, {}))["f.java"]
+    assert "b = true" in text
 
 
 def test_negative_hole_under_unary_minus_is_parenthesized():
     ast, registry, _, _ = run_front_end(
         texts=[("f.java", "class A { static int s = -??; }")])
-    concrete = decode.apply_solution(
-        ast, registry, engine.Assignment({"e_h1": B.to_unsigned(-5)}, {}))
-    text = decode.unparse_program(concrete)["f.java"]
+    text = decode.unparse_program(
+        ast, registry, engine.Assignment({"e_h1": B.to_unsigned(-5)}, {}))["f.java"]
     assert "s = -(-5);" in text
     assert decode.unparse_program(parse_program_texts([("f.java", text)])) \
         == {"f.java": text}
@@ -80,8 +106,7 @@ def test_negative_hole_under_unary_minus_is_parenthesized():
 @pytest.mark.parametrize("names", [MULT2, DB, CADSR], ids=["mult2", "db", "cadsr"])
 def test_reparse_and_run_passes_all_harnesses(names):
     ast, registry, prog, result, cfg = solve_files(names)
-    concrete = decode.apply_solution(ast, registry, result.assignment)
-    texts = decode.unparse_program(concrete)
+    texts = decode.unparse_program(ast, registry, result.assignment)
     _, registry2, _, prog2 = run_front_end(texts=list(texts.items()))
     assert len(registry2) == 0
     for h in prog.harnesses:
@@ -92,7 +117,6 @@ def test_reparse_and_run_passes_all_harnesses(names):
 
 def test_unparse_is_idempotent_after_reparse():
     ast, registry, _, result, _ = solve_files(DB)
-    concrete = decode.apply_solution(ast, registry, result.assignment)
-    once = decode.unparse_program(concrete)
+    once = decode.unparse_program(ast, registry, result.assignment)
     again = decode.unparse_program(parse_program_texts(list(once.items())))
     assert once == again

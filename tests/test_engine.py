@@ -127,6 +127,8 @@ def test_timeout_verdict():
     prog = run_front_end(files=program_files(*DB))[3]
     result = engine.solve(prog, engine.EngineConfig(timeout=0.01))
     assert isinstance(result, engine.Timeout)
+    # sibling verdicts: a timeout never passes for a proof of unsat
+    assert not isinstance(result, engine.Unsat)
 
 
 def test_two_state_automaton_is_unsat(default_config):

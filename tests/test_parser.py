@@ -110,7 +110,6 @@ def test_unparse_parse_unparse_is_identity_on_fixtures():
              "Automaton.java", "TestDBConnection.java", "CADsR.java",
              "TestCADsR.java")
     ast = parse_program([str(PROGRAMS / n) for n in names])
-    once = decode.unparse_program(ast, concrete=False)
-    again = decode.unparse_program(
-        parse_program_texts(list(once.items())), concrete=False)
+    once = decode.unparse_program(ast)
+    again = decode.unparse_program(parse_program_texts(list(once.items())))
     assert once == again
