@@ -196,8 +196,7 @@ class CnfBuilder:
 
     def w_abs(self, xs):
         s = xs[-1]
-        negged = self.w_add(self.w_neg_bits(xs), self.w_const(0, len(xs)), cin=True)
-        return self.w_mux(s, negged, xs), s
+        return self.w_mux(s, self.w_negate(xs), xs), s
 
     def w_negate(self, xs):
         return self.w_add(self.w_neg_bits(xs), self.w_const(0, len(xs)), cin=True)

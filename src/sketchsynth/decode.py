@@ -142,13 +142,14 @@ class _Printer:
                 text += " = " + self.expr(s.init, 0)
             return text + ";"
         if isinstance(s, A.IfStmt):
-            text = (f"{pad}if ({self.expr(s.cond, 0)}) "
+            text = (f"{pad}if ({self.expr(s.cond, 0)})"
                     + self.embedded(s.then, depth))
             if s.els is not None:
-                text += " else " + self.embedded(s.els, depth)
+                text += ((" " if self._braced(s.then) else "\n" + pad)
+                         + "else" + self.embedded(s.els, depth))
             return text
         if isinstance(s, A.WhileStmt):
-            return (f"{pad}while ({self.expr(s.cond, 0)}) "
+            return (f"{pad}while ({self.expr(s.cond, 0)})"
                     + self.embedded(s.body, depth))
         if isinstance(s, A.ReturnStmt):
             if s.value is None:
@@ -161,15 +162,20 @@ class _Printer:
         if isinstance(s, A.MinRepeat):
             if self.concrete:
                 return self.unrolled(s, depth)
-            return f"{pad}minrepeat " + self.embedded(s.body, depth)
+            return f"{pad}minrepeat" + self.embedded(s.body, depth)
         raise AssertionError(f"unknown statement {type(s).__name__}")
 
+    def _braced(self, s):
+        """Prints as a ``{ ... }`` block (a solved minrepeat does too)."""
+        return isinstance(s, A.Block) or (self.concrete
+                                          and isinstance(s, A.MinRepeat))
+
     def embedded(self, s, depth):
-        """Statement used as an if/while/minrepeat body, without leading
-        pad; blocks (a solved minrepeat among them) open on the same line."""
-        if isinstance(s, A.Block) or (self.concrete
-                                      and isinstance(s, A.MinRepeat)):
-            return self.stmt(s, depth).lstrip()
+        """Statement used as an if/while/minrepeat body, with the text that
+        separates it from its header: a block opens on the header's line,
+        any other statement goes on the next line, one level deeper."""
+        if self._braced(s):
+            return " " + self.stmt(s, depth).lstrip()
         return "\n" + self.stmt(s, depth + 1)
 
     def expr(self, e, parent_prec):

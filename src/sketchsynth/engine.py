@@ -198,9 +198,8 @@ class _DepthProblem:
         except (HarnessFailure, StepLimitExceeded):
             return False
         for inst in self.choice_insts:
-            width = max(1, (inst.info.arity - 1).bit_length())
-            self.cb.assert_term(
-                B.ult(B.var(inst.name, width), B.const(inst.info.arity)))
+            self.cb.assert_term(B.ult(B.var(inst.name, inst.info.bit_width),
+                                      B.const(inst.info.arity)))
         for c in constraints:
             self.cb.assert_term(c)
         # blasted before the first solve, so every model assigns their bits

@@ -10,7 +10,9 @@ One evaluator serves both phases of synthesis:
 
 Object references stay concrete (allocation is unconditional); a reference
 that depends on unknowns is a :class:`RefMux`, an exhaustive guarded case
-split over concrete records.
+split over concrete records.  A virtual call runs, for each case, the
+override that the class table's vtable names for that record's class, and
+muxes the results.
 """
 
 from __future__ import annotations
@@ -162,9 +164,7 @@ class SymbolicUnknowns:
 
     def choice(self, uid, iteration):
         info = self.registry.choice_info(uid)
-        name = self.registry.instance_name(uid, iteration)
-        width = max(1, (info.arity - 1).bit_length())
-        return B.var(name, width)
+        return B.var(self.registry.instance_name(uid, iteration), info.bit_width)
 
 
 class ConcreteUnknowns:
@@ -390,15 +390,12 @@ class Interp:
         if isinstance(e, I.Call):
             args = [self.eval(a, frame, active) for a in e.args]
             return self.call_function(e.fn, args, active)
+        if isinstance(e, I.VirtualCall):
+            return self._eval_virtual(e, frame, active)
         if isinstance(e, I.CallBuiltin):
             return self._eval_builtin(e, frame, active)
         if isinstance(e, I.AllocObj):
             return ObjRecord(self.table.id_of(e.cls), e.cls)
-        if isinstance(e, I.ClassIdRead):
-            objv = self.eval(e.obj, frame, active)
-            self._null_check(objv, active, e, what="dynamic dispatch on null")
-            return self._read_cases(objv, B.const(-1),
-                                    lambda ref: B.const(ref.class_id))
         raise InternalError(f"unknown expression {type(e).__name__}")
 
     def _const_value(self, e):
@@ -509,39 +506,44 @@ class Interp:
             acc = mux_value(cg, fn(ref), acc) if not B.is_true(cg) else fn(ref)
         return acc
 
-    # -- builtins ----------------------------------------------------------
+    # -- calls -------------------------------------------------------------
+
+    def _eval_virtual(self, e, frame, active):
+        """Run the receiver's override of ``e.sig``, one case per class."""
+        recv = self.eval(e.receiver, frame, active)
+        args = [self.eval(a, frame, active) for a in e.args]
+        self._null_check(recv, active, e, what="dynamic dispatch on null")
+        acc = None
+        for cg, ref in _as_cases(recv):
+            g = B.and_(active, cg)
+            if ref is None or B.is_false(g):
+                continue
+            impl = self.table.vtable.get((ref.class_id, e.sig))
+            if impl is None:
+                self.constrain(B.not_(g), f"no implementation of '{e.sig[0]}'",
+                               e.span)
+                continue
+            if not impl.is_builtin:
+                v = self.call_function(impl.mangled, [ref] + args, g)
+            elif impl.builtin_key in _IMPURE_BUILTINS and not B.is_true(g):
+                raise EncodingError(
+                    f"library call '{impl.builtin_key}' with side effects under "
+                    "a symbolic condition is not supported", e.span)
+            else:
+                v = self._catalog_call(impl.builtin_key, ref, args, g, e.span)
+            acc = v if acc is None else mux_value(cg, v, acc)
+        return default_value(e.ret_tag) if acc is None else acc
 
     def _eval_builtin(self, e, frame, active):
+        """String methods and builtins without a receiver."""
         recv = None
         if e.receiver is not None:
             recv = self.eval(e.receiver, frame, active)
         args = [self.eval(a, frame, active) for a in e.args]
-
-        if isinstance(recv, str):
-            return self._catalog_call(e.key, recv, args, active, e.span)
-
-        if recv is not None:
-            self._null_check(recv, active, e)
-        impure = e.key in _IMPURE_BUILTINS
-        if impure and not B.is_true(active):
-            raise EncodingError(
-                f"library call '{e.key}' with side effects under a symbolic "
-                "condition is not supported", e.span)
-        cases = _as_cases(recv) if recv is not None else [(B.TRUE, None)]
-        live = [(cg, ref) for cg, ref in cases
-                if ref is not None or recv is None]
-        if recv is not None and not live:
-            return None
-        if impure and len(live) > 1:
-            raise EncodingError(
-                f"library call '{e.key}' on an unknown-dependent receiver is "
-                "not supported", e.span)
-        acc = None
-        for cg, ref in live:
-            g = B.and_(active, cg)
-            v = self._catalog_call(e.key, ref, args, g, e.span)
-            acc = v if acc is None else mux_value(cg, v, acc)
-        return acc
+        if e.receiver is not None and recv is None:
+            self.constrain(B.not_(active), "null dereference", e.span)
+            return _trap_default(e.key)
+        return self._catalog_call(e.key, recv, args, active, e.span)
 
     def _catalog_call(self, key, recv, args, guard, span):
         conc = []

@@ -81,8 +81,12 @@ class AllocObj(IrExpr):
 
 
 @dataclass
-class ClassIdRead(IrExpr):
-    obj: IrExpr
+class VirtualCall(IrExpr):
+    """Instance-method call, resolved per receiver class through the vtable."""
+    sig: tuple           # plain signature (name, mangled param types)
+    receiver: IrExpr
+    args: list
+    ret_tag: object
     span: object = None
 
 

@@ -1,10 +1,10 @@
 """AST-to-IR translation.
 
 Every method body becomes a flat function named by the mangling scheme;
-virtual call sites go through synthesized ``dyn_dispatch_*`` functions that
-branch on the receiver's class id; constructors become ``new_*`` factory
-functions returning a fresh object record; ``minimize(e)`` harness statements
-become program-level objectives.
+every instance-method call site becomes one ``VirtualCall`` node that the
+interpreter resolves through the class table's vtable; constructors become
+``new_*`` factory functions returning a fresh object record; ``minimize(e)``
+harness statements become program-level objectives.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class _Lowerer:
         self.registry = registry
         self.prog = I.IrProgram(registry=registry, table=table)
         self.max_literal = 0
-        self._dispatch_built = set()
 
     # -- driver ------------------------------------------------------------
 
@@ -136,49 +135,6 @@ class _Lowerer:
         raise TypeLoweringError(
             f"class '{ci.name}' needs a zero-argument constructor "
             "(implicit super call)", getattr(ci.decl, "span", None))
-
-    # -- dynamic dispatch --------------------------------------------------
-
-    def dispatch_call(self, plain_sig, recv, args, span):
-        """Call through the per-signature dispatch chain; single-implementer
-        signatures are inlined to a direct call."""
-        arms = self.table.implementations(plain_sig)
-        if not arms:
-            raise TypeLoweringError(f"no implementation of '{plain_sig[0]}'", span)
-        if len(arms) == 1:
-            return self._arm_call(arms[0][1], recv, args, span)
-        name = "dyn_dispatch_" + "_".join([plain_sig[0], *plain_sig[1]])
-        if name not in self._dispatch_built:
-            self._dispatch_built.add(name)
-            self.prog.functions[name] = make_dyn_dispatch(name, plain_sig,
-                                                          self.table)
-        return I.Call(name, [recv] + args, span=span)
-
-    def _arm_call(self, impl, recv, args, span):
-        if impl.is_builtin:
-            return I.CallBuiltin(impl.builtin_key, recv, args, span=span)
-        return I.Call(impl.mangled, [recv] + args, span=span)
-
-
-def make_dyn_dispatch(name, plain_sig, table):
-    """Chain of ``if (self.class_id == C) return impl(self, ...)`` arms in
-    ascending class-id order, trapping when no arm matches."""
-    arms = table.implementations(plain_sig)
-    nparams = len(plain_sig[1])
-    params = ["self"] + [f"p{i}" for i in range(nparams)]
-    args = [I.LocalRead(p) for p in params[1:]]
-    body = []
-    for cid, impl in arms:
-        if impl.is_builtin:
-            call = I.CallBuiltin(impl.builtin_key, I.LocalRead("self"), args)
-        else:
-            call = I.Call(impl.mangled, [I.LocalRead("self")] + args)
-        ret = [I.ReturnInstr(call)]
-        body.append(I.IfInstr(
-            I.Bin("==", I.ClassIdRead(I.LocalRead("self")), I.Const(cid, T.INT)),
-            ret))
-    body.append(I.AssertInstr(I.Const(False, T.BOOL)))
-    return I.IrFunction(name, params, body)
 
 
 # --------------------------------------------------------------------------
@@ -409,9 +365,7 @@ class _Env:
                 return I.Call(mi.mangled, args, span=e.span), mi.ret
             _require(not self.static,
                      f"instance method '{e.name}' called from static context", e.span)
-            call = self.lw.dispatch_call(mi.plain_sig, I.LocalRead("self"), args,
-                                         e.span)
-            return call, mi.ret
+            return self.virtual_call(mi, I.LocalRead("self"), args, e.span), mi.ret
 
         cls = self._class_ref(e.target)
         if cls is not None:
@@ -428,8 +382,13 @@ class _Env:
         mi = self.table.resolve_method(rtag.cls, e.name, arg_tags, e.span)
         if mi.is_static:
             return I.Call(mi.mangled, args, span=e.span), mi.ret
-        call = self.lw.dispatch_call(mi.plain_sig, recv, args, e.span)
-        return call, mi.ret
+        return self.virtual_call(mi, recv, args, e.span), mi.ret
+
+    def virtual_call(self, mi, recv, args, span):
+        """Instance call; the interpreter picks the override per receiver."""
+        if not self.table.implementations(mi.plain_sig):
+            raise TypeLoweringError(f"no implementation of '{mi.plain_name}'", span)
+        return I.VirtualCall(mi.plain_sig, recv, args, mi.ret, span=span)
 
     def lower_new(self, e):
         name = e.type.name

@@ -41,6 +41,11 @@ class ChoiceInfo:
     arity: int = 1
     template_of: Optional[UnknownId] = None
 
+    @property
+    def bit_width(self):
+        """Bits of the solver variable that selects an alternative."""
+        return max(1, (self.arity - 1).bit_length())
+
 
 @dataclass
 class RepeatInfo:

@@ -163,6 +163,53 @@ def test_wide_literal_does_not_make_narrow_holes_signed(tmp_path):
     assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 0"
 
 
+_B_AND_C = ("class B { int m() { return 1; } } "
+            "class C extends B { int m() { return 2; } } ")
+
+
+@pytest.mark.parametrize("text, code, solution", [
+    ("interface I { public int m(); } "
+     "class X implements I { public int m() { return 1; } } "
+     "class Y implements I { public int m() { return 3; } } "
+     "class Z implements I { public int m() { return 7; } } "
+     "class A { harness static void t() { "
+     "I x = {| new X(), new Y(), new Z() |}; assert x.m() + ?? == 9; } }",
+     cli.EXIT_SOLVED, ["hole e_h1 = 2", "choice e_c1 = 2"]),
+    (_B_AND_C + "class A { harness static void t() { "
+     "B b = {| null, new B(), new C() |}; assert b.m() == 2; } }",
+     cli.EXIT_SOLVED, ["choice e_c1 = 2"]),
+    # the call on null runs only if the choice picks true, so it must not
+    (_B_AND_C + "class A { harness static void t() { B b = null; int r = 0; "
+     "if ({| true, false |}) { r = b.m(); } assert r == 0; } }",
+     cli.EXIT_SOLVED, ["choice e_c1 = 1"]),
+    ("class B { int m() { return 1; } } class A { harness static void t() { "
+     "B b = null; int r = b.m(); assert r == ??; } }",
+     cli.EXIT_UNSAT, None),
+    ("class A { harness static void t() { "
+     "String s = null; assert s.length() == ??; } }",
+     cli.EXIT_UNSAT, None),
+    # X has no m, so only Y can be the receiver
+    ("interface I { public int m(); } class X implements I { X() { } } "
+     "class Y implements I { public int m() { return 1; } } "
+     "class A { harness static void t() { "
+     "I x = {| new X(), new Y() |}; assert x.m() == 1; } }",
+     cli.EXIT_SOLVED, ["choice e_c1 = 1"]),
+    # a library call that mutates its receiver needs a concrete path
+    ("class A { harness static void t() { LinkedList l = new LinkedList(); "
+     "if ({| true, false |}) { l.add(new A()); } assert l.size() == 1; } }",
+     cli.EXIT_INPUT, None),
+], ids=["receiver-choice", "null-or-override", "guarded-null-call",
+        "null-single-implementation", "null-string", "missing-override",
+        "impure-call-under-choice"])
+def test_virtual_calls(tmp_path, text, code, solution):
+    src = tmp_path / "A.java"
+    src.write_text(text)
+    got, out = run(tmp_path, str(src))
+    assert got == code
+    if solution is not None:
+        assert (out / "solution.txt").read_text().splitlines()[:-1] == solution
+
+
 def test_engine_flags_are_honored(tmp_path):
     # forcing a tiny unroll-max turns the depth-4 monitor into UNSAT
     code, _ = run(tmp_path, *program_files(

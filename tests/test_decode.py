@@ -103,6 +103,25 @@ def test_negative_hole_under_unary_minus_is_parenthesized():
         == {"f.java": text}
 
 
+def test_unbraced_bodies_print_without_trailing_space():
+    ast, registry, _, _ = run_front_end(texts=[("f.java", """
+        class A { static int f(int x) {
+            if (x > 0) x = ??; else x = 2;
+            while (x > 5) x = x - 1;
+            return x; } }""")])
+    text = decode.unparse_program(
+        ast, registry, engine.Assignment({"e_h1": 1}, {}))["f.java"]
+    assert ("        if (x > 0)\n"
+            "            x = 1;\n"
+            "        else\n"
+            "            x = 2;\n"
+            "        while (x > 5)\n"
+            "            x = x - 1;\n") in text
+    assert all(line == line.rstrip() for line in text.splitlines())
+    assert decode.unparse_program(parse_program_texts([("f.java", text)])) \
+        == {"f.java": text}
+
+
 @pytest.mark.parametrize("names", [MULT2, DB, CADSR], ids=["mult2", "db", "cadsr"])
 def test_reparse_and_run_passes_all_harnesses(names):
     ast, registry, prog, result, cfg = solve_files(names)

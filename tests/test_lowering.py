@@ -43,28 +43,30 @@ def test_instance_methods_take_self():
     assert prog.functions["g_A"].params == ["self"]
 
 
-def test_single_implementation_calls_are_direct():
-    _, _, _, prog = lower_texts(
-        "class A { int g() { return 1; } int f() { return g(); } }")
-    calls = [n for n in I.walk_ir(prog.functions["f_A"].body)
-             if isinstance(n, I.Call)]
-    assert any(c.fn == "g_A" for c in calls)
-    assert not any(f.startswith("dyn_dispatch") for f in prog.functions)
-
-
-def test_multiple_implementations_go_through_dispatch():
+def test_instance_calls_lower_to_virtual_calls():
+    # g has one implementer and m two: both call sites take the same path
     _, _, _, prog = lower_texts("""
         interface I { public int m(); }
-        class A implements I { public int m() { return 1; } }
+        class A implements I {
+            public int m() { return 1; }
+            int g() { return 1; }
+            int f() { return g(); }
+        }
         class B implements I { public int m() { return 2; } }
         class U { int use(I x) { return x.m(); } }
         """)
-    assert "dyn_dispatch_m" in prog.functions
-    fn = prog.functions["dyn_dispatch_m"]
-    # if-chain over class ids ending in an unreachable-assert
-    assert isinstance(fn.body[0], I.IfInstr)
-    tail = fn.body[-1]
-    assert isinstance(tail, I.AssertInstr)
+    for fn, sig in (("f_A", ("g", ())), ("use_U_I", ("m", ()))):
+        calls = [n for n in I.walk_ir(prog.functions[fn].body)
+                 if isinstance(n, (I.Call, I.VirtualCall))]
+        assert [type(c) for c in calls] == [I.VirtualCall]
+        assert calls[0].sig == sig
+    assert not any(f.startswith("dyn_dispatch") for f in prog.functions)
+
+
+def test_call_without_implementation_rejected():
+    with pytest.raises(TypeLoweringError, match="no implementation of 'm'"):
+        lower_texts("interface I { public int m(); } "
+                    "class U { int use(I x) { return x.m(); } }")
 
 
 def test_static_field_initializers_collect_into_static_init():
