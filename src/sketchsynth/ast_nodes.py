@@ -252,6 +252,15 @@ class NewObject(Expr):
     span: Optional[SourceSpan] = None
 
 
+# binding strength of the binary operators, loosest first; every level
+# associates to the left.  Assignment (1) binds looser, unary operators tighter.
+BINARY_PREC = {
+    "||": 2, "&&": 3,
+    "==": 4, "!=": 4, "<": 5, "<=": 5, ">": 5, ">=": 5,
+    "+": 6, "-": 6, "*": 7, "/": 7, "%": 7,
+}
+
+
 @dataclass
 class BinOp(Expr):
     op: str = ""

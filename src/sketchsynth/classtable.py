@@ -1,8 +1,10 @@
-"""Flat identifier world: dense class/method ids, subclass matrix, mangling.
+"""Class table: the hierarchy, mangled method names and the vtable.
 
 Built once from the desugared AST (inner classes already flattened, anonymous
 classes already lifted).  Builtin library classes are registered after user
 classes so that dispatch over e.g. ``Iterator`` receivers works uniformly.
+The vtable maps each (class id, plain signature) to the override that an
+instance call on that class runs.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ def mangle_method(method, cls, param_tags):
 
 @dataclass
 class MethodInfo:
-    mid: int
     plain_name: str
     mangled: str
-    declaring: str
     params: list                  # [(name, TypeTag)]
     ret: object                   # TypeTag
     is_static: bool = False
@@ -76,11 +76,9 @@ class ClassTable:
     def __init__(self):
         self.classes = []           # ClassInfo, index == cid
         self.by_name = {}
-        self.method_ids = {}        # mangled -> mid
-        self.subcls = []            # bool matrix
-        self.field_layout = []      # [(owner, name, TypeTag)] instance slots
         self.static_fields = []     # [(owner, name, TypeTag)]
         self.vtable = {}            # (cid, plain_sig) -> MethodInfo
+        self.implemented = set()    # plain_sigs with an override in some class
 
     # -- queries -----------------------------------------------------------
 
@@ -95,9 +93,6 @@ class ClassTable:
 
     def id_of(self, name):
         return self.info(name).cid
-
-    def is_subclass(self, sub, sup):
-        return self.subcls[self.id_of(sub)][self.id_of(sup)]
 
     def tag_from_typeref(self, tref):
         if tref.name in PRIMITIVE_TAGS:
@@ -116,15 +111,17 @@ class ClassTable:
         return chain
 
     def all_interfaces(self, name):
+        """Interfaces of ``name`` and its superclasses, closed upward: a
+        class's own interfaces, then its superclass's list, then the
+        superinterfaces of both, breadth first."""
         out = []
-        stack = list(self.info(name).interfaces)
-        if self.info(name).superclass:
-            stack.extend(self.all_interfaces(self.info(name).superclass))
-        while stack:
-            i = stack.pop(0)
-            if i not in out:
-                out.append(i)
-                stack.extend(self.info(i).interfaces)
+        for cur in reversed(self.superclass_chain(name)):
+            queue = list(self.info(cur).interfaces) + out
+            out = []
+            for i in queue:
+                if i not in out:
+                    out.append(i)
+                    queue.extend(self.info(i).interfaces)
         return out
 
     def resolve_field(self, cls_name, fname):
@@ -158,27 +155,6 @@ class ClassTable:
             raise TypeLoweringError(
                 f"ambiguous call to '{name}' in class '{cls_name}'", span)
         return ok[0]
-
-    def implementation_for(self, cls_name, plain_sig):
-        """Most-derived implementation of plain_sig for receivers of cls_name."""
-        return self.vtable.get((self.id_of(cls_name), plain_sig))
-
-    def implementations(self, plain_sig):
-        """(cid, MethodInfo) arms for every class with a reachable impl."""
-        arms = []
-        for ci in self.classes:
-            if ci.is_interface:
-                continue
-            impl = self.vtable.get((ci.cid, plain_sig))
-            if impl is not None:
-                arms.append((ci.cid, impl))
-        return arms
-
-    def slot_index(self, owner, name):
-        for i, (o, n, _) in enumerate(self.field_layout):
-            if o == owner and n == name:
-                return i
-        raise KeyError((owner, name))
 
 
 # --------------------------------------------------------------------------
@@ -221,62 +197,70 @@ def build_class_table(ast):
 
     _check_hierarchy(table)
     _build_members(table)
-    _build_subcls(table)
     _build_vtable(table)
     return table
 
 
 def _check_hierarchy(table):
     for ci in table.classes:
-        for ref in ([ci.superclass] if ci.superclass else []) + list(ci.interfaces):
+        for ref in _supertypes(ci):
             if ref not in table.by_name:
                 span = ci.decl.span if isinstance(ci.decl, A.ClassDecl) else None
                 raise UnresolvedTypeError(
                     f"class '{ci.name}' references unknown type '{ref}'", span)
-    # cycle detection over extends + implements edges
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {ci.name: WHITE for ci in table.classes}
-
-    def visit(name):
-        if color[name] == GREY:
-            raise InheritanceCycleError(f"inheritance cycle through '{name}'")
-        if color[name] == BLACK:
-            return
-        color[name] = GREY
-        ci = table.by_name[name]
-        for nxt in ([ci.superclass] if ci.superclass else []) + list(ci.interfaces):
-            visit(nxt)
-        color[name] = BLACK
-
+    # cycle detection over extends + implements edges: depth-first, with an
+    # explicit stack of (class, iterator over its supertypes)
+    done, on_path = set(), set()
     for ci in table.classes:
-        visit(ci.name)
+        if ci.name in done:
+            continue
+        on_path.add(ci.name)
+        stack = [(ci.name, iter(_supertypes(ci)))]
+        while stack:
+            name, rest = stack[-1]
+            nxt = next(rest, None)
+            if nxt is None:
+                stack.pop()
+                on_path.discard(name)
+                done.add(name)
+            elif nxt in on_path:
+                raise InheritanceCycleError(f"inheritance cycle through '{nxt}'")
+            elif nxt not in done:
+                on_path.add(nxt)
+                stack.append((nxt, iter(_supertypes(table.by_name[nxt]))))
 
 
-def _new_method(table, info):
-    if info.mangled in table.method_ids:
+def _supertypes(ci):
+    return ([ci.superclass] if ci.superclass else []) + list(ci.interfaces)
+
+
+def _new_method(taken, info):
+    """Registers ``info``'s mangled name, suffixing ``_2``, ``_3``, ... on a
+    collision."""
+    if info.mangled in taken:
         base = info.mangled
         k = 2
-        while f"{base}_{k}" in table.method_ids:
+        while f"{base}_{k}" in taken:
             k += 1
         info.mangled = f"{base}_{k}"
-    info.mid = len(table.method_ids)
-    table.method_ids[info.mangled] = info.mid
+    taken.add(info.mangled)
     return info
 
 
 def _build_members(table):
+    taken = set()
     for ci in table.classes:
         if ci.is_builtin:
             for spec in ci.decl.methods:
                 params = [(f"a{i}", t) for i, t in enumerate(spec.params)]
                 mi = MethodInfo(
-                    mid=-1, plain_name=spec.name,
+                    plain_name=spec.name,
                     mangled=mangle_method(spec.name, ci.name, spec.params),
-                    declaring=ci.name, params=params, ret=spec.ret,
+                    params=params, ret=spec.ret,
                     is_abstract=ci.is_interface, is_builtin=True,
                     builtin_key=spec.key,
                 )
-                ci.methods.append(_new_method(table, mi))
+                ci.methods.append(_new_method(taken, mi))
             continue
         decl = ci.decl
         for f in decl.fields():
@@ -284,21 +268,15 @@ def _build_members(table):
             ci.fields.append((f.name, tag, f.is_static))
             if f.is_static:
                 table.static_fields.append((ci.name, f.name, tag))
-            else:
-                table.field_layout.append((ci.name, f.name, tag))
         sigs = set()
         for m in decl.methods():
             params = [(p.name, table.tag_from_typeref(p.type)) for p in m.params]
-            if m.is_constructor:
-                ret = T.obj(ci.name)
-                plain = m.name
-            else:
-                ret = table.tag_from_typeref(m.return_type)
-                plain = m.name
+            ret = (T.obj(ci.name) if m.is_constructor
+                   else table.tag_from_typeref(m.return_type))
             mi = MethodInfo(
-                mid=-1, plain_name=plain,
-                mangled=mangle_method(plain, ci.name, [t for _, t in params]),
-                declaring=ci.name, params=params, ret=ret,
+                plain_name=m.name,
+                mangled=mangle_method(m.name, ci.name, [t for _, t in params]),
+                params=params, ret=ret,
                 is_static=m.is_static, is_harness=m.is_harness,
                 is_constructor=m.is_constructor,
                 is_abstract=m.body is None, decl=m,
@@ -307,45 +285,18 @@ def _build_members(table):
                 raise SignatureClashError(
                     f"duplicate signature '{m.name}' in class '{ci.name}'", m.span)
             sigs.add(mi.plain_sig)
-            ci.methods.append(_new_method(table, mi))
-
-
-def _build_subcls(table):
-    n = len(table.classes)
-    mat = [[False] * n for _ in range(n)]
-    for ci in table.classes:
-        mat[ci.cid][ci.cid] = True
-        if ci.superclass:
-            mat[ci.cid][table.id_of(ci.superclass)] = True
-        for i in ci.interfaces:
-            mat[ci.cid][table.id_of(i)] = True
-    # transitive closure (Warshall); class counts are small
-    for k in range(n):
-        for i in range(n):
-            if mat[i][k]:
-                row_i, row_k = mat[i], mat[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    table.subcls = mat
+            ci.methods.append(_new_method(taken, mi))
 
 
 def _build_vtable(table):
+    """Inheritance from the root down: each concrete method overrides the
+    entry for its signature, so a class gets the first concrete method up
+    its superclass chain."""
     for ci in table.classes:
         if ci.is_interface:
             continue
-        sigs = set()
-        for cur in table.superclass_chain(ci.name) + table.all_interfaces(ci.name):
+        for cur in reversed(table.superclass_chain(ci.name)):
             for m in table.by_name[cur].methods:
-                if not m.is_constructor:
-                    sigs.add(m.plain_sig)
-        for sig in sigs:
-            for cur in table.superclass_chain(ci.name):
-                impl = next(
-                    (m for m in table.by_name[cur].methods
-                     if m.plain_sig == sig and not m.is_abstract
-                     and not m.is_constructor),
-                    None)
-                if impl is not None:
-                    table.vtable[(ci.cid, sig)] = impl
-                    break
+                if not m.is_abstract and not m.is_constructor:
+                    table.vtable[(ci.cid, m.plain_sig)] = m
+                    table.implemented.add(m.plain_sig)

@@ -230,12 +230,7 @@ def _format_tables(table):
         for name, tag, is_static in ci.fields:
             lines.append(f"    {'static ' if is_static else ''}field {name}: {tag}")
         for mi in ci.methods:
-            lines.append(f"    method {mi.mangled} (mid {mi.mid})")
-    lines.append("")
-    lines.append("subclass matrix (row <= column):")
-    for i, row in enumerate(table.subcls):
-        ones = [str(j) for j, v in enumerate(row) if v]
-        lines.append(f"    {i}: {' '.join(ones)}")
+            lines.append(f"    method {mi.mangled}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,12 +18,8 @@ from .errors import IncompleteSolutionError
 INDENT = "    "
 
 # binding strength, loosest first; unary and primary bind tighter
-_PREC = {
-    "=": 1, "||": 2, "&&": 3,
-    "==": 4, "!=": 4, "<": 5, "<=": 5, ">": 5, ">=": 5,
-    "+": 6, "-": 6, "*": 7, "/": 7, "%": 7,
-}
-_UNARY_PREC = 8
+_PREC = {"=": 1, **A.BINARY_PREC}
+_UNARY_PREC = max(_PREC.values()) + 1
 
 
 def unparse_program(ast, registry=None, assignment=None):

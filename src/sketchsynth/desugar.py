@@ -93,7 +93,7 @@ def _specialize_in(decl, context, generators, counters, taken, spec_map, unit):
         copy.name = fresh
         decl.superclass = A.TypeRef(fresh, span=decl.superclass.span)
         spec_map.entries[(gen.name, context)] = fresh
-        # insert the copy right before the generator's declaring position
+        # the specialized copy joins the generator's compilation unit
         unit.types.append(copy)
     for inner in decl.inner_classes():
         _specialize_in(inner, f"{context}.{inner.name}", generators, counters, taken,

@@ -386,7 +386,7 @@ class _Env:
 
     def virtual_call(self, mi, recv, args, span):
         """Instance call; the interpreter picks the override per receiver."""
-        if not self.table.implementations(mi.plain_sig):
+        if mi.plain_sig not in self.table.implemented:
             raise TypeLoweringError(f"no implementation of '{mi.plain_name}'", span)
         return I.VirtualCall(mi.plain_sig, recv, args, mi.ret, span=span)
 

@@ -291,43 +291,24 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self):
-        return self.parse_assign()
-
-    def parse_assign(self):
-        lhs = self.parse_or()
+        lhs = self.parse_binary(1)
         if self.at("="):
             eq = self.next()
             if not isinstance(lhs, (A.Name, A.FieldAccess)):
                 raise ParseError(eq.span, "assignable target", repr("="))
-            value = self.parse_assign()
+            value = self.parse_expr()
             return A.Assign(target=lhs, value=value, span=eq.span)
         return lhs
 
-    def _binop_level(self, ops, sub):
-        left = sub()
-        while self.peek().kind in ops:
+    def parse_binary(self, min_prec):
+        """Precedence climbing over ``A.BINARY_PREC``: operators binding at
+        least ``min_prec``, each level left-associative."""
+        left = self.parse_unary()
+        while A.BINARY_PREC.get(self.peek().kind, 0) >= min_prec:
             op = self.next()
-            right = sub()
+            right = self.parse_binary(A.BINARY_PREC[op.kind] + 1)
             left = A.BinOp(op=op.kind, left=left, right=right, span=op.span)
         return left
-
-    def parse_or(self):
-        return self._binop_level({"||"}, self.parse_and)
-
-    def parse_and(self):
-        return self._binop_level({"&&"}, self.parse_eq)
-
-    def parse_eq(self):
-        return self._binop_level({"==", "!="}, self.parse_rel)
-
-    def parse_rel(self):
-        return self._binop_level({"<", "<=", ">", ">="}, self.parse_add)
-
-    def parse_add(self):
-        return self._binop_level({"+", "-"}, self.parse_mul)
-
-    def parse_mul(self):
-        return self._binop_level({"*", "/", "%"}, self.parse_unary)
 
     def parse_unary(self):
         tok = self.peek()

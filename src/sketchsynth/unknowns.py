@@ -22,7 +22,7 @@ class UnknownId:
     kind: str          # hole | choice | repeat
     ordinal: int       # dense per kind, starting at 1
     name: str          # e_h1 / e_c1 / e_r1
-    owner: str         # "Class.member" of the declaring site
+    owner: str         # "Class.member" of the site that declares it
 
     def __str__(self):
         return self.name

@@ -112,10 +112,24 @@ def test_emit_flags_write_debug_dumps(tmp_path):
     _, out = run(tmp_path, *program_files("Test.java", "SimpleMath.java"),
                  "--emit-ir", "--emit-tables", "--emit-desugared")
     assert (out / "ir" / "ir.txt").is_file()
-    assert (out / "tables" / "classes.txt").is_file()
+    tables = (out / "tables" / "classes.txt").read_text()
+    assert re.search(r"^\d+: class SimpleMath\b", tables, re.M)
+    assert "    method mult2_SimpleMath_int\n" in tables
+    assert "subclass matrix" not in tables and "(mid " not in tables
     desugared = (out / "desugared" / "SimpleMath.java").read_text()
     # the desugared dump keeps the sketch constructs
     assert "??" in desugared and "{|" in desugared
+
+
+@pytest.mark.parametrize("depth", [60, 150])
+def test_deeply_nested_parentheses_solve(tmp_path, depth):
+    src = tmp_path / "A.java"
+    src.write_text("class A { harness static void t() { int x = "
+                   + "(" * depth + "1" + ")" * depth
+                   + "; assert x + ?? == 3; } }")
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 2"
 
 
 def test_hole_bits_outside_word_width_gives_exit_2(tmp_path, capsys):

@@ -86,6 +86,22 @@ def test_precedence_and_associativity():
     assert ret.value.left.right.op == "*"
 
 
+def test_binary_levels_follow_the_precedence_table():
+    def shape(e):
+        if isinstance(e, A.BinOp):
+            return (shape(e.left), e.op, shape(e.right))
+        return e.ident
+
+    for p in A.BINARY_PREC:
+        for q in A.BINARY_PREC:
+            (d,) = parse_one(f"class A {{ int f() {{ return a {p} b {q} c; }} }}")
+            got = shape(d.methods()[0].body.stmts[0].value)
+            if A.BINARY_PREC[p] >= A.BINARY_PREC[q]:   # left-associative
+                assert got == (("a", p, "b"), q, "c"), (p, q)
+            else:
+                assert got == ("a", p, ("b", q, "c")), (p, q)
+
+
 def test_assignment_and_unary():
     (d,) = parse_one("class A { void f(int x) { x = -x; assert !(x == 1); } }")
     s1, s2 = d.methods()[0].body.stmts
