@@ -66,3 +66,31 @@ def test_unterminated_string_is_a_lex_error():
 def test_stray_character_is_a_lex_error():
     with pytest.raises(LexError):
         tokenize("a @ b")
+
+
+@pytest.mark.parametrize("text, message, where", [
+    ("a\n  /* x\n", "unterminated block comment", "f.java:2:3"),
+    ('x = "ab\nc";', "unterminated string literal", "f.java:1:5"),
+    ('x = "ab', "unterminated string literal", "f.java:1:5"),
+    ('x = "ab\\', "unterminated string literal", "f.java:1:5"),
+    ("c = 'ab';", "malformed char literal", "f.java:1:5"),
+    ("c = '\\q", "malformed char literal", "f.java:1:5"),
+    ('s = "a\\qb";', "unknown escape '\\q'", "f.java:1:5"),
+    ('s = "a\\q', "unknown escape '\\q'", "f.java:1:5"),
+    ("c = '\\q';", "unknown escape '\\q'", "f.java:1:5"),
+    ("a\n @ b", "unexpected character '@'", "f.java:2:2"),
+    ("a\t#", "unexpected character '#'", "f.java:1:3"),
+], ids=["block-comment", "string-newline", "string-eof", "string-backslash-eof",
+        "char-long", "char-escape-eof", "string-escape", "escape-before-eof",
+        "char-escape", "at-sign", "after-tab"])
+def test_lex_errors_keep_message_and_position(text, message, where):
+    with pytest.raises(LexError) as info:
+        tokenize(text, file_id="f.java")
+    assert info.value.message == message
+    assert str(info.value.span) == where
+
+
+def test_positions_after_block_comment_crlf_and_tab():
+    toks = tokenize("/* one\n two\n */ a\r\n\tb\r\n  \tc", file_id="f.java")
+    assert [(t.text, t.span.line, t.span.col) for t in toks] == [
+        ("a", 3, 5), ("b", 4, 2), ("c", 5, 4)]

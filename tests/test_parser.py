@@ -70,6 +70,16 @@ def test_generic_type_arguments_recorded():
     assert t.name == "Iterator" and t.args[0].name == "Token"
 
 
+def test_walk_keeps_pre_order_over_fields():
+    (d,) = parse_one("class A { int g = ??; int f(int p) { if (p < 1) { return -p; } "
+                     "return {| p, new B(p).h() |}; } }")
+    assert [type(n).__name__ for n in A.walk(d)] == [
+        "ClassDecl", "FieldDecl", "TypeRef", "Hole", "MethodDecl", "TypeRef",
+        "Param", "TypeRef", "Block", "IfStmt", "BinOp", "Name", "IntLit",
+        "Block", "ReturnStmt", "UnOp", "Name", "ReturnStmt", "Choice", "Name",
+        "MethodCall", "NewObject", "TypeRef", "Name"]
+
+
 def test_anonymous_class_expression():
     (d,) = parse_one("""
         class A { static Token T = new Token() { public int getId() { return 1; } }; }
