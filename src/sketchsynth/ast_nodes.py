@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int  # 1-based
     col: int   # 1-based
     length: int = 0
-
-    def __post_init__(self):
-        assert self.line >= 1 and self.col >= 1
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.col}"
@@ -44,17 +40,12 @@ class Node:
 
 @dataclass
 class TypeRef(Node):
-    """A surface type: primitive name or class/interface name.
-
-    ``args`` holds generic arguments (recorded, erased during desugar).
-    """
+    """A surface type: primitive name or class/interface name.  Generic
+    arguments are parsed and dropped: every type is already erased."""
     name: str
-    args: list = field(default_factory=list)
     span: Optional[SourceSpan] = None
 
     def __str__(self):
-        if self.args:
-            return f"{self.name}<{', '.join(str(a) for a in self.args)}>"
         return self.name
 
 
@@ -319,14 +310,16 @@ class SketchAst(Node):
 
 
 def walk(node):
-    """Pre-order traversal over every Node reachable from ``node``."""
-    if isinstance(node, Node):
-        yield node
-        for f in vars(node).values():
-            yield from walk(f)
-    elif isinstance(node, list):
-        for item in node:
-            yield from walk(item)
+    """Pre-order traversal over every Node reachable from ``node``.  A
+    node's fields are read when the caller resumes after it is yielded."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Node):
+            yield node
+            stack.extend(reversed(vars(node).values()))
+        elif isinstance(node, list):
+            stack.extend(reversed(node))
 
 
 def walk_unknowns(node):

@@ -8,7 +8,7 @@ decode) over the given source files, writing the output tree::
     <out>/log/log.txt     staged log plus per-unknown replacement echoes
 
 Exit codes: 0 solved, 1 no solution within bounds, 2 input error,
-3 timeout, 4 internal error.
+3 timeout or step limit, 4 internal error.
 """
 
 from __future__ import annotations
@@ -143,6 +143,12 @@ def _run(args, log, out_dir):
         print(f"timeout after {result.wall_ms} ms "
               f"(depth reached {result.depth_reached})", file=sys.stderr)
         return EXIT_TIMEOUT
+    if isinstance(result, engine.StepLimit):
+        log.stage("synthesis stopped: step limit exceeded")
+        print(f"step limit of {args.step_limit} exceeded while encoding "
+              f"depth {result.depth_reached}; raise --step-limit",
+              file=sys.stderr)
+        return EXIT_TIMEOUT
     if isinstance(result, engine.Unsat):
         log.stage("synthesis failed: no solution within bounds")
         print(f"no solution within bounds (depth <= {args.unroll_max}, "
@@ -151,10 +157,9 @@ def _run(args, log, out_dir):
 
     log.stage("replacing holes")
     log.stage("replacing generators")
-    for kind, name, value in _solution_records(registry, result):
-        if kind in ("hole", "choice"):
-            owner_cls = _owner_class(registry, name)
-            log.debug(f"replaced: {owner_cls}.{name} = {value}")
+    for kind, name, value, owner in _solution_records(registry, result):
+        if owner is not None:
+            log.debug(f"replaced: {owner}.{name} = {value}")
     log.stage("decoding")
     texts = decode.unparse_program(ast, registry, result.assignment)
     _dump_tree(out_dir / "java", texts)
@@ -167,34 +172,28 @@ def _run(args, log, out_dir):
 
 
 def _solution_records(registry, solution):
-    """(kind, name, value) triples in registry order."""
+    """(kind, name, value, owner) in registry order; ``owner`` is the
+    top-level class declaring a hole or choice, None otherwise."""
     hole_insts, choice_insts = registry.instantiate(solution.assignment.repeat_counts)
     out = []
     for inst in hole_insts:
         out.append(("hole", inst.name,
-                    B.to_signed(solution.assignment.values[inst.name])))
+                    B.to_signed(solution.assignment.values[inst.name]),
+                    inst.uid.owner.split(".")[0]))
     for inst in choice_insts:
-        out.append(("choice", inst.name, solution.assignment.values[inst.name]))
+        out.append(("choice", inst.name, solution.assignment.values[inst.name],
+                    inst.uid.owner.split(".")[0]))
     for info in registry.repeats:
         out.append(("repeat", info.uid.name,
-                    solution.assignment.repeat_counts[info.uid.name]))
+                    solution.assignment.repeat_counts[info.uid.name], None))
     for name, value in solution.objective_values.items():
-        out.append(("objective", name, value))
+        out.append(("objective", name, value, None))
     return out
-
-
-def _owner_class(registry, instance_name):
-    base = instance_name
-    for entries in (registry.holes, registry.choices):
-        for info in entries:
-            if base == info.uid.name or base.startswith(info.uid.name + "_"):
-                return info.uid.owner.split(".")[0]
-    return "?"
 
 
 def _write_solution(path, registry, solution):
     lines = [f"{kind} {name} = {value}"
-             for kind, name, value in _solution_records(registry, solution)]
+             for kind, name, value, _ in _solution_records(registry, solution)]
     # wall time is deliberately excluded from the deterministic record; the
     # measured time lives in the log
     lines.append(f"stats candidates={solution.candidates} "

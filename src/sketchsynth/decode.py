@@ -41,12 +41,6 @@ def _is_minimize(s):
             and s.expr.target is None and s.expr.name == "minimize")
 
 
-def _fmt_typeref(t):
-    if t.args:
-        return f"{t.name}<{', '.join(_fmt_typeref(a) for a in t.args)}>"
-    return t.name
-
-
 class _Printer:
     def __init__(self, registry, assignment):
         self.registry = registry
@@ -75,10 +69,10 @@ class _Printer:
         head.append(d.name)
         if d.superclass is not None and d.superclass.name != "Object":
             head.append("extends")
-            head.append(_fmt_typeref(d.superclass))
+            head.append(d.superclass.name)
         if d.interfaces:
             head.append("implements")
-            head.append(", ".join(_fmt_typeref(i) for i in d.interfaces))
+            head.append(", ".join(i.name for i in d.interfaces))
         lines = [pad + " ".join(head) + " {"]
         for m in d.members:
             if isinstance(m, A.ClassDecl):
@@ -91,7 +85,7 @@ class _Printer:
         return "\n".join(lines)
 
     def field(self, f, depth):
-        words = [*f.modifiers, _fmt_typeref(f.type), f.name]
+        words = [*f.modifiers, f.type.name, f.name]
         text = INDENT * depth + " ".join(words)
         if f.init is not None:
             text += " = " + self.expr(f.init, 0)
@@ -101,9 +95,9 @@ class _Printer:
         words = [w for w in m.modifiers
                  if not (self.concrete and w in ("harness", "generator"))]
         if not m.is_constructor:
-            words.append(_fmt_typeref(m.return_type))
+            words.append(m.return_type.name)
         words.append(m.name)
-        params = ", ".join(f"{_fmt_typeref(p.type)} {p.name}" for p in m.params)
+        params = ", ".join(f"{p.type.name} {p.name}" for p in m.params)
         head = INDENT * depth + " ".join(words) + f"({params})"
         if m.body is None:
             return head + ";"
@@ -133,7 +127,7 @@ class _Printer:
             return "\n".join([pad + "{", *self.stmts(s.stmts, depth + 1),
                               pad + "}"])
         if isinstance(s, A.LocalDecl):
-            text = f"{pad}{_fmt_typeref(s.type)} {s.name}"
+            text = f"{pad}{s.type.name} {s.name}"
             if s.init is not None:
                 text += " = " + self.expr(s.init, 0)
             return text + ";"
@@ -226,7 +220,7 @@ class _Printer:
             return f"{self.expr(e.target, _UNARY_PREC)}.{e.name}({args})"
         if isinstance(e, A.NewObject):
             args = ", ".join(self.expr(a, 0) for a in e.args)
-            text = f"new {_fmt_typeref(e.type)}({args})"
+            text = f"new {e.type.name}({args})"
             if e.anon_members:
                 body = " ".join(
                     self.method(m, 0).strip() if isinstance(m, A.MethodDecl)

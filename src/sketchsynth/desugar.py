@@ -6,9 +6,10 @@ Three passes, run in this order by :func:`desugar`:
    class per extending context, with the original generator removed.
 2. ``assign_unknown_ids`` — stable ``e_h<n>`` / ``e_c<n>`` / ``e_r<n>`` names
    for every Hole/Choice/minrepeat, collected into an UnknownRegistry.
-3. ``normalize`` — anonymous classes lifted to named top-level classes,
-   inner classes flattened (``Inner_Outer``), implicit root superclass,
-   field initializers hoisted into constructors, generics erased.
+3. ``normalize`` — inner classes flattened (``Inner_Outer``), anonymous
+   classes lifted to named top-level classes, implicit root superclass,
+   field initializers hoisted into constructors.  Generic type arguments
+   never reach the tree: the parser drops them.
 """
 
 from __future__ import annotations
@@ -215,11 +216,12 @@ def assign_unknown_ids(ast):
 
 
 def normalize(ast):
-    _lift_anonymous_classes(ast)
+    # flattening first renames an inner base type (``new Inner() { … }``)
+    # before the anonymous class that extends it is lifted out of its scope
     _flatten_inner_classes(ast)
+    _lift_anonymous_classes(ast)
     _add_root_superclass(ast)
     _hoist_field_initializers(ast)
-    _erase_generics(ast)
     return ast
 
 
@@ -228,10 +230,13 @@ def _type_names(ast):
 
 
 def _lift_anonymous_classes(ast):
-    taken = _type_names(ast)
+    types = {d.name: d for d in ast.top_level_types()}
+    taken = set(types)
     counters = {}
     for unit in ast.units:
         lifted = []
+        sites = []
+        # the walk goes on into each anonymous body, so nested ones lift too
         for n in A.walk(unit):
             if isinstance(n, A.NewObject) and n.anon_members is not None:
                 base = n.type.name
@@ -241,7 +246,7 @@ def _lift_anonymous_classes(ast):
                     counters[base] += 1
                     fresh = f"{base}_{counters[base]}"
                 taken.add(fresh)
-                base_decl = ast.find_type(base)
+                base_decl = types.get(base)
                 is_iface = base_decl is not None and base_decl.is_interface
                 decl = A.ClassDecl(
                     name=fresh,
@@ -251,8 +256,10 @@ def _lift_anonymous_classes(ast):
                     span=n.span,
                 )
                 lifted.append(decl)
+                sites.append(n)
                 n.type = A.TypeRef(fresh, span=n.type.span)
-                n.anon_members = None
+        for n in sites:
+            n.anon_members = None
         unit.types.extend(lifted)
 
 
@@ -324,12 +331,6 @@ def _hoist_field_initializers(ast):
         if inits:
             for ctor in ctors:
                 ctor.body.stmts[:0] = [s.clone() for s in inits]
-
-
-def _erase_generics(ast):
-    for n in A.walk(ast):
-        if isinstance(n, A.TypeRef):
-            n.args = []
 
 
 # --------------------------------------------------------------------------

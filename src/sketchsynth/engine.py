@@ -81,6 +81,11 @@ class Timeout(_NoSolution):
     """The wall-clock limit ran out first."""
 
 
+class StepLimit(_NoSolution):
+    """Symbolic execution of a repeat vector ran out of steps, so the
+    search cannot tell whether that vector has a solution."""
+
+
 def effective_hole_width(program, cfg):
     """Holes widen beyond the configured bits when the program mentions
     literals that would not fit, to at most 31 bits: only a configured
@@ -195,7 +200,7 @@ class _DepthProblem:
                 for name, expr in self.program.objectives:
                     objectives.append((name, interp.eval_objective(expr)))
                 constraints.extend(interp.constraints)
-        except (HarnessFailure, StepLimitExceeded):
+        except HarnessFailure:
             return False
         for inst in self.choice_insts:
             self.cb.assert_term(B.ult(B.var(inst.name, inst.info.bit_width),
@@ -263,7 +268,7 @@ class _DepthProblem:
 
 
 def solve(program, cfg):
-    """Complete bounded search; Solution, Unsat or Timeout."""
+    """Complete bounded search; Solution, Unsat, Timeout or StepLimit."""
     t0 = time.monotonic()
     deadline = t0 + cfg.timeout
     registry = program.registry
@@ -295,6 +300,8 @@ def solve(program, cfg):
         return Unsat(candidates, depth_reached, ms())
     except sat.Timeout:
         return Timeout(candidates, depth_reached, ms())
+    except StepLimitExceeded:
+        return StepLimit(candidates, depth_reached, ms())
 
 
 def _solve_at_depth(program, prob, cfg):

@@ -178,10 +178,11 @@ class IrProgram:
 
 def walk_ir(node):
     """Pre-order traversal over IrExpr/IrInstr trees."""
-    if isinstance(node, (IrExpr, IrInstr)):
-        yield node
-        for f in vars(node).values():
-            yield from walk_ir(f)
-    elif isinstance(node, list):
-        for item in node:
-            yield from walk_ir(item)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (IrExpr, IrInstr)):
+            yield node
+            stack.extend(reversed(vars(node).values()))
+        elif isinstance(node, list):
+            stack.extend(reversed(node))

@@ -3,11 +3,15 @@
 Sketch extensions get their own token kinds: ``??`` (HOLE), ``{|`` (LCHOICE),
 ``|}`` (RCHOICE), and the ``minrepeat``/``harness``/``generator`` keywords.
 Comments and whitespace are discarded; every token carries a SourceSpan.
+
+One compiled pattern scans the text, with a named group per token class; the
+line and column come from counting newlines in the skipped text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .ast_nodes import SourceSpan
 from .errors import LexError
@@ -20,16 +24,23 @@ KEYWORDS = {
     "minrepeat", "harness", "generator",
 }
 
-# multi-char operators first so maximal munch works by ordered scan
-SYMBOLS = [
-    "??", "{|", "|}", "==", "!=", "<=", ">=", "&&", "||",
-    "{", "}", "(", ")", ";", ",", ".", "<", ">",
-    "+", "-", "*", "/", "%", "=", "!",
-]
+# alternatives are tried in order: multi-char symbols before their prefixes,
+# and each malformed form after the well-formed one it would have been
+_TOKEN_RE = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]|//[^\n]*|/\*[\s\S]*?\*/)+)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<INT>[0-9]+)"
+    r"|(?P<IDENT>[^\W\d]\w*)"
+    r'|(?P<STRING>"(?P<body>(?:[^"\\\n]|\\[\s\S])*)"?)'
+    r"|(?P<CHAR>'(?:[^'\\\n]|\\[\s\S])')"
+    r"|(?P<bad_char>')"
+    r"|(?P<SYM>\?\?|\{\||\|\}|==|!=|<=|>=|&&|\|\||[{}();,.<>+\-*/%=!])"
+    r"|(?P<bad>[\s\S])")
+
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # keyword text, symbol text, or IDENT/INT/STRING/CHAR/EOF
     text: str
     span: SourceSpan
@@ -41,116 +52,55 @@ class Token:
 def tokenize(source_text, file_id="<input>"):
     """Scan ``source_text`` into a token list (without the trailing EOF)."""
     toks = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source_text)
     file_id = str(file_id)
-
-    def span(length, l=None, c=None):
-        return SourceSpan(file_id, l if l is not None else line, c if c is not None else col, length)
-
-    def advance(text):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = source_text[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
+    line = 1
+    line_start = 0   # offset of the first character of ``line``
+    for m in _TOKEN_RE.finditer(source_text):
+        kind = m.lastgroup
+        text = m.group()
+        start = m.start()
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
             continue
-        if source_text.startswith("//", i):
-            end = source_text.find("\n", i)
-            end = n if end < 0 else end
-            advance(source_text[i:end])
-            i = end
-            continue
-        if source_text.startswith("/*", i):
-            end = source_text.find("*/", i + 2)
-            if end < 0:
-                raise LexError("unterminated block comment", span(2))
-            advance(source_text[i:end + 2])
-            i = end + 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source_text[j].isdigit():
-                j += 1
-            text = source_text[i:j]
-            toks.append(Token("INT", text, span(len(text))))
-            advance(text)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source_text[j].isalnum() or source_text[j] == "_"):
-                j += 1
-            text = source_text[i:j]
-            kind = text if text in KEYWORDS else "IDENT"
-            toks.append(Token(kind, text, span(len(text))))
-            advance(text)
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n or source_text[j] == "\n":
-                    raise LexError("unterminated string literal", span(j - i))
-                c = source_text[j]
-                if c == '"':
-                    break
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise LexError("unterminated string literal", span(j - i))
-                    buf.append(_unescape(source_text[j + 1], span(2)))
-                    j += 2
-                else:
-                    buf.append(c)
-                    j += 1
-            raw = source_text[i:j + 1]
-            toks.append(Token("STRING", "".join(buf), span(len(raw))))
-            advance(raw)
-            i = j + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            if j < n and source_text[j] == "\\":
-                if j + 2 >= n or source_text[j + 2] != "'":
-                    raise LexError("malformed char literal", span(2))
-                value = _unescape(source_text[j + 1], span(2))
-                raw = source_text[i:j + 3]
-            else:
-                if j + 1 >= n or source_text[j + 1] != "'":
-                    raise LexError("malformed char literal", span(2))
-                value = source_text[j]
-                raw = source_text[i:j + 2]
-            toks.append(Token("CHAR", value, span(len(raw))))
-            advance(raw)
-            i += len(raw)
-            continue
-        for sym in SYMBOLS:
-            if source_text.startswith(sym, i):
-                toks.append(Token(sym, sym, span(len(sym))))
-                advance(sym)
-                i += len(sym)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", span(1))
+        span = SourceSpan(file_id, line, start - line_start + 1, len(text))
+        if kind == "IDENT":
+            if text in KEYWORDS:
+                kind = text
+            elif not (text[0].isalpha() or text[0] == "_"):   # e.g. '½'
+                raise LexError(f"unexpected character {text[0]!r}",
+                               span._replace(length=1))
+        elif kind == "SYM":
+            kind = text
+        elif kind == "STRING":
+            body = _unescape(m.group("body"), span._replace(length=2))
+            if m.end("body") == m.end():
+                raise LexError("unterminated string literal",
+                               span._replace(length=m.end("body") - start))
+            text = body
+        elif kind == "CHAR":
+            text = _unescape(text[1:-1], span._replace(length=2))
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment", span)
+        elif kind == "bad_char":
+            raise LexError("malformed char literal", span._replace(length=2))
+        elif kind == "bad":
+            raise LexError(f"unexpected character {text!r}", span)
+        toks.append(Token(kind, text, span))
     return toks
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"', "0": "\0"}
 
 
-def _unescape(ch, at):
-    try:
-        return _ESCAPES[ch]
-    except KeyError:
-        raise LexError(f"unknown escape '\\{ch}'", at) from None
+def _unescape(text, at):
+    """``text`` with every backslash escape replaced; LexError at ``at`` on
+    the first unknown one."""
+    def one(m):
+        try:
+            return _ESCAPES[m[1]]
+        except KeyError:
+            raise LexError(f"unknown escape '\\{m[1]}'", at) from None
+    return _ESCAPE_RE.sub(one, text)

@@ -22,6 +22,10 @@ MODIFIER_KINDS = {
 
 TYPE_START = {"int", "boolean", "char", "void"}
 
+# 2^31 itself is legal only under unary minus in Java; it is kept so that
+# -2147483648 parses
+INT_LITERAL_MAX = 2**31
+
 
 class _Parser:
     def __init__(self, tokens, file_id="<input>"):
@@ -194,15 +198,14 @@ class _Parser:
             return A.TypeRef(tok.kind, span=tok.span)
         if tok.kind == "IDENT":
             self.next()
-            args = []
-            if self.at("<"):
+            if self.at("<"):   # generic arguments: parsed and erased
                 self.next()
-                args.append(self.parse_type_ref())
+                self.parse_type_ref()
                 while self.at(","):
                     self.next()
-                    args.append(self.parse_type_ref())
+                    self.parse_type_ref()
                 self.expect(">")
-            return A.TypeRef(tok.text, args, span=tok.span)
+            return A.TypeRef(tok.text, span=tok.span)
         self.error("a type")
 
     # -- statements --------------------------------------------------------
@@ -343,7 +346,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            return A.IntLit(value=int(tok.text), span=tok.span)
+            value = int(tok.text)
+            if value > INT_LITERAL_MAX:
+                raise ParseError(tok.span, f"an int literal of at most {INT_LITERAL_MAX}",
+                                 repr(tok.text))
+            return A.IntLit(value=value, span=tok.span)
         if tok.kind == "STRING":
             self.next()
             return A.StringLit(value=tok.text, span=tok.span)

@@ -241,3 +241,64 @@ def test_solution_is_byte_identical_across_reruns(tmp_path):
         assert code == cli.EXIT_SOLVED
         texts.append((out / "solution.txt").read_bytes())
     assert texts[0] == texts[1]
+
+
+_TWO_PATHS = ("class A { static int f(int n) { int s = 0; int i = 0; "
+              "while (i < n) { s = s + 1; i = i + 1; } return s; } "
+              "harness static void t() { int x = ??; int r = 0; "
+              "if (x == 0) { r = f(40); } else { r = f(41); } "
+              "assert r == 40; } }")
+
+
+def test_step_limit_while_encoding_is_a_resource_limit(tmp_path, capsys):
+    # both sides of the branch run symbolically, so encoding needs more
+    # steps than the x = 0 path alone; that is not "no solution"
+    src = tmp_path / "A.java"
+    src.write_text(_TWO_PATHS)
+    code, out = run(tmp_path, str(src), "--step-limit", "1200")
+    assert code == cli.EXIT_TIMEOUT
+    assert "--step-limit" in capsys.readouterr().err
+    assert not (out / "java").exists()
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 0"
+
+
+@pytest.mark.parametrize("literal", ["2²", "99999999999"],
+                         ids=["superscript-digit", "eleven-digits"])
+def test_literal_that_is_no_java_int_gives_exit_2(tmp_path, capsys, literal):
+    src = tmp_path / "A.java"
+    src.write_text(f"class A {{ harness static void t() {{ int x = {literal}; "
+                   "assert x == ??; } }")
+    code, _ = run(tmp_path, str(src))
+    assert code == cli.EXIT_INPUT
+    assert "A.java:1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, member", [
+    ("class", "int f() { return 1; }"),
+    ("interface", "int f();"),
+], ids=["class", "interface"])
+def test_anonymous_subclass_of_inner_type(tmp_path, kind, member):
+    src = tmp_path / "A.java"
+    src.write_text(f"class A {{ {kind} B {{ {member} }} harness static void t() {{ "
+                   "B x = new B() { int f() { return 3; } }; "
+                   "assert x.f() == ??; } }")
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 3"
+    # the decoded source reparses and solves again
+    code, _ = run(tmp_path / "again", *sorted(map(str, (out / "java").iterdir())))
+    assert code == cli.EXIT_SOLVED
+
+
+def test_anonymous_class_inside_an_anonymous_class_body(tmp_path):
+    # the inner body must be lifted too, not run as a plain "new S()"
+    src = tmp_path / "A.java"
+    src.write_text("class S { int f() { return 1; } } class A { "
+                   "harness static void t() { S s = new S() { int f() { "
+                   "S u = new S() { int f() { return 9; } }; return u.f(); } }; "
+                   "assert s.f() == ??; } }")
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 9"

@@ -41,9 +41,10 @@ def test_int_string_char_literals():
 
 
 def test_escape_sequences():
-    toks = tokenize(r'"a\n\t\"\\" ' + r"'\n'")
+    toks = tokenize(r'"a\n\t\"\\" ' + r"'\n' '\''")
     assert toks[0].text == 'a\n\t"\\'
     assert toks[1].text == "\n"
+    assert toks[2].text == "'"
 
 
 def test_comments_are_skipped():
@@ -80,9 +81,10 @@ def test_stray_character_is_a_lex_error():
     ("c = '\\q';", "unknown escape '\\q'", "f.java:1:5"),
     ("a\n @ b", "unexpected character '@'", "f.java:2:2"),
     ("a\t#", "unexpected character '#'", "f.java:1:3"),
+    ("x = 2½;", "unexpected character '½'", "f.java:1:6"),
 ], ids=["block-comment", "string-newline", "string-eof", "string-backslash-eof",
         "char-long", "char-escape-eof", "string-escape", "escape-before-eof",
-        "char-escape", "at-sign", "after-tab"])
+        "char-escape", "at-sign", "after-tab", "non-letter-start"])
 def test_lex_errors_keep_message_and_position(text, message, where):
     with pytest.raises(LexError) as info:
         tokenize(text, file_id="f.java")
@@ -94,3 +96,12 @@ def test_positions_after_block_comment_crlf_and_tab():
     toks = tokenize("/* one\n two\n */ a\r\n\tb\r\n  \tc", file_id="f.java")
     assert [(t.text, t.span.line, t.span.col) for t in toks] == [
         ("a", 3, 5), ("b", 4, 2), ("c", 5, 4)]
+
+
+@pytest.mark.parametrize("text", ["'''", "'\n'"], ids=["quote", "newline"])
+def test_char_literal_of_a_bare_quote_or_line_end_is_malformed(text):
+    # javac rejects both; each must be written as an escape
+    with pytest.raises(LexError) as info:
+        tokenize("c = " + text + ";", file_id="f.java")
+    assert (info.value.message, str(info.value.span)) == (
+        "malformed char literal", "f.java:1:5")

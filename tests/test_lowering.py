@@ -117,3 +117,12 @@ def test_max_literal_covers_char_codes_in_strings():
 def test_extending_a_builtin_class_is_rejected():
     with pytest.raises(TypeLoweringError):
         lower_texts("class A extends LinkedList { A() { } }")
+
+
+def test_walk_ir_handles_deep_nesting_without_recursion():
+    leaf = I.LocalRead("x")
+    expr = leaf
+    for _ in range(4999):
+        expr = I.Un("-", expr)
+    nodes = list(I.walk_ir([I.EvalInstr(expr)]))
+    assert len(nodes) == 5001 and nodes[1] is expr and nodes[-1] is leaf

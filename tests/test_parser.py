@@ -64,10 +64,14 @@ def test_hole_choice_minrepeat_nodes():
     assert len(nodes[2].alternatives) == 3
 
 
-def test_generic_type_arguments_recorded():
-    (d,) = parse_one("class A { Iterator<Token> it; }")
-    t = d.fields()[0].type
-    assert t.name == "Iterator" and t.args[0].name == "Token"
+def test_generic_type_arguments_are_parsed_and_dropped():
+    (d,) = parse_one("class A { Iterator<Token> it; Map<K, List<V>> m; "
+                     "void f() { Iterator<Token> j = null; } }")
+    it, m = (f.type for f in d.fields())
+    assert it == A.TypeRef("Iterator", span=it.span)
+    assert m == A.TypeRef("Map", span=m.span)
+    local = d.methods()[0].body.stmts[0]
+    assert local.type == A.TypeRef("Iterator", span=local.type.span)
 
 
 def test_walk_keeps_pre_order_over_fields():
@@ -78,6 +82,25 @@ def test_walk_keeps_pre_order_over_fields():
         "Param", "TypeRef", "Block", "IfStmt", "BinOp", "Name", "IntLit",
         "Block", "ReturnStmt", "UnOp", "Name", "ReturnStmt", "Choice", "Name",
         "MethodCall", "NewObject", "TypeRef", "Name"]
+
+
+def test_walk_handles_deep_nesting_without_recursion():
+    inner = A.Block([])
+    node = inner
+    for _ in range(4999):
+        node = A.Block([node])
+    nodes = list(A.walk(node))
+    assert len(nodes) == 5000 and nodes[0] is node and nodes[-1] is inner
+
+
+def test_int_literal_range():
+    (d,) = parse_one("class A { int a = 2147483648; int b = -2147483648; }")
+    a, b = d.fields()
+    assert a.init.value == 2**31 and b.init.operand.value == 2**31
+    with pytest.raises(ParseError) as info:
+        parse_one("class A { int a = 2147483649; }")
+    assert info.value.message == (
+        "expected an int literal of at most 2147483648, found '2147483649'")
 
 
 def test_anonymous_class_expression():
