@@ -75,11 +75,10 @@ def tokenize(source_text, file_id="<input>"):
         elif kind == "SYM":
             kind = text
         elif kind == "STRING":
-            body = _unescape(m.group("body"), span._replace(length=2))
+            text = _unescape(m.group("body"), span._replace(length=2))
             if m.end("body") == m.end():
                 raise LexError("unterminated string literal",
                                span._replace(length=m.end("body") - start))
-            text = body
         elif kind == "CHAR":
             text = _unescape(text[1:-1], span._replace(length=2))
         elif kind == "open_comment":
