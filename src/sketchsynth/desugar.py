@@ -102,13 +102,28 @@ def _specialize_in(decl, context, generators, counters, taken, spec_map, unit):
 
 
 def _rename_type(node, old, new):
-    for n in A.walk(node):
+    """Rename type ``old`` within ``node``, except in a nested class body,
+    named or anonymous, that declares a member class ``old`` of its own."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, list):
+            stack.extend(n)
+            continue
+        if not isinstance(n, A.Node):
+            continue
         if isinstance(n, A.TypeRef) and n.name == old:
             n.name = new
         elif isinstance(n, A.Name) and n.ident == old:
             n.ident = new
         elif isinstance(n, A.MethodDecl) and n.is_constructor and n.name == old:
             n.name = new
+        body = (n.members if isinstance(n, A.ClassDecl) and n is not node
+                else n.anon_members if isinstance(n, A.NewObject) else None)
+        if body and any(isinstance(m, A.ClassDecl) and m.name == old for m in body):
+            stack.extend(f for f in vars(n).values() if f is not body)
+        else:
+            stack.extend(vars(n).values())
 
 
 def _check_direct_generator_use(ast, generators):
@@ -260,7 +275,8 @@ def _lift_anonymous_classes(ast):
                 n.type = A.TypeRef(fresh, span=n.type.span)
         for n in sites:
             n.anon_members = None
-        unit.types.extend(lifted)
+        # an anonymous body may declare member classes of its own
+        unit.types.extend(d for decl in lifted for d in _flatten_one(decl, taken))
 
 
 def _flatten_inner_classes(ast):

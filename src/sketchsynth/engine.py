@@ -82,8 +82,10 @@ class Timeout(_NoSolution):
 
 
 class StepLimit(_NoSolution):
-    """Symbolic execution of a repeat vector ran out of steps, so the
-    search cannot tell whether that vector has a solution."""
+    """No candidate passes, but symbolic execution of at least one repeat
+    vector ran out of steps, so the search cannot tell whether that vector
+    has a solution; ``depth_reached`` is the depth of the first such
+    vector."""
 
 
 def effective_hole_width(program, cfg):
@@ -275,6 +277,7 @@ def solve(program, cfg):
     repeat_names = [info.uid.name for info in registry.repeats]
     candidates = 0
     depth_reached = 0
+    overrun_depth = None
 
     def ms():
         return int((time.monotonic() - t0) * 1000)
@@ -285,7 +288,14 @@ def solve(program, cfg):
             depth_reached = max(depth_reached, depth)
             if time.monotonic() > deadline:
                 return Timeout(candidates, depth_reached, ms())
-            prob = _DepthProblem(program, vector, cfg, deadline)
+            # an overrun leaves this vector undecided; a later one may
+            # still solve, so only a search that ends empty reports it
+            try:
+                prob = _DepthProblem(program, vector, cfg, deadline)
+            except StepLimitExceeded:
+                if overrun_depth is None:
+                    overrun_depth = depth
+                continue
             if not prob.feasible:
                 continue
             result = _solve_at_depth(program, prob, cfg)
@@ -297,11 +307,11 @@ def solve(program, cfg):
                             objective_values=objective_values,
                             candidates=candidates, depth=depth,
                             wall_ms=ms())
+        if overrun_depth is not None:
+            return StepLimit(candidates, overrun_depth, ms())
         return Unsat(candidates, depth_reached, ms())
     except sat.Timeout:
         return Timeout(candidates, depth_reached, ms())
-    except StepLimitExceeded:
-        return StepLimit(candidates, depth_reached, ms())
 
 
 def _solve_at_depth(program, prob, cfg):

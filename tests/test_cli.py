@@ -264,6 +264,20 @@ def test_step_limit_while_encoding_is_a_resource_limit(tmp_path, capsys):
     assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 0"
 
 
+def test_step_limit_overrun_leaves_later_vectors_to_search(tmp_path):
+    # vector (0, 1) runs f(60) and overruns; (1, 0) comes next and solves
+    src = tmp_path / "A.java"
+    src.write_text("class A { static int f(int n) { int s = 0; int i = 0; "
+                   "while (i < n) { s = s + 1; i = i + 1; } return s; } "
+                   "harness static void t() { int a = 0; int b = 0; "
+                   "minrepeat { a = a + ??; } minrepeat { b = b + f(60); } "
+                   "assert a == 3; } }")
+    code, out = run(tmp_path, str(src), "--step-limit", "300")
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[:3] == [
+        "hole e_h1_0 = 3", "repeat e_r1 = 1", "repeat e_r2 = 0"]
+
+
 @pytest.mark.parametrize("literal", ["2²", "99999999999"],
                          ids=["superscript-digit", "eleven-digits"])
 def test_literal_that_is_no_java_int_gives_exit_2(tmp_path, capsys, literal):
@@ -302,3 +316,21 @@ def test_anonymous_class_inside_an_anonymous_class_body(tmp_path):
     code, out = run(tmp_path, str(src))
     assert code == cli.EXIT_SOLVED
     assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 9"
+
+
+@pytest.mark.parametrize("outer, expect", [
+    ("", 2),
+    # A's own inner K is shadowed inside the anonymous body
+    ("class K { int g() { return 8; } } ", 2),
+], ids=["alone", "shadowing"])
+def test_member_class_declared_in_an_anonymous_body(tmp_path, outer, expect):
+    src = tmp_path / "A.java"
+    src.write_text("class S { int f() { return 1; } } class A { " + outer +
+                   "harness static void t() { S x = new S() { "
+                   "class K { int g() { return 2; } } "
+                   "int f() { return new K().g(); } }; assert x.f() == ??; } }")
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == f"hole e_h1 = {expect}"
+    code, _ = run(tmp_path / "again", *sorted(map(str, (out / "java").iterdir())))
+    assert code == cli.EXIT_SOLVED
