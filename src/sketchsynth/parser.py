@@ -22,9 +22,9 @@ MODIFIER_KINDS = {
 
 TYPE_START = {"int", "boolean", "char", "void"}
 
-# 2^31 itself is legal only under unary minus in Java; it is kept so that
-# -2147483648 parses
-INT_LITERAL_MAX = 2**31
+# the largest int literal; 2^31 itself is legal only as the operand of
+# unary minus, so that -2147483648 parses
+INT_LITERAL_MAX = 2**31 - 1
 
 
 class _Parser:
@@ -277,18 +277,19 @@ class _Parser:
         # IDENT IDENT          e.g. "Monitor m"
         if self.peek(1).kind == "IDENT":
             return True
-        # IDENT '<' IDENT (',' IDENT)* '>' IDENT    e.g. "Iterator<Token> it"
+        # IDENT '<' balanced type arguments '>' IDENT    e.g. "Map<K, List<V>> m"
         if self.peek(1).kind == "<":
-            i = 2
-            while True:
-                if self.peek(i).kind != "IDENT":
+            depth, i = 1, 2
+            while depth:
+                kind = self.peek(i).kind
+                if kind == "<":
+                    depth += 1
+                elif kind == ">":
+                    depth -= 1
+                elif kind not in ("IDENT", ","):
                     return False
                 i += 1
-                if self.peek(i).kind == ",":
-                    i += 1
-                    continue
-                break
-            return self.peek(i).kind == ">" and self.peek(i + 1).kind == "IDENT"
+            return self.peek(i).kind == "IDENT"
         return False
 
     # -- expressions -------------------------------------------------------
@@ -317,7 +318,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind in ("!", "-"):
             self.next()
-            return A.UnOp(op=tok.kind, operand=self.parse_unary(), span=tok.span)
+            lit = self.peek()
+            if tok.kind == "-" and lit.kind == "INT" and \
+                    int(lit.text) == INT_LITERAL_MAX + 1:
+                self.next()
+                operand = A.IntLit(value=INT_LITERAL_MAX + 1, span=lit.span)
+            else:
+                operand = self.parse_unary()
+            return A.UnOp(op=tok.kind, operand=operand, span=tok.span)
         return self.parse_postfix()
 
     def parse_postfix(self):

@@ -1,10 +1,35 @@
-"""Conflict-driven clause-learning SAT solver.
+"""Conflict-driven clause-learning SAT solver in the MiniSat layout
+(Eén & Sörensson, "An Extensible SAT-solver", SAT 2003).
 
-Deterministic by construction: VSIDS activities break ties on variable
-index, and no randomized restarts or phase flipping are used, so identical
-clause streams always yield identical models.  Supports solving under
-assumptions, which the engine uses to fix the bits of objectives and
-unknowns one at a time without re-encoding.
+Layout.  Variable ``v`` (1-based, as in the clauses handed in) has the
+literal codes ``2v`` (positive) and ``2v + 1`` (negative), so negation is
+``code ^ 1`` and ``code >> 1`` is the variable.  ``value`` holds one entry
+per literal code: 1 true, -1 false, 0 unassigned.  ``level`` and
+``reason`` are indexed by variable.  A reason is the implying clause (a
+list whose first literal is the implied one) or, for a binary clause, the
+other literal's code as a plain int.
+
+- Clauses of two literals live in per-literal implication lists:
+  ``binary[c]`` holds every literal implied once ``c`` is false.  Tseitin
+  gates are mostly binary, so most propagation never touches a clause.
+- Longer clauses are watched on their first two literals.
+  ``watches[c]`` holds the clause lists themselves whose watch ``c`` has
+  to move when ``c`` becomes false; propagation compacts it in place.
+- Decisions pop the unassigned variable of highest VSIDS activity from an
+  indexed binary heap (``heap`` plus ``heap_pos``, so a variable is in it
+  at most once); ties go to the smallest index.  The saved phase picks
+  the polarity, negative at first.
+- Conflict analysis learns the first-UIP clause with one reused ``seen``
+  buffer and drops literals whose reason is already covered by the rest
+  of the clause (local minimization).
+- Restarts follow the Luby sequence with a unit of 100 conflicts.
+
+Deterministic by construction: every choice above is a function of the
+clause stream and the assumptions (no randomness, no hashing of objects),
+so identical inputs always yield identical models and counter values.
+Solving under assumptions puts them on the first decision levels, which
+the engine uses to fix the bits of objectives and unknowns one at a time
+without re-encoding; learnt clauses stay between calls.
 """
 
 from __future__ import annotations
@@ -16,209 +41,329 @@ class Timeout(Exception):
     pass
 
 
+def luby(i):
+    """The i-th (0-based) element of the Luby sequence 1 1 2 1 1 2 4 …"""
+    size, seq = 1, 0
+    while size < i + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != i:
+        size = (size - 1) >> 1
+        seq -= 1
+        i %= size
+    return 1 << seq
+
+
+RESTART_UNIT = 100
+
+
 class Solver:
     def __init__(self, deadline=None):
         self.nvars = 0
-        self.clauses = []          # each clause: list of literals
-        self.watches = {}          # literal -> list of clause indices
-        self.assign = []           # 1-indexed: None / True / False
-        self.level = []
-        self.reason = []
+        self.value = [0, 0]        # per literal code: 1 / -1 / 0
+        self.level = [0]           # per variable
+        self.reason = [None]       # per variable: clause list, int or None
+        self.binary = [[], []]     # per literal code: implied literal codes
+        self.watches = [[], []]    # per literal code: watched clause lists
         self.trail = []
         self.trail_lim = []
-        self.activity = []
+        self.qhead = 0             # trail index of the next literal to propagate
+        self.activity = [0.0]
         self.var_inc = 1.0
         self.var_decay = 0.95
-        self.phase = []
+        self.polarity = [1]        # saved phase: 0 positive, 1 negative
+        self.heap = []             # variables by (activity desc, index asc)
+        self.heap_pos = [-1]       # index in heap, -1 if absent
+        self.seen = bytearray(1)
         self.ok = True
-        self._qhead = 0            # trail index of the next literal to propagate
         self.deadline = deadline
-        self._ticks = 0
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
 
     # -- problem construction ---------------------------------------------
 
     def ensure_vars(self, n):
-        while self.nvars < n:
-            self.nvars += 1
-            self.assign.append(None)
-            self.level.append(0)
-            self.reason.append(None)
-            self.activity.append(0.0)
-            self.phase.append(False)
+        if n <= self.nvars:
+            return
+        k = n - self.nvars
+        self.nvars = n
+        self.value.extend([0] * (2 * k))
+        self.level.extend([0] * k)
+        self.reason.extend([None] * k)
+        self.binary.extend([] for _ in range(2 * k))
+        self.watches.extend([] for _ in range(2 * k))
+        self.activity.extend([0.0] * k)
+        self.polarity.extend([1] * k)
+        self.heap_pos.extend([-1] * k)
+        self.seen.extend(bytes(k))
+        for v in range(n - k + 1, n + 1):
+            self._heap_insert(v)
 
     def add_clause(self, lits):
         if not self.ok:
             return
-        self.backtrack(0)
-        seen = set()
+        self._backtrack(0)
+        self.ensure_vars(max(map(abs, lits), default=0))
+        value = self.value
         out = []
         for l in lits:
-            self.ensure_vars(abs(l))
-            if -l in seen:
-                return                      # tautology
-            if l in seen:
-                continue
-            v = self._value(l)
-            if v is True and self._lvl(l) == 0:
-                return
-            if v is False and self._lvl(l) == 0:
-                continue
-            seen.add(l)
-            out.append(l)
+            c = 2 * l if l > 0 else -2 * l + 1
+            val = value[c]
+            if val > 0 or c ^ 1 in out:
+                return                      # satisfied at level 0, or tautology
+            if val == 0 and c not in out:
+                out.append(c)
         if not out:
             self.ok = False
-            return
-        if len(out) == 1:
-            if not self._enqueue(out[0], None):
+        elif len(out) == 1:
+            self._assign(out[0], None)
+            if self.propagate() is not None:
                 self.ok = False
-            elif self.propagate() is not None:
-                self.ok = False
-            return
-        self._attach(out)
+        else:
+            self._attach(out)
 
-    def _attach(self, lits):
-        idx = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches.setdefault(lits[0], []).append(idx)
-        self.watches.setdefault(lits[1], []).append(idx)
-        return idx
+    def _attach(self, cl):
+        if len(cl) == 2:
+            a, b = cl
+            self.binary[a].append(b)
+            self.binary[b].append(a)
+        else:
+            self.watches[cl[0]].append(cl)
+            self.watches[cl[1]].append(cl)
 
-    # -- assignment helpers ------------------------------------------------
-
-    def _value(self, lit):
-        v = self.assign[abs(lit) - 1]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def _lvl(self, lit):
-        return self.level[abs(lit) - 1]
-
-    def _enqueue(self, lit, reason):
-        v = self._value(lit)
-        if v is not None:
-            return v
-        i = abs(lit) - 1
-        self.assign[i] = lit > 0
-        self.level[i] = len(self.trail_lim)
-        self.reason[i] = reason
-        self.trail.append(lit)
-        return True
+    def _assign(self, c, reason):
+        self.value[c] = 1
+        self.value[c ^ 1] = -1
+        v = c >> 1
+        self.level[v] = len(self.trail_lim)
+        self.reason[v] = reason
+        self.trail.append(c)
 
     # -- unit propagation --------------------------------------------------
 
     def propagate(self):
-        qhead = self._qhead
-        while qhead < len(self.trail):
-            self._ticks += 1
-            if self.deadline is not None and self._ticks % 4096 == 0:
-                if time.monotonic() > self.deadline:
-                    raise Timeout()
-            lit = self.trail[qhead]
+        """Propagates the trail from ``qhead``; returns a conflicting clause
+        (a list of literal codes, all false) or None."""
+        value = self.value
+        level = self.level
+        reason = self.reason
+        binary = self.binary
+        watches = self.watches
+        trail = self.trail
+        append = trail.append
+        lvl = len(self.trail_lim)
+        start = qhead = self.qhead
+        confl = None
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
             qhead += 1
-            false_lit = -lit
-            wl = self.watches.get(false_lit)
-            if not wl:
-                continue
-            keep = []
-            conflict = None
-            for k, ci in enumerate(wl):
-                cl = self.clauses[ci]
-                if cl[0] == false_lit:
-                    cl[0], cl[1] = cl[1], cl[0]
-                if self._value(cl[0]) is True:
-                    keep.append(ci)
-                    continue
-                moved = False
-                for j in range(2, len(cl)):
-                    if self._value(cl[j]) is not False:
-                        cl[1], cl[j] = cl[j], cl[1]
-                        self.watches.setdefault(cl[1], []).append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                keep.append(ci)
-                if not self._enqueue(cl[0], ci):
-                    keep.extend(wl[k + 1:])
-                    conflict = ci
+            for q in binary[false_lit]:
+                val = value[q]
+                if val == 0:
+                    value[q] = 1
+                    value[q ^ 1] = -1
+                    level[q >> 1] = lvl
+                    reason[q >> 1] = false_lit
+                    append(q)
+                elif val < 0:
+                    confl = [q, false_lit]
                     break
-            self.watches[false_lit] = keep
-            if conflict is not None:
-                self._qhead = len(self.trail)
-                return conflict
-        self._qhead = qhead
-        return None
+            if confl is not None:
+                break
+            ws = watches[false_lit]
+            n = len(ws)
+            i = j = 0
+            while i < n:
+                cl = ws[i]
+                i += 1
+                first = cl[0]
+                if first == false_lit:
+                    first = cl[0] = cl[1]
+                    cl[1] = false_lit
+                if value[first] == 1:
+                    ws[j] = cl
+                    j += 1
+                    continue
+                for k in range(2, len(cl)):
+                    lk = cl[k]
+                    if value[lk] != -1:
+                        cl[1] = lk
+                        cl[k] = false_lit
+                        watches[lk].append(cl)
+                        break
+                else:
+                    ws[j] = cl
+                    j += 1
+                    if value[first] == 0:
+                        value[first] = 1
+                        value[first ^ 1] = -1
+                        level[first >> 1] = lvl
+                        reason[first >> 1] = cl
+                        append(first)
+                    else:
+                        confl = cl
+                        break
+            if confl is None:
+                del ws[j:]
+            else:
+                ws[j:] = ws[i:]
+                break
+        if confl is not None:
+            qhead = len(trail)
+        self.propagations += qhead - start
+        self.qhead = qhead
+        return confl
+
+    # -- variable order ----------------------------------------------------
+
+    def _heap_up(self, i):
+        heap, pos, act = self.heap, self.heap_pos, self.activity
+        v = heap[i]
+        a = act[v]
+        while i:
+            parent = (i - 1) >> 1
+            u = heap[parent]
+            b = act[u]
+            if b > a or (b == a and u < v):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = parent
+        heap[i] = v
+        pos[v] = i
+
+    def _heap_insert(self, v):
+        self.heap_pos[v] = len(self.heap)
+        self.heap.append(v)
+        self._heap_up(len(self.heap) - 1)
+
+    def _heap_pop(self):
+        heap, pos, act = self.heap, self.heap_pos, self.activity
+        top = heap[0]
+        pos[top] = -1
+        v = heap.pop()
+        n = len(heap)
+        if n:
+            a = act[v]
+            i = 0
+            while True:
+                child = 2 * i + 1
+                if child >= n:
+                    break
+                u = heap[child]
+                b = act[u]
+                right = child + 1
+                if right < n:
+                    w = heap[right]
+                    c = act[w]
+                    if c > b or (c == b and w < u):
+                        child, u, b = right, w, c
+                if a > b or (a == b and v < u):
+                    break
+                heap[i] = u
+                pos[u] = i
+                i = child
+            heap[i] = v
+            pos[v] = i
+        return top
+
+    def _bump(self, v):
+        act = self.activity
+        act[v] += self.var_inc
+        if act[v] > 1e100:
+            for i in range(1, self.nvars + 1):
+                act[i] *= 1e-100
+            self.var_inc *= 1e-100
+        if self.heap_pos[v] >= 0:
+            self._heap_up(self.heap_pos[v])
+
+    def _backtrack(self, lvl):
+        if len(self.trail_lim) <= lvl:
+            return
+        value, reason, polarity = self.value, self.reason, self.polarity
+        heap_pos = self.heap_pos
+        trail = self.trail
+        lim = self.trail_lim[lvl]
+        for c in reversed(trail[lim:]):
+            v = c >> 1
+            value[c] = value[c ^ 1] = 0
+            reason[v] = None
+            polarity[v] = c & 1
+            if heap_pos[v] < 0:
+                self._heap_insert(v)
+        del trail[lim:]
+        del self.trail_lim[lvl:]
+        self.qhead = lim
 
     # -- conflict analysis -------------------------------------------------
 
-    def _bump(self, v):
-        self.activity[v - 1] += self.var_inc
-        if self.activity[v - 1] > 1e100:
-            for i in range(self.nvars):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
-
     def analyze(self, confl):
-        learnt = [None]
-        seen = [False] * self.nvars
-        counter = 0
-        p = None                    # literal currently being resolved on
-        btlevel = 0
-        cur_level = len(self.trail_lim)
-        idx = len(self.trail) - 1
-        reason_cl = self.clauses[confl]
+        """First-UIP learnt clause for the conflicting clause ``confl``,
+        locally minimized; returns (learnt, backtrack level) with the
+        asserting literal first and a literal of the backtrack level
+        second."""
+        seen, level, reason, trail = self.seen, self.level, self.reason, \
+            self.trail
+        bump = self._bump
+        cur = len(self.trail_lim)
+        learnt = [0]
+        pending = 0                 # current-level literals still to resolve
+        p = -1
+        idx = len(trail) - 1
+        lits = confl
         while True:
-            for q in reason_cl:
-                if q == p:
-                    continue
-                v = abs(q)
-                if not seen[v - 1] and self.level[v - 1] > 0:
-                    seen[v - 1] = True
-                    self._bump(v)
-                    if self.level[v - 1] >= cur_level:
-                        counter += 1
+            for q in lits:
+                v = q >> 1
+                if not seen[v] and level[v] > 0 and q != p:
+                    seen[v] = 1
+                    bump(v)
+                    if level[v] >= cur:
+                        pending += 1
                     else:
                         learnt.append(q)
-                        btlevel = max(btlevel, self.level[v - 1])
-            while not seen[abs(self.trail[idx]) - 1]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = self.trail[idx]
-            v = abs(p)
-            seen[v - 1] = False
-            counter -= 1
-            if counter == 0:
-                learnt[0] = -p
-                break
-            reason_cl = self.clauses[self.reason[v - 1]]
+            p = trail[idx]
             idx -= 1
+            seen[p >> 1] = 0
+            pending -= 1
+            if pending == 0:
+                break
+            r = reason[p >> 1]
+            lits = (r,) if r.__class__ is int else r
+        learnt[0] = p ^ 1
+
+        # local minimization: a literal whose reason's other literals are
+        # all in the clause (or fixed at level 0) is implied by the rest;
+        # the reason's implied literal is skipped as its variable is marked
+        marked = learnt[1:]
+        j = 1
+        for q in marked:
+            r = reason[q >> 1]
+            if r is not None:
+                if r.__class__ is int:
+                    r = (r,)
+                for k in r:
+                    if not seen[k >> 1] and level[k >> 1] > 0:
+                        break
+                else:
+                    continue
+            learnt[j] = q
+            j += 1
+        del learnt[j:]
+        for q in marked:
+            seen[q >> 1] = 0
+
+        btlevel = 0
+        if len(learnt) > 1:
+            hi = 1
+            for i in range(2, len(learnt)):
+                if level[learnt[i] >> 1] > level[learnt[hi] >> 1]:
+                    hi = i
+            learnt[1], learnt[hi] = learnt[hi], learnt[1]
+            btlevel = level[learnt[1] >> 1]
         return learnt, btlevel
-
-    def backtrack(self, lvl):
-        while self.trail_lim and len(self.trail_lim) > lvl:
-            lim = self.trail_lim.pop()
-            while len(self.trail) > lim:
-                lit = self.trail.pop()
-                i = abs(lit) - 1
-                self.phase[i] = self.assign[i]
-                self.assign[i] = None
-                self.reason[i] = None
-        self._qhead = min(self._qhead, len(self.trail))
-
-    # -- decision heuristics -----------------------------------------------
-
-    def _decide(self):
-        best = None
-        best_act = -1.0
-        for v in range(1, self.nvars + 1):
-            if self.assign[v - 1] is None:
-                a = self.activity[v - 1]
-                if a > best_act:
-                    best_act = a
-                    best = v
-        if best is None:
-            return None
-        return best if self.phase[best - 1] else -best
 
     # -- main loop ---------------------------------------------------------
 
@@ -227,60 +372,60 @@ class Solver:
         under the assumptions."""
         if not self.ok:
             return None
-        self.backtrack(0)
+        self._backtrack(0)
         if self.propagate() is not None:
             self.ok = False
             return None
-        conflicts_at_restart = 0
-        restart_limit = 128
+        self.ensure_vars(max(map(abs, assumptions), default=0))
+        assumed = [2 * l if l > 0 else -2 * l + 1 for l in assumptions]
+        value, heap = self.value, self.heap
+        trail, trail_lim = self.trail, self.trail_lim
+        deadline = self.deadline
+        restarts = 0
+        budget = luby(0) * RESTART_UNIT
         while True:
             confl = self.propagate()
             if confl is not None:
-                if len(self.trail_lim) == 0:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise Timeout()
+                # every literal propagated since the last decision is at the
+                # current level, so the conflict has one there; at level 0
+                # it refutes the clauses
+                if not trail_lim:
                     self.ok = False
                     return None
-                cl_max = max(self.level[abs(l) - 1] for l in self.clauses[confl])
-                if cl_max == 0:
-                    self.ok = False
-                    return None
-                if cl_max < len(self.trail_lim):
-                    self.backtrack(cl_max)
+                self.conflicts += 1
                 learnt, btlevel = self.analyze(confl)
-                self.backtrack(btlevel)
-                if len(learnt) > 2:
-                    # second watch must sit at the backtrack level
-                    hi = max(range(1, len(learnt)),
-                             key=lambda i: self.level[abs(learnt[i]) - 1])
-                    learnt[1], learnt[hi] = learnt[hi], learnt[1]
+                self._backtrack(btlevel)
                 if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], None):
-                        self.ok = False
-                        return None
+                    self._assign(learnt[0], None)
                 else:
-                    ci = self._attach(learnt)
-                    self._enqueue(learnt[0], ci)
+                    self._attach(learnt)
+                    self._assign(learnt[0],
+                                 learnt[1] if len(learnt) == 2 else learnt)
                 self.var_inc /= self.var_decay
-                conflicts_at_restart += 1
-                if conflicts_at_restart >= restart_limit:
-                    conflicts_at_restart = 0
-                    restart_limit = int(restart_limit * 1.5)
-                    self.backtrack(0)
+                budget -= 1
+                if budget == 0:
+                    restarts += 1
+                    budget = luby(restarts) * RESTART_UNIT
+                    self._backtrack(0)
                 continue
-            if len(self.trail_lim) < len(assumptions):
+            if len(trail_lim) < len(assumed):
                 # assumptions occupy the first decision levels; a falsified
                 # assumption means UNSAT under the given assumption set
-                lit = assumptions[len(self.trail_lim)]
-                self.ensure_vars(abs(lit))
-                v = self._value(lit)
-                if v is False:
+                c = assumed[len(trail_lim)]
+                val = value[c]
+                if val < 0:
                     return None
-                self.trail_lim.append(len(self.trail))
-                if v is None:
-                    self._enqueue(lit, None)
+                trail_lim.append(len(trail))
+                if val == 0:
+                    self._assign(c, None)
                 continue
-            lit = self._decide()
-            if lit is None:
-                return {v for v in range(1, self.nvars + 1)
-                        if self.assign[v - 1] is True}
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, None)
+            if len(trail) == self.nvars:
+                return {c >> 1 for c in trail if not c & 1}
+            while value[2 * heap[0]] != 0:
+                self._heap_pop()
+            v = self._heap_pop()
+            self.decisions += 1
+            trail_lim.append(len(trail))
+            self._assign(2 * v | self.polarity[v], None)

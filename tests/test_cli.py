@@ -278,8 +278,8 @@ def test_step_limit_overrun_leaves_later_vectors_to_search(tmp_path):
         "hole e_h1_0 = 3", "repeat e_r1 = 1", "repeat e_r2 = 0"]
 
 
-@pytest.mark.parametrize("literal", ["2²", "99999999999"],
-                         ids=["superscript-digit", "eleven-digits"])
+@pytest.mark.parametrize("literal", ["2²", "99999999999", "2147483648"],
+                         ids=["superscript-digit", "eleven-digits", "two-to-the-31"])
 def test_literal_that_is_no_java_int_gives_exit_2(tmp_path, capsys, literal):
     src = tmp_path / "A.java"
     src.write_text(f"class A {{ harness static void t() {{ int x = {literal}; "

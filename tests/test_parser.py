@@ -74,6 +74,25 @@ def test_generic_type_arguments_are_parsed_and_dropped():
     assert local.type == A.TypeRef("Iterator", span=local.type.span)
 
 
+@pytest.mark.parametrize("decl, type_name, name", [
+    ("List<List<A>> l = null;", "List", "l"),
+    ("Map<K, List<V>> m;", "Map", "m"),
+    ("Map<List<K>, Map<K, V>> n = null;", "Map", "n"),
+], ids=["list-of-lists", "map-to-list", "map-of-maps"])
+def test_nested_generic_local_parses_as_declaration(decl, type_name, name):
+    (d,) = parse_one(f"class A {{ void f() {{ {decl} }} }}")
+    (local,) = d.methods()[0].body.stmts
+    assert isinstance(local, A.LocalDecl)
+    assert (local.type.name, local.name) == (type_name, name)
+
+
+def test_generic_lookahead_leaves_comparisons_alone():
+    (d,) = parse_one("class A { void f(int a, int b) { a < b; g(a < b, b > a); } }")
+    first, second = d.methods()[0].body.stmts
+    assert isinstance(first, A.ExprStmt) and first.expr.op == "<"
+    assert isinstance(second, A.ExprStmt)
+
+
 def test_walk_keeps_pre_order_over_fields():
     (d,) = parse_one("class A { int g = ??; int f(int p) { if (p < 1) { return -p; } "
                      "return {| p, new B(p).h() |}; } }")
@@ -94,13 +113,20 @@ def test_walk_handles_deep_nesting_without_recursion():
 
 
 def test_int_literal_range():
-    (d,) = parse_one("class A { int a = 2147483648; int b = -2147483648; }")
+    (d,) = parse_one("class A { int a = 2147483647; int b = -2147483648; }")
     a, b = d.fields()
-    assert a.init.value == 2**31 and b.init.operand.value == 2**31
-    with pytest.raises(ParseError) as info:
-        parse_one("class A { int a = 2147483649; }")
-    assert info.value.message == (
-        "expected an int literal of at most 2147483648, found '2147483649'")
+    assert a.init.value == 2**31 - 1
+    assert b.init.op == "-" and b.init.operand.value == 2**31
+    # 2147483648 is an int literal only as the operand of unary minus
+    for src, literal in [
+            ("class A { static int x = 2147483648; }", "2147483648"),
+            ("class A { int f(int x) { return x - 2147483648; } }", "2147483648"),
+            ("class A { int a = -(2147483648); }", "2147483648"),
+            ("class A { int a = -2147483649; }", "2147483649")]:
+        with pytest.raises(ParseError) as info:
+            parse_one(src)
+        assert info.value.message == (
+            f"expected an int literal of at most 2147483647, found '{literal}'")
 
 
 def test_anonymous_class_expression():
