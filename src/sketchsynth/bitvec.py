@@ -1,9 +1,10 @@
-"""Hash-consed 32-bit bitvector / boolean term DAG with constant folding.
+"""32-bit bitvector and boolean terms with constant folding.
 
-Terms are immutable and interned: structurally equal terms are the same
-object, so equality tests and caching downstream (bit-blasting) are identity
-based.  Arithmetic follows 32-bit two's-complement wraparound; division
-truncates toward zero.
+Terms are plain immutable values: building the same term twice gives two
+objects.  Structural sharing is left to the consumer that needs it, the
+per-solve bit-blaster (``cnf.CnfBuilder``), so no state outlives a solve.
+Arithmetic follows 32-bit two's-complement wraparound; division truncates
+toward zero.
 """
 
 from __future__ import annotations
@@ -12,17 +13,14 @@ WIDTH = 32
 MASK = (1 << WIDTH) - 1
 SIGN_BIT = 1 << (WIDTH - 1)
 
-_COMMUTATIVE = {"add", "mul", "eq", "and", "or"}
-
 
 class Term:
-    __slots__ = ("op", "args", "payload", "tid", "is_bool")
+    __slots__ = ("op", "args", "payload", "is_bool")
 
-    def __init__(self, op, args, payload, tid, is_bool):
+    def __init__(self, op, args=(), payload=None, is_bool=False):
         self.op = op
         self.args = args
         self.payload = payload
-        self.tid = tid
         self.is_bool = is_bool
 
     def __repr__(self):
@@ -31,18 +29,24 @@ class Term:
         return f"{self.op}({', '.join(map(repr, self.args))})"
 
 
-_table = {}
-
-
-def _mk(op, args=(), payload=None, is_bool=False):
-    if op in _COMMUTATIVE and len(args) == 2 and args[0].tid > args[1].tid:
-        args = (args[1], args[0])
-    key = (op, payload, tuple(a.tid for a in args))
-    t = _table.get(key)
-    if t is None:
-        t = Term(op, args, payload, len(_table), is_bool)
-        _table[key] = t
-    return t
+def postorder(term, done):
+    """Yield the terms under ``term`` that are not in ``done``, children
+    before parents and left to right, each once.  The caller must add each
+    yielded term to ``done`` before asking for the next.  The walk keeps
+    its own stack, so term depth is not bounded by Python's recursion
+    limit."""
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        if t in done:
+            stack.pop()
+            continue
+        pending = [a for a in t.args if a not in done]
+        if pending:
+            stack.extend(reversed(pending))
+        else:
+            stack.pop()
+            yield t
 
 
 def to_signed(u):
@@ -57,16 +61,16 @@ def to_unsigned(v):
 
 
 def const(v):
-    return _mk("const", payload=v & MASK)
+    return Term("const", payload=v & MASK)
 
 
 def var(name, width=WIDTH):
     """Fresh-by-name variable; bits at and above ``width`` are zero."""
-    return _mk("var", payload=(name, width))
+    return Term("var", payload=(name, width))
 
 
-TRUE = _mk("bconst", payload=True, is_bool=True)
-FALSE = _mk("bconst", payload=False, is_bool=True)
+TRUE = Term("bconst", payload=True, is_bool=True)
+FALSE = Term("bconst", payload=False, is_bool=True)
 
 
 def bconst(v):
@@ -74,7 +78,7 @@ def bconst(v):
 
 
 def bvar(name):
-    return _mk("bvar", payload=name, is_bool=True)
+    return Term("bvar", payload=name, is_bool=True)
 
 
 def is_const(t):
@@ -104,7 +108,7 @@ def add(a, b):
         return b
     if b.op == "const" and b.payload == 0:
         return a
-    return _mk("add", (a, b))
+    return Term("add", (a, b))
 
 
 def sub(a, b):
@@ -114,7 +118,7 @@ def sub(a, b):
         return a
     if a is b:
         return const(0)
-    return _mk("sub", (a, b))
+    return Term("sub", (a, b))
 
 
 def neg(a):
@@ -130,7 +134,7 @@ def mul(a, b):
                 return const(0)
             if x.payload == 1:
                 return y
-    return _mk("mul", (a, b))
+    return Term("mul", (a, b))
 
 
 def sdiv(a, b):
@@ -144,7 +148,7 @@ def sdiv(a, b):
         return const(q)
     if b.op == "const" and b.payload == 1:
         return a
-    return _mk("sdiv", (a, b))
+    return Term("sdiv", (a, b))
 
 
 def srem(a, b):
@@ -154,7 +158,7 @@ def srem(a, b):
         if sa < 0:
             r = -r
         return const(r)
-    return _mk("srem", (a, b))
+    return Term("srem", (a, b))
 
 
 def ite(c, a, b):
@@ -164,7 +168,7 @@ def ite(c, a, b):
         return a
     if a.is_bool:
         return or_(and_(c, a), and_(not_(c), b))
-    return _mk("ite", (c, a, b))
+    return Term("ite", (c, a, b))
 
 
 # -- comparisons -----------------------------------------------------------
@@ -177,7 +181,7 @@ def eq(a, b):
         return iff(a, b)
     if a.op == "const" and b.op == "const":
         return bconst(a.payload == b.payload)
-    return _mk("eq", (a, b), is_bool=True)
+    return Term("eq", (a, b), is_bool=True)
 
 
 def ne(a, b):
@@ -189,7 +193,7 @@ def slt(a, b):
         return FALSE
     if a.op == "const" and b.op == "const":
         return bconst(to_signed(a.payload) < to_signed(b.payload))
-    return _mk("slt", (a, b), is_bool=True)
+    return Term("slt", (a, b), is_bool=True)
 
 
 def sle(a, b):
@@ -203,7 +207,7 @@ def ult(a, b):
         return FALSE
     if a.op == "const" and b.op == "const":
         return bconst(a.payload < b.payload)
-    return _mk("ult", (a, b), is_bool=True)
+    return Term("ult", (a, b), is_bool=True)
 
 
 def ule(a, b):
@@ -220,7 +224,13 @@ def not_(a):
         return bconst(not a.payload)
     if a.op == "not":
         return a.args[0]
-    return _mk("not", (a,), is_bool=True)
+    return Term("not", (a,), is_bool=True)
+
+
+def _negates(a, b):
+    """Whether one argument is ``not`` of the other."""
+    return (a.op == "not" and a.args[0] is b) or \
+        (b.op == "not" and b.args[0] is a)
 
 
 def and_(a, b):
@@ -230,9 +240,9 @@ def and_(a, b):
         return a if b.payload else FALSE
     if a is b:
         return a
-    if a is not_(b):
+    if _negates(a, b):
         return FALSE
-    return _mk("and", (a, b), is_bool=True)
+    return Term("and", (a, b), is_bool=True)
 
 
 def or_(a, b):
@@ -242,9 +252,9 @@ def or_(a, b):
         return TRUE if b.payload else a
     if a is b:
         return a
-    if a is not_(b):
+    if _negates(a, b):
         return TRUE
-    return _mk("or", (a, b), is_bool=True)
+    return Term("or", (a, b), is_bool=True)
 
 
 def implies(a, b):
@@ -277,12 +287,8 @@ def evaluate(term, env):
     Variables absent from ``env`` default to 0/False.  Used to replay a SAT
     model or a concrete candidate without re-running the interpreter.
     """
-    cache = {}
-
-    def ev(t):
-        r = cache.get(t.tid)
-        if r is not None:
-            return r
+    value = {}
+    for t in postorder(term, value):
         op = t.op
         if op in ("const", "bconst"):
             r = t.payload
@@ -290,17 +296,18 @@ def evaluate(term, env):
             r = int(env.get(t.payload[0], 0)) & MASK
         elif op == "bvar":
             r = bool(env.get(t.payload, False))
-        elif op == "ite":
-            r = ev(t.args[1]) if ev(t.args[0]) else ev(t.args[2])
         elif op == "not":
-            r = not ev(t.args[0])
-        elif op == "and":
-            r = ev(t.args[0]) and ev(t.args[1])
-        elif op == "or":
-            r = ev(t.args[0]) or ev(t.args[1])
+            r = not value[t.args[0]]
+        elif op == "ite":
+            c, a, b = (value[x] for x in t.args)
+            r = a if c else b
         else:
-            a, b = ev(t.args[0]), ev(t.args[1])
-            if op == "add":
+            a, b = value[t.args[0]], value[t.args[1]]
+            if op == "and":
+                r = a and b
+            elif op == "or":
+                r = a or b
+            elif op == "add":
                 r = (a + b) & MASK
             elif op == "sub":
                 r = (a - b) & MASK
@@ -328,7 +335,5 @@ def evaluate(term, env):
                 r = a < b
             else:
                 raise AssertionError(f"unknown op {op}")
-        cache[t.tid] = r
-        return r
-
-    return ev(term)
+        value[t] = r
+    return value[term]

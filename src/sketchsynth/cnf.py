@@ -4,6 +4,13 @@ A "bit" is either the Python constants True/False or a DIMACS-style literal
 (positive/negative nonzero int).  Constant bits are propagated through every
 gate before any clause is emitted, so terms over mostly-constant words (the
 common case: small holes zero-extended to 32 bits) produce compact CNF.
+
+All structural sharing happens here, per builder; terms are not interned.
+A term is blasted once per object.  One memo, keyed by op, holds every
+gate ("and"/"or"/"xor" over literal values), bool variable ("bvar", name),
+constant word and word operation (over the identity of its operands' bit
+lists).  So a term built twice, or with its operands swapped, costs no new
+variables or clauses.  Blasting walks the term with an explicit stack.
 """
 
 from __future__ import annotations
@@ -18,11 +25,8 @@ class CnfBuilder:
         self.nvars = 0
         self.clauses = []
         self.var_bits = {}      # term var name -> [bit] * width
-        self.bool_vars = {}     # term bvar name -> literal
-        self._bits = {}         # term tid -> bits list (bv) or single bit (bool)
-        self._and_cache = {}
-        self._or_cache = {}
-        self._xor_cache = {}
+        self._blasted = {}      # term -> bits list (bv) or single bit (bool)
+        self._memo = {}         # (op, inputs) -> result; see the module doc
         self.contradiction = False
 
     # -- raw CNF -----------------------------------------------------------
@@ -62,14 +66,14 @@ class CnfBuilder:
             return a
         if a == -b:
             return False
-        key = (a, b) if a < b else (b, a)
-        o = self._and_cache.get(key)
+        key = ("and", a, b) if a < b else ("and", b, a)
+        o = self._memo.get(key)
         if o is None:
             o = self.new_var()
             self.add_clause([-o, a])
             self.add_clause([-o, b])
             self.add_clause([o, -a, -b])
-            self._and_cache[key] = o
+            self._memo[key] = o
         return o
 
     def g_or(self, a, b):
@@ -83,14 +87,14 @@ class CnfBuilder:
             return a
         if a == -b:
             return True
-        key = (a, b) if a < b else (b, a)
-        o = self._or_cache.get(key)
+        key = ("or", a, b) if a < b else ("or", b, a)
+        o = self._memo.get(key)
         if o is None:
             o = self.new_var()
             self.add_clause([o, -a])
             self.add_clause([o, -b])
             self.add_clause([-o, a, b])
-            self._or_cache[key] = o
+            self._memo[key] = o
         return o
 
     def g_xor(self, a, b):
@@ -103,16 +107,16 @@ class CnfBuilder:
         if a == -b:
             return True
         neg = (a < 0) != (b < 0)
-        ck = (min(abs(a), abs(b)), max(abs(a), abs(b)))
-        o = self._xor_cache.get(ck)
+        x, y = abs(a), abs(b)
+        key = ("xor", x, y) if x < y else ("xor", y, x)
+        o = self._memo.get(key)
         if o is None:
-            x, y = ck
             o = self.new_var()
             self.add_clause([-o, x, y])
             self.add_clause([-o, -x, -y])
             self.add_clause([o, -x, y])
             self.add_clause([o, x, -y])
-            self._xor_cache[ck] = o
+            self._memo[key] = o
         return -o if neg else o
 
     def g_ite(self, c, a, b):
@@ -204,65 +208,67 @@ class CnfBuilder:
     # -- term blasting -----------------------------------------------------
 
     def blast(self, term):
-        """Bool term -> bit; bitvector term -> list of W bits (LSB first)."""
-        hit = self._bits.get(term.tid)
-        if hit is not None:
-            return hit
+        """Bool term -> bit; bitvector term -> list of W bits (LSB first),
+        shared between terms: callers must not mutate it."""
+        done = self._blasted
+        for t in B.postorder(term, done):
+            done[t] = self._blast_node(t, [done[a] for a in t.args])
+        return done[term]
+
+    def _blast_node(self, term, args):
+        """Blast one term whose operands are already blasted to ``args``."""
         op = term.op
-        if op == "const":
-            r = self.w_const(term.payload)
-        elif op == "bconst":
-            r = term.payload
-        elif op == "var":
+        if op == "bconst":
+            return term.payload
+        if op == "not":
+            return self.g_not(args[0])
+        if op == "and":
+            return self.g_and(args[0], args[1])
+        if op == "or":
+            return self.g_or(args[0], args[1])
+        if op == "var":
             name, width = term.payload
             bits = self.var_bits.get(name)
             if bits is None:
                 bits = [self.new_var() for _ in range(width)] + [False] * (W - width)
                 self.var_bits[name] = bits
-            r = bits
-        elif op == "bvar":
-            lit = self.bool_vars.get(term.payload)
-            if lit is None:
-                lit = self.new_var()
-                self.bool_vars[term.payload] = lit
-            r = lit
-        elif op == "ite":
-            c = self.blast(term.args[0])
-            r = self.w_mux(c, self.blast(term.args[1]), self.blast(term.args[2]))
-        elif op == "not":
-            r = self.g_not(self.blast(term.args[0]))
-        elif op == "and":
-            r = self.g_and(self.blast(term.args[0]), self.blast(term.args[1]))
-        elif op == "or":
-            r = self.g_or(self.blast(term.args[0]), self.blast(term.args[1]))
+            return bits
+        if op == "ite":
+            c, a, b = args
+            if isinstance(c, bool):
+                return a if c else b
+            # c is a literal here, never True/False, so it keys by value
+            key = ("ite", c, id(a), id(b))
+        elif op in ("const", "bvar"):
+            key = (op, term.payload)
         else:
-            a = self.blast(term.args[0])
-            b = self.blast(term.args[1])
-            if op == "add":
-                r = self.w_add(a, b)
-            elif op == "sub":
-                r = self.w_sub(a, b)
-            elif op == "mul":
-                r = self.w_mul(a, b)
-            elif op == "eq":
-                r = self.w_eq(a, b)
-            elif op == "ult":
-                r = self.w_ult(a, b)
-            elif op == "slt":
-                r = self.w_slt(a, b)
-            elif op in ("sdiv", "srem"):
-                aa, sa = self.w_abs(a)
-                bb, sb = self.w_abs(b)
-                q, rem = self.w_udiv_urem(aa, bb)
-                if op == "sdiv":
-                    qs = self.g_xor(sa, sb)
-                    r = self.w_mux(qs, self.w_negate(q), q)
-                else:
-                    r = self.w_mux(sa, self.w_negate(rem), rem)
-            else:
-                raise AssertionError(f"unknown op {op}")
-        self._bits[term.tid] = r
+            i, j = id(args[0]), id(args[1])
+            if op in ("add", "mul", "eq") and j < i:    # commutative
+                i, j = j, i
+            key = (op, i, j)
+        r = self._memo.get(key)
+        if r is None:
+            r = self._memo[key] = self._blast_word(op, term.payload, args)
         return r
+
+    def _blast_word(self, op, payload, args):
+        if op == "const":
+            return self.w_const(payload)
+        if op == "bvar":
+            return self.new_var()
+        if op == "ite":
+            return self.w_mux(*args)
+        a, b = args
+        if op in ("sdiv", "srem"):
+            aa, sa = self.w_abs(a)
+            bb, sb = self.w_abs(b)
+            q, rem = self.w_udiv_urem(aa, bb)
+            if op == "sdiv":
+                return self.w_mux(self.g_xor(sa, sb), self.w_negate(q), q)
+            return self.w_mux(sa, self.w_negate(rem), rem)
+        word = {"add": self.w_add, "sub": self.w_sub, "mul": self.w_mul,
+                "eq": self.w_eq, "ult": self.w_ult, "slt": self.w_slt}
+        return word[op](a, b)
 
     def assert_term(self, term):
         """Add ``term`` as a hard constraint."""

@@ -26,11 +26,17 @@ TYPE_START = {"int", "boolean", "char", "void"}
 # unary minus, so that -2147483648 parses
 INT_LITERAL_MAX = 2**31 - 1
 
+# deepest expression nesting accepted: each nested expression (in
+# parentheses, an argument list or a choice) and each unary operator is one
+# level; the parser and the later tree passes recurse on this depth
+MAX_NESTING = 160
+
 
 class _Parser:
     def __init__(self, tokens, file_id="<input>"):
         self.toks = list(tokens)
         self.pos = 0
+        self.nesting = 0
         self.file_id = str(file_id)
         self._eof_span = (
             self.toks[-1].span if self.toks else SourceSpan(self.file_id, 1, 1, 0)
@@ -57,6 +63,12 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(tok.span, repr(kind), repr(tok.text or tok.kind))
         return self.next()
+
+    def nest(self, delta):
+        """Enter (+1) or leave (-1) one level of expression nesting."""
+        self.nesting += delta
+        if self.nesting > MAX_NESTING:
+            self.error(f"an expression nested at most {MAX_NESTING} deep")
 
     def error(self, expected):
         tok = self.peek()
@@ -295,14 +307,15 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self):
-        lhs = self.parse_binary(1)
+        self.nest(1)
+        expr = self.parse_binary(1)
         if self.at("="):
             eq = self.next()
-            if not isinstance(lhs, (A.Name, A.FieldAccess)):
+            if not isinstance(expr, (A.Name, A.FieldAccess)):
                 raise ParseError(eq.span, "assignable target", repr("="))
-            value = self.parse_expr()
-            return A.Assign(target=lhs, value=value, span=eq.span)
-        return lhs
+            expr = A.Assign(target=expr, value=self.parse_expr(), span=eq.span)
+        self.nest(-1)
+        return expr
 
     def parse_binary(self, min_prec):
         """Precedence climbing over ``A.BINARY_PREC``: operators binding at
@@ -315,29 +328,31 @@ class _Parser:
         return left
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok.kind in ("!", "-"):
+        """Prefix ``!``/``-`` operators, each one level of nesting, over a
+        primary with its member accesses."""
+        ops = []
+        while self.at("!", "-"):
+            ops.append(self.next())
+            self.nest(1)
+        lit = self.peek()
+        if ops and ops[-1].kind == "-" and lit.kind == "INT" and \
+                int(lit.text) == INT_LITERAL_MAX + 1:
             self.next()
-            lit = self.peek()
-            if tok.kind == "-" and lit.kind == "INT" and \
-                    int(lit.text) == INT_LITERAL_MAX + 1:
-                self.next()
-                operand = A.IntLit(value=INT_LITERAL_MAX + 1, span=lit.span)
-            else:
-                operand = self.parse_unary()
-            return A.UnOp(op=tok.kind, operand=operand, span=tok.span)
-        return self.parse_postfix()
-
-    def parse_postfix(self):
-        expr = self.parse_primary()
-        while self.at("."):
-            dot = self.next()
-            name = self.expect("IDENT")
-            if self.at("("):
-                args = self.parse_args()
-                expr = A.MethodCall(target=expr, name=name.text, args=args, span=dot.span)
-            else:
-                expr = A.FieldAccess(target=expr, name=name.text, span=dot.span)
+            expr = A.IntLit(value=INT_LITERAL_MAX + 1, span=lit.span)
+        else:
+            expr = self.parse_primary()
+            while self.at("."):
+                dot = self.next()
+                name = self.expect("IDENT")
+                if self.at("("):
+                    args = self.parse_args()
+                    expr = A.MethodCall(target=expr, name=name.text, args=args,
+                                        span=dot.span)
+                else:
+                    expr = A.FieldAccess(target=expr, name=name.text, span=dot.span)
+        for tok in reversed(ops):
+            expr = A.UnOp(op=tok.kind, operand=expr, span=tok.span)
+        self.nest(-len(ops))
         return expr
 
     def parse_args(self):

@@ -1,4 +1,4 @@
-"""Term DAG tests: hash consing, folding, and evaluator correctness."""
+"""Term tests: folding and evaluator correctness."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,20 +25,31 @@ def java_rem(a, b):
     return a - java_div(a, b) * b
 
 
-def test_hash_consing_gives_identical_objects():
-    x = B.var("x")
-    assert B.add(x, B.const(1)) is B.add(x, B.const(1))
-    # commutative ops are normalized by argument order
-    assert B.add(x, B.const(1)) is B.add(B.const(1), x)
-
-
 def test_constant_folding():
-    assert B.add(B.const(2), B.const(3)) is B.const(5)
+    five = B.add(B.const(2), B.const(3))
+    assert B.is_const(five) and B.const_value(five) == 5
     assert B.is_true(B.slt(B.const(-1), B.const(0)))
     assert B.and_(B.TRUE, B.FALSE) is B.FALSE
     x = B.var("x")
     assert B.ite(B.TRUE, x, B.const(0)) is x
-    assert B.and_(B.bvar("p"), B.TRUE) is B.bvar("p")
+    p = B.bvar("p")
+    assert B.and_(p, B.TRUE) is p
+
+
+def test_complement_folds_need_no_interning():
+    p, q = B.bvar("p"), B.bvar("q")
+    pq = B.and_(p, q)
+    # a separately built not(p & q) is still recognized as the complement
+    assert B.and_(pq, B.not_(pq)) is B.FALSE
+    assert B.or_(B.not_(pq), pq) is B.TRUE
+    assert B.and_(B.not_(p), p) is B.FALSE
+
+
+def test_evaluate_deep_chain():
+    t = B.var("x")
+    for i in range(5000):
+        t = B.add(t, B.const(i))
+    assert B.evaluate(t, {"x": 7}) == 7 + sum(range(5000))
 
 
 def test_signedness_helpers():

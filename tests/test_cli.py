@@ -1,12 +1,17 @@
 """Driver tests: exit codes, output tree, logging, dump flags."""
 
+import copy
+import importlib
+import pkgutil
 import re
+import sys
 
 import pytest
 
 from conftest import (CADSR, CADSR_SMALL, DB, MULT2, PROGRAMS, program_files,
                       run_front_end)
-from sketchsynth import cli
+import sketchsynth
+from sketchsynth import cli, parser
 from sketchsynth.interp import ConcreteUnknowns, Interp
 
 STAGES = [
@@ -130,6 +135,35 @@ def test_deeply_nested_parentheses_solve(tmp_path, depth):
     code, out = run(tmp_path, str(src))
     assert code == cli.EXIT_SOLVED
     assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 2"
+
+
+@pytest.mark.parametrize("text", [
+    "int x = " + "(" * 200 + "1" + ")" * 200 + ";",
+    "boolean b = " + "!" * 1000 + "true;",
+    "int x = " + "-" * 1000 + "1;",
+], ids=["parentheses-200", "not-1000", "minus-1000"])
+def test_nesting_beyond_the_limit_gives_exit_2(tmp_path, capsys, text):
+    src = tmp_path / "A.java"
+    src.write_text("class A { harness static void t() { " + text
+                   + " assert ?? == 1; } }")
+    code, _ = run(tmp_path, str(src))
+    assert code == cli.EXIT_INPUT
+    assert "nested at most" in capsys.readouterr().err
+
+
+def test_nesting_up_to_the_limit_solves(tmp_path):
+    # the statement's expression is the first level
+    depth = parser.MAX_NESTING - 1
+    src = tmp_path / "A.java"
+    src.write_text("class A { static int id(int v) { return v; } "
+                   "harness static void t() { "
+                   f"int x = {'id(' * depth}1{')' * depth}; "
+                   f"int y = {'- ' * depth}1; "
+                   f"boolean b = {'!' * depth}true; "
+                   "assert x + y + ?? == 3; } }")
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 3"
 
 
 def test_hole_bits_outside_word_width_gives_exit_2(tmp_path, capsys):
@@ -334,3 +368,36 @@ def test_member_class_declared_in_an_anonymous_body(tmp_path, outer, expect):
     assert (out / "solution.txt").read_text().splitlines()[0] == f"hole e_h1 = {expect}"
     code, _ = run(tmp_path / "again", *sorted(map(str, (out / "java").iterdir())))
     assert code == cli.EXIT_SOLVED
+
+
+def test_loop_of_1200_additions_solves(tmp_path):
+    # s is a chain of 1200 adders, deeper than Python's recursion limit
+    src = tmp_path / "A.java"
+    src.write_text("class A { harness static void t() { int s = 0; int i = 0; "
+                   "while (i < 1200) { s = s + ??; i = i + 1; } "
+                   "assert s != 0; } }")
+    code, out = run(tmp_path, str(src), "--loop-bound", "2000")
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 1"
+
+
+def test_a_run_leaves_no_module_level_state(tmp_path):
+    """Every module-level dict, list, set and bytearray of sketchsynth is
+    the same after a solve as before it, so runs in one process cannot
+    influence each other."""
+    for info in pkgutil.iter_modules(sketchsynth.__path__):
+        importlib.import_module(f"sketchsynth.{info.name}")
+
+    def snapshot():
+        return {(name, key): copy.deepcopy(value)
+                for name, module in list(sys.modules.items())
+                if name.startswith("sketchsynth.")
+                for key, value in vars(module).items()
+                if not key.startswith("__")
+                and isinstance(value, (dict, list, set, bytearray))}
+
+    before = snapshot()
+    assert before
+    code, _ = run(tmp_path, *program_files(*CADSR_SMALL))
+    assert code == cli.EXIT_SOLVED
+    assert snapshot() == before

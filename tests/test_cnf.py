@@ -86,3 +86,45 @@ def test_bool_hole_as_width_one_variable():
     cb.assert_term(p)
     model = solve_builder(cb)
     assert cb.model_value("b", model) == 1
+
+
+def test_separately_built_terms_share_their_circuit():
+    cb = CnfBuilder()
+    x = B.var("x")
+    first = cb.blast(B.add(x, B.const(1)))
+    size = cb.nvars, len(cb.clauses)
+    assert cb.blast(B.add(B.var("x"), B.const(1))) is first
+    assert cb.blast(B.add(B.const(1), B.var("x"))) is first
+    assert (cb.nvars, len(cb.clauses)) == size
+    # a product built with its operands swapped reuses the same circuit
+    cb.blast(B.mul(B.var("x"), B.var("y")))
+    size = cb.nvars, len(cb.clauses)
+    cb.blast(B.mul(B.var("y"), B.var("x")))
+    assert (cb.nvars, len(cb.clauses)) == size
+
+
+def test_constant_true_is_not_shared_with_literal_one():
+    cb = CnfBuilder()
+    p = B.bvar("p")
+    assert cb.blast(p) == 1
+    assert cb.blast(B.not_(p)) == -1
+    # x == x over two separate objects blasts to True, so its negation is
+    # False, not the negation of literal 1
+    cb.assert_term(B.not_(B.eq(B.var("a"), B.var("a"))))
+    assert cb.contradiction
+    assert [-1] not in cb.clauses
+    # likewise a select on x == x is x, not the select on p blasted before
+    cb.blast(B.ite(p, B.var("x"), B.var("y")))
+    same = B.eq(B.var("a"), B.var("a"))
+    assert cb.blast(B.ite(same, B.var("x"), B.var("y"))) is cb.var_bits["x"]
+
+
+def test_deep_term_blasts_without_recursion():
+    t = B.bvar("p0")
+    for i in range(1, 5000):
+        t = B.and_(t, B.bvar(f"p{i}"))
+    cb = CnfBuilder()
+    cb.assert_term(t)
+    model = solve_builder(cb, [-cb.blast(B.bvar("p0"))])
+    assert model is None
+    assert solve_builder(cb) is not None

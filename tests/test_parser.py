@@ -6,7 +6,8 @@ from conftest import PROGRAMS
 from sketchsynth import ast_nodes as A
 from sketchsynth import decode
 from sketchsynth.errors import DuplicateTypeError, ParseError
-from sketchsynth.parser import parse_program, parse_program_texts, parse_source
+from sketchsynth.parser import (MAX_NESTING, parse_program, parse_program_texts,
+                                parse_source)
 
 
 def parse_one(text):
@@ -166,6 +167,29 @@ def test_assignment_and_unary():
     s1, s2 = d.methods()[0].body.stmts
     assert isinstance(s1.expr, A.Assign) and s1.expr.value.op == "-"
     assert s2.cond.op == "!"
+
+
+def test_prefix_operators_wrap_the_member_access():
+    (d,) = parse_one("class A { int f(A a) { return !-a.g().h; } }")
+    e = d.methods()[0].body.stmts[0].value
+    assert e.op == "!" and e.operand.op == "-"
+    inner = e.operand.operand
+    assert isinstance(inner, A.FieldAccess) and inner.name == "h"
+    assert isinstance(inner.target, A.MethodCall) and inner.target.name == "g"
+
+
+@pytest.mark.parametrize("open_, close", [
+    ("(", ")"), ("-", ""), ("!", ""), ("f(", ")"), ("{| ", " |}"), ("-(", ")")],
+    ids=["parentheses", "minus", "not", "call", "choice", "minus-parentheses"])
+def test_nesting_limit(open_, close):
+    levels = 2 if open_ == "-(" else 1
+    # the initializer itself is the first level
+    n = (MAX_NESTING - 1) // levels
+    parse_one(f"class A {{ int a = {open_ * n}1{close * n}; }}")
+    n = MAX_NESTING // levels + 1
+    with pytest.raises(ParseError) as info:
+        parse_one(f"class A {{ int a = {open_ * n}1{close * n}; }}")
+    assert info.value.expected == f"an expression nested at most {MAX_NESTING} deep"
 
 
 def test_syntax_error_has_position():
