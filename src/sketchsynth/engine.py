@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from . import bitvec as B
 from . import sat
@@ -216,9 +217,10 @@ class _DepthProblem:
 
     def _sync(self):
         self.solver.ensure_vars(self.cb.nvars)
-        while self._synced < len(self.cb.clauses):
-            self.solver.add_clause(self.cb.clauses[self._synced])
-            self._synced += 1
+        clauses = self.cb.clauses
+        if self._synced < len(clauses):
+            self.solver.add_clauses(islice(clauses, self._synced, None))
+            self._synced = len(clauses)
 
     def solve(self, assumptions=()):
         if self.cb.contradiction:

@@ -27,8 +27,9 @@ TYPE_START = {"int", "boolean", "char", "void"}
 INT_LITERAL_MAX = 2**31 - 1
 
 # deepest expression nesting accepted: each nested expression (in
-# parentheses, an argument list or a choice) and each unary operator is one
-# level; the parser and the later tree passes recurse on this depth
+# parentheses, an argument list or a choice), each unary operator and each
+# binary operator of a left-associative chain is one level; the parser and
+# the later tree passes recurse on this depth
 MAX_NESTING = 160
 
 
@@ -319,12 +320,17 @@ class _Parser:
 
     def parse_binary(self, min_prec):
         """Precedence climbing over ``A.BINARY_PREC``: operators binding at
-        least ``min_prec``, each level left-associative."""
+        least ``min_prec``, each level left-associative.  Each operator of
+        a chain counts as one level of nesting until the chain ends."""
         left = self.parse_unary()
+        chain = 0
         while A.BINARY_PREC.get(self.peek().kind, 0) >= min_prec:
             op = self.next()
+            chain += 1
+            self.nest(1)
             right = self.parse_binary(A.BINARY_PREC[op.kind] + 1)
             left = A.BinOp(op=op.kind, left=left, right=right, span=op.span)
+        self.nest(-chain)
         return left
 
     def parse_unary(self):

@@ -23,13 +23,19 @@ other literal's code as a plain int.
   buffer and drops literals whose reason is already covered by the rest
   of the clause (local minimization).
 - Restarts follow the Luby sequence with a unit of 100 conflicts.
+- Clauses come in batches (``add_clauses``) with one return to level 0
+  per batch; ``add_clause`` is a batch of one.
 
 Deterministic by construction: every choice above is a function of the
 clause stream and the assumptions (no randomness, no hashing of objects),
 so identical inputs always yield identical models and counter values.
 Solving under assumptions puts them on the first decision levels, which
 the engine uses to fix the bits of objectives and unknowns one at a time
-without re-encoding; learnt clauses stay between calls.
+without re-encoding; learnt clauses stay between calls.  A call keeps the
+levels of the longest assumption prefix it shares with the previous call
+(van der Tak, Ramos & Heule, "Reusing the Assignment Trail in CDCL
+Solvers", JSAT 2011); each minimization call shares all or all but the
+last of the previous call's assumptions.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ class Solver:
         self.watches = [[], []]    # per literal code: watched clause lists
         self.trail = []
         self.trail_lim = []
+        self.assumed = []          # codes of the last solve's assumptions
         self.qhead = 0             # trail index of the next literal to propagate
         self.activity = [0.0]
         self.var_inc = 1.0
@@ -95,33 +102,44 @@ class Solver:
         self.watches.extend([] for _ in range(2 * k))
         self.activity.extend([0.0] * k)
         self.polarity.extend([1] * k)
-        self.heap_pos.extend([-1] * k)
+        # a new variable has activity 0 and the largest index, so it is the
+        # heap's least element and goes at the end
+        self.heap_pos.extend(range(len(self.heap), len(self.heap) + k))
+        self.heap.extend(range(n - k + 1, n + 1))
         self.seen.extend(bytes(k))
-        for v in range(n - k + 1, n + 1):
-            self._heap_insert(v)
 
     def add_clause(self, lits):
+        self.ensure_vars(max(map(abs, lits), default=0))
+        self.add_clauses([lits])
+
+    def add_clauses(self, clauses):
+        """Adds the clauses of the iterable ``clauses`` (lists of nonzero
+        ints over variables that ``ensure_vars`` has made) in order, at
+        level 0; a unit is propagated as it comes."""
         if not self.ok:
             return
         self._backtrack(0)
-        self.ensure_vars(max(map(abs, lits), default=0))
         value = self.value
-        out = []
-        for l in lits:
-            c = 2 * l if l > 0 else -2 * l + 1
-            val = value[c]
-            if val > 0 or c ^ 1 in out:
-                return                      # satisfied at level 0, or tautology
-            if val == 0 and c not in out:
-                out.append(c)
-        if not out:
-            self.ok = False
-        elif len(out) == 1:
-            self._assign(out[0], None)
-            if self.propagate() is not None:
-                self.ok = False
-        else:
-            self._attach(out)
+        for lits in clauses:
+            out = []
+            for l in lits:
+                c = 2 * l if l > 0 else -2 * l + 1
+                val = value[c]
+                if val > 0 or c ^ 1 in out:
+                    break                   # satisfied at level 0, or tautology
+                if val == 0 and c not in out:
+                    out.append(c)
+            else:
+                if len(out) > 1:
+                    self._attach(out)
+                elif not out:
+                    self.ok = False
+                    return
+                else:
+                    self._assign(out[0], None)
+                    if self.propagate() is not None:
+                        self.ok = False
+                        return
 
     def _attach(self, cl):
         if len(cl) == 2:
@@ -153,11 +171,14 @@ class Solver:
         trail = self.trail
         append = trail.append
         lvl = len(self.trail_lim)
-        start = qhead = self.qhead
+        start = self.qhead
         confl = None
-        while qhead < len(trail):
-            false_lit = trail[qhead] ^ 1
-            qhead += 1
+        # a list iterator also yields what is appended during the loop;
+        # __setstate__ places it at ``start`` without stepping through
+        pending = iter(trail)
+        pending.__setstate__(start)
+        for p in pending:
+            false_lit = p ^ 1
             for q in binary[false_lit]:
                 val = value[q]
                 if val == 0:
@@ -171,12 +192,11 @@ class Solver:
                     break
             if confl is not None:
                 break
+            # compacted in place: a kept clause moves to ws[j], j <= i; a
+            # moved watch never lands on false_lit, so ws does not grow
             ws = watches[false_lit]
-            n = len(ws)
-            i = j = 0
-            while i < n:
-                cl = ws[i]
-                i += 1
+            j = 0
+            for i, cl in enumerate(ws):
                 first = cl[0]
                 if first == false_lit:
                     first = cl[0] = cl[1]
@@ -185,58 +205,40 @@ class Solver:
                     ws[j] = cl
                     j += 1
                     continue
-                for k in range(2, len(cl)):
-                    lk = cl[k]
-                    if value[lk] != -1:
-                        cl[1] = lk
-                        cl[k] = false_lit
-                        watches[lk].append(cl)
-                        break
-                else:
-                    ws[j] = cl
-                    j += 1
-                    if value[first] == 0:
-                        value[first] = 1
-                        value[first ^ 1] = -1
-                        level[first >> 1] = lvl
-                        reason[first >> 1] = cl
-                        append(first)
+                lk = cl[2]
+                if value[lk] == -1:
+                    for k in range(3, len(cl)):
+                        lk = cl[k]
+                        if value[lk] != -1:
+                            cl[k] = false_lit
+                            break
                     else:
+                        ws[j] = cl
+                        j += 1
+                        if value[first] == 0:
+                            value[first] = 1
+                            value[first ^ 1] = -1
+                            level[first >> 1] = lvl
+                            reason[first >> 1] = cl
+                            append(first)
+                            continue
                         confl = cl
                         break
+                else:
+                    cl[2] = false_lit
+                cl[1] = lk
+                watches[lk].append(cl)
             if confl is None:
                 del ws[j:]
             else:
-                ws[j:] = ws[i:]
+                ws[j:] = ws[i + 1:]
                 break
-        if confl is not None:
-            qhead = len(trail)
-        self.propagations += qhead - start
-        self.qhead = qhead
+        # after a conflict, the rest of the trail counts as propagated
+        self.qhead = len(trail)
+        self.propagations += self.qhead - start
         return confl
 
     # -- variable order ----------------------------------------------------
-
-    def _heap_up(self, i):
-        heap, pos, act = self.heap, self.heap_pos, self.activity
-        v = heap[i]
-        a = act[v]
-        while i:
-            parent = (i - 1) >> 1
-            u = heap[parent]
-            b = act[u]
-            if b > a or (b == a and u < v):
-                break
-            heap[i] = u
-            pos[u] = i
-            i = parent
-        heap[i] = v
-        pos[v] = i
-
-    def _heap_insert(self, v):
-        self.heap_pos[v] = len(self.heap)
-        self.heap.append(v)
-        self._heap_up(len(self.heap) - 1)
 
     def _heap_pop(self):
         heap, pos, act = self.heap, self.heap_pos, self.activity
@@ -268,30 +270,34 @@ class Solver:
             pos[v] = i
         return top
 
-    def _bump(self, v):
-        act = self.activity
-        act[v] += self.var_inc
-        if act[v] > 1e100:
-            for i in range(1, self.nvars + 1):
-                act[i] *= 1e-100
-            self.var_inc *= 1e-100
-        if self.heap_pos[v] >= 0:
-            self._heap_up(self.heap_pos[v])
-
     def _backtrack(self, lvl):
+        """Unassigns every level above ``lvl``, saving each phase and
+        putting each variable back in the heap (sifted up from the end)."""
         if len(self.trail_lim) <= lvl:
             return
-        value, reason, polarity = self.value, self.reason, self.polarity
-        heap_pos = self.heap_pos
+        value, polarity = self.value, self.polarity
+        heap, heap_pos, act = self.heap, self.heap_pos, self.activity
         trail = self.trail
         lim = self.trail_lim[lvl]
         for c in reversed(trail[lim:]):
             v = c >> 1
             value[c] = value[c ^ 1] = 0
-            reason[v] = None
             polarity[v] = c & 1
             if heap_pos[v] < 0:
-                self._heap_insert(v)
+                i = len(heap)
+                heap.append(v)
+                a = act[v]
+                while i:
+                    parent = (i - 1) >> 1
+                    u = heap[parent]
+                    b = act[u]
+                    if b > a or (b == a and u < v):
+                        break
+                    heap[i] = u
+                    heap_pos[u] = i
+                    i = parent
+                heap[i] = v
+                heap_pos[v] = i
         del trail[lim:]
         del self.trail_lim[lvl:]
         self.qhead = lim
@@ -305,7 +311,8 @@ class Solver:
         second."""
         seen, level, reason, trail = self.seen, self.level, self.reason, \
             self.trail
-        bump = self._bump
+        act, heap, heap_pos = self.activity, self.heap, self.heap_pos
+        var_inc = self.var_inc
         cur = len(self.trail_lim)
         learnt = [0]
         pending = 0                 # current-level literals still to resolve
@@ -317,7 +324,27 @@ class Solver:
                 v = q >> 1
                 if not seen[v] and level[v] > 0 and q != p:
                     seen[v] = 1
-                    bump(v)
+                    # bump v's activity, rescaling all of them past 1e100,
+                    # and sift v up the heap if it is there
+                    a = act[v] = act[v] + var_inc
+                    if a > 1e100:
+                        for i in range(1, self.nvars + 1):
+                            act[i] *= 1e-100
+                        var_inc = self.var_inc = var_inc * 1e-100
+                        a = act[v]
+                    i = heap_pos[v]
+                    if i > 0:
+                        while i:
+                            parent = (i - 1) >> 1
+                            u = heap[parent]
+                            b = act[u]
+                            if b > a or (b == a and u < v):
+                                break
+                            heap[i] = u
+                            heap_pos[u] = i
+                            i = parent
+                        heap[i] = v
+                        heap_pos[v] = i
                     if level[v] >= cur:
                         pending += 1
                     else:
@@ -372,12 +399,21 @@ class Solver:
         under the assumptions."""
         if not self.ok:
             return None
-        self._backtrack(0)
-        if self.propagate() is not None:
+        # the previous call's assumptions sit in order on levels 1, 2, ...
+        # below its decisions; keep the levels of the prefix shared with
+        # this call's
+        assumed = [2 * l if l > 0 else -2 * l + 1 for l in assumptions]
+        keep = 0
+        for c, prev in zip(assumed, self.assumed[:len(self.trail_lim)]):
+            if c != prev:
+                break
+            keep += 1
+        self.assumed = assumed
+        self._backtrack(keep)
+        if not keep and self.propagate() is not None:
             self.ok = False
             return None
         self.ensure_vars(max(map(abs, assumptions), default=0))
-        assumed = [2 * l if l > 0 else -2 * l + 1 for l in assumptions]
         value, heap = self.value, self.heap
         trail, trail_lim = self.trail, self.trail_lim
         deadline = self.deadline

@@ -141,7 +141,8 @@ def test_deeply_nested_parentheses_solve(tmp_path, depth):
     "int x = " + "(" * 200 + "1" + ")" * 200 + ";",
     "boolean b = " + "!" * 1000 + "true;",
     "int x = " + "-" * 1000 + "1;",
-], ids=["parentheses-200", "not-1000", "minus-1000"])
+    "int x = " + " + ".join(["1"] * 600) + ";",
+], ids=["parentheses-200", "not-1000", "minus-1000", "plus-600"])
 def test_nesting_beyond_the_limit_gives_exit_2(tmp_path, capsys, text):
     src = tmp_path / "A.java"
     src.write_text("class A { harness static void t() { " + text
@@ -149,6 +150,16 @@ def test_nesting_beyond_the_limit_gives_exit_2(tmp_path, capsys, text):
     code, _ = run(tmp_path, str(src))
     assert code == cli.EXIT_INPUT
     assert "nested at most" in capsys.readouterr().err
+
+
+def test_chain_of_150_additions_solves(tmp_path):
+    # each operator of the left-nested chain is one level of nesting
+    src = tmp_path / "A.java"
+    src.write_text("class A { harness static void t() { int x = "
+                   + " + ".join(["1"] * 150) + "; assert x + ?? == 152; } }")
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 2"
 
 
 def test_nesting_up_to_the_limit_solves(tmp_path):

@@ -179,8 +179,10 @@ def test_prefix_operators_wrap_the_member_access():
 
 
 @pytest.mark.parametrize("open_, close", [
-    ("(", ")"), ("-", ""), ("!", ""), ("f(", ")"), ("{| ", " |}"), ("-(", ")")],
-    ids=["parentheses", "minus", "not", "call", "choice", "minus-parentheses"])
+    ("(", ")"), ("-", ""), ("!", ""), ("f(", ")"), ("{| ", " |}"), ("-(", ")"),
+    ("1 + ", "")],
+    ids=["parentheses", "minus", "not", "call", "choice", "minus-parentheses",
+         "plus"])
 def test_nesting_limit(open_, close):
     levels = 2 if open_ == "-(" else 1
     # the initializer itself is the first level

@@ -285,3 +285,67 @@ def test_decisions_take_the_smallest_index_among_equal_activities():
     assert s.solve() == {2, 5}
     assert s.decisions == 4
 
+
+def _next_assumptions(rng, prev, nvars):
+    """``prev`` extended, with its last literal flipped, truncated, or
+    diverging early (at its first or second literal)."""
+    kind = rng.choice(["extend", "flip", "truncate", "diverge"]) if prev \
+        else "extend"
+    if kind == "flip":
+        return prev[:-1] + [-prev[-1]]
+    if kind == "truncate":
+        return prev[:rng.randrange(len(prev))]
+    head = prev if kind == "extend" else \
+        prev[:rng.randrange(min(2, len(prev)))]
+    used = {abs(l) for l in head}
+    if kind == "diverge":
+        head = head + [-prev[len(head)]]
+        used.add(abs(head[-1]))
+    free = [v for v in range(1, nvars + 1) if v not in used]
+    return head + [v * rng.choice([1, -1])
+                   for v in rng.sample(free, min(len(free),
+                                                 rng.randrange(1, 4)))]
+
+
+def test_assumption_sequences_match_brute_force():
+    """Each call's assumptions share a prefix with the previous call's, so
+    the solver keeps those levels of its trail; clauses come in between."""
+    rng = random.Random(47)
+    kinds = 0
+    for trial in range(24):
+        nvars = rng.randrange(12, 15)
+        true_sets = _true_sets(nvars)
+        clauses = [[v * rng.choice([1, -1])
+                    for v in rng.sample(range(1, nvars + 1), 3)]
+                   for _ in range(3 * nvars)]
+        s = solver_for(nvars, clauses)
+        fixed = []
+        for step in range(30):
+            if rng.random() < 0.3:
+                cl = [v * rng.choice([1, -1])
+                      for v in rng.sample(range(1, nvars + 1), 3)]
+                s.add_clause(list(cl))
+                clauses.append(cl)
+            fixed = _next_assumptions(rng, fixed, nvars)
+            model = s.solve(assumptions=fixed)
+            expected = _models(true_sets, clauses + [[l] for l in fixed])
+            if model is None:
+                assert not expected, f"trial {trial} step {step}: missed a model"
+            else:
+                check_model(model, nvars, clauses, fixed)
+                kinds |= 1
+            kinds |= 2 if model is None and s.ok else 0
+        assert_order_is_a_heap_of_distinct_variables(s)
+    assert kinds == 3         # models and refutations under assumptions
+
+
+def test_extending_the_assumptions_keeps_their_propagation():
+    # x1 implies x2 .. x10; x11 or x12
+    clauses = [[-v, v + 1] for v in range(1, 10)] + [[11, 12]]
+    s = solver_for(12, clauses)
+    assert s.solve(assumptions=[1]) is not None
+    before = s.propagations
+    assert 12 in s.solve(assumptions=[1, -11])
+    fresh = solver_for(12, clauses)
+    assert 12 in fresh.solve(assumptions=[1, -11])
+    assert s.propagations - before == 2 < fresh.propagations == 12
