@@ -302,12 +302,6 @@ class SketchAst(Node):
         for unit in self.units:
             yield from unit.types
 
-    def find_type(self, name):
-        for decl in self.top_level_types():
-            if decl.name == name:
-                return decl
-        return None
-
 
 def walk(node):
     """Pre-order traversal over every Node reachable from ``node``.  A
@@ -320,10 +314,3 @@ def walk(node):
             stack.extend(reversed(vars(node).values()))
         elif isinstance(node, list):
             stack.extend(reversed(node))
-
-
-def walk_unknowns(node):
-    """Hole/Choice/MinRepeat nodes in pre-order."""
-    for n in walk(node):
-        if isinstance(n, (Hole, Choice, MinRepeat)):
-            yield n

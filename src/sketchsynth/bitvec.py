@@ -24,7 +24,7 @@ class Term:
         self.is_bool = is_bool
 
     def __repr__(self):
-        if self.op in ("const", "bconst", "var", "bvar"):
+        if self.op in ("const", "bconst", "var"):
             return f"{self.op}({self.payload})"
         return f"{self.op}({', '.join(map(repr, self.args))})"
 
@@ -75,10 +75,6 @@ FALSE = Term("bconst", payload=False, is_bool=True)
 
 def bconst(v):
     return TRUE if v else FALSE
-
-
-def bvar(name):
-    return Term("bvar", payload=name, is_bool=True)
 
 
 def is_const(t):
@@ -210,12 +206,6 @@ def ult(a, b):
     return Term("ult", (a, b), is_bool=True)
 
 
-def ule(a, b):
-    if a is b:
-        return TRUE
-    return not_(ult(b, a))
-
-
 # -- boolean connectives ---------------------------------------------------
 
 
@@ -271,21 +261,15 @@ def iff(a, b):
     return and_(implies(a, b), implies(b, a))
 
 
-def conj(terms):
-    out = TRUE
-    for t in terms:
-        out = and_(out, t)
-    return out
-
-
 # -- evaluation under a concrete assignment --------------------------------
 
 
 def evaluate(term, env):
-    """Evaluate a term given ``env`` mapping variable names to ints/bools.
+    """Evaluate a term given ``env`` mapping variable names to ints.
 
-    Variables absent from ``env`` default to 0/False.  Used to replay a SAT
-    model or a concrete candidate without re-running the interpreter.
+    Variables absent from ``env`` default to 0.  This is the reference
+    semantics of terms that the tests hold folding and blasting to; the
+    pipeline itself never evaluates a term.
     """
     value = {}
     for t in postorder(term, value):
@@ -294,8 +278,6 @@ def evaluate(term, env):
             r = t.payload
         elif op == "var":
             r = int(env.get(t.payload[0], 0)) & MASK
-        elif op == "bvar":
-            r = bool(env.get(t.payload, False))
         elif op == "not":
             r = not value[t.args[0]]
         elif op == "ite":

@@ -7,10 +7,9 @@ common case: small holes zero-extended to 32 bits) produce compact CNF.
 
 All structural sharing happens here, per builder; terms are not interned.
 A term is blasted once per object.  One memo, keyed by op, holds every
-gate ("and"/"or"/"xor" over literal values), bool variable ("bvar", name),
-constant word and word operation (over the identity of its operands' bit
-lists).  So a term built twice, or with its operands swapped, costs no new
-variables or clauses.  Blasting walks the term with an explicit stack.
+gate ("and"/"or"/"xor" over literal values), constant word and word
+operation (over the identity of its operands' bit lists).  So a term built
+twice, or with its operands swapped, costs no new variables or clauses.  Blasting walks the term with an explicit stack.
 """
 
 from __future__ import annotations
@@ -239,7 +238,7 @@ class CnfBuilder:
                 return a if c else b
             # c is a literal here, never True/False, so it keys by value
             key = ("ite", c, id(a), id(b))
-        elif op in ("const", "bvar"):
+        elif op == "const":
             key = (op, term.payload)
         else:
             i, j = id(args[0]), id(args[1])
@@ -254,8 +253,6 @@ class CnfBuilder:
     def _blast_word(self, op, payload, args):
         if op == "const":
             return self.w_const(payload)
-        if op == "bvar":
-            return self.new_var()
         if op == "ite":
             return self.w_mux(*args)
         a, b = args

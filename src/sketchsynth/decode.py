@@ -14,6 +14,7 @@ from __future__ import annotations
 from . import ast_nodes as A
 from . import bitvec as B
 from .errors import IncompleteSolutionError
+from .stdlib import ROOT_CLASS
 
 INDENT = "    "
 
@@ -30,9 +31,9 @@ def unparse_program(ast, registry=None, assignment=None):
 
 
 def _is_synthetic_root(d):
-    """The desugarer injects an empty ``Object`` root class; emitted source
-    leaves it implicit again."""
-    return (isinstance(d, A.ClassDecl) and d.name == "Object"
+    """The desugarer injects an empty root class; emitted source leaves it
+    implicit again."""
+    return (isinstance(d, A.ClassDecl) and d.name == ROOT_CLASS
             and not d.members and d.superclass is None)
 
 
@@ -67,7 +68,7 @@ class _Printer:
             head.append("generator")
         head.append("interface" if d.is_interface else "class")
         head.append(d.name)
-        if d.superclass is not None and d.superclass.name != "Object":
+        if d.superclass is not None and d.superclass.name != ROOT_CLASS:
             head.append("extends")
             head.append(d.superclass.name)
         if d.interfaces:

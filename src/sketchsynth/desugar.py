@@ -17,14 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ast_nodes as A
+from .stdlib import ROOT_CLASS
 from .errors import DirectGeneratorUseError, EncodingError, SketchError
 from .unknowns import (
     CHOICE, HOLE, REPEAT, ChoiceInfo, HoleInfo, RepeatInfo, UnknownId,
     UnknownRegistry,
 )
-
-ROOT_CLASS = "Object"
-
 
 @dataclass
 class SpecializationMap:

@@ -14,9 +14,10 @@ the signed 32-bit minimum.  Narrow unknowns have a constant-0 sign bit, so
 they come out as their unsigned minimum.  A SAT call is made only when the
 current model does not already have the preferred bit.
 
-The winner is replayed concretely before being returned; a candidate
-rejected only by resource limits is blocked, the assumptions are dropped and
-the search resumed.
+The winner is replayed concretely before being returned: every harness must
+pass and every objective must evaluate to the model's value.  A concrete run
+takes one of the paths the symbolic run took, so it fits in the same bounds;
+any mismatch contradicts the encoding and is an ``InternalError``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from itertools import islice
 from . import bitvec as B
 from . import sat
 from .cnf import CnfBuilder, bits_value, lit_true
+from .errors import InternalError
 from .interp import (
     ConcreteUnknowns, HarnessFailure, Interp, StepLimitExceeded,
     SymbolicUnknowns,
@@ -51,25 +53,22 @@ class Assignment:
 
 @dataclass
 class EvalOutcome:
-    status: str                  # pass | assert_fail | trap | resource
-    steps_used: int = 0
-    reason: str = None
+    steps_used: int
+    reason: str = None           # None if the harness passed
     span: object = None
-    objective_values: dict = None
 
 
 @dataclass
 class Solution:
     assignment: Assignment
     objective_values: dict       # objective name -> int
-    candidates: int = 0
     depth: int = 0
     wall_ms: int = 0
+    candidates = 1               # the first canonical model always replays
 
 
 @dataclass
 class _NoSolution:
-    candidates: int = 0
     depth_reached: int = 0
     wall_ms: int = 0
 
@@ -100,44 +99,43 @@ def effective_hole_width(program, cfg):
 # -- concrete evaluation ---------------------------------------------------
 
 
+def _concrete_interp(program, assignment, cfg):
+    return Interp(program,
+                  ConcreteUnknowns(program.registry, assignment.values),
+                  assignment.repeat_counts,
+                  loop_bound=cfg.loop_bound, step_limit=cfg.step_limit)
+
+
 def eval_harness(program, harness, assignment, cfg):
-    """Replay one harness under a total concrete assignment."""
-    interp = Interp(program, ConcreteUnknowns(program.registry, assignment.values),
-                    assignment.repeat_counts,
-                    loop_bound=cfg.loop_bound, step_limit=cfg.step_limit)
+    """Run one harness under a total concrete assignment."""
+    interp = _concrete_interp(program, assignment, cfg)
     try:
         interp.run_harness(harness)
     except HarnessFailure as f:
-        if f.reason == "assertion failed":
-            kind = "assert_fail"
-        elif "loop bound" in f.reason:
-            kind = "resource"
-        else:
-            kind = "trap"
-        return EvalOutcome(kind, steps_used=interp.steps,
-                           reason=f.reason, span=f.span)
+        return EvalOutcome(interp.steps, f.reason, f.span)
     except StepLimitExceeded:
-        return EvalOutcome("resource", steps_used=interp.steps,
-                           reason="step limit exceeded")
-    objectives = {}
-    for name, expr in program.objectives:
-        v = interp.eval_objective(expr)
-        objectives[name] = B.to_signed(B.const_value(v))
-    return EvalOutcome("pass", steps_used=interp.steps,
-                       objective_values=objectives)
+        return EvalOutcome(interp.steps, "step limit exceeded")
+    return EvalOutcome(interp.steps)
 
 
-def verify_solution(program, solution, cfg):
-    """Independent replay of every harness; True iff all pass and the
-    recorded objective values match."""
+def replay(program, assignment, objective_values, cfg):
+    """Check a model concretely: every harness passes, and every objective,
+    read right after ``init_statics()`` as the encoding reads it, has the
+    model's value.  Raises ``InternalError`` on any mismatch."""
     for h in program.harnesses:
-        out = eval_harness(program, h, solution.assignment, cfg)
-        if out.status != "pass":
-            return False
-        for name, v in solution.objective_values.items():
-            if out.objective_values.get(name) != v:
-                return False
-    return True
+        out = eval_harness(program, h, assignment, cfg)
+        if out.reason is not None:
+            raise InternalError(f"replay of harness '{h}' failed: "
+                                f"{out.reason}", out.span)
+    if not program.objectives:
+        return
+    interp = _concrete_interp(program, assignment, cfg)
+    interp.init_statics()
+    for name, expr in program.objectives:
+        got = B.to_signed(B.const_value(interp.eval_objective(expr)))
+        if got != objective_values[name]:
+            raise InternalError(f"replay of objective '{name}' gives {got}, "
+                                f"the model {objective_values[name]}")
 
 
 # -- depth iteration -------------------------------------------------------
@@ -234,19 +232,6 @@ class _DepthProblem:
             values[inst.name] = self.cb.model_value(inst.name, model)
         return Assignment(values=values, repeat_counts=dict(self.vector))
 
-    def block(self, model):
-        """Exclude the exact current assignment of the unknown variables."""
-        clause = []
-        for inst in self.hole_insts + self.choice_insts:
-            for bit in self.cb.var_bits.get(inst.name, []):
-                if isinstance(bit, bool):
-                    continue
-                clause.append(-bit if lit_true(bit, model) else bit)
-        if not clause:
-            return False
-        self.cb.add_clause(clause)
-        return True
-
     def fix_bits(self, bits, model, assumptions):
         """Fix ``bits`` (a blasted term, LSB first) from the MSB down to the
         signed minimum over models satisfying ``assumptions``: 1 preferred on
@@ -277,7 +262,6 @@ def solve(program, cfg):
     deadline = t0 + cfg.timeout
     registry = program.registry
     repeat_names = [info.uid.name for info in registry.repeats]
-    candidates = 0
     depth_reached = 0
     overrun_depth = None
 
@@ -289,7 +273,7 @@ def solve(program, cfg):
             depth = sum(vector.values())
             depth_reached = max(depth_reached, depth)
             if time.monotonic() > deadline:
-                return Timeout(candidates, depth_reached, ms())
+                return Timeout(depth_reached, ms())
             # an overrun leaves this vector undecided; a later one may
             # still solve, so only a search that ends empty reports it
             try:
@@ -300,60 +284,35 @@ def solve(program, cfg):
                 continue
             if not prob.feasible:
                 continue
-            result = _solve_at_depth(program, prob, cfg)
+            result = _solve_at_depth(prob)
             if result is None:
                 continue
-            assignment, objective_values, n_cand = result
-            candidates += n_cand
+            assignment, objective_values = result
+            replay(program, assignment, objective_values, cfg)
             return Solution(assignment=assignment,
                             objective_values=objective_values,
-                            candidates=candidates, depth=depth,
-                            wall_ms=ms())
+                            depth=depth, wall_ms=ms())
         if overrun_depth is not None:
-            return StepLimit(candidates, overrun_depth, ms())
-        return Unsat(candidates, depth_reached, ms())
+            return StepLimit(overrun_depth, ms())
+        return Unsat(depth_reached, ms())
     except sat.Timeout:
-        return Timeout(candidates, depth_reached, ms())
+        return Timeout(depth_reached, ms())
 
 
-def _solve_at_depth(program, prob, cfg):
-    """None if no candidate survives at this depth; otherwise the canonical
-    minimal assignment, objective values and candidate count."""
-    candidates = 0
-    while True:
-        model = prob.solve()
-        if model is None:
-            return None
-        # lexicographic objective minimization, then canonicalization
-        # (smallest value for every unknown in registry order); the fixed
-        # bits are assumptions, so a later rejection just drops them
-        assumptions = []
-        for _, bits in prob.objective_bits:
-            model = prob.fix_bits(bits, model, assumptions)
-        for inst in prob.hole_insts + prob.choice_insts:
-            model = prob.fix_bits(prob.cb.var_bits.get(inst.name, []), model,
-                                  assumptions)
-        objective_values = {name: B.to_signed(bits_value(bits, model))
-                            for name, bits in prob.objective_bits}
-        assignment = prob.model_assignment(model)
-        candidates += 1
-        outcome = _replay(program, assignment, cfg)
-        if outcome == "pass":
-            return assignment, objective_values, candidates
-        # a resource-limit rejection is candidate-specific: block and retry;
-        # a semantic failure would contradict the encoding, so fail loudly
-        if outcome == "resource":
-            if not prob.block(model):
-                return None
-            continue
-        raise AssertionError(
-            "replay contradicts the symbolic encoding; this is a bug")
-
-
-def _replay(program, assignment, cfg):
-    for h in program.harnesses:
-        out = eval_harness(program, h, assignment, cfg)
-        if out.status != "pass":
-            return "resource" if out.status == "resource" else "fail"
-    return "pass"
-
+def _solve_at_depth(prob):
+    """None if no candidate passes at this depth; otherwise the canonical
+    minimal assignment and its objective values."""
+    model = prob.solve()
+    if model is None:
+        return None
+    # lexicographic objective minimization, then canonicalization
+    # (smallest value for every unknown in registry order)
+    assumptions = []
+    for _, bits in prob.objective_bits:
+        model = prob.fix_bits(bits, model, assumptions)
+    for inst in prob.hole_insts + prob.choice_insts:
+        model = prob.fix_bits(prob.cb.var_bits.get(inst.name, []), model,
+                              assumptions)
+    objective_values = {name: B.to_signed(bits_value(bits, model))
+                        for name, bits in prob.objective_bits}
+    return prob.model_assignment(model), objective_values

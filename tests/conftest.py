@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from sketchsynth import ast_nodes as A
+from sketchsynth import bitvec as B
 from sketchsynth import engine
 from sketchsynth.classtable import build_class_table
 from sketchsynth.desugar import desugar
@@ -29,6 +31,23 @@ def run_front_end(files=None, texts=None):
     table = build_class_table(ast)
     program = lower_program(ast, table, registry)
     return ast, registry, table, program
+
+
+def find_type(ast, name):
+    """The top-level type declaration called ``name``, or None."""
+    return next((d for d in ast.top_level_types() if d.name == name), None)
+
+
+def walk_unknowns(node):
+    """Hole/Choice/MinRepeat nodes in pre-order."""
+    return [n for n in A.walk(node)
+            if isinstance(n, (A.Hole, A.Choice, A.MinRepeat))]
+
+
+def bool_var(name):
+    """A bool term over a fresh 1-bit variable, built as
+    ``SymbolicUnknowns`` builds a bool hole."""
+    return B.eq(B.var(name, 1), B.const(1))
 
 
 @pytest.fixture

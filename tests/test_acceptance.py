@@ -27,6 +27,7 @@ import itertools
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -288,7 +289,7 @@ def _assert_extraction_consistent(out, auto, samples=("car", "cdr", "c",
                 assert r == {str(dfa_accepts(auto, [ord(c) for c in s])).lower()};
             }}
         }}"""
-        files = [(p, open(p).read()) for p in java] + [("probe.java", probe)]
+        files = [(p, Path(p).read_text()) for p in java] + [("probe.java", probe)]
         _, _, _, prog2 = run_front_end(texts=files)
         interp = Interp(prog2, ConcreteUnknowns(prog2.registry, {}), {})
         interp.run_harness("t_Probe")

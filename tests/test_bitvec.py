@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bool_var
 from sketchsynth import bitvec as B
 
 MASK = B.MASK
@@ -32,12 +33,12 @@ def test_constant_folding():
     assert B.and_(B.TRUE, B.FALSE) is B.FALSE
     x = B.var("x")
     assert B.ite(B.TRUE, x, B.const(0)) is x
-    p = B.bvar("p")
+    p = bool_var("p")
     assert B.and_(p, B.TRUE) is p
 
 
 def test_complement_folds_need_no_interning():
-    p, q = B.bvar("p"), B.bvar("q")
+    p, q = bool_var("p"), bool_var("q")
     pq = B.and_(p, q)
     # a separately built not(p & q) is still recognized as the complement
     assert B.and_(pq, B.not_(pq)) is B.FALSE
@@ -83,27 +84,27 @@ def test_comparisons_match_oracle(a, b):
     assert B.evaluate(B.slt(x, y), env) is (a < b)
     assert B.evaluate(B.sle(x, y), env) is (a <= b)
     assert B.evaluate(B.ult(x, y), env) is (to_u(a) < to_u(b))
-    assert B.evaluate(B.ule(x, y), env) is (to_u(a) <= to_u(b))
+    assert B.evaluate(B.not_(B.ult(y, x)), env) is (to_u(a) <= to_u(b))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.booleans(), st.booleans(), st.booleans())
 def test_connectives_match_oracle(p, q, r):
     env = {"p": p, "q": q, "r": r}
-    P, Q, R = B.bvar("p"), B.bvar("q"), B.bvar("r")
+    P, Q, R = bool_var("p"), bool_var("q"), bool_var("r")
     assert B.evaluate(B.and_(P, Q), env) is (p and q)
     assert B.evaluate(B.or_(P, Q), env) is (p or q)
     assert B.evaluate(B.not_(P), env) is (not p)
     assert B.evaluate(B.implies(P, Q), env) is ((not p) or q)
     assert B.evaluate(B.iff(P, Q), env) is (p == q)
-    assert B.evaluate(B.conj([P, Q, R]), env) is (p and q and r)
+    assert B.evaluate(B.and_(B.and_(P, Q), R), env) is (p and q and r)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.booleans(), ints, ints)
 def test_ite_matches_oracle(c, a, b):
     env = {"c": c, "x": to_u(a), "y": to_u(b)}
-    t = B.ite(B.bvar("c"), B.var("x"), B.var("y"))
+    t = B.ite(bool_var("c"), B.var("x"), B.var("y"))
     assert B.evaluate(t, env) == (to_u(a) if c else to_u(b))
 
 

@@ -11,8 +11,8 @@ import pytest
 from conftest import (CADSR, CADSR_SMALL, DB, MULT2, PROGRAMS, program_files,
                       run_front_end)
 import sketchsynth
-from sketchsynth import cli, parser
-from sketchsynth.interp import ConcreteUnknowns, Interp
+from sketchsynth import cli, engine, parser
+from sketchsynth.interp import ConcreteUnknowns, Interp, SymbolicUnknowns
 
 STAGES = [
     "rewriting syntax sugar",
@@ -321,6 +321,22 @@ def test_step_limit_overrun_leaves_later_vectors_to_search(tmp_path):
     assert code == cli.EXIT_SOLVED
     assert (out / "solution.txt").read_text().splitlines()[:3] == [
         "hole e_h1_0 = 3", "repeat e_r1 = 1", "repeat e_r2 = 0"]
+
+
+def test_objective_replay_fits_the_harness_step_limit(tmp_path):
+    # the harness needs every step the limit allows; the objective is read
+    # by its own interpreter during replay, as during encoding
+    text = ("class A { static int c = ??; harness static void t() { "
+            "assert c >= 3; minimize(c); } }")
+    prog = run_front_end(texts=[("obj.java", text)])[3]
+    width = engine.effective_hole_width(prog, engine.EngineConfig())
+    interp = Interp(prog, SymbolicUnknowns(prog.registry, width), {})
+    interp.run_harness("t_A")
+    src = tmp_path / "obj.java"
+    src.write_text(text)
+    code, out = run(tmp_path, str(src), "--step-limit", str(interp.steps))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 3"
 
 
 @pytest.mark.parametrize("literal", ["2²", "99999999999", "2147483648"],

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bool_var
 from sketchsynth import bitvec as B
 from sketchsynth import sat
 from sketchsynth.cnf import CnfBuilder
@@ -105,7 +106,7 @@ def test_separately_built_terms_share_their_circuit():
 
 def test_constant_true_is_not_shared_with_literal_one():
     cb = CnfBuilder()
-    p = B.bvar("p")
+    p = bool_var("p")
     assert cb.blast(p) == 1
     assert cb.blast(B.not_(p)) == -1
     # x == x over two separate objects blasts to True, so its negation is
@@ -120,11 +121,11 @@ def test_constant_true_is_not_shared_with_literal_one():
 
 
 def test_deep_term_blasts_without_recursion():
-    t = B.bvar("p0")
+    t = bool_var("p0")
     for i in range(1, 5000):
-        t = B.and_(t, B.bvar(f"p{i}"))
+        t = B.and_(t, bool_var(f"p{i}"))
     cb = CnfBuilder()
     cb.assert_term(t)
-    model = solve_builder(cb, [-cb.blast(B.bvar("p0"))])
+    model = solve_builder(cb, [-cb.blast(bool_var("p0"))])
     assert model is None
     assert solve_builder(cb) is not None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import program_files
+from conftest import find_type, program_files
 from sketchsynth import ast_nodes as A
 from sketchsynth import decode
 from sketchsynth.desugar import desugar
@@ -32,8 +32,8 @@ def test_each_extending_context_gets_its_own_specialized_copy():
     names = {d.name for d in ast.top_level_types()}
     assert {"Gen1", "Gen2"} <= names
     assert "Gen" not in names
-    assert ast.find_type("A").superclass.name in ("Gen1", "Gen2")
-    assert ast.find_type("A").superclass.name != ast.find_type("B").superclass.name
+    assert find_type(ast, "A").superclass.name in ("Gen1", "Gen2")
+    assert find_type(ast, "A").superclass.name != find_type(ast, "B").superclass.name
     # each copy owns fresh unknowns: 2 holes + 2 choices in total
     assert len(registry.holes) == 2 and len(registry.choices) == 2
 
@@ -78,7 +78,7 @@ def test_inner_class_flattened_with_outer_suffix():
     names = {d.name for d in ast.top_level_types()}
     assert "Inner_Outer" in names
     # references are renamed along with the declaration
-    outer = ast.find_type("Outer")
+    outer = find_type(ast, "Outer")
     assert outer.fields()[0].type.name == "Inner_Outer"
 
 
@@ -90,21 +90,21 @@ def test_anonymous_class_lifted_to_named_subclass():
         }""")
     lifted = [d for d in ast.top_level_types() if d.name.startswith("Token_")]
     assert len(lifted) == 1
-    init = ast.find_type("A").fields()[0].init
+    init = find_type(ast, "A").fields()[0].init
     assert isinstance(init, A.NewObject)
     assert init.anon_members is None and init.type.name == lifted[0].name
 
 
 def test_root_class_injected_and_supers_default_to_it():
     ast, _, _ = desugar_texts("class A { }")
-    assert ast.find_type("Object") is not None
-    assert ast.find_type("A").superclass.name == "Object"
+    assert find_type(ast, "Object") is not None
+    assert find_type(ast, "A").superclass.name == "Object"
 
 
 def test_field_initializers_hoisted_into_constructors():
     ast, _, _ = desugar_texts(
         "class A { int x = 5; A() { } A(int y) { x = y; } }")
-    a = ast.find_type("A")
+    a = find_type(ast, "A")
     assert a.fields()[0].init is None
     for ctor in [m for m in a.methods() if m.is_constructor]:
         first = ctor.body.stmts[0]
@@ -115,7 +115,7 @@ def test_field_initializers_hoisted_into_constructors():
 def test_generics_are_erased():
     ast, _, _ = desugar_texts(
         "interface Token { } class A { Iterator<Token> it; }")
-    assert str(ast.find_type("A").fields()[0].type) == "Iterator"
+    assert str(find_type(ast, "A").fields()[0].type) == "Iterator"
     assert "Iterator it;" in decode.unparse_program(ast)["f0.java"]
 
 
@@ -124,7 +124,7 @@ def test_fixture_db_program_specializes_and_flattens():
         "DBConnection.java", "Automaton.java", "TestDBConnection.java")))
     names = {d.name for d in ast.top_level_types()}
     assert "Automaton1" in names and "Monitor_DBConnection" in names
-    assert ast.find_type("Monitor_DBConnection").superclass.name == "Automaton1"
+    assert find_type(ast, "Monitor_DBConnection").superclass.name == "Automaton1"
     # Fig-2b shape: 6 holes (init state, num_state, 3 per-rule templates
     # counted once each, accept bound), 1 repeat
     assert len(registry.repeats) == 1

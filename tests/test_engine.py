@@ -1,7 +1,10 @@
 """Engine tests: search order, minimization, canonical solutions, verdicts."""
 
+import pytest
+
 from conftest import DB, DB_TWO_STATE, MULT2, program_files, run_front_end
 from sketchsynth import engine
+from sketchsynth.errors import InternalError
 
 
 def solve_texts(*texts, **cfg_kw):
@@ -35,7 +38,8 @@ def test_simple_hole_solved_and_verified():
         "harness static void t() { assert s * 3 == 12; } }")
     assert isinstance(result, engine.Solution)
     assert result.assignment.values == {"e_h1": 4}
-    assert engine.verify_solution(prog, result, engine.EngineConfig())
+    engine.replay(prog, result.assignment, result.objective_values,
+                  engine.EngineConfig())
 
 
 def test_canonical_solution_is_minimal_in_registry_order():
@@ -145,11 +149,28 @@ def test_eval_harness_classifies_outcomes():
         }""")])[3]
     cfg = engine.EngineConfig()
     ok = engine.eval_harness(prog, "t_A", engine.Assignment({"e_h1": 2}, {}), cfg)
-    assert ok.status == "pass"
+    assert ok.reason is None
     div0 = engine.eval_harness(prog, "t_A", engine.Assignment({"e_h1": 0}, {}), cfg)
-    assert div0.status == "trap"
+    assert div0.reason == "division by zero"
     wrong = engine.eval_harness(prog, "t_A", engine.Assignment({"e_h1": 1}, {}), cfg)
-    assert wrong.status == "assert_fail"
+    assert wrong.reason == "assertion failed"
+
+
+def test_replay_reads_objectives_after_static_init_and_rejects_tampering():
+    # the harness changes c before minimize(c); the objective is c as the
+    # static initializer leaves it, so the minimum is 2, not 3
+    result, prog = solve_texts(
+        "class A { static int c = ??; harness static void t() { "
+        "c = c + 1; assert c >= 3; minimize(c); } }")
+    assert result.assignment.values == {"e_h1": 2}
+    assert result.objective_values == {"t_A": 2}
+    cfg = engine.EngineConfig()
+    engine.replay(prog, result.assignment, result.objective_values, cfg)
+    with pytest.raises(InternalError, match="objective 't_A' gives 2"):
+        engine.replay(prog, result.assignment, {"t_A": 3}, cfg)
+    with pytest.raises(InternalError, match="harness 't_A' failed"):
+        engine.replay(prog, engine.Assignment({"e_h1": 1}, {}),
+                      result.objective_values, cfg)
 
 
 def test_solutions_are_deterministic_across_runs():

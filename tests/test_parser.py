@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, walk_unknowns
 from sketchsynth import ast_nodes as A
 from sketchsynth import decode
 from sketchsynth.errors import DuplicateTypeError, ParseError
@@ -59,7 +59,7 @@ def test_hole_choice_minrepeat_nodes():
                 return 0;
             }
         }""")
-    nodes = list(A.walk_unknowns(d))
+    nodes = walk_unknowns(d)
     kinds = [type(n).__name__ for n in nodes]
     assert kinds == ["MinRepeat", "Hole", "Choice"]
     assert len(nodes[2].alternatives) == 3
