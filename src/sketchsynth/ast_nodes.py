@@ -2,8 +2,9 @@
 
 The tree is produced by the parser and rewritten in place-preserving steps by
 the desugarer.  ``Hole``, ``Choice`` and ``MinRepeat`` nodes carry no
-identifier at parse time; the desugarer assigns :class:`UnknownId` labels
-(stored on the ``uid`` attribute) before lowering.
+identifier at parse time; before lowering, the desugarer gives each its
+:class:`UnknownId` record (the ``uid`` attribute), the one the registry
+holds.
 """
 
 from __future__ import annotations

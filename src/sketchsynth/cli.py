@@ -161,7 +161,7 @@ def _run(args, log, out_dir):
         if owner is not None:
             log.debug(f"replaced: {owner}.{name} = {value}")
     log.stage("decoding")
-    texts = decode.unparse_program(ast, registry, result.assignment)
+    texts = decode.unparse_program(ast, result.assignment)
     _dump_tree(out_dir / "java", texts)
     _write_solution(out_dir / "solution.txt", registry, result)
     log.stage("synthesis done")
@@ -179,13 +179,13 @@ def _solution_records(registry, solution):
     for inst in hole_insts:
         out.append(("hole", inst.name,
                     B.to_signed(solution.assignment.values[inst.name]),
-                    inst.uid.owner.split(".")[0]))
+                    inst.unknown.owner.split(".")[0]))
     for inst in choice_insts:
         out.append(("choice", inst.name, solution.assignment.values[inst.name],
-                    inst.uid.owner.split(".")[0]))
-    for info in registry.repeats:
-        out.append(("repeat", info.uid.name,
-                    solution.assignment.repeat_counts[info.uid.name], None))
+                    inst.unknown.owner.split(".")[0]))
+    for r in registry.repeats:
+        out.append(("repeat", r.name,
+                    solution.assignment.repeat_counts[r.name], None))
     for name, value in solution.objective_values.items():
         out.append(("objective", name, value, None))
     return out

@@ -2,8 +2,9 @@
 
 A "bit" is either the Python constants True/False or a DIMACS-style literal
 (positive/negative nonzero int).  Constant bits are propagated through every
-gate before any clause is emitted, so terms over mostly-constant words (the
-common case: small holes zero-extended to 32 bits) produce compact CNF.
+gate before any clause is emitted, so a clause holds literals only, and
+terms over mostly-constant words (the common case: small holes
+zero-extended to 32 bits) produce compact CNF.
 
 All structural sharing happens here, per builder; terms are not interned.
 A term is blasted once per object.  One memo, keyed by op, holds every
@@ -34,19 +35,6 @@ class CnfBuilder:
         self.nvars += 1
         return self.nvars
 
-    def add_clause(self, lits):
-        out = []
-        for l in lits:
-            if l is True:
-                return
-            if l is False:
-                continue
-            out.append(l)
-        if not out:
-            self.contradiction = True
-            return
-        self.clauses.append(out)
-
     # -- gates (with constant/structural sharing) --------------------------
 
     def g_not(self, a):
@@ -69,9 +57,7 @@ class CnfBuilder:
         o = self._memo.get(key)
         if o is None:
             o = self.new_var()
-            self.add_clause([-o, a])
-            self.add_clause([-o, b])
-            self.add_clause([o, -a, -b])
+            self.clauses += ([-o, a], [-o, b], [o, -a, -b])
             self._memo[key] = o
         return o
 
@@ -90,9 +76,7 @@ class CnfBuilder:
         o = self._memo.get(key)
         if o is None:
             o = self.new_var()
-            self.add_clause([o, -a])
-            self.add_clause([o, -b])
-            self.add_clause([-o, a, b])
+            self.clauses += ([o, -a], [o, -b], [-o, a, b])
             self._memo[key] = o
         return o
 
@@ -111,10 +95,7 @@ class CnfBuilder:
         o = self._memo.get(key)
         if o is None:
             o = self.new_var()
-            self.add_clause([-o, x, y])
-            self.add_clause([-o, -x, -y])
-            self.add_clause([o, -x, y])
-            self.add_clause([o, x, -y])
+            self.clauses += ([-o, x, y], [-o, -x, -y], [o, -x, y], [o, x, -y])
             self._memo[key] = o
         return -o if neg else o
 
@@ -273,7 +254,7 @@ class CnfBuilder:
         if bit is False:
             self.contradiction = True
         elif bit is not True:
-            self.add_clause([bit])
+            self.clauses.append([bit])
 
     def model_value(self, name, model):
         """Integer value of a bitvector variable under a SAT model."""

@@ -23,10 +23,10 @@ _PREC = {"=": 1, **A.BINARY_PREC}
 _UNARY_PREC = max(_PREC.values()) + 1
 
 
-def unparse_program(ast, registry=None, assignment=None):
+def unparse_program(ast, assignment=None):
     """{file id: source text} for every unit; the concrete program for
-    ``assignment`` when one is given, whose unknowns ``registry`` names."""
-    printer = _Printer(registry, assignment)
+    ``assignment`` when one is given."""
+    printer = _Printer(assignment)
     return {unit.file: printer.unit(unit) for unit in ast.units}
 
 
@@ -43,15 +43,14 @@ def _is_minimize(s):
 
 
 class _Printer:
-    def __init__(self, registry, assignment):
-        self.registry = registry
+    def __init__(self, assignment):
         self.assignment = assignment
         self.concrete = assignment is not None
         self.iteration = None   # current minrepeat iteration
 
-    def _value(self, info):
-        it = self.iteration if info.template_of is not None else None
-        name = self.registry.instance_name(info.uid, it)
+    def _value(self, uid):
+        it = self.iteration if uid.template_of is not None else None
+        name = uid.instance_name(it)
         if name not in self.assignment.values:
             raise IncompleteSolutionError(f"solution has no value for '{name}'")
         return self.assignment.values[name]
@@ -198,16 +197,15 @@ class _Printer:
         if isinstance(e, A.Hole):
             if not self.concrete:
                 return "??"
-            info = self.registry.hole_info(e.uid)
-            v = self._value(info)
-            if info.is_bool:
+            v = self._value(e.uid)
+            if e.uid.is_bool:
                 return "true" if v else "false"
             return str(B.to_signed(v))
         if isinstance(e, A.Choice):
             if not self.concrete:
                 alts = ", ".join(self.expr(a, 0) for a in e.alternatives)
                 return f"{{| {alts} |}}"
-            idx = self._value(self.registry.choice_info(e.uid))
+            idx = self._value(e.uid)
             if not 0 <= idx < len(e.alternatives):
                 raise IncompleteSolutionError(
                     f"choice index {idx} out of range for '{e.uid.name}'")

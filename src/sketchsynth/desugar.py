@@ -4,8 +4,9 @@ Three passes, run in this order by :func:`desugar`:
 
 1. ``specialize_class_generators`` — one fresh copy of each ``generator``
    class per extending context, with the original generator removed.
-2. ``assign_unknown_ids`` — stable ``e_h<n>`` / ``e_c<n>`` / ``e_r<n>`` names
-   for every Hole/Choice/minrepeat, collected into an UnknownRegistry.
+2. ``assign_unknown_ids`` — one UnknownId record, with a stable ``e_h<n>`` /
+   ``e_c<n>`` / ``e_r<n>`` name, for every Hole/Choice/minrepeat; the node
+   and the UnknownRegistry hold the same record.
 3. ``normalize`` — inner classes flattened (``Inner_Outer``), anonymous
    classes lifted to named top-level classes, implicit root superclass,
    field initializers hoisted into constructors.  Generic type arguments
@@ -19,10 +20,7 @@ from dataclasses import dataclass, field
 from . import ast_nodes as A
 from .stdlib import ROOT_CLASS
 from .errors import DirectGeneratorUseError, EncodingError, SketchError
-from .unknowns import (
-    CHOICE, HOLE, REPEAT, ChoiceInfo, HoleInfo, RepeatInfo, UnknownId,
-    UnknownRegistry,
-)
+from .unknowns import CHOICE, HOLE, REPEAT, UnknownId, UnknownRegistry
 
 @dataclass
 class SpecializationMap:
@@ -164,33 +162,30 @@ class _IdAssigner:
         self.counts = {HOLE: 0, CHOICE: 0, REPEAT: 0}
         self.repeat_stack = []
 
-    def fresh(self, kind, owner):
+    def fresh(self, kind, owner, node, entries, **extra):
         self.counts[kind] += 1
         n = self.counts[kind]
         prefix = {HOLE: "e_h", CHOICE: "e_c", REPEAT: "e_r"}[kind]
-        return UnknownId(kind, n, f"{prefix}{n}", owner)
+        node.uid = UnknownId(kind, n, f"{prefix}{n}", owner, **extra)
+        entries.append(node.uid)
+        return node.uid
 
     def visit(self, node, owner):
         if isinstance(node, A.MinRepeat):
             if self.repeat_stack:
                 raise EncodingError("nested minrepeat is not supported", node.span)
-            uid = self.fresh(REPEAT, owner)
-            node.uid = uid
-            self.registry.repeats.append(RepeatInfo(uid))
-            self.repeat_stack.append(uid)
+            self.repeat_stack.append(
+                self.fresh(REPEAT, owner, node, self.registry.repeats))
             self.visit(node.body, owner)
             self.repeat_stack.pop()
             return
         template = self.repeat_stack[-1] if self.repeat_stack else None
         if isinstance(node, A.Hole):
-            uid = self.fresh(HOLE, owner)
-            node.uid = uid
-            self.registry.holes.append(HoleInfo(uid, template_of=template))
+            self.fresh(HOLE, owner, node, self.registry.holes,
+                       template_of=template)
         elif isinstance(node, A.Choice):
-            uid = self.fresh(CHOICE, owner)
-            node.uid = uid
-            self.registry.choices.append(
-                ChoiceInfo(uid, arity=len(node.alternatives), template_of=template))
+            self.fresh(CHOICE, owner, node, self.registry.choices,
+                       template_of=template, arity=len(node.alternatives))
         for f in vars(node).values():
             self._visit_field(f, owner)
 

@@ -1,12 +1,14 @@
 """Search engine: complete within the configured bounds.
 
 The outer loop deepens over repeat-count vectors in ascending total order.
-For each vector the program is executed symbolically once, yielding a
-constraint system over the hole/choice variables; a SAT check decides whether
-any candidate passes every harness at that depth.  On the first satisfiable
-depth, objectives are minimized lexicographically, then every unknown is
-minimized in registry order (canonicalization), making the reported
-assignment independent of solver internals.
+For each vector, one call of ``_solve_vector`` executes the program
+symbolically once, yielding a constraint system over the hole/choice
+variables, blasts it and hands all of its clauses to a fresh SAT solver in
+one batch; a SAT check decides whether any candidate passes every harness at
+that depth.  Nothing of a refuted vector outlives that call.  On the first
+satisfiable depth, objectives are minimized lexicographically, then every
+unknown is minimized in registry order (canonicalization), making the
+reported assignment independent of solver internals.
 
 Minimization fixes a term's blasted bits from the MSB down under
 assumptions, preferring 1 on the sign bit and 0 on every other bit: that is
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
 
 from . import bitvec as B
 from . import sat
@@ -63,7 +64,6 @@ class Solution:
     assignment: Assignment
     objective_values: dict       # objective name -> int
     depth: int = 0
-    wall_ms: int = 0
     candidates = 1               # the first canonical model always replays
 
 
@@ -101,7 +101,7 @@ def effective_hole_width(program, cfg):
 
 def _concrete_interp(program, assignment, cfg):
     return Interp(program,
-                  ConcreteUnknowns(program.registry, assignment.values),
+                  ConcreteUnknowns(assignment.values),
                   assignment.repeat_counts,
                   loop_bound=cfg.loop_bound, step_limit=cfg.step_limit)
 
@@ -162,95 +162,95 @@ def _compositions(total, n, cap):
             yield (first,) + rest
 
 
-# -- solver wiring ---------------------------------------------------------
+# -- one repeat vector -----------------------------------------------------
 
 
-class _DepthProblem:
-    """One repeat vector: symbolic execution, CNF, incremental SAT."""
+def _encode(program, vector, cfg):
+    """Symbolic execution of every harness, then of every objective right
+    after ``init_statics()``: (constraints, [(objective name, term)]), or
+    None if a harness fails on every path."""
+    unknowns = SymbolicUnknowns(effective_hole_width(program, cfg))
+    constraints = []
+    objectives = []
 
-    def __init__(self, program, vector, cfg, deadline):
-        self.program = program
-        self.registry = program.registry
-        self.vector = vector
-        self.cfg = cfg
-        self.unknowns = SymbolicUnknowns(
-            self.registry, effective_hole_width(program, cfg))
-        self.hole_insts, self.choice_insts = \
-            self.registry.instantiate(vector)
-        self.cb = CnfBuilder()
-        self.solver = sat.Solver(deadline=deadline)
-        self._synced = 0
-        self.objective_bits = []    # (name, blasted bits) per objective
-        self.feasible = self._encode()
+    def interp():
+        return Interp(program, unknowns, vector, loop_bound=cfg.loop_bound,
+                      step_limit=cfg.step_limit)
+    try:
+        for h in program.harnesses:
+            it = interp()
+            it.run_harness(h)
+            constraints.extend(it.constraints)
+        if program.objectives:
+            it = interp()
+            it.init_statics()
+            for name, expr in program.objectives:
+                objectives.append((name, it.eval_objective(expr)))
+            constraints.extend(it.constraints)
+    except HarnessFailure:
+        return None
+    return constraints, objectives
 
-    def _encode(self):
-        constraints = []
-        objectives = []
-        try:
-            for h in self.program.harnesses:
-                interp = Interp(self.program, self.unknowns, self.vector,
-                                loop_bound=self.cfg.loop_bound,
-                                step_limit=self.cfg.step_limit)
-                interp.run_harness(h)
-                constraints.extend(interp.constraints)
-            if self.program.objectives:
-                interp = Interp(self.program, self.unknowns, self.vector,
-                                loop_bound=self.cfg.loop_bound,
-                                step_limit=self.cfg.step_limit)
-                interp.init_statics()
-                for name, expr in self.program.objectives:
-                    objectives.append((name, interp.eval_objective(expr)))
-                constraints.extend(interp.constraints)
-        except HarnessFailure:
-            return False
-        for inst in self.choice_insts:
-            self.cb.assert_term(B.ult(B.var(inst.name, inst.info.bit_width),
-                                      B.const(inst.info.arity)))
-        for c in constraints:
-            self.cb.assert_term(c)
-        # blasted before the first solve, so every model assigns their bits
-        self.objective_bits = [(name, self.cb.blast(term))
-                               for name, term in objectives]
-        return not self.cb.contradiction
 
-    def _sync(self):
-        self.solver.ensure_vars(self.cb.nvars)
-        clauses = self.cb.clauses
-        if self._synced < len(clauses):
-            self.solver.add_clauses(islice(clauses, self._synced, None))
-            self._synced = len(clauses)
+def _solve_vector(program, vector, cfg, deadline):
+    """None if no candidate passes at ``vector``; otherwise the canonical
+    minimal assignment and its objective values.  All clauses reach the
+    solver in one batch before the first search."""
+    encoded = _encode(program, vector, cfg)
+    if encoded is None:
+        return None
+    constraints, objectives = encoded
+    hole_insts, choice_insts = program.registry.instantiate(vector)
+    cb = CnfBuilder()
+    for inst in choice_insts:
+        cb.assert_term(B.ult(B.var(inst.name, inst.unknown.bit_width),
+                             B.const(inst.unknown.arity)))
+    for c in constraints:
+        cb.assert_term(c)
+    # blasted before the first solve, so every model assigns their bits
+    objective_bits = [(name, cb.blast(term)) for name, term in objectives]
+    if cb.contradiction:
+        return None
+    solver = sat.Solver(deadline=deadline)
+    solver.ensure_vars(cb.nvars)
+    solver.add_clauses(cb.clauses)
+    model = solver.solve()
+    if model is None:
+        return None
+    # lexicographic objective minimization, then canonicalization
+    # (smallest value for every unknown in registry order)
+    assumptions = []
+    for _, bits in objective_bits:
+        model = _fix_bits(solver, bits, model, assumptions)
+    insts = hole_insts + choice_insts
+    for inst in insts:
+        model = _fix_bits(solver, cb.var_bits.get(inst.name, []), model,
+                          assumptions)
+    objective_values = {name: B.to_signed(bits_value(bits, model))
+                        for name, bits in objective_bits}
+    values = {inst.name: cb.model_value(inst.name, model) for inst in insts}
+    return Assignment(values, dict(vector)), objective_values
 
-    def solve(self, assumptions=()):
-        if self.cb.contradiction:
-            return None
-        self._sync()
-        return self.solver.solve(assumptions=list(assumptions))
 
-    def model_assignment(self, model):
-        values = {}
-        for inst in self.hole_insts + self.choice_insts:
-            values[inst.name] = self.cb.model_value(inst.name, model)
-        return Assignment(values=values, repeat_counts=dict(self.vector))
-
-    def fix_bits(self, bits, model, assumptions):
-        """Fix ``bits`` (a blasted term, LSB first) from the MSB down to the
-        signed minimum over models satisfying ``assumptions``: 1 preferred on
-        the sign bit, 0 on every other bit.  Each chosen literal is appended
-        to ``assumptions``; returns a model attaining the minimum."""
-        sign = len(bits) - 1
-        for i in range(sign, -1, -1):
-            bit = bits[i]
-            if isinstance(bit, bool):
-                continue
-            want = bit if i == sign else -bit
-            if not lit_true(want, model):
-                m = self.solve(assumptions + [want])
-                if m is None:
-                    want = -want
-                else:
-                    model = m
-            assumptions.append(want)
-        return model
+def _fix_bits(solver, bits, model, assumptions):
+    """Fix ``bits`` (a blasted term, LSB first) from the MSB down to the
+    signed minimum over models satisfying ``assumptions``: 1 preferred on
+    the sign bit, 0 on every other bit.  Each chosen literal is appended to
+    ``assumptions``; returns a model attaining the minimum."""
+    sign = len(bits) - 1
+    for i in range(sign, -1, -1):
+        bit = bits[i]
+        if isinstance(bit, bool):
+            continue
+        want = bit if i == sign else -bit
+        if not lit_true(want, model):
+            m = solver.solve(assumptions + [want])
+            if m is None:
+                want = -want
+            else:
+                model = m
+        assumptions.append(want)
+    return model
 
 
 # -- top level -------------------------------------------------------------
@@ -260,8 +260,7 @@ def solve(program, cfg):
     """Complete bounded search; Solution, Unsat, Timeout or StepLimit."""
     t0 = time.monotonic()
     deadline = t0 + cfg.timeout
-    registry = program.registry
-    repeat_names = [info.uid.name for info in registry.repeats]
+    repeat_names = [r.name for r in program.registry.repeats]
     depth_reached = 0
     overrun_depth = None
 
@@ -277,42 +276,21 @@ def solve(program, cfg):
             # an overrun leaves this vector undecided; a later one may
             # still solve, so only a search that ends empty reports it
             try:
-                prob = _DepthProblem(program, vector, cfg, deadline)
+                result = _solve_vector(program, vector, cfg, deadline)
             except StepLimitExceeded:
                 if overrun_depth is None:
                     overrun_depth = depth
                 continue
-            if not prob.feasible:
-                continue
-            result = _solve_at_depth(prob)
             if result is None:
                 continue
             assignment, objective_values = result
             replay(program, assignment, objective_values, cfg)
             return Solution(assignment=assignment,
                             objective_values=objective_values,
-                            depth=depth, wall_ms=ms())
+                            depth=depth)
         if overrun_depth is not None:
             return StepLimit(overrun_depth, ms())
         return Unsat(depth_reached, ms())
     except sat.Timeout:
         return Timeout(depth_reached, ms())
 
-
-def _solve_at_depth(prob):
-    """None if no candidate passes at this depth; otherwise the canonical
-    minimal assignment and its objective values."""
-    model = prob.solve()
-    if model is None:
-        return None
-    # lexicographic objective minimization, then canonicalization
-    # (smallest value for every unknown in registry order)
-    assumptions = []
-    for _, bits in prob.objective_bits:
-        model = prob.fix_bits(bits, model, assumptions)
-    for inst in prob.hole_insts + prob.choice_insts:
-        model = prob.fix_bits(prob.cb.var_bits.get(inst.name, []), model,
-                              assumptions)
-    objective_values = {name: B.to_signed(bits_value(bits, model))
-                        for name, bits in prob.objective_bits}
-    return prob.model_assignment(model), objective_values

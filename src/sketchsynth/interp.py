@@ -149,41 +149,34 @@ def default_value(tag):
 class SymbolicUnknowns:
     """Bitvector variables for every unknown instance."""
 
-    def __init__(self, registry, hole_width):
-        self.registry = registry
+    def __init__(self, hole_width):
         self.hole_width = hole_width
 
     def hole(self, uid, iteration):
-        info = self.registry.hole_info(uid)
-        name = self.registry.instance_name(uid, iteration)
-        width = 1 if info.is_bool else self.hole_width
-        v = B.var(name, width)
-        if info.is_bool:
-            return B.eq(v, B.const(1))
-        return v
+        name = uid.instance_name(iteration)
+        if uid.is_bool:
+            return B.eq(B.var(name, 1), B.const(1))
+        return B.var(name, self.hole_width)
 
     def choice(self, uid, iteration):
-        info = self.registry.choice_info(uid)
-        return B.var(self.registry.instance_name(uid, iteration), info.bit_width)
+        return B.var(uid.instance_name(iteration), uid.bit_width)
 
 
 class ConcreteUnknowns:
     """Fixed values (a candidate being replayed)."""
 
-    def __init__(self, registry, values):
-        self.registry = registry
+    def __init__(self, values):
         self.values = values        # instance name -> int
 
     def _get(self, uid, iteration):
-        name = self.registry.instance_name(uid, iteration)
+        name = uid.instance_name(iteration)
         if name not in self.values:
             raise InternalError(f"no value for unknown '{name}'")
         return self.values[name]
 
     def hole(self, uid, iteration):
-        info = self.registry.hole_info(uid)
         v = self._get(uid, iteration)
-        if info.is_bool:
+        if uid.is_bool:
             return B.bconst(bool(v))
         return B.const(v)
 
@@ -206,7 +199,6 @@ class Interp:
                  loop_bound=64, step_limit=2_000_000):
         self.program = program
         self.table = program.table
-        self.registry = program.registry
         self.unknowns = unknowns
         self.repeat_counts = repeat_counts   # repeat name -> count
         self.loop_bound = loop_bound
@@ -408,11 +400,9 @@ class Interp:
         return B.const(e.value)
 
     def _iteration_of(self, uid):
-        info = (self.registry.hole_info(uid) if uid.kind == "hole"
-                else self.registry.choice_info(uid))
-        if info.template_of is None:
+        if uid.template_of is None:
             return None
-        it = self.rep_iter.get(info.template_of.name)
+        it = self.rep_iter.get(uid.template_of.name)
         if it is None:
             raise InternalError(
                 f"unknown '{uid.name}' used outside its repeat block")

@@ -31,7 +31,6 @@ class _Lowerer:
     def __init__(self, ast, table, registry):
         self.ast = ast
         self.table = table
-        self.registry = registry
         self.prog = I.IrProgram(registry=registry, table=table)
         self.max_literal = 0
 
@@ -145,7 +144,6 @@ class _Env:
     def __init__(self, lw, ci, mi, static):
         self.lw = lw
         self.table = lw.table
-        self.registry = lw.registry
         self.ci = ci
         self.mi = mi
         self.static = static
@@ -176,13 +174,13 @@ class _Env:
             expr, _ = self.lower_expr(s.init, expected=tag)
             return [I.AssignLocal(s.name, expr)]
         if isinstance(s, A.IfStmt):
-            cond, ctag = self.lower_expr(s.cond)
+            cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
             _require(ctag == T.BOOL, "if condition must be boolean", s.span)
             then = self.lower_stmt(s.then)
             els = self.lower_stmt(s.els) if s.els is not None else []
             return [I.IfInstr(cond, then, els)]
         if isinstance(s, A.WhileStmt):
-            cond, ctag = self.lower_expr(s.cond)
+            cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
             _require(ctag == T.BOOL, "while condition must be boolean", s.span)
             return [I.WhileInstr(cond, self.lower_stmt(s.body))]
         if isinstance(s, A.ReturnStmt):
@@ -192,7 +190,7 @@ class _Env:
                                       expected=self.mi.ret if self.mi else None)
             return [I.ReturnInstr(expr)]
         if isinstance(s, A.AssertStmt):
-            cond, ctag = self.lower_expr(s.cond)
+            cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
             _require(ctag == T.BOOL, "assert condition must be boolean", s.span)
             return [I.AssertInstr(cond, span=s.span)]
         if isinstance(s, A.MinRepeat):
@@ -268,7 +266,7 @@ class _Env:
         if isinstance(e, A.Hole):
             tag = expected if expected in (T.INT, T.BOOL, T.CHAR) else T.INT
             if tag == T.BOOL:
-                self.registry.hole_info(e.uid).is_bool = True
+                e.uid.is_bool = True
             return I.HoleRead(e.uid), tag
         if isinstance(e, A.Choice):
             alts = []
@@ -296,7 +294,8 @@ class _Env:
         if isinstance(e, A.BinOp):
             return self.lower_binop(e)
         if isinstance(e, A.UnOp):
-            op, tag = self.lower_expr(e.operand)
+            op, tag = self.lower_expr(
+                e.operand, expected=T.BOOL if e.op == "!" else None)
             if e.op == "!":
                 _require(tag == T.BOOL, "'!' needs a boolean operand", e.span)
                 return I.Un("!", op), T.BOOL
@@ -414,7 +413,8 @@ class _Env:
                       span=e.span), T.obj(name)
 
     def lower_binop(self, e):
-        left, ltag = self.lower_expr(e.left)
+        left, ltag = self.lower_expr(
+            e.left, expected=T.BOOL if e.op in LOGIC_OPS else None)
         right, rtag = self.lower_expr(e.right, expected=ltag)
         op = e.op
         if op in ARITH_OPS:

@@ -24,7 +24,8 @@ other literal's code as a plain int.
   of the clause (local minimization).
 - Restarts follow the Luby sequence with a unit of 100 conflicts.
 - Clauses come in batches (``add_clauses``) with one return to level 0
-  per batch; ``add_clause`` is a batch of one.
+  per batch.  The engine hands each solver all of its clauses in one
+  batch, before the first search.
 
 Deterministic by construction: every choice above is a function of the
 clause stream and the assumptions (no randomness, no hashing of objects),
@@ -107,10 +108,6 @@ class Solver:
         self.heap_pos.extend(range(len(self.heap), len(self.heap) + k))
         self.heap.extend(range(n - k + 1, n + 1))
         self.seen.extend(bytes(k))
-
-    def add_clause(self, lits):
-        self.ensure_vars(max(map(abs, lits), default=0))
-        self.add_clauses([lits])
 
     def add_clauses(self, clauses):
         """Adds the clauses of the iterable ``clauses`` (lists of nonzero

@@ -123,6 +123,8 @@ FREE_FUNCTIONS = {
 
 def char_tokens(ctx, s):
     """One token object per character of ``s``; getId is the code point."""
+    if not isinstance(s, str):
+        raise BuiltinTrap("convertToIterator argument must be a string value")
     items = [ctx.alloc_builtin("CharToken", ord(ch)) for ch in s]
     return ctx.alloc_builtin("CharTokenIterator", {"items": items, "pos": 0})
 

@@ -44,6 +44,12 @@ def walk_unknowns(node):
             if isinstance(n, (A.Hole, A.Choice, A.MinRepeat))]
 
 
+def add_clause(solver, lits):
+    """Add one clause, making its variables first."""
+    solver.ensure_vars(max(map(abs, lits), default=0))
+    solver.add_clauses([lits])
+
+
 def bool_var(name):
     """A bool term over a fresh 1-bit variable, built as
     ``SymbolicUnknowns`` builds a bool hole."""

@@ -146,9 +146,9 @@ def product_equivalent(auto, ref_delta, ref_accepting, ref_start, alphabet):
 def reparse_and_run(out, harness_names):
     java = sorted(str(p) for p in (out / "java").glob("*.java"))
     _, registry, _, prog = run_front_end(files=java)
-    assert len(registry) == 0
+    assert registry.holes == registry.choices == registry.repeats == []
     for h in harness_names:
-        interp = Interp(prog, ConcreteUnknowns(prog.registry, {}), {})
+        interp = Interp(prog, ConcreteUnknowns({}), {})
         interp.run_harness(h)
 
 
@@ -291,7 +291,7 @@ def _assert_extraction_consistent(out, auto, samples=("car", "cdr", "c",
         }}"""
         files = [(p, Path(p).read_text()) for p in java] + [("probe.java", probe)]
         _, _, _, prog2 = run_front_end(texts=files)
-        interp = Interp(prog2, ConcreteUnknowns(prog2.registry, {}), {})
+        interp = Interp(prog2, ConcreteUnknowns({}), {})
         interp.run_harness("t_Probe")
 
 

@@ -208,8 +208,8 @@ def test_full_width_holes_take_signed_minimum_and_decode_as_java(tmp_path):
     assert "static int b = 7;" in text
     # the decoded source reparses, and its harness body passes as is
     _, registry, _, prog = run_front_end(texts=[("A.java", text)])
-    assert len(registry) == 0
-    Interp(prog, ConcreteUnknowns(registry, {}), {}).run_harness("t_A")
+    assert registry.holes == registry.choices == registry.repeats == []
+    Interp(prog, ConcreteUnknowns({}), {}).run_harness("t_A")
 
 
 def test_wide_literal_does_not_make_narrow_holes_signed(tmp_path):
@@ -247,6 +247,9 @@ _B_AND_C = ("class B { int m() { return 1; } } "
     ("class A { harness static void t() { "
      "String s = null; assert s.length() == ??; } }",
      cli.EXIT_UNSAT, None),
+    ("class A { harness static void t() { String s = null; "
+     "Iterator it = convertToIterator(s); assert ?? == 1; } }",
+     cli.EXIT_UNSAT, None),
     # X has no m, so only Y can be the receiver
     ("interface I { public int m(); } class X implements I { X() { } } "
      "class Y implements I { public int m() { return 1; } } "
@@ -258,8 +261,8 @@ _B_AND_C = ("class B { int m() { return 1; } } "
      "if ({| true, false |}) { l.add(new A()); } assert l.size() == 1; } }",
      cli.EXIT_INPUT, None),
 ], ids=["receiver-choice", "null-or-override", "guarded-null-call",
-        "null-single-implementation", "null-string", "missing-override",
-        "impure-call-under-choice"])
+        "null-single-implementation", "null-string", "null-string-iterator",
+        "missing-override", "impure-call-under-choice"])
 def test_virtual_calls(tmp_path, text, code, solution):
     src = tmp_path / "A.java"
     src.write_text(text)
@@ -267,6 +270,24 @@ def test_virtual_calls(tmp_path, text, code, solution):
     assert got == code
     if solution is not None:
         assert (out / "solution.txt").read_text().splitlines()[:-1] == solution
+
+
+@pytest.mark.parametrize("stmt, value", [
+    ("if (??) { x = 1; } assert x == 1;", 1),
+    ("while (??) { x = x + 1; } assert x == 0;", 0),
+    ("assert ??;", 1),
+    ("assert !??;", 0),
+    ("assert ?? && true;", 1),
+    ("assert ?? || false;", 1),
+], ids=["if", "while", "assert", "not", "and", "or"])
+def test_hole_is_boolean_in_a_condition(tmp_path, stmt, value):
+    src = tmp_path / "A.java"
+    src.write_text("class A { harness static void t() { int x = 0; "
+                   f"{stmt} }} }}")
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == \
+        f"hole e_h1 = {value}"
 
 
 def test_engine_flags_are_honored(tmp_path):
@@ -330,7 +351,7 @@ def test_objective_replay_fits_the_harness_step_limit(tmp_path):
             "assert c >= 3; minimize(c); } }")
     prog = run_front_end(texts=[("obj.java", text)])[3]
     width = engine.effective_hole_width(prog, engine.EngineConfig())
-    interp = Interp(prog, SymbolicUnknowns(prog.registry, width), {})
+    interp = Interp(prog, SymbolicUnknowns(width), {})
     interp.run_harness("t_A")
     src = tmp_path / "obj.java"
     src.write_text(text)

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bool_var
+from conftest import add_clause, bool_var
 from sketchsynth import bitvec as B
 from sketchsynth import sat
 from sketchsynth.cnf import CnfBuilder
@@ -15,7 +15,7 @@ def solve_builder(cb, assumptions=()):
     s = sat.Solver()
     s.ensure_vars(cb.nvars)
     for cl in cb.clauses:
-        s.add_clause(cl)
+        add_clause(s, cl)
     return None if cb.contradiction else s.solve(assumptions=list(assumptions))
 
 

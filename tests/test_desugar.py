@@ -57,9 +57,9 @@ def test_unknown_ids_are_dense_per_kind_in_program_order():
                 return a + ??;
             }
         }""")
-    assert [h.uid.name for h in registry.holes] == ["e_h1", "e_h2", "e_h3"]
-    assert [c.uid.name for c in registry.choices] == ["e_c1"]
-    assert [r.uid.name for r in registry.repeats] == ["e_r1"]
+    assert [h.name for h in registry.holes] == ["e_h1", "e_h2", "e_h3"]
+    assert [c.name for c in registry.choices] == ["e_c1"]
+    assert [r.name for r in registry.repeats] == ["e_r1"]
 
 
 def test_unknowns_inside_minrepeat_are_templates():
@@ -67,9 +67,9 @@ def test_unknowns_inside_minrepeat_are_templates():
         "class A { int f(int x) { minrepeat { x = x + ??; } return x; } }")
     (h,) = registry.holes
     (r,) = registry.repeats
-    assert h.template_of == r.uid
-    assert registry.instance_name(h.uid, 2) == f"{h.uid.name}_2"
-    assert registry.instance_name(h.uid) == h.uid.name
+    assert h.template_of is r
+    assert h.instance_name(2) == f"{h.name}_2"
+    assert h.instance_name() == h.name
 
 
 def test_inner_class_flattened_with_outer_suffix():

@@ -16,7 +16,7 @@ def program(*texts):
 
 
 def run_concrete(prog, values=None, repeats=None, **kw):
-    interp = Interp(prog, ConcreteUnknowns(prog.registry, values or {}),
+    interp = Interp(prog, ConcreteUnknowns(values or {}),
                     repeats or {}, **kw)
     for h in prog.harnesses:
         interp.run_harness(h)
@@ -167,7 +167,7 @@ def test_repeat_instances_substituted_per_iteration():
 def test_symbolic_constraints_hold_under_known_solution():
     prog = program("class A { static int s = ??; "
                    "harness static void t() { assert s * 2 == 6; } }")
-    interp = Interp(prog, SymbolicUnknowns(prog.registry, 5), {})
+    interp = Interp(prog, SymbolicUnknowns(5), {})
     interp.run_harness(prog.harnesses[0])
     assert interp.constraints
     good = {"e_h1": 3}

@@ -2,7 +2,9 @@
 
 import pytest
 
-from conftest import CADSR, program_files, run_front_end
+from conftest import (CADSR, find_type, program_files, run_front_end,
+                      walk_unknowns)
+from sketchsynth import decode, engine
 from sketchsynth import ir as I
 from sketchsynth.errors import HarnessShapeError, TypeLoweringError
 
@@ -99,8 +101,22 @@ def test_minimize_over_locals_rejected():
 def test_hole_in_boolean_context_is_flagged_bool():
     _, registry, _, _ = lower_texts(
         "class A { boolean b = ??; int n = ??; }")
-    flags = {h.uid.name: h.is_bool for h in registry.holes}
+    flags = {h.name: h.is_bool for h in registry.holes}
     assert flags == {"e_h1": True, "e_h2": False}
+
+
+def test_hoisted_bool_field_hole_is_one_record_in_every_constructor():
+    ast, registry, _, _ = lower_texts(
+        "class A { boolean g = ??; A() { } A(int x) { } }")
+    (h,) = registry.holes
+    assert h.is_bool
+    holes = [n for m in find_type(ast, "A").methods() if m.is_constructor
+             for n in walk_unknowns(m.body)]
+    assert len(holes) == 2 and all(n.uid is h for n in holes)
+    for value, text in ((1, "true"), (0, "false")):
+        (out,) = decode.unparse_program(
+            ast, engine.Assignment({"e_h1": value}, {})).values()
+        assert out.count(f"g = {text};") == 2
 
 
 def test_choice_alternatives_must_share_a_type():

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import add_clause
 from sketchsynth import sat
 
 
@@ -51,7 +52,7 @@ def test_verdict_matches_brute_force_on_random_instances():
         s = sat.Solver()
         s.ensure_vars(nvars)
         for cl in clauses:
-            s.add_clause(list(cl))
+            add_clause(s, list(cl))
         model = s.solve()
         expected = brute_force(nvars, clauses)
         if model is None:
@@ -68,7 +69,7 @@ def test_assumptions_match_brute_force():
         s = sat.Solver()
         s.ensure_vars(nvars)
         for cl in clauses:
-            s.add_clause(list(cl))
+            add_clause(s, list(cl))
         for _ in range(3):
             k = rng.randrange(0, nvars)
             fixed = rng.sample(
@@ -84,22 +85,22 @@ def test_assumptions_match_brute_force():
 def test_solver_reusable_across_calls_with_added_clauses():
     s = sat.Solver()
     s.ensure_vars(3)
-    s.add_clause([1, 2])
+    add_clause(s, [1, 2])
     assert s.solve() is not None
-    s.add_clause([-1])
+    add_clause(s, [-1])
     m = s.solve()
     assert m is not None and 2 in m
-    s.add_clause([-2])
+    add_clause(s, [-2])
     assert s.solve() is None
 
 
 def test_unit_and_empty_clauses():
     s = sat.Solver()
-    s.add_clause([4])
+    add_clause(s, [4])
     m = s.solve()
     assert m is not None and 4 in m
     s2 = sat.Solver()
-    s2.add_clause([])
+    add_clause(s2, [])
     assert s2.solve() is None
 
 
@@ -111,7 +112,7 @@ def test_deterministic_models():
         s = sat.Solver()
         s.ensure_vars(12)
         for cl in clauses:
-            s.add_clause(list(cl))
+            add_clause(s, list(cl))
         models.append(s.solve())
     assert models[0] == models[1]
 
@@ -124,11 +125,11 @@ def test_deadline_raises_timeout():
     s = sat.Solver(deadline=0.0)  # already expired
     try:
         for p in range(pigeons):
-            s.add_clause([var(p, h) for h in range(holes)])
+            add_clause(s, [var(p, h) for h in range(holes)])
         for h in range(holes):
             for p1 in range(pigeons):
                 for p2 in range(p1 + 1, pigeons):
-                    s.add_clause([-var(p1, h), -var(p2, h)])
+                    add_clause(s, [-var(p1, h), -var(p2, h)])
     except sat.Timeout:
         return
     with pytest.raises(sat.Timeout):
@@ -150,7 +151,7 @@ def solver_for(nvars, clauses):
     s = sat.Solver()
     s.ensure_vars(nvars)
     for cl in clauses:
-        s.add_clause(list(cl))
+        add_clause(s, list(cl))
     return s
 
 
@@ -221,7 +222,7 @@ def test_incremental_calls_match_brute_force():
                       for v in rng.sample(range(1, nvars + 1), 3)]
                      for _ in range(25 if step == 0 else rng.randrange(0, 3))]
             for cl in added:
-                s.add_clause(list(cl))
+                add_clause(s, list(cl))
             clauses += added
             fixed = [v * rng.choice([1, -1])
                      for v in rng.sample(range(1, nvars + 1), rng.randrange(0, 5))]
@@ -279,7 +280,7 @@ def test_decisions_take_the_smallest_index_among_equal_activities():
     s.ensure_vars(6)
     assert_order_is_a_heap_of_distinct_variables(s)
     for cl in ([1, 2], [4, 5], [6, -3]):
-        s.add_clause(cl)
+        add_clause(s, cl)
     # all activities are 0: x1 = 0 forces x2, x3 = 0, x4 = 0 forces x5,
     # then x6 = 0
     assert s.solve() == {2, 5}
@@ -324,7 +325,7 @@ def test_assumption_sequences_match_brute_force():
             if rng.random() < 0.3:
                 cl = [v * rng.choice([1, -1])
                       for v in rng.sample(range(1, nvars + 1), 3)]
-                s.add_clause(list(cl))
+                add_clause(s, list(cl))
                 clauses.append(cl)
             fixed = _next_assumptions(rng, fixed, nvars)
             model = s.solve(assumptions=fixed)

@@ -68,7 +68,7 @@ def test_string_char_at_bounds():
 
 def run_harnesses(*texts):
     prog = run_front_end(texts=[(f"f{i}.java", t) for i, t in enumerate(texts)])[3]
-    interp = Interp(prog, ConcreteUnknowns(prog.registry, {}), {})
+    interp = Interp(prog, ConcreteUnknowns({}), {})
     for h in prog.harnesses:
         interp.run_harness(h)
 
