@@ -45,8 +45,7 @@ class MethodInfo:
     is_harness: bool = False
     is_constructor: bool = False
     is_abstract: bool = False
-    is_builtin: bool = False
-    builtin_key: str = None
+    builtin: object = None        # stdlib.BuiltinMethod of a library method
     decl: object = None           # MethodDecl for user methods
 
     @property
@@ -54,8 +53,8 @@ class MethodInfo:
         return (self.plain_name, tuple(mangle_param(t) for _, t in self.params))
 
     @property
-    def arg_tags(self):
-        return [t for _, t in self.params]
+    def param_tags(self):
+        return tuple(t for _, t in self.params)
 
 
 @dataclass
@@ -68,8 +67,7 @@ class ClassInfo:
     interfaces: list = field(default_factory=list)
     methods: list = field(default_factory=list)   # declared MethodInfo
     fields: list = field(default_factory=list)    # [(name, TypeTag, is_static)]
-    decl: object = None
-    constructible: bool = True
+    decl: object = None           # ClassDecl, or BuiltinClassSpec
 
 
 class ClassTable:
@@ -77,6 +75,7 @@ class ClassTable:
         self.classes = []           # ClassInfo, index == cid
         self.by_name = {}
         self.static_fields = []     # [(owner, name, TypeTag)]
+        self.field_tags = {}        # (owner, name) -> TypeTag
         self.vtable = {}            # (cid, plain_sig) -> MethodInfo
         self.implemented = set()    # plain_sigs with an override in some class
 
@@ -134,27 +133,42 @@ class ClassTable:
 
     def resolve_method(self, cls_name, name, arg_tags, span=None):
         """Overload resolution over the class chain and its interfaces."""
-        seen = []
         scope = self.superclass_chain(cls_name) + self.all_interfaces(cls_name)
-        for cur in scope:
-            for m in self.info(cur).methods:
-                if m.plain_name == name and len(m.params) == len(arg_tags):
-                    seen.append(m)
-        exact = [m for m in seen if m.arg_tags == list(arg_tags)]
-        if exact:
-            return exact[0]
-        ok = [m for m in seen
-              if all(T.compatible(a, p) for a, p in zip(arg_tags, m.arg_tags))]
-        if not ok:
-            raise TypeLoweringError(
-                f"no method '{name}({', '.join(map(str, arg_tags))})' "
-                f"in class '{cls_name}'", span)
-        # distinct plain signatures that are all compatible: ambiguous
-        sigs = {m.plain_sig for m in ok}
-        if len(sigs) > 1:
-            raise TypeLoweringError(
-                f"ambiguous call to '{name}' in class '{cls_name}'", span)
-        return ok[0]
+        return pick_overload(
+            [m for cur in scope for m in self.info(cur).methods
+             if m.plain_name == name],
+            arg_tags, f"method '{name}' in class '{cls_name}'", span)
+
+
+# A bare ``??`` argument has the tag None: it is an int in the first two
+# phases and may also be a boolean in the last one.
+_PHASES = (
+    lambda arg, param: (arg or T.INT) == param,
+    lambda arg, param: T.compatible(arg or T.INT, param),
+    lambda arg, param: T.compatible(arg or T.INT, param)
+    or (arg is None and param == T.BOOL),
+)
+
+
+def pick_overload(cands, arg_tags, what, span):
+    """The overload among ``cands`` (methods, constructors or library
+    methods, each with ``param_tags``) that a call with ``arg_tags`` picks.
+
+    As in Java, it is one procedure for every call: candidates of the
+    call's arity are tried in phases, an exact match first, then one
+    whose parameters accept the arguments; the first phase with a match
+    decides, and matches of distinct signatures there are ambiguous.
+    """
+    cands = [m for m in cands if len(m.param_tags) == len(arg_tags)]
+    for fits in _PHASES:
+        ok = [m for m in cands
+              if all(map(fits, arg_tags, m.param_tags))]
+        if ok:
+            if len({m.param_tags for m in ok}) > 1:
+                raise TypeLoweringError(f"ambiguous call to {what}", span)
+            return ok[0]
+    shown = ", ".join(str(a or T.INT) for a in arg_tags)
+    raise TypeLoweringError(f"no {what} takes ({shown})", span)
 
 
 # --------------------------------------------------------------------------
@@ -183,14 +197,12 @@ def build_class_table(ast):
         for i in spec.implements_if_declared:
             if i in table.by_name and table.by_name[i].is_interface:
                 interfaces.append(i)
-        sup = spec.superclass
-        if sup is None and not spec.is_interface and stdlib.ROOT_CLASS in table.by_name:
-            sup = stdlib.ROOT_CLASS
+        sup = (stdlib.ROOT_CLASS if not spec.is_interface
+               and stdlib.ROOT_CLASS in table.by_name else None)
         ci = ClassInfo(
             cid=len(table.classes), name=spec.name,
             is_interface=spec.is_interface, is_builtin=True,
-            superclass=sup, interfaces=interfaces,
-            constructible=spec.constructible, decl=spec,
+            superclass=sup, interfaces=interfaces, decl=spec,
         )
         table.classes.append(ci)
         table.by_name[ci.name] = ci
@@ -251,14 +263,13 @@ def _build_members(table):
     taken = set()
     for ci in table.classes:
         if ci.is_builtin:
-            for spec in ci.decl.methods:
-                params = [(f"a{i}", t) for i, t in enumerate(spec.params)]
+            for bm in ci.decl.methods:
+                params = [(f"a{i}", t) for i, t in enumerate(bm.param_tags)]
                 mi = MethodInfo(
-                    plain_name=spec.name,
-                    mangled=mangle_method(spec.name, ci.name, spec.params),
-                    params=params, ret=spec.ret,
-                    is_abstract=ci.is_interface, is_builtin=True,
-                    builtin_key=spec.key,
+                    plain_name=bm.name,
+                    mangled=mangle_method(bm.name, ci.name, bm.param_tags),
+                    params=params, ret=bm.ret,
+                    is_abstract=ci.is_interface, builtin=bm,
                 )
                 ci.methods.append(_new_method(taken, mi))
             continue
@@ -266,6 +277,7 @@ def _build_members(table):
         for f in decl.fields():
             tag = table.tag_from_typeref(f.type)
             ci.fields.append((f.name, tag, f.is_static))
+            table.field_tags[(ci.name, f.name)] = tag
             if f.is_static:
                 table.static_fields.append((ci.name, f.name, tag))
         sigs = set()

@@ -26,8 +26,8 @@ class LexError(SketchError):
 
 
 class ParseError(SketchError):
-    def __init__(self, span, expected, found):
-        super().__init__(f"expected {expected}, found {found}", span)
+    def __init__(self, span, expected, found, message=None):
+        super().__init__(message or f"expected {expected}, found {found}", span)
         self.expected = expected
         self.found = found
 

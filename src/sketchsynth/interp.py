@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from . import bitvec as B
 from . import ir as I
-from . import stdlib
 from . import typetags as T
 from .errors import EncodingError, InternalError
 from .stdlib import BuiltinTrap
@@ -39,15 +38,6 @@ class HarnessFailure(Exception):
 
 class StepLimitExceeded(Exception):
     pass
-
-
-# builtin calls that mutate their receiver (or consume an iterator); these
-# may only run when the path condition is concretely true
-_IMPURE_BUILTINS = {
-    "Iterator.next", "List.add",
-    "StringBuilder.appendStr", "StringBuilder.appendInt",
-    "StringBuilder.appendChar",
-}
 
 
 class ObjRecord:
@@ -207,10 +197,6 @@ class Interp:
         self.constraints = []
         self.statics = {}
         self.rep_iter = {}                   # repeat name -> current iteration
-        self._field_tag = {}
-        for ci in self.table.classes:
-            for name, tag, _ in ci.fields:
-                self._field_tag[(ci.name, name)] = tag
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -280,7 +266,7 @@ class Interp:
         elif isinstance(instr, I.AssignField):
             objv = self.eval(instr.obj, frame, active)
             v = self.eval(instr.expr, frame, active)
-            tag = self._field_tag[(instr.owner, instr.name)]
+            tag = self.table.field_tags[(instr.owner, instr.name)]
             self._null_check(objv, active, instr)
             for cg, ref in _as_cases(objv):
                 if ref is None:
@@ -296,7 +282,7 @@ class Interp:
             key = (instr.cls, instr.name)
             old = self.statics.get(key)
             if old is None and key not in self.statics:
-                old = default_value(self._field_tag[key])
+                old = default_value(self.table.field_tags[key])
             self.statics[key] = mux_value(active, v, old)
         elif isinstance(instr, I.IfInstr):
             c = self.eval(instr.cond, frame, active)
@@ -362,7 +348,7 @@ class Interp:
                 raise InternalError(f"read of unset local '{e.name}'") from None
         if isinstance(e, I.FieldRead):
             objv = self.eval(e.obj, frame, active)
-            tag = self._field_tag[(e.owner, e.name)]
+            tag = self.table.field_tags[(e.owner, e.name)]
             self._null_check(objv, active, e)
             return self._read_cases(
                 objv, default_value(tag),
@@ -513,14 +499,10 @@ class Interp:
                 self.constrain(B.not_(g), f"no implementation of '{e.sig[0]}'",
                                e.span)
                 continue
-            if not impl.is_builtin:
+            if impl.builtin is None:
                 v = self.call_function(impl.mangled, [ref] + args, g)
-            elif impl.builtin_key in _IMPURE_BUILTINS and not B.is_true(g):
-                raise EncodingError(
-                    f"library call '{impl.builtin_key}' with side effects under "
-                    "a symbolic condition is not supported", e.span)
             else:
-                v = self._catalog_call(impl.builtin_key, ref, args, g, e.span)
+                v = self._run_builtin(impl.builtin, ref, args, g, e.span)
             acc = v if acc is None else mux_value(cg, v, acc)
         return default_value(e.ret_tag) if acc is None else acc
 
@@ -532,10 +514,17 @@ class Interp:
         args = [self.eval(a, frame, active) for a in e.args]
         if e.receiver is not None and recv is None:
             self.constrain(B.not_(active), "null dereference", e.span)
-            return _trap_default(e.key)
-        return self._catalog_call(e.key, recv, args, active, e.span)
+            return default_value(e.method.ret)
+        return self._run_builtin(e.method, recv, args, active, e.span)
 
-    def _catalog_call(self, key, recv, args, guard, span):
+    def _run_builtin(self, method, recv, args, guard, span):
+        """Run a library method natively on concrete arguments; a trap
+        rejects the candidate unless ``guard`` is false."""
+        if method.mutates and not B.is_true(guard):
+            # its effect could not be undone on the paths that skip it
+            raise EncodingError(
+                f"library call {method!r} with side effects under "
+                "a symbolic condition is not supported", span)
         conc = []
         for a in args:
             if isinstance(a, B.Term) and not a.is_bool:
@@ -543,38 +532,26 @@ class Interp:
                     conc.append(B.to_signed(B.const_value(a)))
                 else:
                     raise EncodingError(
-                        f"library call '{key}' needs concrete arguments",
+                        f"library call {method!r} needs concrete arguments",
                         span)
             elif isinstance(a, B.Term):
                 if a.op != "bconst":
                     raise EncodingError(
-                        f"library call '{key}' needs concrete arguments",
+                        f"library call {method!r} needs concrete arguments",
                         span)
                 conc.append(a.payload)
             else:
                 conc.append(a)
         try:
-            out = stdlib.builtin_eval(key, self, recv, conc)
+            out = method.run(self, recv, conc)
         except BuiltinTrap as t:
             self.constrain(B.not_(guard), f"library trap: {t.reason}", span)
-            return _trap_default(key)
+            return default_value(method.ret)
         if isinstance(out, bool):
             return B.bconst(out)
         if isinstance(out, int):
             return B.const(out)
         return out
-
-
-def _trap_default(key):
-    """Placeholder result on a trapped (guard-forced-false) builtin call."""
-    if key in ("Iterator.hasNext",):
-        return B.FALSE
-    if key in ("List.size", "CharToken.getId", "String.length",
-               "String.charAt", "StringBuilder.length"):
-        return B.const(0)
-    if key in ("StringBuilder.toString",):
-        return ""
-    return None
 
 
 def _zero_like(v):

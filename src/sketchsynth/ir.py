@@ -69,7 +69,7 @@ class Call(IrExpr):
 
 @dataclass
 class CallBuiltin(IrExpr):
-    key: str
+    method: object       # stdlib.BuiltinMethod
     receiver: Optional[IrExpr]
     args: list
     span: object = None

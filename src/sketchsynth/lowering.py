@@ -13,6 +13,7 @@ from . import ast_nodes as A
 from . import ir as I
 from . import stdlib
 from . import typetags as T
+from .classtable import pick_overload
 from .errors import HarnessShapeError, TypeLoweringError
 
 ARITH_OPS = {"+", "-", "*", "/", "%"}
@@ -71,7 +72,7 @@ class _Lowerer:
                 if f.is_static and f.init is not None:
                     env = _Env(self, ci, None, static=True)
                     owner, ftag, _ = self.table.resolve_field(ci.name, f.name)
-                    expr, _ = env.lower_expr(f.init, expected=ftag)
+                    expr = env.lower_value(f.init, ftag)
                     body.append(I.AssignStatic(owner, f.name, expr))
         fn = I.IrFunction(self.prog.static_init, [], body, ret_tag=T.VOID)
         self.prog.functions[fn.name] = fn
@@ -171,8 +172,7 @@ class _Env:
             self.locals[s.name] = tag
             if s.init is None:
                 return [I.AssignLocal(s.name, I.Const(_default(tag), tag))]
-            expr, _ = self.lower_expr(s.init, expected=tag)
-            return [I.AssignLocal(s.name, expr)]
+            return [I.AssignLocal(s.name, self.lower_value(s.init, tag))]
         if isinstance(s, A.IfStmt):
             cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
             _require(ctag == T.BOOL, "if condition must be boolean", s.span)
@@ -186,9 +186,7 @@ class _Env:
         if isinstance(s, A.ReturnStmt):
             if s.value is None:
                 return [I.ReturnInstr(None)]
-            expr, _ = self.lower_expr(s.value,
-                                      expected=self.mi.ret if self.mi else None)
-            return [I.ReturnInstr(expr)]
+            return [I.ReturnInstr(self.lower_value(s.value, self.mi.ret))]
         if isinstance(s, A.AssertStmt):
             cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
             _require(ctag == T.BOOL, "assert condition must be boolean", s.span)
@@ -209,7 +207,7 @@ class _Env:
         return [I.EvalInstr(expr)]
 
     def lower_assign(self, e):
-        value_of = lambda tag: self.lower_expr(e.value, expected=tag)[0]
+        value_of = lambda tag: self.lower_value(e.value, tag)
         t = e.target
         if isinstance(t, A.Name):
             if t.ident in self.locals:
@@ -251,6 +249,15 @@ class _Env:
         return I.EvalInstr(I.Const(0, T.INT))
 
     # -- expressions -------------------------------------------------------
+
+    def lower_value(self, e, slot):
+        """``e`` lowered to be stored in (or returned as) a ``slot``-typed
+        value: it must be assignable there, as an argument to a parameter
+        of that type is, and ``null`` also fits a String."""
+        expr, tag = self.lower_expr(e, expected=slot)
+        _require(T.compatible(tag, slot) or (tag == T.NULL and slot == T.STR),
+                 f"{tag} cannot be converted to {slot}", e.span)
+        return expr
 
     def lower_expr(self, e, expected=None):
         if isinstance(e, A.IntLit):
@@ -347,70 +354,74 @@ class _Env:
         return I.FieldRead(recv, owner, e.name), tag
 
     def lower_call(self, e):
-        lowered_args = [self.lower_expr(a) for a in e.args]
-        args = [x for x, _ in lowered_args]
-        arg_tags = [t for _, t in lowered_args]
-
+        lowered, tags = self.lower_args(e.args)
+        recv = None
+        cls = self._class_ref(e.target)
         if e.target is None:
             _require(e.name != "minimize",
                      "minimize(...) may appear only as a harness statement", e.span)
-            if e.name in stdlib.FREE_FUNCTIONS:
-                spec = stdlib.FREE_FUNCTIONS[e.name]
-                _require(len(args) == len(spec.params),
-                         f"'{e.name}' expects {len(spec.params)} argument(s)", e.span)
-                return I.CallBuiltin(spec.key, None, args, span=e.span), spec.ret
-            mi = self.table.resolve_method(self.ci.name, e.name, arg_tags, e.span)
-            if mi.is_static:
-                return I.Call(mi.mangled, args, span=e.span), mi.ret
-            _require(not self.static,
-                     f"instance method '{e.name}' called from static context", e.span)
-            return self.virtual_call(mi, I.LocalRead("self"), args, e.span), mi.ret
-
-        cls = self._class_ref(e.target)
-        if cls is not None:
-            mi = self.table.resolve_method(cls, e.name, arg_tags, e.span)
-            _require(mi.is_static, f"'{cls}.{e.name}' is not static", e.span)
-            return I.Call(mi.mangled, args, span=e.span), mi.ret
-
-        recv, rtag = self.lower_expr(e.target)
-        if rtag == T.STR:
-            spec = stdlib.STRING_METHODS.get(e.name)
-            _require(spec is not None, f"unknown String method '{e.name}'", e.span)
-            return I.CallBuiltin(spec.key, recv, args, span=e.span), spec.ret
-        _require(rtag.kind == "obj", "method call on non-object", e.span)
-        mi = self.table.resolve_method(rtag.cls, e.name, arg_tags, e.span)
-        if mi.is_static:
-            return I.Call(mi.mangled, args, span=e.span), mi.ret
-        return self.virtual_call(mi, recv, args, e.span), mi.ret
-
-    def virtual_call(self, mi, recv, args, span):
-        """Instance call; the interpreter picks the override per receiver."""
-        if mi.plain_sig not in self.table.implemented:
-            raise TypeLoweringError(f"no implementation of '{mi.plain_name}'", span)
-        return I.VirtualCall(mi.plain_sig, recv, args, mi.ret, span=span)
+            free = [m for m in stdlib.FREE_FUNCTIONS if m.name == e.name]
+            if free:
+                m = pick_overload(free, tags, f"function '{e.name}'", e.span)
+            else:
+                m = self.table.resolve_method(self.ci.name, e.name, tags, e.span)
+                if not m.is_static:
+                    _require(not self.static, f"instance method '{e.name}' "
+                             "called from static context", e.span)
+                    recv = I.LocalRead("self")
+        elif cls is not None:
+            m = self.table.resolve_method(cls, e.name, tags, e.span)
+            _require(m.is_static, f"'{cls}.{e.name}' is not static", e.span)
+        else:
+            recv, rtag = self.lower_expr(e.target)
+            if rtag == T.STR:
+                m = pick_overload(
+                    [m for m in stdlib.STRING_METHODS if m.name == e.name],
+                    tags, f"String method '{e.name}'", e.span)
+            else:
+                _require(rtag.kind == "obj", "method call on non-object", e.span)
+                m = self.table.resolve_method(rtag.cls, e.name, tags, e.span)
+        args = self.bind_args(e.args, lowered, m)
+        if isinstance(m, stdlib.BuiltinMethod):
+            return I.CallBuiltin(m, recv, args, span=e.span), m.ret
+        if m.is_static:
+            return I.Call(m.mangled, args, span=e.span), m.ret
+        if m.plain_sig not in self.table.implemented:
+            raise TypeLoweringError(f"no implementation of '{m.plain_name}'",
+                                    e.span)
+        # an instance call; the interpreter picks the override per receiver
+        return I.VirtualCall(m.plain_sig, recv, args, m.ret, span=e.span), m.ret
 
     def lower_new(self, e):
         name = e.type.name
         ci = self.table.info(name)
         if ci.is_builtin:
-            key = stdlib.BUILTIN_CTORS.get(name)
-            _require(key is not None and ci.constructible,
+            _require(ci.decl.ctor is not None,
                      f"builtin '{name}' cannot be instantiated", e.span)
-            _require(not e.args, f"'{name}' constructor takes no arguments", e.span)
-            return I.CallBuiltin(key, None, [], span=e.span), T.obj(name)
-        _require(not ci.is_interface, f"cannot instantiate interface '{name}'", e.span)
-        lowered = [self.lower_expr(a) for a in e.args]
-        arg_tags = [t for _, t in lowered]
-        ctors = [m for m in ci.methods if m.is_constructor
-                 and len(m.params) == len(arg_tags)]
-        exact = [m for m in ctors if m.arg_tags == arg_tags]
-        ok = exact or [m for m in ctors
-                       if all(T.compatible(a, p)
-                              for a, p in zip(arg_tags, m.arg_tags))]
-        _require(bool(ok), f"no matching constructor for '{name}'", e.span)
-        mi = ok[0]
-        return I.Call("new_" + mi.mangled, [x for x, _ in lowered],
-                      span=e.span), T.obj(name)
+            ctors = [ci.decl.ctor]
+        else:
+            _require(not ci.is_interface,
+                     f"cannot instantiate interface '{name}'", e.span)
+            ctors = [m for m in ci.methods if m.is_constructor]
+        lowered, tags = self.lower_args(e.args)
+        m = pick_overload(ctors, tags, f"constructor of '{name}'", e.span)
+        args = self.bind_args(e.args, lowered, m)
+        if ci.is_builtin:
+            return I.CallBuiltin(m, None, args, span=e.span), T.obj(name)
+        return I.Call("new_" + m.mangled, args, span=e.span), T.obj(name)
+
+    def lower_args(self, args):
+        """The arguments lowered before overload resolution, as (expr, tag)
+        pairs, and their tags; a bare ``??`` is None in both, as its type
+        is that of the parameter it binds."""
+        lowered = [None if isinstance(a, A.Hole) else self.lower_expr(a)
+                   for a in args]
+        return lowered, [x and x[1] for x in lowered]
+
+    def bind_args(self, args, lowered, method):
+        """The argument expressions of a call resolved to ``method``."""
+        return [x[0] if x else self.lower_expr(a, expected=p)[0]
+                for a, x, p in zip(args, lowered, method.param_tags)]
 
     def lower_binop(self, e):
         left, ltag = self.lower_expr(

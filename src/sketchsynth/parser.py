@@ -32,6 +32,10 @@ INT_LITERAL_MAX = 2**31 - 1
 # the later tree passes recurse on this depth
 MAX_NESTING = 160
 
+# Java statements outside the subset; their keywords scan as identifiers
+UNSUPPORTED_STATEMENTS = {
+    "break", "continue", "for", "do", "switch", "try", "throw"}
+
 
 class _Parser:
     def __init__(self, tokens, file_id="<input>"):
@@ -269,6 +273,9 @@ class _Parser:
             self.next()
             body = self.parse_block()
             return A.MinRepeat(body=body, span=tok.span)
+        if tok.kind == "IDENT" and tok.text in UNSUPPORTED_STATEMENTS:
+            raise ParseError(tok.span, "a statement", repr(tok.text),
+                             f"unsupported statement '{tok.text}'")
         if self.looks_like_local_decl():
             vtype = self.parse_type_ref()
             name = self.expect("IDENT")

@@ -1,10 +1,14 @@
-"""Built-in models of the small library surface the subject language needs.
+"""Native models of the small library surface the subject language needs.
 
-The catalog covers Iterator, List/LinkedList, String, StringBuilder and the
-string-to-token bridge ``convertToIterator``; entries are evaluated natively
-by the interpreter and never consume unknowns.  Out-of-bounds access and
-iterator overrun raise :class:`BuiltinTrap`, which the interpreter turns into
-candidate rejection.
+Each library method is one :class:`BuiltinMethod` record: its name,
+parameter and return tags, whether it mutates its receiver, and the Python
+function that runs it.  The class table, the IR and the interpreter hold
+that record itself, so no layer looks a method up by name or key.  The
+library is Iterator, List/LinkedList, StringBuilder, the methods of String
+values and the string-to-token bridge ``convertToIterator``; its calls are
+run natively by the interpreter and consume no unknowns.  Out-of-bounds
+access and iterator overrun raise :class:`BuiltinTrap`, which the
+interpreter turns into candidate rejection.
 """
 
 from __future__ import annotations
@@ -24,93 +28,28 @@ class BuiltinTrap(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class BuiltinMethodSpec:
+@dataclass(frozen=True, eq=False)
+class BuiltinMethod:
+    owner: str           # declaring class, or None for a free function
     name: str
-    params: tuple        # TypeTags
+    param_tags: tuple    # TypeTags
     ret: object          # TypeTag
-    key: str             # catalog key
+    run: object          # (ctx, receiver, args) -> value; ctx allocates
+    mutates: bool = False  # changes its receiver or consumes an iterator
+
+    def __repr__(self):
+        return repr(f"{self.owner}.{self.name}" if self.owner else self.name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuiltinClassSpec:
     name: str
-    is_interface: bool = False
-    superclass: str = None
-    interfaces: tuple = ()
     methods: tuple = ()
+    is_interface: bool = False
+    interfaces: tuple = ()
     # interfaces attached only when the user program declares them
     implements_if_declared: tuple = ()
-    constructible: bool = True
-
-
-def _m(name, params, ret, key):
-    return BuiltinMethodSpec(name, tuple(params), ret, key)
-
-
-BUILTIN_CLASSES = (
-    BuiltinClassSpec(
-        "Iterator", is_interface=True,
-        methods=(
-            _m("hasNext", [], T.BOOL, "Iterator.hasNext"),
-            _m("next", [], T.obj(ROOT_CLASS), "Iterator.next"),
-        )),
-    BuiltinClassSpec(
-        "List", is_interface=True,
-        methods=(
-            _m("add", [T.obj(ROOT_CLASS)], T.BOOL, "List.add"),
-            _m("get", [T.INT], T.obj(ROOT_CLASS), "List.get"),
-            _m("size", [], T.INT, "List.size"),
-            _m("iterator", [], T.obj("Iterator"), "List.iterator"),
-        )),
-    BuiltinClassSpec(
-        "LinkedList", interfaces=("List",),
-        methods=(
-            _m("add", [T.obj(ROOT_CLASS)], T.BOOL, "List.add"),
-            _m("get", [T.INT], T.obj(ROOT_CLASS), "List.get"),
-            _m("size", [], T.INT, "List.size"),
-            _m("iterator", [], T.obj("Iterator"), "List.iterator"),
-        )),
-    BuiltinClassSpec(
-        "StringBuilder",
-        methods=(
-            _m("append", [T.STR], T.obj("StringBuilder"), "StringBuilder.appendStr"),
-            _m("append", [T.INT], T.obj("StringBuilder"), "StringBuilder.appendInt"),
-            _m("append", [T.CHAR], T.obj("StringBuilder"), "StringBuilder.appendChar"),
-            _m("toString", [], T.STR, "StringBuilder.toString"),
-            _m("length", [], T.INT, "StringBuilder.length"),
-        )),
-    BuiltinClassSpec(
-        "CharTokenIterator", interfaces=("Iterator",), constructible=False,
-        methods=(
-            _m("hasNext", [], T.BOOL, "Iterator.hasNext"),
-            _m("next", [], T.obj(ROOT_CLASS), "Iterator.next"),
-        )),
-    BuiltinClassSpec(
-        "CharToken", constructible=False,
-        implements_if_declared=("Token",),
-        methods=(
-            _m("getId", [], T.INT, "CharToken.getId"),
-        )),
-)
-
-# constructors, keyed by class name
-BUILTIN_CTORS = {
-    "LinkedList": "LinkedList.new",
-    "StringBuilder": "StringBuilder.new",
-}
-
-# methods on String values (String is a value type, not an object record)
-STRING_METHODS = {
-    "length": _m("length", [], T.INT, "String.length"),
-    "charAt": _m("charAt", [T.INT], T.CHAR, "String.charAt"),
-}
-
-# free functions
-FREE_FUNCTIONS = {
-    "convertToIterator": _m("convertToIterator", [T.STR], T.obj("Iterator"),
-                            "convertToIterator"),
-}
+    ctor: BuiltinMethod = None     # None: the class cannot be instantiated
 
 
 # --------------------------------------------------------------------------
@@ -129,11 +68,6 @@ def char_tokens(ctx, s):
     return ctx.alloc_builtin("CharTokenIterator", {"items": items, "pos": 0})
 
 
-def _iter_has_next(ctx, recv, args):
-    p = recv.payload
-    return p["pos"] < len(p["items"])
-
-
 def _iter_next(ctx, recv, args):
     p = recv.payload
     if p["pos"] >= len(p["items"]):
@@ -149,30 +83,8 @@ def _require_int(v, what):
     return v
 
 
-CATALOG = {
-    "Iterator.hasNext": _iter_has_next,
-    "Iterator.next": _iter_next,
-    "List.add": lambda ctx, r, a: (r.payload["items"].append(a[0]), True)[1],
-    "List.size": lambda ctx, r, a: len(r.payload["items"]),
-    "List.get": lambda ctx, r, a: _list_get(r, a[0]),
-    "List.iterator": lambda ctx, r, a: ctx.alloc_builtin(
-        "CharTokenIterator", {"items": list(r.payload["items"]), "pos": 0}),
-    "LinkedList.new": lambda ctx, r, a: ctx.alloc_builtin("LinkedList", {"items": []}),
-    "StringBuilder.new": lambda ctx, r, a: ctx.alloc_builtin("StringBuilder", {"parts": []}),
-    "StringBuilder.appendStr": lambda ctx, r, a: _sb_append(r, a[0]),
-    "StringBuilder.appendInt": lambda ctx, r, a: _sb_append(r, str(_require_int(a[0], "append argument"))),
-    "StringBuilder.appendChar": lambda ctx, r, a: _sb_append(r, chr(_require_int(a[0], "append argument") & 0x10FFFF)),
-    "StringBuilder.toString": lambda ctx, r, a: "".join(r.payload["parts"]),
-    "StringBuilder.length": lambda ctx, r, a: len("".join(r.payload["parts"])),
-    "String.length": lambda ctx, r, a: len(r),
-    "String.charAt": lambda ctx, r, a: _char_at(r, a[0]),
-    "CharToken.getId": lambda ctx, r, a: r.payload,
-    "convertToIterator": lambda ctx, r, a: char_tokens(ctx, a[0]),
-}
-
-
-def _list_get(recv, index):
-    index = _require_int(index, "list index")
+def _list_get(ctx, recv, args):
+    index = _require_int(args[0], "list index")
     items = recv.payload["items"]
     if not 0 <= index < len(items):
         raise BuiltinTrap("list index out of bounds")
@@ -186,13 +98,80 @@ def _sb_append(recv, text):
     return recv
 
 
-def _char_at(s, index):
-    index = _require_int(index, "charAt index")
+def _char_at(ctx, s, args):
+    index = _require_int(args[0], "charAt index")
     if not 0 <= index < len(s):
         raise BuiltinTrap("charAt index out of bounds")
     return ord(s[index])
 
 
-def builtin_eval(key, ctx, receiver, args):
-    """Evaluate one catalog entry; raises KeyError for unknown keys."""
-    return CATALOG[key](ctx, receiver, args)
+_OBJECT = T.obj(ROOT_CLASS)
+_SB = T.obj("StringBuilder")
+
+ITERATOR_METHODS = (
+    BuiltinMethod("Iterator", "hasNext", (), T.BOOL,
+                  lambda ctx, r, a: r.payload["pos"] < len(r.payload["items"])),
+    BuiltinMethod("Iterator", "next", (), _OBJECT, _iter_next, mutates=True),
+)
+
+LIST_METHODS = (
+    BuiltinMethod("List", "add", (_OBJECT,), T.BOOL,
+                  lambda ctx, r, a: (r.payload["items"].append(a[0]), True)[1],
+                  mutates=True),
+    BuiltinMethod("List", "get", (T.INT,), _OBJECT, _list_get),
+    BuiltinMethod("List", "size", (), T.INT,
+                  lambda ctx, r, a: len(r.payload["items"])),
+    BuiltinMethod("List", "iterator", (), T.obj("Iterator"),
+                  lambda ctx, r, a: ctx.alloc_builtin(
+                      "CharTokenIterator",
+                      {"items": list(r.payload["items"]), "pos": 0})),
+)
+
+BUILTIN_CLASSES = (
+    BuiltinClassSpec("Iterator", ITERATOR_METHODS, is_interface=True),
+    BuiltinClassSpec("List", LIST_METHODS, is_interface=True),
+    BuiltinClassSpec(
+        "LinkedList", LIST_METHODS, interfaces=("List",),
+        ctor=BuiltinMethod("LinkedList", "new", (), T.obj("LinkedList"),
+                           lambda ctx, r, a: ctx.alloc_builtin(
+                               "LinkedList", {"items": []}))),
+    BuiltinClassSpec(
+        "StringBuilder", (
+            BuiltinMethod("StringBuilder", "append", (T.STR,), _SB,
+                          lambda ctx, r, a: _sb_append(r, a[0]), mutates=True),
+            BuiltinMethod("StringBuilder", "append", (T.INT,), _SB,
+                          lambda ctx, r, a: _sb_append(
+                              r, str(_require_int(a[0], "append argument"))),
+                          mutates=True),
+            BuiltinMethod("StringBuilder", "append", (T.CHAR,), _SB,
+                          lambda ctx, r, a: _sb_append(r, chr(
+                              _require_int(a[0], "append argument") & 0x10FFFF)),
+                          mutates=True),
+            BuiltinMethod("StringBuilder", "toString", (), T.STR,
+                          lambda ctx, r, a: "".join(r.payload["parts"])),
+            BuiltinMethod("StringBuilder", "length", (), T.INT,
+                          lambda ctx, r, a: len("".join(r.payload["parts"]))),
+        ),
+        ctor=BuiltinMethod("StringBuilder", "new", (), _SB,
+                           lambda ctx, r, a: ctx.alloc_builtin(
+                               "StringBuilder", {"parts": []}))),
+    BuiltinClassSpec("CharTokenIterator", ITERATOR_METHODS,
+                     interfaces=("Iterator",)),
+    BuiltinClassSpec(
+        "CharToken", (
+            BuiltinMethod("CharToken", "getId", (), T.INT,
+                          lambda ctx, r, a: r.payload),
+        ),
+        implements_if_declared=("Token",)),
+)
+
+# methods on String values (String is a value type, not an object record)
+STRING_METHODS = (
+    BuiltinMethod("String", "length", (), T.INT, lambda ctx, r, a: len(r)),
+    BuiltinMethod("String", "charAt", (T.INT,), T.CHAR, _char_at),
+)
+
+FREE_FUNCTIONS = (
+    BuiltinMethod(None, "convertToIterator", (T.STR,), T.obj("Iterator"),
+                  lambda ctx, r, a: char_tokens(ctx, a[0])),
+)

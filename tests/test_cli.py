@@ -290,6 +290,64 @@ def test_hole_is_boolean_in_a_condition(tmp_path, stmt, value):
         f"hole e_h1 = {value}"
 
 
+def _harness(stmts, members=""):
+    return f"class A {{ {members}harness static void t() {{ {stmts} }} }}"
+
+
+@pytest.mark.parametrize("text, code, solution", [
+    (_harness('String s = "ab"; s.charAt();'), cli.EXIT_INPUT, None),
+    (_harness('String s = "ab"; s.length(3);'), cli.EXIT_INPUT, None),
+    (_harness('String s = "ab"; s.charAt(true);'), cli.EXIT_INPUT, None),
+    (_harness("Iterator it = convertToIterator(5);"), cli.EXIT_INPUT, None),
+    # a bare ?? fits a boolean parameter when no int or char one does
+    (_harness("assert f(??);", "static boolean f(boolean b) { return b; } "),
+     cli.EXIT_SOLVED, "hole e_h1 = 1"),
+    ("class C { boolean v; C(boolean v0) { v = v0; } } "
+     + _harness("C c = new C(??); assert c.v;"), cli.EXIT_SOLVED,
+     "hole e_h1 = 1"),
+    # ... and counts as an int while one does
+    (_harness("assert f(??) == 3;", "static int f(int b) { return 3; } "
+              "static int f(boolean b) { return 4; } "),
+     cli.EXIT_SOLVED, "hole e_h1 = 0"),
+    ("class P { } class Q { } class K { K(P p) { } K(Q q) { } } "
+     + _harness("K k = new K(null);"), cli.EXIT_INPUT, None),
+    (_harness("String s = null; assert ?? == 1;"), cli.EXIT_SOLVED,
+     "hole e_h1 = 1"),
+], ids=["charAt-no-argument", "length-one-argument", "charAt-boolean",
+        "convertToIterator-int", "boolean-method-parameter",
+        "boolean-constructor-parameter", "int-overload-first",
+        "ambiguous-constructor", "null-string"])
+def test_calls_resolve_by_one_overload_rule(tmp_path, text, code, solution):
+    src = tmp_path / "A.java"
+    src.write_text(text)
+    got, out = run(tmp_path, str(src))
+    assert got == code
+    if solution is not None:
+        assert (out / "solution.txt").read_text().splitlines()[0] == solution
+
+
+@pytest.mark.parametrize("text, value", [
+    (_harness("boolean b = 3; assert b;"), "3"),
+    (_harness("int x = 0; x = true; assert x == 1;"), "true"),
+    (_harness("String s = 5; assert s.length() == 1;"), "5"),
+    (_harness('int x = "abc"; assert x == 1;'), '"abc"'),
+    (_harness("A a = new A(); a.m(); assert a.f == 1;",
+              'int f; void m() { f = "s"; } '), '"s"'),
+    (_harness("n = true; assert n == 1;", "static int n; "), "true"),
+    (_harness("assert n;", "static boolean n = 7; "), "7"),
+    (_harness("assert g() == 0;", "static int g() { return false; } "),
+     "false"),
+], ids=["local-initializer", "local", "string-local", "int-local-string",
+        "field", "static", "static-initializer", "return"])
+def test_value_that_does_not_fit_its_slot_gives_exit_2(tmp_path, capsys,
+                                                       text, value):
+    src = tmp_path / "A.java"
+    src.write_text(text)
+    code, _ = run(tmp_path, str(src))
+    assert code == cli.EXIT_INPUT
+    assert f"A.java:1:{text.index(value) + 1}: " in capsys.readouterr().err
+
+
 def test_engine_flags_are_honored(tmp_path):
     # forcing a tiny unroll-max turns the depth-4 monitor into UNSAT
     code, _ = run(tmp_path, *program_files(

@@ -214,3 +214,14 @@ def test_unparse_parse_unparse_is_identity_on_fixtures():
     once = decode.unparse_program(ast)
     again = decode.unparse_program(parse_program_texts(list(once.items())))
     assert once == again
+
+
+@pytest.mark.parametrize("stmt", [
+    "break;", "continue;", "for (;;) { }", "do { } while (true);",
+    "switch (x) { }", "try { } finally { }", "throw null;"])
+def test_statement_outside_the_subset_is_named(stmt):
+    with pytest.raises(ParseError) as info:
+        parse_one(f"class A {{ void f(int x) {{ while (x < 5) {{ {stmt} }} }} }}")
+    keyword = stmt.split()[0].rstrip(";")
+    assert str(info.value).endswith(f"unsupported statement '{keyword}'")
+    assert info.value.span.col == 43

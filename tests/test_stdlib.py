@@ -1,14 +1,32 @@
-"""Builtin catalog tests: direct evaluation and end-to-end library use."""
+"""Library tests: each record run directly, each one called wrongly, and
+end-to-end library use."""
 
 import pytest
 
 from conftest import run_front_end
-from sketchsynth import stdlib
+from sketchsynth import cli, stdlib
+from sketchsynth import typetags as T
 from sketchsynth.interp import ConcreteUnknowns, HarnessFailure, Interp
+
+# (class whose value receives the call, record); the class is None for a
+# free function and the record's own class for a constructor
+RECORDS = (
+    [(spec.name, m) for spec in stdlib.BUILTIN_CLASSES for m in spec.methods]
+    + [(spec.name, spec.ctor) for spec in stdlib.BUILTIN_CLASSES if spec.ctor]
+    + [("String", m) for m in stdlib.STRING_METHODS]
+    + [(None, m) for m in stdlib.FREE_FUNCTIONS])
+
+
+def lib(key, *param_tags):
+    """The one record shown as ``key`` (that takes ``param_tags``, if
+    given)."""
+    (m,) = {m for _, m in RECORDS if repr(m) == repr(key)
+            and param_tags in ((), m.param_tags)}
+    return m
 
 
 class FakeCtx:
-    """Minimal allocation context for driving the catalog directly."""
+    """Minimal allocation context for driving the records directly."""
 
     class Rec:
         def __init__(self, cls, payload):
@@ -23,9 +41,9 @@ def test_char_tokens_yield_code_points_in_order():
     ctx = FakeCtx()
     it = stdlib.char_tokens(ctx, "car")
     ids = []
-    while stdlib.builtin_eval("Iterator.hasNext", ctx, it, []):
-        tok = stdlib.builtin_eval("Iterator.next", ctx, it, [])
-        ids.append(stdlib.builtin_eval("CharToken.getId", ctx, tok, []))
+    while lib("Iterator.hasNext").run(ctx, it, []):
+        tok = lib("Iterator.next").run(ctx, it, [])
+        ids.append(lib("CharToken.getId").run(ctx, tok, []))
     assert ids == [ord("c"), ord("a"), ord("r")]
 
 
@@ -33,37 +51,37 @@ def test_iterator_overrun_traps():
     ctx = FakeCtx()
     it = stdlib.char_tokens(ctx, "")
     with pytest.raises(stdlib.BuiltinTrap):
-        stdlib.builtin_eval("Iterator.next", ctx, it, [])
+        lib("Iterator.next").run(ctx, it, [])
 
 
 def test_list_add_get_size_and_bounds():
     ctx = FakeCtx()
-    lst = stdlib.builtin_eval("LinkedList.new", ctx, None, [])
-    stdlib.builtin_eval("List.add", ctx, lst, ["a"])
-    stdlib.builtin_eval("List.add", ctx, lst, ["b"])
-    assert stdlib.builtin_eval("List.size", ctx, lst, []) == 2
-    assert stdlib.builtin_eval("List.get", ctx, lst, [1]) == "b"
+    lst = lib("LinkedList.new").run(ctx, None, [])
+    lib("List.add").run(ctx, lst, ["a"])
+    lib("List.add").run(ctx, lst, ["b"])
+    assert lib("List.size").run(ctx, lst, []) == 2
+    assert lib("List.get").run(ctx, lst, [1]) == "b"
     with pytest.raises(stdlib.BuiltinTrap):
-        stdlib.builtin_eval("List.get", ctx, lst, [2])
+        lib("List.get").run(ctx, lst, [2])
     with pytest.raises(stdlib.BuiltinTrap):
-        stdlib.builtin_eval("List.get", ctx, lst, [-1])
+        lib("List.get").run(ctx, lst, [-1])
 
 
 def test_string_builder_appends():
     ctx = FakeCtx()
-    sb = stdlib.builtin_eval("StringBuilder.new", ctx, None, [])
-    stdlib.builtin_eval("StringBuilder.appendStr", ctx, sb, ["n="])
-    stdlib.builtin_eval("StringBuilder.appendInt", ctx, sb, [42])
-    stdlib.builtin_eval("StringBuilder.appendChar", ctx, sb, [ord("!")])
-    assert stdlib.builtin_eval("StringBuilder.toString", ctx, sb, []) == "n=42!"
-    assert stdlib.builtin_eval("StringBuilder.length", ctx, sb, []) == 5
+    sb = lib("StringBuilder.new").run(ctx, None, [])
+    lib("StringBuilder.append", T.STR).run(ctx, sb, ["n="])
+    lib("StringBuilder.append", T.INT).run(ctx, sb, [42])
+    lib("StringBuilder.append", T.CHAR).run(ctx, sb, [ord("!")])
+    assert lib("StringBuilder.toString").run(ctx, sb, []) == "n=42!"
+    assert lib("StringBuilder.length").run(ctx, sb, []) == 5
 
 
 def test_string_char_at_bounds():
     ctx = FakeCtx()
-    assert stdlib.builtin_eval("String.charAt", ctx, "abc", [1]) == ord("b")
+    assert lib("String.charAt").run(ctx, "abc", [1]) == ord("b")
     with pytest.raises(stdlib.BuiltinTrap):
-        stdlib.builtin_eval("String.charAt", ctx, "abc", [3])
+        lib("String.charAt").run(ctx, "abc", [3])
 
 
 def run_harnesses(*texts):
@@ -119,3 +137,53 @@ def test_builtin_trap_rejects_candidate_in_harness():
                     assert s.charAt(5) == 'a';
                 }
             }""")
+
+
+# a value of each library class, held in ``r``
+RECEIVERS = {
+    "Iterator": 'Iterator r = convertToIterator("ab");',
+    "CharTokenIterator": 'CharTokenIterator r = convertToIterator("ab");',
+    "CharToken": 'Iterator it = convertToIterator("ab"); CharToken r = it.next();',
+    "List": "List r = new LinkedList();",
+    "LinkedList": "LinkedList r = new LinkedList();",
+    "StringBuilder": "StringBuilder r = new StringBuilder();",
+    "String": 'String r = "ab";',
+}
+ARGUMENT = {T.INT: "1", T.CHAR: "'a'", T.BOOL: "true", T.STR: '"s"'}
+
+
+def call_text(cls, m, args):
+    """A harness that makes one call to ``m`` with argument sources
+    ``args``."""
+    if cls is None:
+        call, setup = m.name, ""
+    elif m.name == "new":
+        call, setup = f"new {cls}", ""
+    else:
+        call, setup = f"r.{m.name}", RECEIVERS[cls]
+    return (f"class A {{ harness static void t() {{ {setup} "
+            f"{call}({', '.join(args)}); }} }}")
+
+
+def misuses():
+    for cls, m in RECORDS:
+        args = [ARGUMENT.get(p, "new A()") for p in m.param_tags]
+        name = f"{repr(m)[1:-1]}({', '.join(map(str, m.param_tags))})"
+        yield pytest.param(cls, m, args, True, id=f"{name}-ok")
+        yield pytest.param(cls, m, args + ["1"], False, id=f"{name}-too-many")
+        if args:
+            yield pytest.param(cls, m, args[1:], False, id=f"{name}-too-few")
+            # no library method takes a boolean
+            yield pytest.param(cls, m, ["true"] + args[1:], False,
+                               id=f"{name}-wrong-kind")
+
+
+@pytest.mark.parametrize("cls, m, args, ok", misuses())
+def test_every_library_record_checks_its_arguments(tmp_path, cls, m, args, ok):
+    """A call with the record's parameters runs (exit 0, or 1 on a trap);
+    one with an argument too many, too few or of the wrong kind is an
+    input error (exit 2), never an internal one."""
+    src = tmp_path / "A.java"
+    src.write_text(call_text(cls, m, args))
+    code = cli.main([str(src), "--out", str(tmp_path / "out")])
+    assert code in ((cli.EXIT_SOLVED, cli.EXIT_UNSAT) if ok else (cli.EXIT_INPUT,))
