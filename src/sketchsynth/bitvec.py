@@ -81,14 +81,6 @@ def is_const(t):
     return t.op == "const"
 
 
-def is_true(t):
-    return t is TRUE
-
-
-def is_false(t):
-    return t is FALSE
-
-
 def const_value(t):
     assert t.op in ("const", "bconst")
     return t.payload

@@ -8,7 +8,7 @@ decode) over the given source files, writing the output tree::
     <out>/log/log.txt     staged log plus per-unknown replacement echoes
 
 Exit codes: 0 solved, 1 no solution within bounds, 2 input error,
-3 timeout or step limit, 4 internal error.
+3 timeout, step limit or call depth limit, 4 internal error.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from . import decode, engine
 from .classtable import build_class_table
 from .desugar import desugar
 from .errors import InternalError, SketchError
+from .interp import StepLimitExceeded
 from .lowering import lower_program
 from .parser import parse_program
 
@@ -143,11 +144,12 @@ def _run(args, log, out_dir):
         print(f"timeout after {result.wall_ms} ms "
               f"(depth reached {result.depth_reached})", file=sys.stderr)
         return EXIT_TIMEOUT
-    if isinstance(result, engine.StepLimit):
+    if isinstance(result, engine.Overrun):
         log.stage("synthesis stopped: step limit exceeded")
-        print(f"step limit of {args.step_limit} exceeded while encoding "
-              f"depth {result.depth_reached}; raise --step-limit",
-              file=sys.stderr)
+        hint = ("; raise --step-limit"
+                if isinstance(result.limit, StepLimitExceeded) else "")
+        print(f"{result.limit} while encoding depth {result.depth_reached}"
+              f"{hint}", file=sys.stderr)
         return EXIT_TIMEOUT
     if isinstance(result, engine.Unsat):
         log.stage("synthesis failed: no solution within bounds")

@@ -32,8 +32,7 @@ from . import sat
 from .cnf import CnfBuilder, bits_value, lit_true
 from .errors import InternalError
 from .interp import (
-    ConcreteUnknowns, HarnessFailure, Interp, StepLimitExceeded,
-    SymbolicUnknowns,
+    ConcreteUnknowns, HarnessFailure, Interp, ResourceLimit, SymbolicUnknowns,
 )
 
 
@@ -81,11 +80,13 @@ class Timeout(_NoSolution):
     """The wall-clock limit ran out first."""
 
 
-class StepLimit(_NoSolution):
+@dataclass
+class Overrun(_NoSolution):
     """No candidate passes, but symbolic execution of at least one repeat
-    vector ran out of steps, so the search cannot tell whether that vector
-    has a solution; ``depth_reached`` is the depth of the first such
-    vector."""
+    vector overran a resource limit (steps or call depth), so the search
+    cannot tell whether that vector has a solution; ``depth_reached`` is
+    the depth of the first such vector and ``limit`` what it overran."""
+    limit: ResourceLimit = None
 
 
 def effective_hole_width(program, cfg):
@@ -113,8 +114,8 @@ def eval_harness(program, harness, assignment, cfg):
         interp.run_harness(harness)
     except HarnessFailure as f:
         return EvalOutcome(interp.steps, f.reason, f.span)
-    except StepLimitExceeded:
-        return EvalOutcome(interp.steps, "step limit exceeded")
+    except ResourceLimit as r:
+        return EvalOutcome(interp.steps, str(r))
     return EvalOutcome(interp.steps)
 
 
@@ -257,12 +258,12 @@ def _fix_bits(solver, bits, model, assumptions):
 
 
 def solve(program, cfg):
-    """Complete bounded search; Solution, Unsat, Timeout or StepLimit."""
+    """Complete bounded search; Solution, Unsat, Timeout or Overrun."""
     t0 = time.monotonic()
     deadline = t0 + cfg.timeout
     repeat_names = [r.name for r in program.registry.repeats]
     depth_reached = 0
-    overrun_depth = None
+    overrun = None
 
     def ms():
         return int((time.monotonic() - t0) * 1000)
@@ -277,9 +278,9 @@ def solve(program, cfg):
             # still solve, so only a search that ends empty reports it
             try:
                 result = _solve_vector(program, vector, cfg, deadline)
-            except StepLimitExceeded:
-                if overrun_depth is None:
-                    overrun_depth = depth
+            except ResourceLimit as limit:
+                if overrun is None:
+                    overrun = Overrun(depth, limit=limit)
                 continue
             if result is None:
                 continue
@@ -288,8 +289,9 @@ def solve(program, cfg):
             return Solution(assignment=assignment,
                             objective_values=objective_values,
                             depth=depth)
-        if overrun_depth is not None:
-            return StepLimit(overrun_depth, ms())
+        if overrun is not None:
+            overrun.wall_ms = ms()
+            return overrun
         return Unsat(depth_reached, ms())
     except sat.Timeout:
         return Timeout(depth_reached, ms())

@@ -23,22 +23,21 @@ LOGIC_OPS = {"&&", "||"}
 
 
 def lower_program(ast, table, registry):
-    """Translate a desugared SketchAst into an IrProgram."""
-    lw = _Lowerer(ast, table, registry)
+    """Translate a desugared SketchAst into an IrProgram.  Lowering reaches
+    each declaration of ``ast`` through ``table``, which was built from
+    it."""
+    lw = _Lowerer(table, registry)
     return lw.run()
 
 
 class _Lowerer:
-    def __init__(self, ast, table, registry):
-        self.ast = ast
+    def __init__(self, table, registry):
         self.table = table
         self.prog = I.IrProgram(registry=registry, table=table)
-        self.max_literal = 0
 
     # -- driver ------------------------------------------------------------
 
     def run(self):
-        self._collect_literals()
         self._build_static_init()
         for ci in self.table.classes:
             if ci.is_builtin or ci.is_interface:
@@ -50,18 +49,7 @@ class _Lowerer:
                     self._lower_constructor(ci, mi)
                 else:
                     self._lower_method(ci, mi)
-        self.prog.max_literal = self.max_literal
         return self.prog
-
-    def _collect_literals(self):
-        for n in A.walk(self.ast):
-            if isinstance(n, A.IntLit):
-                self.max_literal = max(self.max_literal, abs(n.value))
-            elif isinstance(n, A.CharLit):
-                self.max_literal = max(self.max_literal, n.value)
-            elif isinstance(n, A.StringLit):
-                for ch in n.value:
-                    self.max_literal = max(self.max_literal, ord(ch))
 
     def _build_static_init(self):
         body = []
@@ -89,6 +77,8 @@ class _Lowerer:
         env = _Env(self, ci, mi, static=mi.is_static)
         params = ([] if mi.is_static else ["self"]) + [p for p, _ in mi.params]
         body = env.lower_block(decl.body)
+        _require(not (env.completes and env.returns_value()),
+                 "missing return statement", decl.span)
         fn = I.IrFunction(mi.mangled, params, body, ret_tag=mi.ret,
                           is_harness=mi.is_harness)
         self.prog.functions[fn.name] = fn
@@ -150,6 +140,9 @@ class _Env:
         self.static = static
         self.locals = {}
         self.objectives = []
+        # whether the statements lowered so far can complete normally
+        # (JLS 14.22, without labels, break or constant folding)
+        self.completes = True
         if mi is not None and not static:
             self.locals["self"] = T.obj(ci.name)
         if mi is not None:
@@ -171,20 +164,31 @@ class _Env:
             tag = self.table.tag_from_typeref(s.type)
             self.locals[s.name] = tag
             if s.init is None:
-                return [I.AssignLocal(s.name, I.Const(_default(tag), tag))]
+                return [I.AssignLocal(s.name, I.Const(T.default(tag), tag))]
             return [I.AssignLocal(s.name, self.lower_value(s.init, tag))]
         if isinstance(s, A.IfStmt):
             cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
             _require(ctag == T.BOOL, "if condition must be boolean", s.span)
+            reachable = self.completes
             then = self.lower_stmt(s.then)
+            then_completes, self.completes = self.completes, reachable
             els = self.lower_stmt(s.els) if s.els is not None else []
+            self.completes = self.completes or then_completes
             return [I.IfInstr(cond, then, els)]
         if isinstance(s, A.WhileStmt):
             cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
             _require(ctag == T.BOOL, "while condition must be boolean", s.span)
-            return [I.WhileInstr(cond, self.lower_stmt(s.body))]
+            reachable = self.completes
+            body = self.lower_stmt(s.body)
+            # only a loop on the constant true never exits
+            self.completes = reachable and not (
+                isinstance(cond, I.Const) and cond.value is True)
+            return [I.WhileInstr(cond, body)]
         if isinstance(s, A.ReturnStmt):
+            self.completes = False
             if s.value is None:
+                _require(not self.returns_value(), "missing return value",
+                         self.mi.decl.span)
                 return [I.ReturnInstr(None)]
             return [I.ReturnInstr(self.lower_value(s.value, self.mi.ret))]
         if isinstance(s, A.AssertStmt):
@@ -192,11 +196,19 @@ class _Env:
             _require(ctag == T.BOOL, "assert condition must be boolean", s.span)
             return [I.AssertInstr(cond, span=s.span)]
         if isinstance(s, A.MinRepeat):
-            return [I.RepeatInstr(s.uid, self.lower_block(s.body))]
+            reachable = self.completes
+            body = self.lower_block(s.body)
+            self.completes = reachable     # the body may run no times
+            return [I.RepeatInstr(s.uid, body)]
         if isinstance(s, A.ExprStmt):
             return self.lower_expr_stmt(s.expr)
         raise TypeLoweringError(f"unsupported statement {type(s).__name__}",
                                 getattr(s, "span", None))
+
+    def returns_value(self):
+        """Whether each return must give a value: the method is neither
+        void nor a constructor."""
+        return not self.mi.is_constructor and self.mi.ret.kind != "void"
 
     def lower_expr_stmt(self, e):
         if isinstance(e, A.Assign):
@@ -261,13 +273,14 @@ class _Env:
 
     def lower_expr(self, e, expected=None):
         if isinstance(e, A.IntLit):
-            return I.Const(e.value, T.INT), T.INT
+            return self.literal(e.value, T.INT, abs(e.value))
         if isinstance(e, A.CharLit):
-            return I.Const(e.value, T.CHAR), T.CHAR
+            return self.literal(e.value, T.CHAR, e.value)
         if isinstance(e, A.BoolLit):
             return I.Const(e.value, T.BOOL), T.BOOL
         if isinstance(e, A.StringLit):
-            return I.Const(e.value, T.STR), T.STR
+            return self.literal(e.value, T.STR,
+                                max(map(ord, e.value), default=0))
         if isinstance(e, A.NullLit):
             return I.Const(None, T.NULL), T.NULL
         if isinstance(e, A.Hole):
@@ -313,6 +326,13 @@ class _Env:
                                     e.span)
         raise TypeLoweringError(f"unsupported expression {type(e).__name__}",
                                 getattr(e, "span", None))
+
+    def literal(self, value, tag, magnitude):
+        """A literal's ``Const``; holes widen to hold ``magnitude`` (see
+        ``engine.effective_hole_width``)."""
+        prog = self.lw.prog
+        prog.max_literal = max(prog.max_literal, magnitude)
+        return I.Const(value, tag), tag
 
     def lower_name(self, e):
         if e.ident in self.locals:
@@ -448,16 +468,6 @@ class _Env:
                      f"'{op}' needs boolean operands", e.span)
             return I.Bin(op, left, right), T.BOOL
         raise TypeLoweringError(f"unknown operator '{op}'", e.span)
-
-
-def _default(tag):
-    if tag.is_numeric:
-        return 0
-    if tag == T.BOOL:
-        return False
-    if tag == T.STR:
-        return ""
-    return None
 
 
 def _require(cond, message, span):

@@ -35,6 +35,16 @@ def obj(cls_name):
     return TypeTag("obj", cls_name)
 
 
+# payload of each kind's default; other kinds default to None (null, void)
+_DEFAULTS = {"int": 0, "char": 0, "boolean": False, "String": ""}
+
+
+def default(tag):
+    """The value a slot of type ``tag`` holds before its first write, as
+    the payload of an IR ``Const``."""
+    return _DEFAULTS.get(tag.kind)
+
+
 def compatible(arg, param):
     """Assignment compatibility of an argument tag to a parameter tag.
 

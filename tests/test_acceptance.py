@@ -476,6 +476,33 @@ def test_criterion_6_differential_vs_brute_force():
     assert checked == 200
 
 
+def _largest_literal(ast):
+    """The largest magnitude among the tree's int, char and String
+    literals, by a walk over the whole tree."""
+    m = 0
+    for n in A.walk(ast):
+        if isinstance(n, A.IntLit):
+            m = max(m, abs(n.value))
+        elif isinstance(n, A.CharLit):
+            m = max(m, n.value)
+        elif isinstance(n, A.StringLit):
+            m = max([m, *map(ord, n.value)])
+    return m
+
+
+def test_max_literal_is_the_largest_literal_in_the_tree():
+    # lowering records literals as it lowers them; a walk over the whole
+    # desugared tree must find the same maximum
+    rng = random.Random(2026)
+    inputs = [dict(files=program_files(*names))
+              for names in (MULT2, DB, DB_TWO_STATE, CADSR, CADSR_SMALL)]
+    inputs += [dict(texts=[("p.java", gen_sketch(rng)[0])])
+               for _ in range(200)]
+    for kw in inputs:
+        ast, _, _, prog = run_front_end(**kw)
+        assert prog.max_literal == _largest_literal(ast), kw
+
+
 # -- criterion 7 -----------------------------------------------------------
 
 

@@ -29,7 +29,7 @@ def java_rem(a, b):
 def test_constant_folding():
     five = B.add(B.const(2), B.const(3))
     assert B.is_const(five) and B.const_value(five) == 5
-    assert B.is_true(B.slt(B.const(-1), B.const(0)))
+    assert B.slt(B.const(-1), B.const(0)) is B.TRUE
     assert B.and_(B.TRUE, B.FALSE) is B.FALSE
     x = B.var("x")
     assert B.ite(B.TRUE, x, B.const(0)) is x

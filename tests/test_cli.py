@@ -12,7 +12,8 @@ from conftest import (CADSR, CADSR_SMALL, DB, MULT2, PROGRAMS, program_files,
                       run_front_end)
 import sketchsynth
 from sketchsynth import cli, engine, parser
-from sketchsynth.interp import ConcreteUnknowns, Interp, SymbolicUnknowns
+from sketchsynth.interp import (MAX_CALL_DEPTH, ConcreteUnknowns, Interp,
+                                SymbolicUnknowns)
 
 STAGES = [
     "rewriting syntax sugar",
@@ -416,6 +417,94 @@ def test_objective_replay_fits_the_harness_step_limit(tmp_path):
     code, out = run(tmp_path, str(src), "--step-limit", str(interp.steps))
     assert code == cli.EXIT_SOLVED
     assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 3"
+
+
+def _recursion(n, nest=1):
+    """f(n) recurses n deep, so the harness runs n + 2 calls deep; the
+    base case evaluates an expression ``nest`` levels deep."""
+    return ("class A { static int f(int n) { if (n > 0) { return f(n - 1) + 1; "
+            f"}} int z = {'- ' * (nest - 1)}1; return 0; }} "
+            f"harness static void t() {{ assert f({n}) + ?? == {n + 1}; }} }}")
+
+
+def test_calls_up_to_the_depth_bound_solve(tmp_path, capsys):
+    # at the bound, with the deepest expression the parser accepts at the
+    # bottom, the run fits Python's default recursion limit
+    src = tmp_path / "A.java"
+    src.write_text(_recursion(MAX_CALL_DEPTH - 2, nest=parser.MAX_NESTING))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 1"
+    src.write_text(_recursion(MAX_CALL_DEPTH - 1))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_TIMEOUT
+    err = capsys.readouterr().err
+    assert f"call depth limit of {MAX_CALL_DEPTH} exceeded" in err
+    assert "--step-limit" not in err
+    assert not (out / "java").exists()
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_deep_recursion_is_a_resource_limit(tmp_path, n):
+    src = tmp_path / "A.java"
+    src.write_text(_recursion(n))
+    code, _ = run(tmp_path, str(src), "--step-limit", "10000000")
+    assert code in (cli.EXIT_SOLVED, cli.EXIT_TIMEOUT)
+
+
+def test_chain_of_1200_constructors_is_a_resource_limit(tmp_path):
+    src = tmp_path / "A.java"
+    src.write_text("class C0 { }\n" + "".join(
+        f"class C{i} extends C{i - 1} {{ }}\n" for i in range(1, 1200))
+        + "class A { harness static void t() { C1199 c = new C1199(); "
+        "assert ?? == 1; } }")
+    code, _ = run(tmp_path, str(src))
+    assert code in (cli.EXIT_SOLVED, cli.EXIT_TIMEOUT)
+
+
+@pytest.mark.parametrize("members, message, code", [
+    ("static int g() { return; } ", "missing return value", cli.EXIT_INPUT),
+    ("static int g(int x) { if (x > 0) { return 1; } } ",
+     "missing return statement", cli.EXIT_INPUT),
+    ("static int g(int x) { while (x > 0) { return 1; } } ",
+     "missing return statement", cli.EXIT_INPUT),
+    ("static int g(int x) { minrepeat { return 1; } } ",
+     "missing return statement", cli.EXIT_INPUT),
+    ("static int g(int x) { if (x > 0) { return 1; } else { return 0; } } ",
+     None, cli.EXIT_SOLVED),
+    ("static int g(int x) { while (true) { return 0; } } ", None,
+     cli.EXIT_SOLVED),
+    ("static int g(int x) { { return 0; } } ", None, cli.EXIT_SOLVED),
+    ("static void v() { return; } static int g(int x) { v(); return 0; } ",
+     None, cli.EXIT_SOLVED),
+    ("int f; A() { f = 1; return; } static int g(int x) { "
+     "return new A().f - 1; } ", None, cli.EXIT_SOLVED),
+], ids=["bare-return", "if-without-else", "while", "minrepeat", "if-else",
+        "while-true", "block", "void", "constructor"])
+def test_non_void_method_must_return_a_value(tmp_path, capsys, members,
+                                             message, code):
+    text = _harness("assert g(0) == ??;", members)
+    src = tmp_path / "A.java"
+    src.write_text(text)
+    got, out = run(tmp_path, str(src))
+    assert got == code
+    if message is not None:
+        # reported at the method's name
+        assert (f"A.java:1:{text.index('g(') + 1}: {message}"
+                in capsys.readouterr().err)
+    else:
+        assert (out / "solution.txt").read_text().splitlines()[0] == \
+            "hole e_h1 = 0"
+
+
+def test_uninitialized_local_holds_its_types_default(tmp_path):
+    src = tmp_path / "A.java"
+    src.write_text(_harness("A a; int i; boolean b; String s; char c; "
+                            "assert a == null && i == 0 && !b "
+                            "&& s.length() == 0 && c == 0 && ?? == 1;"))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 1"
 
 
 @pytest.mark.parametrize("literal", ["2²", "99999999999", "2147483648"],

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import run_front_end
 from sketchsynth import bitvec as B
+from sketchsynth import interp, ir
 from sketchsynth.interp import (
     ConcreteUnknowns, HarnessFailure, Interp, StepLimitExceeded,
     SymbolicUnknowns,
@@ -174,3 +175,16 @@ def test_symbolic_constraints_hold_under_known_solution():
     bad = {"e_h1": 4}
     assert all(B.evaluate(c, good) for c in interp.constraints)
     assert not all(B.evaluate(c, bad) for c in interp.constraints)
+
+
+def _subclasses(cls):
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | _subclasses(sub)
+    return out
+
+
+def test_every_ir_node_class_has_a_handler():
+    # the interpreter dispatches on a node's exact class
+    assert _subclasses(ir.IrExpr) == set(interp._EVAL)
+    assert _subclasses(ir.IrInstr) == set(interp._EXEC)

@@ -12,9 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 UNHOOKED = {"sketchsynth.decode.apply_solution", "bitvec.var(...).tid"}
 
 
-def test_traced_paper_run_is_correct_and_fully_hooked():
+def _check_traced_run(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "paper",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -23,3 +23,11 @@ def test_traced_paper_run_is_correct_and_fully_hooked():
     assert result["correct"] is True and result["failed"] == 0
     assert detail["problems"] == {}
     assert set(detail["unhooked"]) <= UNHOOKED
+
+
+def test_traced_paper_run_is_correct_and_fully_hooked():
+    _check_traced_run("paper")
+
+
+def test_traced_wide_run_is_correct_and_fully_hooked():
+    _check_traced_run("wide")
