@@ -32,7 +32,25 @@ class Node:
     """Base for all AST nodes; subclasses are dataclasses with a ``span``."""
 
     def clone(self):
-        return copy.deepcopy(self)
+        """A copy of every node and list of the subtree; other values, such
+        as spans and the unknowns' records, are shared.  An explicit stack,
+        so the depth of the tree is not bounded by the recursion limit."""
+        root = copy.copy(self)
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for name, value in list(vars(node).items()):
+                if isinstance(value, Node):
+                    value = copy.copy(value)
+                    stack.append(value)
+                elif type(value) is list:
+                    value = [copy.copy(v) if isinstance(v, Node) else v
+                             for v in value]
+                    stack.extend(v for v in value if isinstance(v, Node))
+                else:
+                    continue
+                setattr(node, name, value)
+        return root
 
 
 # --------------------------------------------------------------------------

@@ -47,14 +47,14 @@ class MethodInfo:
     is_abstract: bool = False
     builtin: object = None        # stdlib.BuiltinMethod of a library method
     decl: object = None           # MethodDecl for user methods
+    # derived from ``params``, which never changes after construction
+    param_tags: tuple = field(init=False, repr=False)
+    plain_sig: tuple = field(init=False, repr=False)  # (name, mangled params)
 
-    @property
-    def plain_sig(self):
-        return (self.plain_name, tuple(mangle_param(t) for _, t in self.params))
-
-    @property
-    def param_tags(self):
-        return tuple(t for _, t in self.params)
+    def __post_init__(self):
+        self.param_tags = tuple(t for _, t in self.params)
+        self.plain_sig = (self.plain_name,
+                          tuple(map(mangle_param, self.param_tags)))
 
 
 @dataclass
@@ -124,11 +124,13 @@ class ClassTable:
         return out
 
     def resolve_field(self, cls_name, fname):
-        """Walk up the chain; returns (owner, TypeTag, is_static)."""
-        for cur in self.superclass_chain(cls_name):
-            for name, tag, is_static in self.info(cur).fields:
-                if name == fname:
-                    return cur, tag, is_static
+        """Walk up the chain, then the interfaces, whose fields are all
+        static; returns (owner, TypeTag, is_static)."""
+        for scope in (self.superclass_chain, self.all_interfaces):
+            for cur in scope(cls_name):
+                for name, tag, is_static in self.info(cur).fields:
+                    if name == fname:
+                        return cur, tag, is_static
         raise TypeLoweringError(f"no field '{fname}' in class '{cls_name}'")
 
     def resolve_method(self, cls_name, name, arg_tags, span=None):

@@ -14,6 +14,7 @@ Exit codes: 0 solved, 1 no solution within bounds, 2 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import shutil
 import sys
 import time
@@ -88,6 +89,19 @@ def build_arg_parser():
 
 
 def main(argv=None):
+    # A run builds large, long-lived, acyclic trees and leaves no cyclic
+    # garbage of its own, so the cyclic collector would only rescan them
+    # as they grow; it is paused for the run and then left as it was.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _main(argv):
     args = build_arg_parser().parse_args(argv)
     log = _Log()
     out_dir = Path(args.out)

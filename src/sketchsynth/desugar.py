@@ -6,7 +6,8 @@ Three passes, run in this order by :func:`desugar`:
    class per extending context, with the original generator removed.
 2. ``assign_unknown_ids`` — one UnknownId record, with a stable ``e_h<n>`` /
    ``e_c<n>`` / ``e_r<n>`` name, for every Hole/Choice/minrepeat; the node
-   and the UnknownRegistry hold the same record.
+   and the UnknownRegistry hold the same record.  The same walk notes each
+   anonymous class body, so no later pass walks the trees again.
 3. ``normalize`` — inner classes flattened (``Inner_Outer``), anonymous
    classes lifted to named top-level classes, implicit root superclass,
    field initializers hoisted into constructors.  Generic type arguments
@@ -156,78 +157,89 @@ def _strip_inner_generators(decl):
 # pass 2: unknown identifiers
 
 
+_PREFIX = {HOLE: "e_h", CHOICE: "e_c", REPEAT: "e_r"}
+
+
 class _IdAssigner:
     def __init__(self):
         self.registry = UnknownRegistry()
         self.counts = {HOLE: 0, CHOICE: 0, REPEAT: 0}
-        self.repeat_stack = []
+        self.anonymous = {}   # id(named ClassDecl) -> [NewObject with a body]
 
     def fresh(self, kind, owner, node, entries, **extra):
         self.counts[kind] += 1
         n = self.counts[kind]
-        prefix = {HOLE: "e_h", CHOICE: "e_c", REPEAT: "e_r"}[kind]
-        node.uid = UnknownId(kind, n, f"{prefix}{n}", owner, **extra)
+        node.uid = UnknownId(kind, n, f"{_PREFIX[kind]}{n}", owner, **extra)
         entries.append(node.uid)
         return node.uid
 
-    def visit(self, node, owner):
-        if isinstance(node, A.MinRepeat):
-            if self.repeat_stack:
-                raise EncodingError("nested minrepeat is not supported", node.span)
-            self.repeat_stack.append(
-                self.fresh(REPEAT, owner, node, self.registry.repeats))
-            self.visit(node.body, owner)
-            self.repeat_stack.pop()
-            return
-        template = self.repeat_stack[-1] if self.repeat_stack else None
-        if isinstance(node, A.Hole):
-            self.fresh(HOLE, owner, node, self.registry.holes,
-                       template_of=template)
-        elif isinstance(node, A.Choice):
-            self.fresh(CHOICE, owner, node, self.registry.choices,
-                       template_of=template, arity=len(node.alternatives))
-        for f in vars(node).values():
-            self._visit_field(f, owner)
-
-    def _visit_field(self, f, owner):
-        if isinstance(f, A.Node):
-            self.visit(f, owner)
-        elif isinstance(f, list):
-            for item in f:
-                self._visit_field(item, owner)
-
     def visit_class(self, decl, prefix=""):
         qual = f"{prefix}{decl.name}"
+        sites = self.anonymous[id(decl)] = []
         for member in decl.members:
             if isinstance(member, A.ClassDecl):
                 self.visit_class(member, f"{qual}.")
             elif isinstance(member, A.FieldDecl):
                 if member.init is not None:
-                    self.visit(member.init, f"{qual}")
+                    self.visit(member.init, qual, sites)
             elif isinstance(member, A.MethodDecl):
                 if member.body is not None:
-                    self.visit(member.body, f"{qual}")
+                    self.visit(member.body, qual, sites)
+
+    def visit(self, root, owner, sites):
+        """Pre-order over ``root``, anonymous class bodies included, with
+        an explicit stack of (node, enclosing minrepeat's record)."""
+        registry = self.registry
+        stack = [(root, None)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, template = pop()
+            kind = type(node)
+            if kind is A.Hole:
+                self.fresh(HOLE, owner, node, registry.holes,
+                           template_of=template)
+            elif kind is A.Choice:
+                self.fresh(CHOICE, owner, node, registry.choices,
+                           template_of=template, arity=len(node.alternatives))
+            elif kind is A.MinRepeat:
+                if template is not None:
+                    raise EncodingError("nested minrepeat is not supported",
+                                        node.span)
+                template = self.fresh(REPEAT, owner, node, registry.repeats)
+            elif kind is A.NewObject and node.anon_members is not None:
+                sites.append(node)
+            for f in reversed(vars(node).values()):
+                if isinstance(f, A.Node):
+                    push((f, template))
+                elif type(f) is list:
+                    for item in reversed(f):
+                        if isinstance(item, A.Node):
+                            push((item, template))
 
 
 def assign_unknown_ids(ast):
-    """Deterministically label every unknown; idempotent."""
+    """Deterministically label every unknown, in one walk that also finds
+    each anonymous class body.  Returns (registry, anonymous), where
+    ``anonymous`` maps id() of each named class to the ``NewObject`` nodes
+    with a body among its own members (not those of its member classes),
+    in pre-order."""
     assigner = _IdAssigner()
     for unit in ast.units:
         for decl in unit.types:
             if isinstance(decl, A.ClassDecl):
                 assigner.visit_class(decl)
-    return ast, assigner.registry
+    return assigner.registry, assigner.anonymous
 
 
 # --------------------------------------------------------------------------
 # pass 3: normalization
 
 
-def normalize(ast):
+def normalize(ast, anonymous):
     # flattening first renames an inner base type (``new Inner() { … }``)
     # before the anonymous class that extends it is lifted out of its scope
     _flatten_inner_classes(ast)
-    _lift_anonymous_classes(ast)
+    _lift_anonymous_classes(ast, anonymous)
     _add_root_superclass(ast)
     _hoist_field_initializers(ast)
     return ast
@@ -237,16 +249,17 @@ def _type_names(ast):
     return {d.name for d in ast.top_level_types()}
 
 
-def _lift_anonymous_classes(ast):
+def _lift_anonymous_classes(ast, anonymous):
+    """Lift the bodies that ``assign_unknown_ids`` found, class by class
+    in the flattened order, so that each base's counter follows a
+    pre-order walk of the flattened unit."""
     types = {d.name: d for d in ast.top_level_types()}
     taken = set(types)
     counters = {}
     for unit in ast.units:
         lifted = []
-        sites = []
-        # the walk goes on into each anonymous body, so nested ones lift too
-        for n in A.walk(unit):
-            if isinstance(n, A.NewObject) and n.anon_members is not None:
+        for owner in unit.types:
+            for n in anonymous.get(id(owner), ()):
                 base = n.type.name
                 counters[base] = counters.get(base, 0) + 1
                 fresh = f"{base}_{counters[base]}"
@@ -256,18 +269,15 @@ def _lift_anonymous_classes(ast):
                 taken.add(fresh)
                 base_decl = types.get(base)
                 is_iface = base_decl is not None and base_decl.is_interface
-                decl = A.ClassDecl(
+                lifted.append(A.ClassDecl(
                     name=fresh,
                     superclass=None if is_iface else A.TypeRef(base, span=n.span),
                     interfaces=[A.TypeRef(base, span=n.span)] if is_iface else [],
                     members=n.anon_members,
                     span=n.span,
-                )
-                lifted.append(decl)
-                sites.append(n)
+                ))
                 n.type = A.TypeRef(fresh, span=n.type.span)
-        for n in sites:
-            n.anon_members = None
+                n.anon_members = None
         # an anonymous body may declare member classes of its own
         unit.types.extend(d for decl in lifted for d in _flatten_one(decl, taken))
 
@@ -349,6 +359,6 @@ def _hoist_field_initializers(ast):
 def desugar(ast):
     """Run all three passes; returns (ast, SpecializationMap, UnknownRegistry)."""
     ast, spec_map = specialize_class_generators(ast)
-    ast, registry = assign_unknown_ids(ast)
-    ast = normalize(ast)
+    registry, anonymous = assign_unknown_ids(ast)
+    ast = normalize(ast, anonymous)
     return ast, spec_map, registry

@@ -10,6 +10,7 @@ harness statements become program-level objectives.
 from __future__ import annotations
 
 from . import ast_nodes as A
+from . import bitvec as B
 from . import ir as I
 from . import stdlib
 from . import typetags as T
@@ -141,7 +142,7 @@ class _Env:
         self.locals = {}
         self.objectives = []
         # whether the statements lowered so far can complete normally
-        # (JLS 14.22, without labels, break or constant folding)
+        # (JLS 14.22, without labels or break)
         self.completes = True
         if mi is not None and not static:
             self.locals["self"] = T.obj(ci.name)
@@ -158,65 +159,66 @@ class _Env:
         return out
 
     def lower_stmt(self, s):
-        if isinstance(s, A.Block):
-            return self.lower_block(s)
-        if isinstance(s, A.LocalDecl):
-            tag = self.table.tag_from_typeref(s.type)
-            self.locals[s.name] = tag
-            if s.init is None:
-                return [I.AssignLocal(s.name, I.Const(T.default(tag), tag))]
-            return [I.AssignLocal(s.name, self.lower_value(s.init, tag))]
-        if isinstance(s, A.IfStmt):
-            cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
-            _require(ctag == T.BOOL, "if condition must be boolean", s.span)
-            reachable = self.completes
-            then = self.lower_stmt(s.then)
-            then_completes, self.completes = self.completes, reachable
-            els = self.lower_stmt(s.els) if s.els is not None else []
-            self.completes = self.completes or then_completes
-            return [I.IfInstr(cond, then, els)]
-        if isinstance(s, A.WhileStmt):
-            cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
-            _require(ctag == T.BOOL, "while condition must be boolean", s.span)
-            reachable = self.completes
-            body = self.lower_stmt(s.body)
-            # only a loop on the constant true never exits
-            self.completes = reachable and not (
-                isinstance(cond, I.Const) and cond.value is True)
-            return [I.WhileInstr(cond, body)]
-        if isinstance(s, A.ReturnStmt):
-            self.completes = False
-            if s.value is None:
-                _require(not self.returns_value(), "missing return value",
-                         self.mi.decl.span)
-                return [I.ReturnInstr(None)]
-            return [I.ReturnInstr(self.lower_value(s.value, self.mi.ret))]
-        if isinstance(s, A.AssertStmt):
-            cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
-            _require(ctag == T.BOOL, "assert condition must be boolean", s.span)
-            return [I.AssertInstr(cond, span=s.span)]
-        if isinstance(s, A.MinRepeat):
-            reachable = self.completes
-            body = self.lower_block(s.body)
-            self.completes = reachable     # the body may run no times
-            return [I.RepeatInstr(s.uid, body)]
-        if isinstance(s, A.ExprStmt):
-            return self.lower_expr_stmt(s.expr)
-        raise TypeLoweringError(f"unsupported statement {type(s).__name__}",
-                                getattr(s, "span", None))
+        return _LOWER_STMT[type(s)](self, s)
 
-    def returns_value(self):
-        """Whether each return must give a value: the method is neither
-        void nor a constructor."""
-        return not self.mi.is_constructor and self.mi.ret.kind != "void"
+    def _lower_local(self, s):
+        tag = self.table.tag_from_typeref(s.type)
+        self.locals[s.name] = tag
+        if s.init is None:
+            return [I.AssignLocal(s.name, I.Const(T.default(tag), tag))]
+        return [I.AssignLocal(s.name, self.lower_value(s.init, tag))]
 
-    def lower_expr_stmt(self, e):
+    def _lower_if(self, s):
+        cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
+        _require(ctag == T.BOOL, "if condition must be boolean", s.span)
+        reachable = self.completes
+        then = self.lower_stmt(s.then)
+        then_completes, self.completes = self.completes, reachable
+        els = self.lower_stmt(s.els) if s.els is not None else []
+        self.completes = self.completes or then_completes
+        return [I.IfInstr(cond, then, els)]
+
+    def _lower_while(self, s):
+        cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
+        _require(ctag == T.BOOL, "while condition must be boolean", s.span)
+        reachable = self.completes
+        body = self.lower_stmt(s.body)
+        # a loop on a constant true condition never exits
+        self.completes = reachable and _fold(cond) is not B.TRUE
+        return [I.WhileInstr(cond, body)]
+
+    def _lower_return(self, s):
+        self.completes = False
+        if s.value is None:
+            _require(not self.returns_value(), "missing return value",
+                     self.mi.decl.span)
+            return [I.ReturnInstr(None)]
+        return [I.ReturnInstr(self.lower_value(s.value, self.mi.ret))]
+
+    def _lower_assert(self, s):
+        cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
+        _require(ctag == T.BOOL, "assert condition must be boolean", s.span)
+        return [I.AssertInstr(cond, span=s.span)]
+
+    def _lower_repeat(self, s):
+        reachable = self.completes
+        body = self.lower_block(s.body)
+        self.completes = reachable     # the body may run no times
+        return [I.RepeatInstr(s.uid, body)]
+
+    def _lower_expr_stmt(self, s):
+        e = s.expr
         if isinstance(e, A.Assign):
             return [self.lower_assign(e)]
         if isinstance(e, A.MethodCall) and e.target is None and e.name == "minimize":
             return [self.lower_minimize(e)]
         expr, _ = self.lower_expr(e)
         return [I.EvalInstr(expr)]
+
+    def returns_value(self):
+        """Whether each return must give a value: the method is neither
+        void nor a constructor."""
+        return not self.mi.is_constructor and self.mi.ret.kind != "void"
 
     def lower_assign(self, e):
         value_of = lambda tag: self.lower_value(e.value, tag)
@@ -227,14 +229,15 @@ class _Env:
             owner, tag, is_static = self.table.resolve_field(self.ci.name, t.ident)
             if is_static:
                 return I.AssignStatic(owner, t.ident, value_of(tag))
-            _require(not self.static, f"instance field '{t.ident}' in static context",
-                     t.span)
+            _require(not self.static, "instance field '{}' in static context",
+                     t.span, t.ident)
             return I.AssignField(I.LocalRead("self"), owner, t.ident, value_of(tag))
         if isinstance(t, A.FieldAccess):
             cls = self._class_ref(t.target)
             if cls is not None:
                 owner, tag, is_static = self.table.resolve_field(cls, t.name)
-                _require(is_static, f"'{cls}.{t.name}' is not a static field", t.span)
+                _require(is_static, "'{}.{}' is not a static field", t.span,
+                         cls, t.name)
                 return I.AssignStatic(owner, t.name, value_of(tag))
             recv, rtag = self.lower_expr(t.target)
             _require(rtag.kind == "obj", "field assignment on non-object", t.span)
@@ -268,64 +271,64 @@ class _Env:
         of that type is, and ``null`` also fits a String."""
         expr, tag = self.lower_expr(e, expected=slot)
         _require(T.compatible(tag, slot) or (tag == T.NULL and slot == T.STR),
-                 f"{tag} cannot be converted to {slot}", e.span)
+                 "{} cannot be converted to {}", e.span, tag, slot)
         return expr
 
     def lower_expr(self, e, expected=None):
-        if isinstance(e, A.IntLit):
-            return self.literal(e.value, T.INT, abs(e.value))
-        if isinstance(e, A.CharLit):
-            return self.literal(e.value, T.CHAR, e.value)
-        if isinstance(e, A.BoolLit):
-            return I.Const(e.value, T.BOOL), T.BOOL
-        if isinstance(e, A.StringLit):
-            return self.literal(e.value, T.STR,
-                                max(map(ord, e.value), default=0))
-        if isinstance(e, A.NullLit):
-            return I.Const(None, T.NULL), T.NULL
-        if isinstance(e, A.Hole):
-            tag = expected if expected in (T.INT, T.BOOL, T.CHAR) else T.INT
-            if tag == T.BOOL:
-                e.uid.is_bool = True
-            return I.HoleRead(e.uid), tag
-        if isinstance(e, A.Choice):
-            alts = []
-            tag = None
-            for alt in e.alternatives:
-                ex, t = self.lower_expr(alt, expected=expected if expected else tag)
-                if tag is None:
-                    tag = t
-                else:
-                    _require(T.compatible(t, tag) or T.compatible(tag, t),
-                             "choice alternatives must share a type", e.span)
-                alts.append(ex)
-            return I.ChoiceRead(e.uid, alts), tag
-        if isinstance(e, A.ThisExpr):
-            _require(not self.static, "'this' in static context", e.span)
-            return I.LocalRead("self"), T.obj(self.ci.name)
-        if isinstance(e, A.Name):
-            return self.lower_name(e)
-        if isinstance(e, A.FieldAccess):
-            return self.lower_field_access(e)
-        if isinstance(e, A.MethodCall):
-            return self.lower_call(e)
-        if isinstance(e, A.NewObject):
-            return self.lower_new(e)
-        if isinstance(e, A.BinOp):
-            return self.lower_binop(e)
-        if isinstance(e, A.UnOp):
-            op, tag = self.lower_expr(
-                e.operand, expected=T.BOOL if e.op == "!" else None)
-            if e.op == "!":
-                _require(tag == T.BOOL, "'!' needs a boolean operand", e.span)
-                return I.Un("!", op), T.BOOL
-            _require(tag.is_numeric, "unary '-' needs a numeric operand", e.span)
-            return I.Un("-", op), T.INT
-        if isinstance(e, A.Assign):
-            raise TypeLoweringError("assignment is only supported as a statement",
-                                    e.span)
-        raise TypeLoweringError(f"unsupported expression {type(e).__name__}",
-                                getattr(e, "span", None))
+        """(IR expression, type tag) of ``e``; ``expected`` is the type
+        its context wants, which decides the type of a bare ``??``."""
+        return _LOWER_EXPR[type(e)](self, e, expected)
+
+    def _lower_int(self, e, expected):
+        return self.literal(e.value, T.INT, abs(e.value))
+
+    def _lower_char(self, e, expected):
+        return self.literal(e.value, T.CHAR, e.value)
+
+    def _lower_string(self, e, expected):
+        return self.literal(e.value, T.STR, max(map(ord, e.value), default=0))
+
+    def _lower_bool(self, e, expected):
+        return I.Const(e.value, T.BOOL), T.BOOL
+
+    def _lower_null(self, e, expected):
+        return I.Const(None, T.NULL), T.NULL
+
+    def _lower_hole(self, e, expected):
+        tag = expected if expected in (T.INT, T.BOOL, T.CHAR) else T.INT
+        if tag == T.BOOL:
+            e.uid.is_bool = True
+        return I.HoleRead(e.uid), tag
+
+    def _lower_choice(self, e, expected):
+        alts = []
+        tag = None
+        for alt in e.alternatives:
+            ex, t = self.lower_expr(alt, expected=expected if expected else tag)
+            if tag is None:
+                tag = t
+            else:
+                _require(T.compatible(t, tag) or T.compatible(tag, t),
+                         "choice alternatives must share a type", e.span)
+            alts.append(ex)
+        return I.ChoiceRead(e.uid, alts), tag
+
+    def _lower_this(self, e, expected):
+        _require(not self.static, "'this' in static context", e.span)
+        return I.LocalRead("self"), T.obj(self.ci.name)
+
+    def _lower_unop(self, e, expected):
+        op, tag = self.lower_expr(
+            e.operand, expected=T.BOOL if e.op == "!" else None)
+        if e.op == "!":
+            _require(tag == T.BOOL, "'!' needs a boolean operand", e.span)
+            return I.Un("!", op), T.BOOL
+        _require(tag.is_numeric, "unary '-' needs a numeric operand", e.span)
+        return I.Un("-", op), T.INT
+
+    def _lower_assign_expr(self, e, expected):
+        raise TypeLoweringError("assignment is only supported as a statement",
+                                e.span)
 
     def literal(self, value, tag, magnitude):
         """A literal's ``Const``; holes widen to hold ``magnitude`` (see
@@ -334,7 +337,7 @@ class _Env:
         prog.max_literal = max(prog.max_literal, magnitude)
         return I.Const(value, tag), tag
 
-    def lower_name(self, e):
+    def _lower_name(self, e, expected):
         if e.ident in self.locals:
             return I.LocalRead(e.ident), self.locals[e.ident]
         try:
@@ -346,8 +349,8 @@ class _Env:
             raise TypeLoweringError(f"unknown name '{e.ident}'", e.span)
         if is_static:
             return I.StaticRead(owner, e.ident), tag
-        _require(not self.static, f"instance field '{e.ident}' in static context",
-                 e.span)
+        _require(not self.static, "instance field '{}' in static context",
+                 e.span, e.ident)
         return I.FieldRead(I.LocalRead("self"), owner, e.ident), tag
 
     def _class_ref(self, target):
@@ -360,11 +363,12 @@ class _Env:
                 return target.ident
         return None
 
-    def lower_field_access(self, e):
+    def _lower_field_access(self, e, expected):
         cls = self._class_ref(e.target)
         if cls is not None:
             owner, tag, is_static = self.table.resolve_field(cls, e.name)
-            _require(is_static, f"'{cls}.{e.name}' is not a static field", e.span)
+            _require(is_static, "'{}.{}' is not a static field", e.span,
+                     cls, e.name)
             return I.StaticRead(owner, e.name), tag
         recv, rtag = self.lower_expr(e.target)
         _require(rtag.kind == "obj", "field access on non-object", e.span)
@@ -373,7 +377,7 @@ class _Env:
             return I.StaticRead(owner, e.name), tag
         return I.FieldRead(recv, owner, e.name), tag
 
-    def lower_call(self, e):
+    def _lower_call(self, e, expected):
         lowered, tags = self.lower_args(e.args)
         recv = None
         cls = self._class_ref(e.target)
@@ -386,12 +390,12 @@ class _Env:
             else:
                 m = self.table.resolve_method(self.ci.name, e.name, tags, e.span)
                 if not m.is_static:
-                    _require(not self.static, f"instance method '{e.name}' "
-                             "called from static context", e.span)
+                    _require(not self.static, "instance method '{}' called "
+                             "from static context", e.span, e.name)
                     recv = I.LocalRead("self")
         elif cls is not None:
             m = self.table.resolve_method(cls, e.name, tags, e.span)
-            _require(m.is_static, f"'{cls}.{e.name}' is not static", e.span)
+            _require(m.is_static, "'{}.{}' is not static", e.span, cls, e.name)
         else:
             recv, rtag = self.lower_expr(e.target)
             if rtag == T.STR:
@@ -412,16 +416,16 @@ class _Env:
         # an instance call; the interpreter picks the override per receiver
         return I.VirtualCall(m.plain_sig, recv, args, m.ret, span=e.span), m.ret
 
-    def lower_new(self, e):
+    def _lower_new(self, e, expected):
         name = e.type.name
         ci = self.table.info(name)
         if ci.is_builtin:
             _require(ci.decl.ctor is not None,
-                     f"builtin '{name}' cannot be instantiated", e.span)
+                     "builtin '{}' cannot be instantiated", e.span, name)
             ctors = [ci.decl.ctor]
         else:
             _require(not ci.is_interface,
-                     f"cannot instantiate interface '{name}'", e.span)
+                     "cannot instantiate interface '{}'", e.span, name)
             ctors = [m for m in ci.methods if m.is_constructor]
         lowered, tags = self.lower_args(e.args)
         m = pick_overload(ctors, tags, f"constructor of '{name}'", e.span)
@@ -443,33 +447,100 @@ class _Env:
         return [x[0] if x else self.lower_expr(a, expected=p)[0]
                 for a, x, p in zip(args, lowered, method.param_tags)]
 
-    def lower_binop(self, e):
+    def _lower_binop(self, e, expected):
         left, ltag = self.lower_expr(
             e.left, expected=T.BOOL if e.op in LOGIC_OPS else None)
         right, rtag = self.lower_expr(e.right, expected=ltag)
         op = e.op
         if op in ARITH_OPS:
             _require(ltag.is_numeric and rtag.is_numeric,
-                     f"'{op}' needs numeric operands", e.span)
+                     "'{}' needs numeric operands", e.span, op)
             return I.Bin(op, left, right), T.INT
         if op in REL_OPS:
             _require(ltag.is_numeric and rtag.is_numeric,
-                     f"'{op}' needs numeric operands", e.span)
+                     "'{}' needs numeric operands", e.span, op)
             return I.Bin(op, left, right), T.BOOL
         if op in EQ_OPS:
             okay = ((ltag.is_numeric and rtag.is_numeric)
                     or (ltag == T.BOOL and rtag == T.BOOL)
                     or (ltag.is_object and rtag.is_object)
                     or (ltag == T.STR and rtag == T.STR))
-            _require(okay, f"'{op}' on incompatible types {ltag} and {rtag}", e.span)
+            _require(okay, "'{}' on incompatible types {} and {}", e.span,
+                     op, ltag, rtag)
             return I.Bin(op, left, right), T.BOOL
         if op in LOGIC_OPS:
             _require(ltag == T.BOOL and rtag == T.BOOL,
-                     f"'{op}' needs boolean operands", e.span)
+                     "'{}' needs boolean operands", e.span, op)
             return I.Bin(op, left, right), T.BOOL
         raise TypeLoweringError(f"unknown operator '{op}'", e.span)
 
 
-def _require(cond, message, span):
+def _require(cond, message, span, *args):
+    """Raise TypeLoweringError at ``span`` unless ``cond``; the message is
+    ``message.format(*args)``, built only then."""
     if not cond:
-        raise TypeLoweringError(message, span)
+        raise TypeLoweringError(message.format(*args), span)
+
+
+# the operators of a constant expression, each folding two constant terms
+# as the interpreter evaluates it
+_FOLD = {
+    "+": B.add, "-": B.sub, "*": B.mul, "/": B.sdiv, "%": B.srem,
+    "<": B.slt, "<=": B.sle, ">": lambda l, r: B.slt(r, l),
+    ">=": lambda l, r: B.sle(r, l), "==": B.eq, "!=": B.ne,
+    "&&": B.and_, "||": B.or_,
+}
+
+
+def _fold(e):
+    """The constant term of IR expression ``e`` when it is built from int,
+    char and boolean literals and operators only, a constant expression
+    (JLS 15.29); None otherwise."""
+    kind = type(e)
+    if kind is I.Const:
+        if type(e.value) is bool:
+            return B.bconst(e.value)
+        return B.const(e.value) if type(e.value) is int else None
+    if kind is I.Un:
+        v = _fold(e.operand)
+        if v is None:
+            return None
+        return B.not_(v) if e.op == "!" else B.neg(v)
+    if kind is I.Bin:
+        left, right = _fold(e.left), _fold(e.right)
+        if left is None or right is None:
+            return None
+        if e.op in ("/", "%") and right.payload == 0:
+            return None    # it completes abruptly, so it is no constant
+        return _FOLD[e.op](left, right)
+    return None
+
+
+# The handler of each statement and expression class.
+_LOWER_STMT = {
+    A.Block: _Env.lower_block,
+    A.LocalDecl: _Env._lower_local,
+    A.IfStmt: _Env._lower_if,
+    A.WhileStmt: _Env._lower_while,
+    A.ReturnStmt: _Env._lower_return,
+    A.AssertStmt: _Env._lower_assert,
+    A.MinRepeat: _Env._lower_repeat,
+    A.ExprStmt: _Env._lower_expr_stmt,
+}
+_LOWER_EXPR = {
+    A.IntLit: _Env._lower_int,
+    A.CharLit: _Env._lower_char,
+    A.StringLit: _Env._lower_string,
+    A.BoolLit: _Env._lower_bool,
+    A.NullLit: _Env._lower_null,
+    A.Hole: _Env._lower_hole,
+    A.Choice: _Env._lower_choice,
+    A.ThisExpr: _Env._lower_this,
+    A.Name: _Env._lower_name,
+    A.FieldAccess: _Env._lower_field_access,
+    A.MethodCall: _Env._lower_call,
+    A.NewObject: _Env._lower_new,
+    A.BinOp: _Env._lower_binop,
+    A.UnOp: _Env._lower_unop,
+    A.Assign: _Env._lower_assign_expr,
+}

@@ -26,10 +26,11 @@ TYPE_START = {"int", "boolean", "char", "void"}
 # unary minus, so that -2147483648 parses
 INT_LITERAL_MAX = 2**31 - 1
 
-# deepest expression nesting accepted: each nested expression (in
-# parentheses, an argument list or a choice), each unary operator and each
-# binary operator of a left-associative chain is one level; the parser and
-# the later tree passes recurse on this depth
+# deepest nesting accepted: each nested expression (in parentheses, an
+# argument list or a choice), each unary operator, each binary operator of
+# a left-associative chain and each nested statement (the body of an
+# ``if``, ``else``, ``while`` or ``minrepeat``, or a block inside a block)
+# is one level; the parser and the later tree passes recurse on this depth
 MAX_NESTING = 160
 
 # Java statements outside the subset; their keywords scan as identifiers
@@ -39,41 +40,43 @@ UNSUPPORTED_STATEMENTS = {
 
 class _Parser:
     def __init__(self, tokens, file_id="<input>"):
+        self.file_id = str(file_id)
         self.toks = list(tokens)
+        # the EOF sentinel ends every scan, so no read needs a bounds
+        # check: the parser never consumes it, and each lookahead stops
+        # at it
+        eof_span = (self.toks[-1].span if self.toks
+                    else SourceSpan(self.file_id, 1, 1, 0))
+        self.toks.append(Token("EOF", "", eof_span))
         self.pos = 0
         self.nesting = 0
-        self.file_id = str(file_id)
-        self._eof_span = (
-            self.toks[-1].span if self.toks else SourceSpan(self.file_id, 1, 1, 0)
-        )
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, offset=0):
-        i = self.pos + offset
-        if i < len(self.toks):
-            return self.toks[i]
-        return Token("EOF", "", self._eof_span)
+        return self.toks[self.pos + offset]
 
     def at(self, *kinds):
-        return self.peek().kind in kinds
+        return self.toks[self.pos].kind in kinds
 
     def next(self):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
     def expect(self, kind):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind != kind:
             raise ParseError(tok.span, repr(kind), repr(tok.text or tok.kind))
-        return self.next()
+        self.pos += 1
+        return tok
 
-    def nest(self, delta):
-        """Enter (+1) or leave (-1) one level of expression nesting."""
-        self.nesting += delta
+    def nest(self, what="an expression"):
+        """Enter one level of nesting; the caller leaves it by lowering
+        ``self.nesting`` again."""
+        self.nesting += 1
         if self.nesting > MAX_NESTING:
-            self.error(f"an expression nested at most {MAX_NESTING} deep")
+            self.error(f"{what} nested at most {MAX_NESTING} deep")
 
     def error(self, expected):
         tok = self.peek()
@@ -121,7 +124,7 @@ class _Parser:
             while self.at(","):
                 self.next()
                 interfaces.append(self.parse_type_ref())
-        members = self.parse_class_body(name.text)
+        members = self.parse_class_body(name.text, is_interface)
         return A.ClassDecl(
             name=name.text,
             is_interface=is_interface,
@@ -133,15 +136,15 @@ class _Parser:
             span=kw.span,
         )
 
-    def parse_class_body(self, class_name):
+    def parse_class_body(self, class_name, is_interface):
         self.expect("{")
         members = []
         while not self.at("}"):
-            members.append(self.parse_member(class_name))
+            members.append(self.parse_member(class_name, is_interface))
         self.expect("}")
         return members
 
-    def parse_member(self, class_name):
+    def parse_member(self, class_name, in_interface=False):
         mods = self.parse_modifiers()
         if self.at("class"):
             return self.parse_class(mods, is_interface=False)
@@ -189,7 +192,8 @@ class _Parser:
             type=rtype,
             name=name.text,
             init=init,
-            is_static="static" in mods,
+            # every interface field is static (JLS 9.3)
+            is_static="static" in mods or in_interface,
             modifiers=mods,
             span=name.span,
         )
@@ -238,24 +242,27 @@ class _Parser:
     def parse_stmt(self):
         tok = self.peek()
         if tok.kind == "{":
-            return self.parse_block()
+            self.nest("a statement")
+            block = self.parse_block()
+            self.nesting -= 1
+            return block
         if tok.kind == "if":
             self.next()
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
-            then = self.parse_stmt()
+            then = self.parse_body()
             els = None
             if self.at("else"):
                 self.next()
-                els = self.parse_stmt()
+                els = self.parse_body()
             return A.IfStmt(cond=cond, then=then, els=els, span=tok.span)
         if tok.kind == "while":
             self.next()
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
-            body = self.parse_stmt()
+            body = self.parse_body()
             return A.WhileStmt(cond=cond, body=body, span=tok.span)
         if tok.kind == "return":
             self.next()
@@ -271,7 +278,9 @@ class _Parser:
             return A.AssertStmt(cond=cond, span=tok.span)
         if tok.kind == "minrepeat":
             self.next()
+            self.nest("a statement")
             body = self.parse_block()
+            self.nesting -= 1
             return A.MinRepeat(body=body, span=tok.span)
         if tok.kind == "IDENT" and tok.text in UNSUPPORTED_STATEMENTS:
             raise ParseError(tok.span, "a statement", repr(tok.text),
@@ -288,6 +297,14 @@ class _Parser:
         expr = self.parse_expr()
         self.expect(";")
         return A.ExprStmt(expr=expr, span=tok.span)
+
+    def parse_body(self):
+        """The statement under an ``if``, ``else`` or ``while``: one level
+        of nesting, which a block standing as the body shares."""
+        self.nest("a statement")
+        body = self.parse_block() if self.at("{") else self.parse_stmt()
+        self.nesting -= 1
+        return body
 
     def looks_like_local_decl(self):
         if self.peek().kind in TYPE_START:
@@ -315,14 +332,14 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self):
-        self.nest(1)
+        self.nest()
         expr = self.parse_binary(1)
         if self.at("="):
             eq = self.next()
             if not isinstance(expr, (A.Name, A.FieldAccess)):
                 raise ParseError(eq.span, "assignable target", repr("="))
             expr = A.Assign(target=expr, value=self.parse_expr(), span=eq.span)
-        self.nest(-1)
+        self.nesting -= 1
         return expr
 
     def parse_binary(self, min_prec):
@@ -331,13 +348,15 @@ class _Parser:
         a chain counts as one level of nesting until the chain ends."""
         left = self.parse_unary()
         chain = 0
-        while A.BINARY_PREC.get(self.peek().kind, 0) >= min_prec:
+        prec = A.BINARY_PREC.get(self.peek().kind, 0)
+        while prec >= min_prec:
             op = self.next()
             chain += 1
-            self.nest(1)
-            right = self.parse_binary(A.BINARY_PREC[op.kind] + 1)
+            self.nest()
+            right = self.parse_binary(prec + 1)
             left = A.BinOp(op=op.kind, left=left, right=right, span=op.span)
-        self.nest(-chain)
+            prec = A.BINARY_PREC.get(self.peek().kind, 0)
+        self.nesting -= chain
         return left
 
     def parse_unary(self):
@@ -346,7 +365,7 @@ class _Parser:
         ops = []
         while self.at("!", "-"):
             ops.append(self.next())
-            self.nest(1)
+            self.nest()
         lit = self.peek()
         if ops and ops[-1].kind == "-" and lit.kind == "INT" and \
                 int(lit.text) == INT_LITERAL_MAX + 1:
@@ -365,7 +384,7 @@ class _Parser:
                     expr = A.FieldAccess(target=expr, name=name.text, span=dot.span)
         for tok in reversed(ops):
             expr = A.UnOp(op=tok.kind, operand=expr, span=tok.span)
-        self.nest(-len(ops))
+        self.nesting -= len(ops)
         return expr
 
     def parse_args(self):
@@ -380,6 +399,12 @@ class _Parser:
 
     def parse_primary(self):
         tok = self.peek()
+        if tok.kind == "IDENT":
+            self.next()
+            if self.at("("):
+                args = self.parse_args()
+                return A.MethodCall(target=None, name=tok.text, args=args, span=tok.span)
+            return A.Name(ident=tok.text, span=tok.span)
         if tok.kind == "INT":
             self.next()
             value = int(tok.text)
@@ -430,12 +455,6 @@ class _Parser:
             expr = self.parse_expr()
             self.expect(")")
             return expr
-        if tok.kind == "IDENT":
-            self.next()
-            if self.at("("):
-                args = self.parse_args()
-                return A.MethodCall(target=None, name=tok.text, args=args, span=tok.span)
-            return A.Name(ident=tok.text, span=tok.span)
         self.error("an expression")
 
 

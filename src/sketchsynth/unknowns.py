@@ -36,10 +36,6 @@ class UnknownId:
     def __str__(self):
         return self.name
 
-    def __deepcopy__(self, memo):
-        # a cloned tree keeps pointing at the registry's record
-        return self
-
     @property
     def bit_width(self):
         """Bits of the solver variable that selects a choice's

@@ -1,15 +1,18 @@
 """Driver tests: exit codes, output tree, logging, dump flags."""
 
 import copy
+import gc
 import importlib
 import pkgutil
 import re
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
-from conftest import (CADSR, CADSR_SMALL, DB, MULT2, PROGRAMS, program_files,
-                      run_front_end)
+from conftest import (CADSR, CADSR_SMALL, DB, DB_TWO_STATE, MULT2, PROGRAMS,
+                      program_files, run_front_end)
 import sketchsynth
 from sketchsynth import cli, engine, parser
 from sketchsynth.interp import (MAX_CALL_DEPTH, ConcreteUnknowns, Interp,
@@ -295,6 +298,45 @@ def _harness(stmts, members=""):
     return f"class A {{ {members}harness static void t() {{ {stmts} }} }}"
 
 
+def _nested_ifs(depth):
+    return ("class A { harness static void t() { int x = 1; "
+            + "if (x == 1) { " * depth + "x = ??; " + "} " * depth
+            + "assert x == 2; } }")
+
+
+@pytest.mark.parametrize("text", [
+    _nested_ifs(150),
+    # a generator class is copied per extending class: the copy is no
+    # recursion either
+    "generator class G { int f(int x) { " + "if (x == 1) { " * 150
+    + "x = ??; " + "} " * 150 + "return x; } } class H extends G { } "
+    + _harness("assert new H().f(1) == 2;"),
+], ids=["class", "generator-class"])
+def test_statements_nested_150_deep_solve(tmp_path, text):
+    src = tmp_path / "A.java"
+    src.write_text(text)
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 2"
+
+
+@pytest.mark.parametrize("text", [
+    _nested_ifs(200),
+    _harness("int x = 1; " + "if (x == 1) " * 200 + "x = 2; assert ?? == 1;"),
+    _harness("int x = 1; " + "while (x < 1) " * 200 + "x = 2; assert ?? == 1;"),
+    _harness("int x = 1; if (x == 0) { } "
+             + "else if (x == 1) { } " * 200 + "assert ?? == 1;"),
+    _harness("{ " * 1000 + "assert ?? == 1; " + "} " * 1000),
+], ids=["if-blocks-200", "bare-ifs-200", "whiles-200", "else-ifs-200",
+        "blocks-1000"])
+def test_statements_nested_beyond_the_limit_give_exit_2(tmp_path, capsys, text):
+    src = tmp_path / "A.java"
+    src.write_text(text)
+    code, _ = run(tmp_path, str(src))
+    assert code == cli.EXIT_INPUT
+    assert "nested at most" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, code, solution", [
     (_harness('String s = "ab"; s.charAt();'), cli.EXIT_INPUT, None),
     (_harness('String s = "ab"; s.length(3);'), cli.EXIT_INPUT, None),
@@ -474,13 +516,27 @@ def test_chain_of_1200_constructors_is_a_resource_limit(tmp_path):
      None, cli.EXIT_SOLVED),
     ("static int g(int x) { while (true) { return 0; } } ", None,
      cli.EXIT_SOLVED),
+    # a condition of literals and operators only is a constant expression
+    ("static int g(int x) { while (1 < 2) { return 0; } } ", None,
+     cli.EXIT_SOLVED),
+    ("static int g(int x) { while (!('b' < 'a') && 7 % 4 * 2 == 6 - 0) "
+     "{ return 0; } } ", None, cli.EXIT_SOLVED),
+    ("static int g(int x) { while (x < 2) { return 1; } } ",
+     "missing return statement", cli.EXIT_INPUT),
+    ("static int g(int x) { while (1 < 2 && x < 2) { return 1; } } ",
+     "missing return statement", cli.EXIT_INPUT),
+    # 1 / 0 completes abruptly, so it is no constant
+    ("static int g(int x) { while (1 / 0 == 0) { return 1; } } ",
+     "missing return statement", cli.EXIT_INPUT),
     ("static int g(int x) { { return 0; } } ", None, cli.EXIT_SOLVED),
     ("static void v() { return; } static int g(int x) { v(); return 0; } ",
      None, cli.EXIT_SOLVED),
     ("int f; A() { f = 1; return; } static int g(int x) { "
      "return new A().f - 1; } ", None, cli.EXIT_SOLVED),
 ], ids=["bare-return", "if-without-else", "while", "minrepeat", "if-else",
-        "while-true", "block", "void", "constructor"])
+        "while-true", "while-constant", "while-constant-operators",
+        "while-variable", "while-partly-constant", "while-division-by-zero",
+        "block", "void", "constructor"])
 def test_non_void_method_must_return_a_value(tmp_path, capsys, members,
                                              message, code):
     text = _harness("assert g(0) == ??;", members)
@@ -596,3 +652,79 @@ def test_a_run_leaves_no_module_level_state(tmp_path):
     code, _ = run(tmp_path, *program_files(*CADSR_SMALL))
     assert code == cli.EXIT_SOLVED
     assert snapshot() == before
+
+
+def test_interface_fields_are_static(tmp_path):
+    # JLS 9.3: a field of an interface is static without the modifier,
+    # read through the interface's name or inherited by an implementer
+    src = tmp_path / "A.java"
+    src.write_text("interface I { int X = 5; } "
+                   "class C implements I { int get() { return X + 1; } } "
+                   + _harness("int y = I.X; assert y + new C().get() + ?? == 13;"))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 2"
+    # the decoded source reparses and solves again
+    code, _ = run(tmp_path / "again", *sorted(map(str, (out / "java").iterdir())))
+    assert code == cli.EXIT_SOLVED
+
+
+def _exit_4(*args, **kwargs):
+    raise RuntimeError("injected fault")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("code", [cli.EXIT_SOLVED, cli.EXIT_UNSAT,
+                                  cli.EXIT_INPUT, cli.EXIT_INTERNAL],
+                         ids=["exit-0", "exit-1", "exit-2", "exit-4"])
+def test_a_run_leaves_the_cyclic_collector_as_it_found_it(
+        tmp_path, monkeypatch, enabled, code):
+    files = program_files(*(DB_TWO_STATE if code == cli.EXIT_UNSAT else MULT2))
+    if code == cli.EXIT_INPUT:
+        files = [str(tmp_path / "bad.java")]
+        (tmp_path / "bad.java").write_text("class A { int x = ; }")
+    if code == cli.EXIT_INTERNAL:
+        monkeypatch.setattr(cli, "lower_program", _exit_4)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        got, _ = run(tmp_path, *files)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert got == code
+
+
+def _sketchsynth_owned(obj):
+    if isinstance(obj, types.FrameType):
+        return "sketchsynth" in obj.f_code.co_filename
+    return (type(obj).__module__ or "").startswith("sketchsynth")
+
+
+@pytest.mark.parametrize("sid", ["mult2", "db", "db-two-state", "cadsr",
+                                 "cadsr-small", "wide0", "wide1", "wide2",
+                                 "wide3", "wide4"])
+def test_a_bench_sketch_leaves_no_cyclic_garbage(tmp_path, sid):
+    """Runs pause the cyclic collector because they make no cycles; a
+    change that makes some fails here before it shows as memory."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    sk, = [sk for sk in (workloads.paper_sketches(tmp_path, 0)
+                         + workloads.wide_sketches(tmp_path, 1))
+           if sk.sid == sid]
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        got, _ = run(tmp_path, *sk.files, *sk.flags)
+        gc.collect()
+        owned = [repr(o)[:80] for o in gc.garbage if _sketchsynth_owned(o)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.collect()
+    assert got == sk.exit_code
+    assert owned == []

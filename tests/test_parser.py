@@ -194,6 +194,29 @@ def test_nesting_limit(open_, close):
     assert info.value.expected == f"an expression nested at most {MAX_NESTING} deep"
 
 
+@pytest.mark.parametrize("open_, close", [
+    ("{ ", "} "), ("if (b) { ", "} "), ("if (b) ", ""), ("while (b) ", ""),
+    ("if (b) { } else { ", "} "), ("if (b) { } else ", "")],
+    ids=["block", "if-block", "if", "while", "else-block", "else"])
+def test_statement_nesting_limit(open_, close):
+    # each nested statement is one level, and so is the expression in the
+    # innermost one
+    n = MAX_NESTING - 1
+    parse_one(f"class A {{ void f() {{ {open_ * n}f(); {close * n}}} }}")
+    n = MAX_NESTING + 1
+    with pytest.raises(ParseError) as info:
+        parse_one(f"class A {{ void f() {{ {open_ * n}f(); {close * n}}} }}")
+    assert info.value.expected.endswith(f"nested at most {MAX_NESTING} deep")
+
+
+def test_interface_fields_are_static():
+    iface, cls = parse_one("interface I { int X = 1; static int Y = 2; } "
+                           "class C { int z = 3; }")
+    (x, y), (z,) = iface.fields(), cls.fields()
+    assert x.is_static and y.is_static and not z.is_static
+    assert x.modifiers == []
+
+
 def test_syntax_error_has_position():
     with pytest.raises(ParseError) as e:
         parse_one("class A { int x = ; }")
