@@ -10,15 +10,16 @@ holds.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from collections import namedtuple
+
+from .records import Record
 
 
-class SourceSpan(NamedTuple):
-    file: str
-    line: int  # 1-based
-    col: int   # 1-based
-    length: int = 0
+class SourceSpan(namedtuple("SourceSpan", "file line col length",
+                            defaults=(0,))):
+    """``file:line:col`` of a token (both 1-based) and its length."""
+
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.col}"
@@ -28,8 +29,9 @@ def synthetic_span(label="<synthetic>"):
     return SourceSpan(label, 1, 1, 0)
 
 
-class Node:
-    """Base for all AST nodes; subclasses are dataclasses with a ``span``."""
+class Node(Record):
+    """Base for all AST nodes; every node has a ``span`` field (a
+    SourceSpan or None) except ``CompilationUnit`` and ``SketchAst``."""
 
     def clone(self):
         """A copy of every node and list of the subtree; other values, such
@@ -57,12 +59,13 @@ class Node:
 # types
 
 
-@dataclass
 class TypeRef(Node):
     """A surface type: primitive name or class/interface name.  Generic
     arguments are parsed and dropped: every type is already erased."""
-    name: str
-    span: Optional[SourceSpan] = None
+
+    def __init__(self, name, span=None):
+        self.name = name
+        self.span = span
 
     def __str__(self):
         return self.name
@@ -72,22 +75,25 @@ class TypeRef(Node):
 # declarations
 
 
-@dataclass
 class CompilationUnit(Node):
-    file: str
-    types: list = field(default_factory=list)  # TypeDecl
+    def __init__(self, file, types=None):
+        self.file = file
+        self.types = [] if types is None else types  # TypeDecl
 
 
-@dataclass
 class ClassDecl(Node):
-    name: str
-    is_interface: bool = False
-    is_generator: bool = False
-    superclass: Optional[TypeRef] = None
-    interfaces: list = field(default_factory=list)  # TypeRef
-    members: list = field(default_factory=list)     # FieldDecl | MethodDecl | ClassDecl
-    modifiers: list = field(default_factory=list)
-    span: Optional[SourceSpan] = None
+    def __init__(self, name, is_interface=False, is_generator=False,
+                 superclass=None, interfaces=None, members=None,
+                 modifiers=None, span=None):
+        self.name = name
+        self.is_interface = is_interface
+        self.is_generator = is_generator
+        self.superclass = superclass  # TypeRef or None
+        self.interfaces = [] if interfaces is None else interfaces  # TypeRef
+        # FieldDecl | MethodDecl | ClassDecl
+        self.members = [] if members is None else members
+        self.modifiers = [] if modifiers is None else modifiers
+        self.span = span
 
     def fields(self):
         return [m for m in self.members if isinstance(m, FieldDecl)]
@@ -99,34 +105,37 @@ class ClassDecl(Node):
         return [m for m in self.members if isinstance(m, ClassDecl)]
 
 
-@dataclass
 class FieldDecl(Node):
-    type: TypeRef = None
-    name: str = ""
-    init: Optional["Expr"] = None
-    is_static: bool = False
-    modifiers: list = field(default_factory=list)
-    span: Optional[SourceSpan] = None
+    def __init__(self, type=None, name="", init=None, is_static=False,
+                 modifiers=None, span=None):
+        self.type = type
+        self.name = name
+        self.init = init  # Expr or None
+        self.is_static = is_static
+        self.modifiers = [] if modifiers is None else modifiers
+        self.span = span
 
 
-@dataclass
 class Param(Node):
-    type: TypeRef = None
-    name: str = ""
-    span: Optional[SourceSpan] = None
+    def __init__(self, type=None, name="", span=None):
+        self.type = type
+        self.name = name
+        self.span = span
 
 
-@dataclass
 class MethodDecl(Node):
-    name: str = ""
-    return_type: Optional[TypeRef] = None  # None for constructors
-    params: list = field(default_factory=list)
-    body: Optional["Block"] = None         # None for abstract/interface methods
-    is_static: bool = False
-    is_harness: bool = False
-    is_constructor: bool = False
-    modifiers: list = field(default_factory=list)
-    span: Optional[SourceSpan] = None
+    def __init__(self, name="", return_type=None, params=None, body=None,
+                 is_static=False, is_harness=False, is_constructor=False,
+                 modifiers=None, span=None):
+        self.name = name
+        self.return_type = return_type  # None for constructors
+        self.params = [] if params is None else params
+        self.body = body  # Block; None for abstract/interface methods
+        self.is_static = is_static
+        self.is_harness = is_harness
+        self.is_constructor = is_constructor
+        self.modifiers = [] if modifiers is None else modifiers
+        self.span = span
 
 
 # --------------------------------------------------------------------------
@@ -137,58 +146,58 @@ class Stmt(Node):
     pass
 
 
-@dataclass
 class Block(Stmt):
-    stmts: list = field(default_factory=list)
-    span: Optional[SourceSpan] = None
+    def __init__(self, stmts=None, span=None):
+        self.stmts = [] if stmts is None else stmts
+        self.span = span
 
 
-@dataclass
 class LocalDecl(Stmt):
-    type: TypeRef = None
-    name: str = ""
-    init: Optional["Expr"] = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, type=None, name="", init=None, span=None):
+        self.type = type
+        self.name = name
+        self.init = init  # Expr or None
+        self.span = span
 
 
-@dataclass
 class IfStmt(Stmt):
-    cond: "Expr" = None
-    then: Stmt = None
-    els: Optional[Stmt] = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, cond=None, then=None, els=None, span=None):
+        self.cond = cond
+        self.then = then
+        self.els = els  # Stmt or None
+        self.span = span
 
 
-@dataclass
 class WhileStmt(Stmt):
-    cond: "Expr" = None
-    body: Stmt = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, cond=None, body=None, span=None):
+        self.cond = cond
+        self.body = body
+        self.span = span
 
 
-@dataclass
 class ReturnStmt(Stmt):
-    value: Optional["Expr"] = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, value=None, span=None):
+        self.value = value  # Expr or None
+        self.span = span
 
 
-@dataclass
 class AssertStmt(Stmt):
-    cond: "Expr" = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, cond=None, span=None):
+        self.cond = cond
+        self.span = span
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: "Expr" = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, expr=None, span=None):
+        self.expr = expr
+        self.span = span
 
 
-@dataclass
 class MinRepeat(Stmt):
-    body: Block = None
-    uid: Optional[object] = None  # UnknownId, assigned by desugar
-    span: Optional[SourceSpan] = None
+    def __init__(self, body=None, uid=None, span=None):
+        self.body = body  # Block
+        self.uid = uid  # UnknownId, assigned by desugar
+        self.span = span
 
 
 # --------------------------------------------------------------------------
@@ -199,67 +208,67 @@ class Expr(Node):
     pass
 
 
-@dataclass
 class IntLit(Expr):
-    value: int = 0
-    span: Optional[SourceSpan] = None
+    def __init__(self, value=0, span=None):
+        self.value = value
+        self.span = span
 
 
-@dataclass
 class BoolLit(Expr):
-    value: bool = False
-    span: Optional[SourceSpan] = None
+    def __init__(self, value=False, span=None):
+        self.value = value
+        self.span = span
 
 
-@dataclass
 class CharLit(Expr):
-    value: int = 0  # code point
-    span: Optional[SourceSpan] = None
+    def __init__(self, value=0, span=None):
+        self.value = value  # code point
+        self.span = span
 
 
-@dataclass
 class StringLit(Expr):
-    value: str = ""
-    span: Optional[SourceSpan] = None
+    def __init__(self, value="", span=None):
+        self.value = value
+        self.span = span
 
 
-@dataclass
 class NullLit(Expr):
-    span: Optional[SourceSpan] = None
+    def __init__(self, span=None):
+        self.span = span
 
 
-@dataclass
 class Name(Expr):
-    ident: str = ""
-    span: Optional[SourceSpan] = None
+    def __init__(self, ident="", span=None):
+        self.ident = ident
+        self.span = span
 
 
-@dataclass
 class ThisExpr(Expr):
-    span: Optional[SourceSpan] = None
+    def __init__(self, span=None):
+        self.span = span
 
 
-@dataclass
 class FieldAccess(Expr):
-    target: Expr = None
-    name: str = ""
-    span: Optional[SourceSpan] = None
+    def __init__(self, target=None, name="", span=None):
+        self.target = target
+        self.name = name
+        self.span = span
 
 
-@dataclass
 class MethodCall(Expr):
-    target: Optional[Expr] = None  # None = unqualified call
-    name: str = ""
-    args: list = field(default_factory=list)
-    span: Optional[SourceSpan] = None
+    def __init__(self, target=None, name="", args=None, span=None):
+        self.target = target  # None = unqualified call
+        self.name = name
+        self.args = [] if args is None else args
+        self.span = span
 
 
-@dataclass
 class NewObject(Expr):
-    type: TypeRef = None
-    args: list = field(default_factory=list)
-    anon_members: Optional[list] = None  # inline body of an anonymous class
-    span: Optional[SourceSpan] = None
+    def __init__(self, type=None, args=None, anon_members=None, span=None):
+        self.type = type
+        self.args = [] if args is None else args
+        self.anon_members = anon_members  # inline body of an anonymous class
+        self.span = span
 
 
 # binding strength of the binary operators, loosest first; every level
@@ -271,41 +280,39 @@ BINARY_PREC = {
 }
 
 
-@dataclass
 class BinOp(Expr):
-    op: str = ""
-    left: Expr = None
-    right: Expr = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, op="", left=None, right=None, span=None):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.span = span
 
 
-@dataclass
 class UnOp(Expr):
-    op: str = ""
-    operand: Expr = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, op="", operand=None, span=None):
+        self.op = op
+        self.operand = operand
+        self.span = span
 
 
-@dataclass
 class Assign(Expr):
-    target: Expr = None  # Name or FieldAccess
-    value: Expr = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, target=None, value=None, span=None):
+        self.target = target  # Name or FieldAccess
+        self.value = value
+        self.span = span
 
 
-@dataclass
 class Hole(Expr):
-    uid: Optional[object] = None
-    span: Optional[SourceSpan] = None
+    def __init__(self, uid=None, span=None):
+        self.uid = uid
+        self.span = span
 
 
-@dataclass
 class Choice(Expr):
-    alternatives: list = field(default_factory=list)
-    uid: Optional[object] = None
-    span: Optional[SourceSpan] = None
-
-    def __post_init__(self):
+    def __init__(self, alternatives=None, uid=None, span=None):
+        self.alternatives = [] if alternatives is None else alternatives
+        self.uid = uid
+        self.span = span
         assert len(self.alternatives) >= 1
 
 
@@ -313,9 +320,9 @@ class Choice(Expr):
 # program root
 
 
-@dataclass
 class SketchAst(Node):
-    units: list = field(default_factory=list)  # CompilationUnit
+    def __init__(self, units=None):
+        self.units = [] if units is None else units  # CompilationUnit
 
     def top_level_types(self):
         for unit in self.units:

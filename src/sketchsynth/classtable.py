@@ -9,8 +9,6 @@ instance call on that class runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ast_nodes as A
 from . import stdlib
 from . import typetags as T
@@ -18,6 +16,7 @@ from .errors import (
     InheritanceCycleError, SignatureClashError, TypeLoweringError,
     UnresolvedTypeError,
 )
+from .records import Record
 
 PRIMITIVE_TAGS = {
     "int": T.INT, "boolean": T.BOOL, "char": T.CHAR,
@@ -35,39 +34,43 @@ def mangle_method(method, cls, param_tags):
     return "_".join(parts)
 
 
-@dataclass
-class MethodInfo:
-    plain_name: str
-    mangled: str
-    params: list                  # [(name, TypeTag)]
-    ret: object                   # TypeTag
-    is_static: bool = False
-    is_harness: bool = False
-    is_constructor: bool = False
-    is_abstract: bool = False
-    builtin: object = None        # stdlib.BuiltinMethod of a library method
-    decl: object = None           # MethodDecl for user methods
-    # derived from ``params``, which never changes after construction
-    param_tags: tuple = field(init=False, repr=False)
-    plain_sig: tuple = field(init=False, repr=False)  # (name, mangled params)
+class MethodInfo(Record):
+    _hidden = ("param_tags", "plain_sig")
 
-    def __post_init__(self):
-        self.param_tags = tuple(t for _, t in self.params)
-        self.plain_sig = (self.plain_name,
+    def __init__(self, plain_name, mangled, params, ret, is_static=False,
+                 is_harness=False, is_constructor=False, is_abstract=False,
+                 builtin=None, decl=None):
+        self.plain_name = plain_name
+        self.mangled = mangled
+        self.params = params  # [(name, TypeTag)]
+        self.ret = ret  # TypeTag
+        self.is_static = is_static
+        self.is_harness = is_harness
+        self.is_constructor = is_constructor
+        self.is_abstract = is_abstract
+        self.builtin = builtin  # stdlib.BuiltinMethod of a library method
+        self.decl = decl  # MethodDecl for user methods
+        # derived from ``params``, which never changes after construction
+        self.param_tags = tuple(t for _, t in params)
+        self.plain_sig = (plain_name,  # (name, mangled params)
                           tuple(map(mangle_param, self.param_tags)))
 
 
-@dataclass
-class ClassInfo:
-    cid: int
-    name: str
-    is_interface: bool = False
-    is_builtin: bool = False
-    superclass: str = None
-    interfaces: list = field(default_factory=list)
-    methods: list = field(default_factory=list)   # declared MethodInfo
-    fields: list = field(default_factory=list)    # [(name, TypeTag, is_static)]
-    decl: object = None           # ClassDecl, or BuiltinClassSpec
+class ClassInfo(Record):
+    def __init__(self, cid, name, is_interface=False, is_builtin=False,
+                 superclass=None, interfaces=None, methods=None, fields=None,
+                 decl=None):
+        self.cid = cid
+        self.name = name
+        self.is_interface = is_interface
+        self.is_builtin = is_builtin
+        self.superclass = superclass
+        self.interfaces = [] if interfaces is None else interfaces
+        # declared MethodInfo
+        self.methods = [] if methods is None else methods
+        # [(name, TypeTag, is_static)]
+        self.fields = [] if fields is None else fields
+        self.decl = decl  # ClassDecl, or BuiltinClassSpec
 
 
 class ClassTable:

@@ -16,16 +16,17 @@ Three passes, run in this order by :func:`desugar`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ast_nodes as A
 from .stdlib import ROOT_CLASS
 from .errors import DirectGeneratorUseError, EncodingError, SketchError
+from .records import Record
 from .unknowns import CHOICE, HOLE, REPEAT, UnknownId, UnknownRegistry
 
-@dataclass
-class SpecializationMap:
-    entries: dict = field(default_factory=dict)  # (generator, context) -> fresh name
+
+class SpecializationMap(Record):
+    def __init__(self, entries=None):
+        # (generator, context) -> fresh name
+        self.entries = {} if entries is None else entries
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,6 @@ any mismatch contradicts the encoding and is an ``InternalError``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from . import bitvec as B
 from . import sat
@@ -34,42 +33,45 @@ from .errors import InternalError
 from .interp import (
     ConcreteUnknowns, HarnessFailure, Interp, ResourceLimit, SymbolicUnknowns,
 )
+from .records import Record
 
 
-@dataclass
-class EngineConfig:
-    hole_bits: int = 5
-    unroll_max: int = 8
-    loop_bound: int = 64
-    step_limit: int = 100_000
-    timeout: float = 600.0
+class EngineConfig(Record):
+    def __init__(self, hole_bits=5, unroll_max=8, loop_bound=64,
+                 step_limit=100_000, timeout=600.0):
+        self.hole_bits = hole_bits
+        self.unroll_max = unroll_max
+        self.loop_bound = loop_bound
+        self.step_limit = step_limit
+        self.timeout = timeout
 
 
-@dataclass
-class Assignment:
-    values: dict                 # unknown instance name -> int
-    repeat_counts: dict          # repeat name -> count
+class Assignment(Record):
+    def __init__(self, values, repeat_counts):
+        self.values = values  # unknown instance name -> int
+        self.repeat_counts = repeat_counts  # repeat name -> count
 
 
-@dataclass
-class EvalOutcome:
-    steps_used: int
-    reason: str = None           # None if the harness passed
-    span: object = None
+class EvalOutcome(Record):
+    def __init__(self, steps_used, reason=None, span=None):
+        self.steps_used = steps_used
+        self.reason = reason  # None if the harness passed
+        self.span = span
 
 
-@dataclass
-class Solution:
-    assignment: Assignment
-    objective_values: dict       # objective name -> int
-    depth: int = 0
+class Solution(Record):
     candidates = 1               # the first canonical model always replays
 
+    def __init__(self, assignment, objective_values, depth=0):
+        self.assignment = assignment
+        self.objective_values = objective_values  # objective name -> int
+        self.depth = depth
 
-@dataclass
-class _NoSolution:
-    depth_reached: int = 0
-    wall_ms: int = 0
+
+class _NoSolution(Record):
+    def __init__(self, depth_reached=0, wall_ms=0):
+        self.depth_reached = depth_reached
+        self.wall_ms = wall_ms
 
 
 class Unsat(_NoSolution):
@@ -80,13 +82,16 @@ class Timeout(_NoSolution):
     """The wall-clock limit ran out first."""
 
 
-@dataclass
 class Overrun(_NoSolution):
     """No candidate passes, but symbolic execution of at least one repeat
     vector overran a resource limit (steps or call depth), so the search
     cannot tell whether that vector has a solution; ``depth_reached`` is
     the depth of the first such vector and ``limit`` what it overran."""
-    limit: ResourceLimit = None
+
+    def __init__(self, depth_reached=0, wall_ms=0, limit=None):
+        self.depth_reached = depth_reached
+        self.wall_ms = wall_ms
+        self.limit = limit  # ResourceLimit
 
 
 def effective_hole_width(program, cfg):

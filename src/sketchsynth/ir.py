@@ -2,178 +2,181 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from .records import Record
 
 # -- expressions -----------------------------------------------------------
 
 
-class IrExpr:
+class IrExpr(Record):
     pass
 
 
-@dataclass
 class Const(IrExpr):
-    value: object        # int | bool | str | None (null)
-    tag: object = None
+    def __init__(self, value, tag=None):
+        self.value = value  # int | bool | str | None (null)
+        self.tag = tag
 
 
-@dataclass
 class LocalRead(IrExpr):
-    name: str
+    def __init__(self, name):
+        self.name = name
 
 
-@dataclass
 class FieldRead(IrExpr):
-    obj: IrExpr
-    owner: str
-    name: str
+    def __init__(self, obj, owner, name):
+        self.obj = obj
+        self.owner = owner
+        self.name = name
 
 
-@dataclass
 class StaticRead(IrExpr):
-    cls: str
-    name: str
+    def __init__(self, cls, name):
+        self.cls = cls
+        self.name = name
 
 
-@dataclass
 class HoleRead(IrExpr):
-    uid: object          # UnknownId
+    def __init__(self, uid):
+        self.uid = uid  # UnknownId
 
 
-@dataclass
 class ChoiceRead(IrExpr):
-    uid: object
-    alts: list
+    def __init__(self, uid, alts):
+        self.uid = uid
+        self.alts = alts
 
 
-@dataclass
 class Bin(IrExpr):
-    op: str
-    left: IrExpr
-    right: IrExpr
+    def __init__(self, op, left, right):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class Un(IrExpr):
-    op: str
-    operand: IrExpr
+    def __init__(self, op, operand):
+        self.op = op
+        self.operand = operand
 
 
-@dataclass
 class Call(IrExpr):
-    fn: str
-    args: list
-    span: object = None
+    def __init__(self, fn, args, span=None):
+        self.fn = fn
+        self.args = args
+        self.span = span
 
 
-@dataclass
 class CallBuiltin(IrExpr):
-    method: object       # stdlib.BuiltinMethod
-    receiver: Optional[IrExpr]
-    args: list
-    span: object = None
+    def __init__(self, method, receiver, args, span=None):
+        self.method = method  # stdlib.BuiltinMethod
+        self.receiver = receiver  # IrExpr, or None for a free function
+        self.args = args
+        self.span = span
 
 
-@dataclass
 class AllocObj(IrExpr):
-    cls: str
+    def __init__(self, cls):
+        self.cls = cls
 
 
-@dataclass
 class VirtualCall(IrExpr):
     """Instance-method call, resolved per receiver class through the vtable."""
-    sig: tuple           # plain signature (name, mangled param types)
-    receiver: IrExpr
-    args: list
-    ret_tag: object
-    span: object = None
+
+    def __init__(self, sig, receiver, args, ret_tag, span=None):
+        self.sig = sig  # plain signature (name, mangled param types)
+        self.receiver = receiver
+        self.args = args
+        self.ret_tag = ret_tag
+        self.span = span
 
 
 # -- instructions ----------------------------------------------------------
 
 
-class IrInstr:
+class IrInstr(Record):
     pass
 
 
-@dataclass
 class AssignLocal(IrInstr):
-    name: str
-    expr: IrExpr
+    def __init__(self, name, expr):
+        self.name = name
+        self.expr = expr
 
 
-@dataclass
 class AssignField(IrInstr):
-    obj: IrExpr
-    owner: str
-    name: str
-    expr: IrExpr
+    def __init__(self, obj, owner, name, expr):
+        self.obj = obj
+        self.owner = owner
+        self.name = name
+        self.expr = expr
 
 
-@dataclass
 class AssignStatic(IrInstr):
-    cls: str
-    name: str
-    expr: IrExpr
+    def __init__(self, cls, name, expr):
+        self.cls = cls
+        self.name = name
+        self.expr = expr
 
 
-@dataclass
 class IfInstr(IrInstr):
-    cond: IrExpr
-    then: list
-    els: list = field(default_factory=list)
+    def __init__(self, cond, then, els=None):
+        self.cond = cond
+        self.then = then
+        self.els = [] if els is None else els
 
 
-@dataclass
 class WhileInstr(IrInstr):
-    cond: IrExpr
-    body: list
+    def __init__(self, cond, body):
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
 class ReturnInstr(IrInstr):
-    expr: Optional[IrExpr] = None
+    def __init__(self, expr=None):
+        self.expr = expr  # IrExpr or None
 
 
-@dataclass
 class AssertInstr(IrInstr):
-    expr: IrExpr
-    span: object = None
+    def __init__(self, expr, span=None):
+        self.expr = expr
+        self.span = span
 
 
-@dataclass
 class EvalInstr(IrInstr):
-    expr: IrExpr
+    def __init__(self, expr):
+        self.expr = expr
 
 
-@dataclass
 class RepeatInstr(IrInstr):
-    uid: object          # repeat UnknownId
-    body: list           # template instructions
+    def __init__(self, uid, body):
+        self.uid = uid  # repeat UnknownId
+        self.body = body  # template instructions
 
 
 # -- program ---------------------------------------------------------------
 
 
-@dataclass
-class IrFunction:
-    name: str
-    params: list
-    body: list
-    ret_tag: object = None
-    is_harness: bool = False
+class IrFunction(Record):
+    def __init__(self, name, params, body, ret_tag=None, is_harness=False):
+        self.name = name
+        self.params = params
+        self.body = body
+        self.ret_tag = ret_tag
+        self.is_harness = is_harness
 
 
-@dataclass
-class IrProgram:
-    functions: dict = field(default_factory=dict)
-    harnesses: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)   # (name, IrExpr)
-    static_init: str = "__static_init__"
-    registry: object = None
-    table: object = None
-    max_literal: int = 0
+class IrProgram(Record):
+    def __init__(self, functions=None, harnesses=None, objectives=None,
+                 static_init="__static_init__", registry=None, table=None,
+                 max_literal=0):
+        self.functions = {} if functions is None else functions
+        self.harnesses = [] if harnesses is None else harnesses
+        # (name, IrExpr)
+        self.objectives = [] if objectives is None else objectives
+        self.static_init = static_init
+        self.registry = registry
+        self.table = table
+        self.max_literal = max_literal
 
 
 def walk_ir(node):

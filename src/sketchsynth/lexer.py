@@ -11,7 +11,7 @@ line and column come from counting newlines in the skipped text.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .ast_nodes import SourceSpan
 from .errors import LexError
@@ -40,10 +40,11 @@ _TOKEN_RE = re.compile(
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
-class Token(NamedTuple):
-    kind: str   # keyword text, symbol text, or IDENT/INT/STRING/CHAR/EOF
-    text: str
-    span: SourceSpan
+class Token(namedtuple("Token", "kind text span")):
+    """``kind`` is the keyword text, the symbol text, or one of IDENT, INT,
+    STRING, CHAR and EOF; ``span`` is a SourceSpan."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return f"Token({self.kind!r}, {self.text!r})"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import ast_nodes as A
 from .ast_nodes import SourceSpan
-from .errors import DuplicateTypeError, ParseError
+from .errors import DuplicateTypeError, ParseError, SketchError
 from .lexer import Token, tokenize
 
 MODIFIER_KINDS = {
@@ -472,7 +472,19 @@ def parse_program(files):
     if not files:
         raise ValueError("at least one input file is required")
     return parse_program_texts(
-        (path, path.read_text(encoding="utf-8")) for path in map(Path, files))
+        (path, _read_source(path)) for path in map(Path, files))
+
+
+def _read_source(path):
+    """The text of ``path``; an input error naming it when it cannot be
+    read or is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise SketchError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise SketchError(
+            f"cannot read {path}: not UTF-8 at byte {e.start}") from None
 
 
 def parse_program_texts(named_texts):

@@ -13,9 +13,8 @@ interpreter turns into candidate rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import typetags as T
+from .records import Frozen, Record
 
 ROOT_CLASS = "Object"
 
@@ -28,28 +27,50 @@ class BuiltinTrap(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True, eq=False)
-class BuiltinMethod:
-    owner: str           # declaring class, or None for a free function
-    name: str
-    param_tags: tuple    # TypeTags
-    ret: object          # TypeTag
-    run: object          # (ctx, receiver, args) -> value; ctx allocates
-    mutates: bool = False  # changes its receiver or consumes an iterator
+class BuiltinMethod(Frozen):
+    """One library method; identity is equality."""
+
+    def __init__(self, owner, name, param_tags, ret, run, mutates=False):
+        # owner: the declaring class, or None for a free function;
+        # param_tags and ret: TypeTags; run: (ctx, receiver, args) -> value,
+        # where ctx allocates; mutates: changes its receiver or consumes an
+        # iterator
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "param_tags", param_tags)
+        object.__setattr__(self, "ret", ret)
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "mutates", mutates)
 
     def __repr__(self):
         return repr(f"{self.owner}.{self.name}" if self.owner else self.name)
 
 
-@dataclass(frozen=True)
-class BuiltinClassSpec:
-    name: str
-    methods: tuple = ()
-    is_interface: bool = False
-    interfaces: tuple = ()
-    # interfaces attached only when the user program declares them
-    implements_if_declared: tuple = ()
-    ctor: BuiltinMethod = None     # None: the class cannot be instantiated
+class BuiltinClassSpec(Frozen, Record):
+    def __init__(self, name, methods=(), is_interface=False, interfaces=(),
+                 implements_if_declared=(), ctor=None):
+        # implements_if_declared: interfaces attached only when the user
+        # program declares them; ctor: a BuiltinMethod, or None when the
+        # class cannot be instantiated
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "is_interface", is_interface)
+        object.__setattr__(self, "interfaces", interfaces)
+        object.__setattr__(self, "implements_if_declared",
+                           implements_if_declared)
+        object.__setattr__(self, "ctor", ctor)
+
+    def _key(self):
+        return (self.name, self.methods, self.is_interface, self.interfaces,
+                self.implements_if_declared, self.ctor)
+
+    def __eq__(self, other):
+        if type(other) is not BuiltinClassSpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # --------------------------------------------------------------------------

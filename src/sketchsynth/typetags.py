@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from .records import Frozen, Record
 
 
-@dataclass(frozen=True)
-class TypeTag:
-    kind: str                 # int | boolean | char | String | void | null | obj
-    cls: Optional[str] = None  # class/interface name when kind == "obj"
+class TypeTag(Frozen, Record):
+    """``kind`` is int, boolean, char, String, void, null or obj; ``cls``
+    names the class or interface of an obj tag and is None otherwise."""
+
+    def __init__(self, kind, cls=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cls", cls)
+
+    def __eq__(self, other):
+        if type(other) is not TypeTag:
+            return NotImplemented
+        return (self.kind, self.cls) == (other.kind, other.cls)
+
+    def __hash__(self):
+        return hash((self.kind, self.cls))
 
     def __str__(self):
         return self.cls if self.kind == "obj" else self.kind

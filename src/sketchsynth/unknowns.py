@@ -12,26 +12,31 @@ iteration, the instance of template ``e_h3`` at iteration ``i`` being named
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from .records import Frozen, Record
 
 HOLE = "hole"
 CHOICE = "choice"
 REPEAT = "repeat"
 
 
-@dataclass(eq=False)
 class UnknownId:
     """One unknown; identity is equality.  The fields after ``owner`` are
     left out of the repr, which ``--emit-ir`` prints."""
-    kind: str          # hole | choice | repeat
-    ordinal: int       # dense per kind, starting at 1
-    name: str          # e_h1 / e_c1 / e_r1
-    owner: str         # "Class.member" of the site that declares it
-    # the enclosing minrepeat's record, for a template
-    template_of: Optional[UnknownId] = field(default=None, repr=False)
-    arity: int = field(default=1, repr=False)         # choice alternatives
-    is_bool: bool = field(default=False, repr=False)  # hole; set by lowering
+
+    def __init__(self, kind, ordinal, name, owner, template_of=None, arity=1,
+                 is_bool=False):
+        self.kind = kind          # hole | choice | repeat
+        self.ordinal = ordinal    # dense per kind, starting at 1
+        self.name = name          # e_h1 / e_c1 / e_r1
+        self.owner = owner        # "Class.member" of the site that declares it
+        # the enclosing minrepeat's record, for a template
+        self.template_of = template_of
+        self.arity = arity        # choice alternatives
+        self.is_bool = is_bool    # hole; set by lowering
+
+    def __repr__(self):
+        return (f"UnknownId(kind={self.kind!r}, ordinal={self.ordinal!r}, "
+                f"name={self.name!r}, owner={self.owner!r})")
 
     def __str__(self):
         return self.name
@@ -46,18 +51,27 @@ class UnknownId:
         return self.name if iteration is None else f"{self.name}_{iteration}"
 
 
-@dataclass(frozen=True)
-class UnknownInstance:
+class UnknownInstance(Frozen, Record):
     """A solver variable: an unknown at a concrete iteration."""
-    unknown: UnknownId
-    name: str                # e_h3 or e_h3_2
+
+    def __init__(self, unknown, name):
+        object.__setattr__(self, "unknown", unknown)  # UnknownId
+        object.__setattr__(self, "name", name)        # e_h3 or e_h3_2
+
+    def __eq__(self, other):
+        if type(other) is not UnknownInstance:
+            return NotImplemented
+        return (self.unknown, self.name) == (other.unknown, other.name)
+
+    def __hash__(self):
+        return hash((self.unknown, self.name))
 
 
-@dataclass
-class UnknownRegistry:
-    holes: list = field(default_factory=list)
-    choices: list = field(default_factory=list)
-    repeats: list = field(default_factory=list)
+class UnknownRegistry(Record):
+    def __init__(self, holes=None, choices=None, repeats=None):
+        self.holes = [] if holes is None else holes
+        self.choices = [] if choices is None else choices
+        self.repeats = [] if repeats is None else repeats
 
     def instantiate(self, repeat_counts):
         """Expand templates for the given ``{repeat name: count}`` vector.

@@ -109,6 +109,21 @@ def test_missing_type_gives_exit_2(tmp_path):
     assert code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_gives_exit_2_naming_the_path(tmp_path, capsys,
+                                                       kind):
+    path = tmp_path / "A.java"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"class A { char c = '\xe9'; }")
+    code, out = run(tmp_path, str(path))
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert not (out / "java").exists()
+
+
 def test_timeout_gives_exit_3(tmp_path):
     code, out = run(tmp_path, *program_files(
         "DBConnection.java", "Automaton.java", "TestDBConnection.java"),
@@ -128,6 +143,28 @@ def test_emit_flags_write_debug_dumps(tmp_path):
     desugared = (out / "desugared" / "SimpleMath.java").read_text()
     # the desugared dump keeps the sketch constructs
     assert "??" in desugared and "{|" in desugared
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("name, names", [
+    ("mult2", MULT2), ("cadsr-small", CADSR_SMALL)],
+    ids=["mult2", "cadsr-small"])
+def test_debug_dumps_match_expected_bytes(tmp_path, monkeypatch, name, names):
+    # the IR dump prints source spans, so the files are named as given
+    # on a command line run from the programs directory
+    monkeypatch.chdir(PROGRAMS)
+    code, out = run(tmp_path, *names,
+                    "--emit-ir", "--emit-tables", "--emit-desugared")
+    assert code == cli.EXIT_SOLVED
+    got = {}
+    for part in ("ir", "tables", "desugared"):
+        got.update({f"{part}/{k}": v
+                    for k, v in _tree_bytes(out / part).items()})
+    assert got == _tree_bytes(PROGRAMS / "expected" / "dumps" / name)
 
 
 @pytest.mark.parametrize("depth", [60, 150])

@@ -1,6 +1,9 @@
 """Checks over the package source as a whole."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sketchsynth
@@ -30,3 +33,18 @@ def test_every_definition_is_used_in_src():
                 used.add(node.attr)
     assert sorted(defined - used - set(KEPT)) == []
     assert set(KEPT) <= defined - used
+
+
+def test_import_adds_no_reflection_modules():
+    """A fresh ``import sketchsynth.cli`` loads none of ``dataclasses``,
+    ``inspect`` and ``typing``, which cost a cold start more than the
+    package's own modules.  Only what the import adds is checked: ``site``
+    may have loaded some of them already."""
+    code = ("import sys; before = set(sys.modules); import sketchsynth.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "sketchsynth.cli" in added
+    assert added & {"dataclasses", "inspect", "typing"} == set()
