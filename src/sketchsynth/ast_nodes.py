@@ -35,23 +35,17 @@ class Node(Record):
 
     def clone(self):
         """A copy of every node and list of the subtree; other values, such
-        as spans and the unknowns' records, are shared.  An explicit stack,
-        so the depth of the tree is not bounded by the recursion limit."""
+        as spans and the unknowns' records, are shared.  Each node's fields
+        are swapped for copies before :func:`walk` reads them, so the walk
+        goes on through the copies."""
         root = copy.copy(self)
-        stack = [root]
-        while stack:
-            node = stack.pop()
+        for node in walk(root):
             for name, value in list(vars(node).items()):
                 if isinstance(value, Node):
-                    value = copy.copy(value)
-                    stack.append(value)
+                    setattr(node, name, copy.copy(value))
                 elif type(value) is list:
-                    value = [copy.copy(v) if isinstance(v, Node) else v
-                             for v in value]
-                    stack.extend(v for v in value if isinstance(v, Node))
-                else:
-                    continue
-                setattr(node, name, value)
+                    setattr(node, name, [copy.copy(v) if isinstance(v, Node)
+                                         else v for v in value])
         return root
 
 

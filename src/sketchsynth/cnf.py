@@ -102,7 +102,7 @@ class CnfBuilder:
     def g_ite(self, c, a, b):
         if isinstance(c, bool):
             return a if c else b
-        if a == b:
+        if a == b and type(a) is type(b):   # True == 1, but not as bits
             return a
         return self.g_or(self.g_and(c, a), self.g_and(self.g_not(c), b))
 

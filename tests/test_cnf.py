@@ -120,6 +120,17 @@ def test_constant_true_is_not_shared_with_literal_one():
     assert cb.blast(B.ite(same, B.var("x"), B.var("y"))) is cb.var_bits["x"]
 
 
+def test_select_between_constant_true_and_literal_one_is_no_constant():
+    # True == 1 in Python, but the select is c itself, not True
+    cb = CnfBuilder()
+    one = cb.new_var()
+    c = cb.new_var()
+    assert cb.g_ite(c, True, one) is not True
+    assert cb.g_ite(c, False, -one) is not False
+    # a select between one value on both sides is that value
+    assert cb.g_ite(c, 1, 1) == 1 and cb.g_ite(c, True, True) is True
+
+
 def test_deep_term_blasts_without_recursion():
     t = bool_var("p0")
     for i in range(1, 5000):

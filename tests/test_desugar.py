@@ -82,6 +82,52 @@ def test_inner_class_flattened_with_outer_suffix():
     assert outer.fields()[0].type.name == "Inner_Outer"
 
 
+def test_references_follow_their_declaration_not_its_text():
+    # A becomes A_Outer; the class that was A_Outer becomes A_Outer_Outer,
+    # and no reference to one is taken for the other
+    ast, _, _ = desugar_texts(
+        "class Outer { class A { } class A_Outer { } A a; A_Outer b; }")
+    fields = find_type(ast, "Outer").fields()
+    assert [f.type.name for f in fields] == ["A_Outer", "A_Outer_Outer"]
+
+
+def test_member_class_shadows_an_outer_one_of_its_name():
+    ast, _, _ = desugar_texts(
+        "class Outer { class K { } class In { class K { } K k; } K k; }")
+    assert find_type(ast, "Outer").fields()[0].type.name == "K_Outer"
+    assert find_type(ast, "In_Outer").fields()[0].type.name == "K_In_Outer"
+
+
+def test_a_generators_copy_binds_its_own_name_to_itself():
+    ast, _, _ = desugar_texts(
+        "generator class G { G next; G() { } } "
+        "class A extends G { } class B extends G { }")
+    for name in ("G1", "G2"):
+        copy = find_type(ast, name)
+        assert copy.fields()[0].type.name == name
+        assert [m.name for m in copy.methods()] == [name]
+
+
+def test_generator_declared_in_an_anonymous_body_is_dropped():
+    ast, _, _ = desugar_texts(
+        "class S { } class A { S s = new S() { generator class G { } }; }")
+    assert sorted(d.name for d in ast.top_level_types()) == ["A", "Object", "S", "S_1"]
+
+
+def test_every_generated_name_is_the_first_free_one_of_its_stem():
+    # X_Outer is taken, so member X becomes X_Outer_2; the lifted body of
+    # new X_Outer() { } still takes X_Outer_1, and F_2 is skipped
+    ast, _, _ = desugar_texts(
+        "class X_Outer { } class F { } class F_2 { } "
+        "class Outer { class X { } X b; X_Outer a = new X_Outer() { }; "
+        "F f = new F() { }; F g = new F() { }; F h = new F() { }; }")
+    assert sorted(d.name for d in ast.top_level_types()) == [
+        "F", "F_1", "F_2", "F_3", "F_4", "Object", "Outer",
+        "X_Outer", "X_Outer_1", "X_Outer_2"]
+    assert find_type(ast, "Outer").fields()[0].type.name == "X_Outer_2"
+    assert find_type(ast, "X_Outer_1").superclass.name == "X_Outer"
+
+
 def test_anonymous_class_lifted_to_named_subclass():
     ast, _, _ = desugar_texts("""
         interface Token { public int getId(); }
