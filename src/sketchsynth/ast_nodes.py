@@ -4,7 +4,9 @@ The tree is produced by the parser and rewritten in place-preserving steps by
 the desugarer.  ``Hole``, ``Choice`` and ``MinRepeat`` nodes carry no
 identifier at parse time; before lowering, the desugarer gives each its
 :class:`UnknownId` record (the ``uid`` attribute), the one the registry
-holds.
+holds.  It also binds every simple name: each ``Param`` and ``LocalDecl``
+gets the ``slot`` (IR local) it declares, and each ``Name`` the ``slot``
+it denotes, :data:`CLASS`, or None for a field.
 """
 
 from __future__ import annotations
@@ -115,6 +117,7 @@ class Param(Node):
         self.type = type
         self.name = name
         self.span = span
+        self.slot = None
 
 
 class MethodDecl(Node):
@@ -152,6 +155,7 @@ class LocalDecl(Stmt):
         self.name = name
         self.init = init  # Expr or None
         self.span = span
+        self.slot = None
 
 
 class IfStmt(Stmt):
@@ -231,10 +235,15 @@ class NullLit(Expr):
         self.span = span
 
 
+# a Name's ``slot`` when it denotes a class: a keyword, so no local's
+CLASS = "class"
+
+
 class Name(Expr):
-    def __init__(self, ident="", span=None):
+    def __init__(self, ident="", span=None, slot=None):
         self.ident = ident
         self.span = span
+        self.slot = slot
 
 
 class ThisExpr(Expr):

@@ -42,7 +42,7 @@ class MethodInfo(Record):
                  builtin=None, decl=None):
         self.plain_name = plain_name
         self.mangled = mangled
-        self.params = params  # [(name, TypeTag)]
+        self.params = params  # [(IR local, TypeTag)]
         self.ret = ret  # TypeTag
         self.is_static = is_static
         self.is_harness = is_harness
@@ -287,7 +287,7 @@ def _build_members(table):
                 table.static_fields.append((ci.name, f.name, tag))
         sigs = set()
         for m in decl.methods():
-            params = [(p.name, table.tag_from_typeref(p.type)) for p in m.params]
+            params = [(p.slot, table.tag_from_typeref(p.type)) for p in m.params]
             ret = (T.obj(ci.name) if m.is_constructor
                    else table.tag_from_typeref(m.return_type))
             mi = MethodInfo(

@@ -58,22 +58,23 @@ class _Log:
 
 
 def build_arg_parser():
+    defaults = engine.EngineConfig()
     p = argparse.ArgumentParser(
         prog="sketchsynth",
         description="Synthesize concrete programs from sketches with holes, "
                     "expression choices and minrepeat blocks.")
     p.add_argument("files", nargs="+", help="sketch source files")
     p.add_argument("--out", default="result", help="output directory")
-    p.add_argument("--hole-bits", type=int, default=5,
+    p.add_argument("--hole-bits", type=int, default=defaults.hole_bits,
                    help="bit width of integer holes, 1 to 32 (widened to "
                         "cover program literals, up to 31 bits)")
-    p.add_argument("--unroll-max", type=int, default=8,
+    p.add_argument("--unroll-max", type=int, default=defaults.unroll_max,
                    help="maximum unrolling of any single minrepeat block")
-    p.add_argument("--loop-bound", type=int, default=64,
+    p.add_argument("--loop-bound", type=int, default=defaults.loop_bound,
                    help="iteration cap per loop during evaluation")
-    p.add_argument("--step-limit", type=int, default=100000,
+    p.add_argument("--step-limit", type=int, default=defaults.step_limit,
                    help="evaluation step cap per harness")
-    p.add_argument("--timeout", type=float, default=600.0,
+    p.add_argument("--timeout", type=float, default=defaults.timeout,
                    help="overall wall-clock limit in seconds")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored (the search is deterministic)")
@@ -133,7 +134,7 @@ def _run(args, log, out_dir):
     ast = parse_program(args.files)
     log.stage("rewriting syntax sugar")
     log.stage("specializing class-level generator")
-    ast, spec_map, registry = desugar(ast)
+    ast, _, registry = desugar(ast)
     log.stage("building class hierarchy")
     table = build_class_table(ast)
     log.stage("encoding")

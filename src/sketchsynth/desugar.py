@@ -1,17 +1,21 @@
 """Normalization of the parsed sketch into the core form the lowering expects.
 
-Each class reference (a ``TypeRef`` or a ``Name`` used as a class) is bound
-to its declaration by Java's scoping rules (JLS 6.3-6.5), so a rename sets
-only the declaration's name, from one allocator (``_Binder.fresh``); each
-reference takes its declaration's final name at the end of :func:`desugar`.
+Every simple name is bound here by Java's scoping rules (JLS 6.3-6.5), and
+nowhere else.  Each parameter and local declaration gets its own slot, the
+IR local it declares; each ``Name`` records the slot it denotes, the mark
+``ast_nodes.CLASS``, or None for a field.  Each class reference (a
+``TypeRef`` or a ``Name`` used as a class) is bound to its declaration, so
+a rename sets only the declaration's name, from one allocator
+(``_Binder.fresh``); each reference takes its declaration's final name at
+the end of :func:`desugar`.
 
 1. ``_Binder.specialize`` — class scopes, the types of each header and
    member, and a copy of each ``generator`` class per extending context.
 2. ``_Binder.visit_class`` — one walk over every body: an UnknownId record
    (``e_h<n>`` / ``e_c<n>`` / ``e_r<n>``) for every Hole/Choice/minrepeat,
-   shared by the node and the UnknownRegistry; class references; anonymous
-   bodies; and ``Outer.x`` for a nested class's use of a static member
-   ``x`` of its enclosing class ``Outer``.
+   shared by the node and the UnknownRegistry; slots; class references;
+   anonymous bodies; and ``Outer.x`` for a nested class's use of a static
+   member ``x`` of its enclosing class ``Outer``.
 3. normalization — member classes hoisted (``Inner_Outer``), anonymous
    classes lifted (``Base_<n>``), the root superclass, constructors named
    after their class and given the field initializers.
@@ -22,17 +26,23 @@ from __future__ import annotations
 from . import ast_nodes as A
 from .stdlib import ROOT_CLASS
 from .errors import DirectGeneratorUseError, EncodingError, SketchError
-from .records import Record
 from .unknowns import CHOICE, HOLE, REPEAT, UnknownId, UnknownRegistry
 
 
-class SpecializationMap(Record):
-    def __init__(self, entries=None):
-        # (generator, context) -> fresh name
-        self.entries = {} if entries is None else entries
-
-
 _PREFIX = {HOLE: "e_h", CHOICE: "e_c", REPEAT: "e_r"}
+# a local of an enclosing method, seen from an anonymous body
+_CAPTURED = object()
+
+
+def _slot(name, taken):
+    """The IR local of a declaration of ``name`` in a function whose slots
+    ``taken`` holds: ``name``, or else the first free ``name_<k>``."""
+    slot, k = name, 0
+    while slot in taken:
+        k += 1
+        slot = f"{name}_{k}"
+    taken.add(slot)
+    return slot
 
 
 class _Binder:
@@ -47,7 +57,7 @@ class _Binder:
         self.bound = {}       # id(node) -> (node, attribute, declaration)
         self.scopes = {}      # id(named ClassDecl) -> scope of its body
         self.generators = {}  # id(generator) -> scope it is declared in
-        self.spec_map = SpecializationMap()
+        self.spec_map = {}    # (generator, context) -> its copy's name
         self.registry = UnknownRegistry()
         self.counts = {HOLE: 0, CHOICE: 0, REPEAT: 0}
         self.anonymous = {}   # id(named ClassDecl) -> [NewObject with a body]
@@ -137,7 +147,7 @@ class _Binder:
             copy.name = self.fresh(gen.name)
             self.declare(copy, self.generators[id(gen)], own=gen.name)
             self.bound[id(decl.superclass)] = (decl.superclass, "name", copy)
-            self.spec_map.entries[(gen.name, context)] = copy.name
+            self.spec_map[(gen.name, context)] = copy.name
             # the copy joins the compilation unit of its extending context
             unit.types.append(copy)
         for inner in decl.inner_classes():
@@ -155,11 +165,13 @@ class _Binder:
         qual = f"{prefix}{decl.name}"
         sites = self.anonymous[id(decl)] = []
         self.visit_members(decl.members, f"{qual}.", qual, sites,
-                           self.scopes[id(decl)], set(), None)
+                           self.scopes[id(decl)], {}, None)
 
     def visit_members(self, members, prefix, owner, sites, scope, names, template):
-        """The bodies among ``members``, ``names`` being the locals in scope;
-        in an anonymous body ``prefix`` is None: its classes keep its owner."""
+        """The bodies among ``members``, ``names`` mapping each local of an
+        enclosing method to _CAPTURED; in an anonymous body ``prefix`` is
+        None: its classes keep its owner.  An instance method's receiver
+        takes the slot ``self``."""
         for m in members:
             kind = type(m)
             if kind is A.ClassDecl:
@@ -170,40 +182,51 @@ class _Binder:
                     self.visit_class(m, prefix)
             elif kind is A.FieldDecl:
                 if m.init is not None:
-                    self.visit(m.init, owner, sites, scope, names, template)
-            elif m.body is not None:
-                self.visit(m.body, owner, sites, scope,
-                           names | {p.name for p in m.params}, template)
+                    self.visit(m.init, owner, sites, scope, names, template, set())
+            else:
+                taken = set() if m.is_static else {"self"}
+                params = dict(names)
+                for p in m.params:
+                    params[p.name] = p.slot = _slot(p.name, taken)
+                if m.body is not None:
+                    self.visit(m.body, owner, sites, scope, params, template, taken)
 
-    def visit(self, root, owner, sites, scope, names, template):
+    def visit(self, root, owner, sites, scope, names, template, taken):
         """Pre-order over ``root``, with an explicit stack of (node, enclosing
-        minrepeat's record).  A local is in scope from its own initializer to
-        the end of its block, where the block's pushed ``names`` set is popped
-        back; a Name is a local, parameter or field before a class (JLS 6.4.2)."""
+        minrepeat's record, {source name: slot} of the locals in scope).
+        A local is in scope from its own initializer to the end of its
+        block, and takes a slot not in ``taken``, its function's.  A Name is
+        a local, parameter or field before a class (JLS 6.4.2)."""
         registry = self.registry
-        stack = [(root, template)]
+        stack = [(root, template, names)]
         pop, push = stack.pop, stack.append
         while stack:
-            node, template = pop()
+            node, template, names = pop()
             kind = type(node)
             if kind is A.Name:
                 ident = node.ident
-                if (ident not in names
-                        and (len(scope) > 2 or any(ident in t for _, t in scope))
-                        and not self.member_in_scope(node, ident, A.FieldDecl, scope)):
-                    self.bind(node, scope, "ident")
+                slot = names.get(ident)
+                if slot is _CAPTURED:
+                    if self.member(scope[0][0], ident, A.FieldDecl) is None:
+                        raise EncodingError(
+                            f"an anonymous class uses '{ident}', a local or "
+                            "parameter of an enclosing method; captures are "
+                            "not supported",
+                            node.span)
+                elif slot is not None:
+                    node.slot = slot
+                elif ((len(scope) > 2 or any(ident in t for _, t in scope))
+                        and not self.member_in_scope(node, ident, A.FieldDecl, scope)
+                        and self.bind(node, scope, "ident")):
+                    node.slot = A.CLASS
                 continue
             if kind is A.TypeRef:
                 self.bind(node, scope)
                 continue
             if kind is A.LocalDecl:
-                names.add(node.name)
+                names[node.name] = node.slot = _slot(node.name, taken)
             elif kind is A.Block:
-                push((names, template))
-                names = set(names)
-            elif kind is set:
-                names = node
-                continue
+                names = dict(names)
             elif kind is A.Hole:
                 self.unknown(HOLE, owner, node, registry.holes, template_of=template)
             elif kind is A.Choice:
@@ -219,20 +242,21 @@ class _Binder:
             elif kind is A.NewObject and node.anon_members is not None:
                 sites.append(node)
                 for part in (node.type, *node.args):
-                    self.visit(part, owner, sites, scope, names, template)
+                    self.visit(part, owner, sites, scope, names, template, taken)
                 members = node.anon_members
                 inner = ((node, {m.name: m for m in members
                                  if type(m) is A.ClassDecl}),) + scope
                 self.declare_members(members, inner)
-                self.visit_members(members, None, owner, sites, inner, names, template)
+                self.visit_members(members, None, owner, sites, inner,
+                                   dict.fromkeys(names, _CAPTURED), template)
                 continue
             for f in reversed(vars(node).values()):
                 if isinstance(f, A.Node):
-                    push((f, template))
+                    push((f, template, names))
                 elif type(f) is list:
                     for item in reversed(f):
                         if isinstance(item, A.Node):
-                            push((item, template))
+                            push((item, template, names))
 
     def member_in_scope(self, node, name, kind, scope):
         """Whether a class of ``scope`` has a ``kind`` member ``name``; the
@@ -270,7 +294,7 @@ class _Binder:
             raise EncodingError(
                 f"a nested class uses '{member.name}', an instance member of "
                 "an enclosing class; only static ones are supported", node.span)
-        qualifier = A.Name(cls.name, span=node.span)
+        qualifier = A.Name(cls.name, span=node.span, slot=A.CLASS)
         self.bound[id(qualifier)] = (qualifier, "ident", cls)
         if type(node) is A.MethodCall:
             node.target = qualifier
@@ -349,7 +373,8 @@ def _finish_classes(ast):
 
 
 def desugar(ast):
-    """Run all three passes; returns (ast, SpecializationMap, UnknownRegistry)."""
+    """Run all three passes; returns (ast, {(generator, context): name of
+    its copy}, UnknownRegistry)."""
     binder = _Binder(ast)
     binder.specialize(ast)
     for decl in ast.top_level_types():

@@ -106,10 +106,8 @@ def effective_hole_width(program, cfg):
 
 
 def _concrete_interp(program, assignment, cfg):
-    return Interp(program,
-                  ConcreteUnknowns(assignment.values),
-                  assignment.repeat_counts,
-                  loop_bound=cfg.loop_bound, step_limit=cfg.step_limit)
+    return Interp(program, ConcreteUnknowns(assignment.values),
+                  assignment.repeat_counts, cfg)
 
 
 def eval_harness(program, harness, assignment, cfg):
@@ -180,8 +178,7 @@ def _encode(program, vector, cfg):
     objectives = []
 
     def interp():
-        return Interp(program, unknowns, vector, loop_bound=cfg.loop_bound,
-                      step_limit=cfg.step_limit)
+        return Interp(program, unknowns, vector, cfg)
     try:
         for h in program.harnesses:
             it = interp()

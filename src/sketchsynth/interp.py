@@ -230,14 +230,13 @@ class _Frame:
 
 
 class Interp:
-    def __init__(self, program, unknowns, repeat_counts,
-                 loop_bound=64, step_limit=2_000_000):
+    def __init__(self, program, unknowns, repeat_counts, cfg):
         self.program = program
         self.table = program.table
         self.unknowns = unknowns
         self.repeat_counts = repeat_counts   # repeat name -> count
-        self.loop_bound = loop_bound
-        self.step_limit = step_limit
+        self.loop_bound = cfg.loop_bound     # cfg: an engine.EngineConfig
+        self.step_limit = cfg.step_limit
         self.steps = 0
         self.depth = 0                       # calls now running
         self.constraints = []

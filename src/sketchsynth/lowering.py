@@ -139,16 +139,13 @@ class _Env:
         self.ci = ci
         self.mi = mi
         self.static = static
-        self.locals = {}
+        # slot -> TypeTag of each parameter and local lowered so far; desugar
+        # bound each Name to its slot
+        self.tags = dict(mi.params) if mi is not None else {}
         self.objectives = []
         # whether the statements lowered so far can complete normally
         # (JLS 14.22, without labels or break)
         self.completes = True
-        if mi is not None and not static:
-            self.locals["self"] = T.obj(ci.name)
-        if mi is not None:
-            for pname, ptag in mi.params:
-                self.locals[pname] = ptag
 
     # -- statements --------------------------------------------------------
 
@@ -163,10 +160,10 @@ class _Env:
 
     def _lower_local(self, s):
         tag = self.table.tag_from_typeref(s.type)
-        self.locals[s.name] = tag
-        if s.init is None:
-            return [I.AssignLocal(s.name, I.Const(T.default(tag), tag))]
-        return [I.AssignLocal(s.name, self.lower_value(s.init, tag))]
+        value = (I.Const(T.default(tag), tag) if s.init is None
+                 else self.lower_value(s.init, tag))
+        self.tags[s.slot] = tag
+        return [I.AssignLocal(s.slot, value)]
 
     def _lower_if(self, s):
         cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
@@ -221,31 +218,14 @@ class _Env:
         return not self.mi.is_constructor and self.mi.ret.kind != "void"
 
     def lower_assign(self, e):
-        value_of = lambda tag: self.lower_value(e.value, tag)
-        t = e.target
-        if isinstance(t, A.Name):
-            if t.ident in self.locals:
-                return I.AssignLocal(t.ident, value_of(self.locals[t.ident]))
-            owner, tag, is_static = self.table.resolve_field(self.ci.name, t.ident)
-            if is_static:
-                return I.AssignStatic(owner, t.ident, value_of(tag))
-            _require(not self.static, "instance field '{}' in static context",
-                     t.span, t.ident)
-            return I.AssignField(I.LocalRead("self"), owner, t.ident, value_of(tag))
-        if isinstance(t, A.FieldAccess):
-            cls = self._class_ref(t.target)
-            if cls is not None:
-                owner, tag, is_static = self.table.resolve_field(cls, t.name)
-                _require(is_static, "'{}.{}' is not a static field", t.span,
-                         cls, t.name)
-                return I.AssignStatic(owner, t.name, value_of(tag))
-            recv, rtag = self.lower_expr(t.target)
-            _require(rtag.kind == "obj", "field assignment on non-object", t.span)
-            owner, tag, is_static = self.table.resolve_field(rtag.cls, t.name)
-            if is_static:
-                return I.AssignStatic(owner, t.name, value_of(tag))
-            return I.AssignField(recv, owner, t.name, value_of(tag))
-        raise TypeLoweringError("unsupported assignment target", e.span)
+        target, tag = self.lower_variable(e.target)
+        value = self.lower_value(e.value, tag)
+        kind = type(target)
+        if kind is I.LocalRead:
+            return I.AssignLocal(target.name, value)
+        if kind is I.StaticRead:
+            return I.AssignStatic(target.cls, target.name, value)
+        return I.AssignField(target.obj, target.owner, target.name, value)
 
     def lower_minimize(self, e):
         _require(self.mi is not None and self.mi.is_harness,
@@ -337,50 +317,42 @@ class _Env:
         prog.max_literal = max(prog.max_literal, magnitude)
         return I.Const(value, tag), tag
 
-    def _lower_name(self, e, expected):
-        if e.ident in self.locals:
-            return I.LocalRead(e.ident), self.locals[e.ident]
+    def lower_variable(self, e, expected=None):
+        """(read, type tag) of the variable that Name or FieldAccess ``e``
+        denotes, as desugar bound it: a LocalRead, StaticRead or FieldRead."""
+        kind = type(e)
+        if kind is A.Name:
+            name, slot = e.ident, e.slot
+            _require(slot != A.CLASS, "class name '{}' cannot be used as a value",
+                     e.span, name)
+            if slot is not None:
+                _require(slot in self.tags, "variable '{}' might not have been "
+                         "initialized", e.span, name)
+                return I.LocalRead(slot), self.tags[slot]
+            cls, recv = self.ci.name, None if self.static else I.LocalRead("self")
+        elif kind is A.FieldAccess:
+            name, cls, recv = e.name, _class_of(e.target), None
+            if cls is None:
+                recv, rtag = self.lower_expr(e.target)
+                _require(rtag.kind == "obj", "field access on non-object", e.span)
+                cls = rtag.cls
+        else:
+            raise TypeLoweringError("unsupported assignment target", e.span)
         try:
-            owner, tag, is_static = self.table.resolve_field(self.ci.name, e.ident)
-        except TypeLoweringError:
-            if self.table.has_class(e.ident):
-                raise TypeLoweringError(
-                    f"class name '{e.ident}' cannot be used as a value", e.span)
-            raise TypeLoweringError(f"unknown name '{e.ident}'", e.span)
+            owner, tag, is_static = self.table.resolve_field(cls, name)
+        except TypeLoweringError as err:
+            message = f"unknown name '{name}'" if kind is A.Name else err.message
+            raise TypeLoweringError(message, e.span) from None
         if is_static:
-            return I.StaticRead(owner, e.ident), tag
-        _require(not self.static, "instance field '{}' in static context",
-                 e.span, e.ident)
-        return I.FieldRead(I.LocalRead("self"), owner, e.ident), tag
-
-    def _class_ref(self, target):
-        """Class name used as a qualifier, or None."""
-        if (isinstance(target, A.Name) and target.ident not in self.locals
-                and self.table.has_class(target.ident)):
-            try:
-                self.table.resolve_field(self.ci.name, target.ident)
-            except TypeLoweringError:
-                return target.ident
-        return None
-
-    def _lower_field_access(self, e, expected):
-        cls = self._class_ref(e.target)
-        if cls is not None:
-            owner, tag, is_static = self.table.resolve_field(cls, e.name)
-            _require(is_static, "'{}.{}' is not a static field", e.span,
-                     cls, e.name)
-            return I.StaticRead(owner, e.name), tag
-        recv, rtag = self.lower_expr(e.target)
-        _require(rtag.kind == "obj", "field access on non-object", e.span)
-        owner, tag, is_static = self.table.resolve_field(rtag.cls, e.name)
-        if is_static:
-            return I.StaticRead(owner, e.name), tag
-        return I.FieldRead(recv, owner, e.name), tag
+            return I.StaticRead(owner, name), tag
+        _require(recv is not None, "non-static field '{}' cannot be referenced "
+                 "from a static context", e.span, name)
+        return I.FieldRead(recv, owner, name), tag
 
     def _lower_call(self, e, expected):
         lowered, tags = self.lower_args(e.args)
         recv = None
-        cls = self._class_ref(e.target)
+        cls = _class_of(e.target)
         if e.target is None:
             _require(e.name != "minimize",
                      "minimize(...) may appear only as a harness statement", e.span)
@@ -475,6 +447,13 @@ class _Env:
         raise TypeLoweringError(f"unknown operator '{op}'", e.span)
 
 
+def _class_of(target):
+    """The class a call or field access ``target`` names, or None."""
+    if type(target) is A.Name and target.slot == A.CLASS:
+        return target.ident
+    return None
+
+
 def _require(cond, message, span, *args):
     """Raise TypeLoweringError at ``span`` unless ``cond``; the message is
     ``message.format(*args)``, built only then."""
@@ -536,8 +515,8 @@ _LOWER_EXPR = {
     A.Hole: _Env._lower_hole,
     A.Choice: _Env._lower_choice,
     A.ThisExpr: _Env._lower_this,
-    A.Name: _Env._lower_name,
-    A.FieldAccess: _Env._lower_field_access,
+    A.Name: _Env.lower_variable,
+    A.FieldAccess: _Env.lower_variable,
     A.MethodCall: _Env._lower_call,
     A.NewObject: _Env._lower_new,
     A.BinOp: _Env._lower_binop,

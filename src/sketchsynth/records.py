@@ -9,7 +9,7 @@ A record's fields are its instance attributes, in the order its
 class Record:
     """The repr lists every field not named in ``_hidden``; two records of
     the same class are equal when all their fields are, and a record is
-    unhashable.  A ``Frozen`` record defines its own ``==`` and hash."""
+    unhashable."""
 
     _hidden = ()
     __hash__ = None

@@ -60,18 +60,6 @@ class BuiltinClassSpec(Frozen, Record):
                            implements_if_declared)
         object.__setattr__(self, "ctor", ctor)
 
-    def _key(self):
-        return (self.name, self.methods, self.is_interface, self.interfaces,
-                self.implements_if_declared, self.ctor)
-
-    def __eq__(self, other):
-        if type(other) is not BuiltinClassSpec:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 # --------------------------------------------------------------------------
 # native evaluation

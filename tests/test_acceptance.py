@@ -148,7 +148,7 @@ def reparse_and_run(out, harness_names):
     _, registry, _, prog = run_front_end(files=java)
     assert registry.holes == registry.choices == registry.repeats == []
     for h in harness_names:
-        interp = Interp(prog, ConcreteUnknowns({}), {})
+        interp = Interp(prog, ConcreteUnknowns({}), {}, engine.EngineConfig())
         interp.run_harness(h)
 
 
@@ -291,7 +291,7 @@ def _assert_extraction_consistent(out, auto, samples=("car", "cdr", "c",
         }}"""
         files = [(p, Path(p).read_text()) for p in java] + [("probe.java", probe)]
         _, _, _, prog2 = run_front_end(texts=files)
-        interp = Interp(prog2, ConcreteUnknowns({}), {})
+        interp = Interp(prog2, ConcreteUnknowns({}), {}, engine.EngineConfig())
         interp.run_harness("t_Probe")
 
 

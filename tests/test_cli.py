@@ -250,7 +250,7 @@ def test_full_width_holes_take_signed_minimum_and_decode_as_java(tmp_path):
     # the decoded source reparses, and its harness body passes as is
     _, registry, _, prog = run_front_end(texts=[("A.java", text)])
     assert registry.holes == registry.choices == registry.repeats == []
-    Interp(prog, ConcreteUnknowns({}), {}).run_harness("t_A")
+    Interp(prog, ConcreteUnknowns({}), {}, engine.EngineConfig()).run_harness("t_A")
 
 
 def test_wide_literal_does_not_make_narrow_holes_signed(tmp_path):
@@ -428,6 +428,25 @@ def test_value_that_does_not_fit_its_slot_gives_exit_2(tmp_path, capsys,
     assert f"A.java:1:{text.index(value) + 1}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, at, message", [
+    # a field access is placed at its dot
+    (_harness("int y = new A().zz; assert y == 1;"), ".zz",
+     "no field 'zz' in class 'A'"),
+    (_harness("A a = new A(); a.zz = 1; assert ?? == 1;"), ".zz",
+     "no field 'zz' in class 'A'"),
+    (_harness("zz = 1; assert ?? == 1;"), "zz", "unknown name 'zz'"),
+    (_harness("x = 1; assert ?? == 1;", "int x; "), "x = 1",
+     "non-static field 'x' cannot be referenced from a static context"),
+], ids=["field-read", "field-assignment", "name", "instance-field"])
+def test_unresolved_variable_gives_exit_2_at_its_span(tmp_path, capsys,
+                                                      text, at, message):
+    src = tmp_path / "A.java"
+    src.write_text(text)
+    code, _ = run(tmp_path, str(src))
+    assert code == cli.EXIT_INPUT
+    assert f"A.java:1:{text.index(at) + 1}: {message}" in capsys.readouterr().err
+
+
 def test_engine_flags_are_honored(tmp_path):
     # forcing a tiny unroll-max turns the depth-4 monitor into UNSAT
     code, _ = run(tmp_path, *program_files(
@@ -488,8 +507,9 @@ def test_objective_replay_fits_the_harness_step_limit(tmp_path):
     text = ("class A { static int c = ??; harness static void t() { "
             "assert c >= 3; minimize(c); } }")
     prog = run_front_end(texts=[("obj.java", text)])[3]
-    width = engine.effective_hole_width(prog, engine.EngineConfig())
-    interp = Interp(prog, SymbolicUnknowns(width), {})
+    cfg = engine.EngineConfig()
+    width = engine.effective_hole_width(prog, cfg)
+    interp = Interp(prog, SymbolicUnknowns(width), {}, cfg)
     interp.run_harness("t_A")
     src = tmp_path / "obj.java"
     src.write_text(text)

@@ -129,8 +129,7 @@ def test_reparse_and_run_passes_all_harnesses(names):
     _, registry2, _, prog2 = run_front_end(texts=list(texts.items()))
     assert registry2.holes == registry2.choices == registry2.repeats == []
     for h in prog.harnesses:
-        interp = Interp(prog2, ConcreteUnknowns({}), {},
-                        loop_bound=cfg.loop_bound, step_limit=cfg.step_limit)
+        interp = Interp(prog2, ConcreteUnknowns({}), {}, cfg)
         interp.run_harness(h)
 
 

@@ -40,7 +40,7 @@ def test_each_extending_context_gets_its_own_specialized_copy():
 
 def test_specialization_map_records_contexts():
     _, spec_map, _ = desugar_texts(GEN, "class A extends Gen { }")
-    assert ("Gen", "A") in spec_map.entries
+    assert ("Gen", "A") in spec_map
 
 
 def test_direct_generator_instantiation_is_rejected():

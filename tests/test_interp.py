@@ -5,6 +5,7 @@ import pytest
 from conftest import run_front_end
 from sketchsynth import bitvec as B
 from sketchsynth import interp, ir
+from sketchsynth.engine import EngineConfig
 from sketchsynth.interp import (
     ConcreteUnknowns, HarnessFailure, Interp, StepLimitExceeded,
     SymbolicUnknowns,
@@ -18,7 +19,7 @@ def program(*texts):
 
 def run_concrete(prog, values=None, repeats=None, **kw):
     interp = Interp(prog, ConcreteUnknowns(values or {}),
-                    repeats or {}, **kw)
+                    repeats or {}, EngineConfig(**kw))
     for h in prog.harnesses:
         interp.run_harness(h)
     return interp
@@ -168,7 +169,7 @@ def test_repeat_instances_substituted_per_iteration():
 def test_symbolic_constraints_hold_under_known_solution():
     prog = program("class A { static int s = ??; "
                    "harness static void t() { assert s * 2 == 6; } }")
-    interp = Interp(prog, SymbolicUnknowns(5), {})
+    interp = Interp(prog, SymbolicUnknowns(5), {}, EngineConfig())
     interp.run_harness(prog.harnesses[0])
     assert interp.constraints
     good = {"e_h1": 3}

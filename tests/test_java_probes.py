@@ -1,6 +1,7 @@
-"""Small sketches whose answers must be the ones Java 17 gives: class names
-bound by scope, nested classes that use an enclosing class's static
-members, and a select between a constant and a variable bit.
+"""Small sketches whose answers must be the ones Java 17 gives: simple
+names (locals, parameters, fields and classes) bound by scope, nested
+classes that use an enclosing class's static members, and a select
+between a constant and a variable bit.
 
 Each probe has one ``??`` and a harness ``Outer.t()``.  Its answer is
 compared with Java's, and, when ``javac`` and ``java`` are on PATH, also
@@ -106,6 +107,48 @@ class Outer {
         assert f.g() + new F_1().f() == ??;
     }
 }""", 7),
+    # a local is in scope to the end of its block, and each declaration
+    # is a variable of its own
+    "block-local-shadows-a-static-field": ("""class Outer {
+    static int f;
+    static int g() { return f; }
+    harness static void t() { if (true) { int f = 1; } f = 7; assert g() == ??; }
+}""", 7),
+    "class-named-like-a-local-of-a-closed-block": ("""class A { static int x = 5; }
+class Outer {
+    harness static void t() { if (true) { int A = 1; } assert A.x == ??; }
+}""", 5),
+    "sibling-blocks-declare-one-name-with-two-types": ("""class Outer {
+    harness static void t() {
+        int r = 0;
+        if (?? == 1) { int y = 3; r = y; } else { boolean y = true; if (y) { r = 5; } }
+        assert r == 5;
+    }
+}""", 0),
+    "local-named-self-in-an-instance-method": ("""class Outer {
+    int f = 4;
+    int g() { int self = 3; return f + self; }
+    harness static void t() { assert new Outer().g() == ??; }
+}""", 7),
+    "parameter-named-self-in-an-instance-method": ("""class Outer {
+    int f = 4;
+    int g(int self) { return f + self; }
+    harness static void t() { assert new Outer().g(2) == ??; }
+}""", 6),
+    "inherited-field-before-enclosing-local": ("""class F { int v = 1; int g() { return 0; } }
+class Outer {
+    harness static void t() {
+        int v = 5;
+        F f = new F() { int g() { return v + 1; } };
+        assert f.g() == ??;
+    }
+}""", 2),
+    # a field initializer runs in each constructor, but sees the fields,
+    # not the constructor's parameters
+    "field-initializer-beside-a-parameter-of-its-name": ("""class P { int x = 3; int y; P(int x) { y = x; } }
+class Outer {
+    harness static void t() { P p = new P(9); assert p.x + p.y == ??; }
+}""", 12),
 }
 
 
@@ -203,3 +246,23 @@ def test_use_of_an_enclosing_instance_member_gives_exit_2(tmp_path, capsys, use)
     err = capsys.readouterr().err
     assert f"Probe.java:1:{src.read_text().index(use) + 1}:" in err
     assert "an instance member of an enclosing class" in err
+
+
+@pytest.mark.parametrize("body, message", [
+    # javac reads the enclosing local A (a capture), not the class A
+    ("B A = new B(); F f = new F() { int g() { return A.v(); } }; "
+     "assert f.g() == ??;",
+     "an anonymous class uses 'A', a local or parameter of an enclosing "
+     "method; captures are not supported"),
+    ("int x = x + 1; assert x == ??;",
+     "variable 'x' might not have been initialized"),
+], ids=["capture", "own-initializer"])
+def test_unsupported_or_invalid_use_of_a_local_gives_exit_2(tmp_path, capsys,
+                                                           body, message):
+    src = tmp_path / "Probe.java"
+    src.write_text("class B { int v() { return 2; } } "
+                   "class F { int g() { return 0; } } "
+                   "class Outer { static class A { static int v() { return 1; } } "
+                   f"harness static void t() {{ {body} }} }}")
+    assert cli.main([str(src), "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import run_front_end
 from sketchsynth import cli, stdlib
+from sketchsynth.engine import EngineConfig
 from sketchsynth import typetags as T
 from sketchsynth.interp import ConcreteUnknowns, HarnessFailure, Interp
 
@@ -86,7 +87,7 @@ def test_string_char_at_bounds():
 
 def run_harnesses(*texts):
     prog = run_front_end(texts=[(f"f{i}.java", t) for i, t in enumerate(texts)])[3]
-    interp = Interp(prog, ConcreteUnknowns({}), {})
+    interp = Interp(prog, ConcreteUnknowns({}), {}, EngineConfig())
     for h in prog.harnesses:
         interp.run_harness(h)
 
