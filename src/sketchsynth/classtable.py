@@ -19,8 +19,7 @@ from .errors import (
 from .records import Record
 
 PRIMITIVE_TAGS = {
-    "int": T.INT, "boolean": T.BOOL, "char": T.CHAR,
-    "String": T.STR, "void": T.VOID,
+    "int": T.INT, "boolean": T.BOOL, "char": T.CHAR, "void": T.VOID,
 }
 
 

@@ -138,7 +138,7 @@ def _run(args, log, out_dir):
     log.stage("building class hierarchy")
     table = build_class_table(ast)
     log.stage("encoding")
-    program = lower_program(ast, table, registry)
+    program = lower_program(table, registry)
 
     if args.emit_desugared:
         _dump_tree(out_dir / "desugared", decode.unparse_program(ast))

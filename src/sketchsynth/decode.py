@@ -37,6 +37,17 @@ def _is_synthetic_root(d):
             and not d.members and d.superclass is None)
 
 
+# the escape that the lexer reads back, for each character that needs one
+# in any literal
+_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r", "\0": "\\0"}
+
+
+def _quoted(text, quote):
+    """``text`` as a Java literal between ``quote``s."""
+    return quote + "".join(
+        _ESCAPES.get(c) or ("\\" + c if c == quote else c) for c in text) + quote
+
+
 def _is_minimize(s):
     return (isinstance(s, A.ExprStmt) and isinstance(s.expr, A.MethodCall)
             and s.expr.target is None and s.expr.name == "minimize")
@@ -174,20 +185,9 @@ class _Printer:
         if isinstance(e, A.BoolLit):
             return "true" if e.value else "false"
         if isinstance(e, A.CharLit):
-            ch = chr(e.value)
-            if ch == "'":
-                ch = "\\'"
-            elif ch == "\\":
-                ch = "\\\\"
-            elif ch == "\n":
-                ch = "\\n"
-            elif ch == "\t":
-                ch = "\\t"
-            return f"'{ch}'"
+            return _quoted(chr(e.value), "'")
         if isinstance(e, A.StringLit):
-            text = (e.value.replace("\\", "\\\\").replace('"', '\\"')
-                    .replace("\n", "\\n").replace("\t", "\\t"))
-            return f'"{text}"'
+            return _quoted(e.value, '"')
         if isinstance(e, A.NullLit):
             return "null"
         if isinstance(e, A.Name):

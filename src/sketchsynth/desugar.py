@@ -34,15 +34,20 @@ _PREFIX = {HOLE: "e_h", CHOICE: "e_c", REPEAT: "e_r"}
 _CAPTURED = object()
 
 
-def _slot(name, taken):
-    """The IR local of a declaration of ``name`` in a function whose slots
-    ``taken`` holds: ``name``, or else the first free ``name_<k>``."""
-    slot, k = name, 0
+def _declare(var, names, taken):
+    """Put parameter or local ``var`` in ``names`` with its slot, its IR
+    local: its name, or else the first name ``<name>_<k>`` not in
+    ``taken``, its function's slots.  As in javac, it may not share its
+    name with a variable of ``names`` but an enclosing method's."""
+    name = slot = var.name
+    if names.get(name, _CAPTURED) is not _CAPTURED:
+        raise SketchError(f"variable '{name}' is already defined", var.span)
+    k = 0
     while slot in taken:
         k += 1
         slot = f"{name}_{k}"
     taken.add(slot)
-    return slot
+    names[name] = var.slot = slot
 
 
 class _Binder:
@@ -187,7 +192,7 @@ class _Binder:
                 taken = set() if m.is_static else {"self"}
                 params = dict(names)
                 for p in m.params:
-                    params[p.name] = p.slot = _slot(p.name, taken)
+                    _declare(p, params, taken)
                 if m.body is not None:
                     self.visit(m.body, owner, sites, scope, params, template, taken)
 
@@ -224,7 +229,7 @@ class _Binder:
                 self.bind(node, scope)
                 continue
             if kind is A.LocalDecl:
-                names[node.name] = node.slot = _slot(node.name, taken)
+                _declare(node, names, taken)
             elif kind is A.Block:
                 names = dict(names)
             elif kind is A.Hole:

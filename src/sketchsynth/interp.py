@@ -39,7 +39,7 @@ from . import bitvec as B
 from . import ir as I
 from . import typetags as T
 from .errors import EncodingError, InternalError
-from .stdlib import BuiltinTrap
+from .stdlib import OBJECT, BuiltinTrap
 
 TRUE, FALSE = B.TRUE, B.FALSE
 
@@ -102,6 +102,11 @@ class RefMux:
         return f"RefMux({self.cases!r})"
 
 
+# the result of a virtual call before any case has given one (a case may
+# give null)
+_NO_CASE = object()
+
+
 def _as_cases(v):
     if type(v) is RefMux:
         return v.cases
@@ -145,12 +150,6 @@ def mux_value(g, new, old):
         return new          # what ``ite`` or a reference merge gives
     if isinstance(new, B.Term) and isinstance(old, B.Term):
         return B.ite(g, new, old)
-    if isinstance(new, str) or isinstance(old, str):
-        if new == old:
-            return new
-        raise EncodingError(
-            "cannot choose between distinct string values under a symbolic "
-            "condition")
     if _is_ref(new) and _is_ref(old):
         return _merge_refs(g, new, old)
     raise InternalError(f"cannot merge values {new!r} and {old!r}")
@@ -167,7 +166,7 @@ def _value(kind, payload):
         return B.const(payload)
     if kind == "boolean":
         return B.bconst(payload)
-    return payload       # a String, or null
+    return payload       # null
 
 
 def default_value(tag):
@@ -242,6 +241,7 @@ class Interp:
         self.constraints = []
         self.statics = {}
         self.rep_iter = {}                   # repeat name -> current iteration
+        self.literals = {}                   # text -> its String record
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -401,7 +401,13 @@ class Interp:
         return _EVAL[type(e)](self, e, frame, active)
 
     def _eval_const(self, e, frame, active):
-        return _value(e.tag.kind, e.value)
+        value = e.value
+        if type(value) is str:      # a String literal: one record per text
+            rec = self.literals.get(value)
+            if rec is None:
+                rec = self.literals[value] = self.alloc_builtin("String", value)
+            return rec
+        return _value(e.tag.kind, value)
 
     def _eval_local(self, e, frame, active):
         try:
@@ -450,11 +456,10 @@ class Interp:
             if not 0 <= i < len(e.alts):
                 raise InternalError(f"choice '{e.uid.name}' out of range")
             return self.eval(e.alts[i], frame, active)
-        acc = None
         for i, alt in enumerate(e.alts):
             gi = B.eq(c, B.const(i))
             v = self.eval(alt, frame, B.and_(active, gi))
-            acc = v if acc is None else mux_value(gi, v, acc)
+            acc = v if i == 0 else mux_value(gi, v, acc)
         return acc
 
     def _eval_bin(self, e, frame, active):
@@ -486,10 +491,6 @@ class Interp:
         raise InternalError(f"unknown operator '{op}'")
 
     def _eq_values(self, l, r):
-        if isinstance(l, str) or isinstance(r, str):
-            if isinstance(l, str) and isinstance(r, str):
-                return B.bconst(l == r)
-            raise EncodingError("'==' between a string and a non-string")
         if _is_ref(l) or _is_ref(r):
             if not (_is_ref(l) and _is_ref(r)):
                 raise EncodingError("'==' between a reference and a value")
@@ -535,8 +536,16 @@ class Interp:
         args = []
         for a in e.args:
             args.append(self.eval(a, frame, active))
+        if type(recv) is ObjRecord:
+            # what the loop below does with its one case, whose guard is
+            # ``active``, when the receiver's class implements the call
+            impl = self.table.vtable.get((recv.class_id, e.sig))
+            if impl is not None:
+                if impl.builtin is None:
+                    return self.call_function(impl.mangled, [recv] + args, active)
+                return self._run_builtin(impl.builtin, recv, args, active, e.span)
         self._null_check(recv, active, e, what="dynamic dispatch on null")
-        acc = None
+        acc = _NO_CASE
         for cg, ref in _as_cases(recv):
             g = B.and_(active, cg)
             if ref is None or g is FALSE:
@@ -550,47 +559,35 @@ class Interp:
                 v = self.call_function(impl.mangled, [ref] + args, g)
             else:
                 v = self._run_builtin(impl.builtin, ref, args, g, e.span)
-            acc = v if acc is None else mux_value(cg, v, acc)
-        return default_value(e.ret_tag) if acc is None else acc
+            acc = v if acc is _NO_CASE else mux_value(cg, v, acc)
+        return default_value(e.ret_tag) if acc is _NO_CASE else acc
 
     def _eval_builtin(self, e, frame, active):
-        """String methods and builtins without a receiver."""
-        recv = None
-        if e.receiver is not None:
-            recv = self.eval(e.receiver, frame, active)
+        """A library constructor or free function."""
         args = []
         for a in e.args:
             args.append(self.eval(a, frame, active))
-        if e.receiver is not None and recv is None:
-            self.constrain(B.not_(active), "null dereference", e.span)
-            return default_value(e.method.ret)
-        return self._run_builtin(e.method, recv, args, active, e.span)
+        return self._run_builtin(e.method, None, args, active, e.span)
 
     def _run_builtin(self, method, recv, args, guard, span):
-        """Run a library method natively on concrete arguments; a trap
-        rejects the candidate unless ``guard`` is false."""
+        """Run a library method natively on concrete arguments: constant
+        ints (no library method takes a boolean) and references, which
+        must be one record or null unless the method only stores them (an
+        ``Object`` parameter); a trap rejects the candidate unless
+        ``guard`` is false."""
         if method.mutates and guard is not TRUE:
             # its effect could not be undone on the paths that skip it
             raise EncodingError(
                 f"library call {method!r} with side effects under "
                 "a symbolic condition is not supported", span)
         conc = []
-        for a in args:
-            if isinstance(a, B.Term) and not a.is_bool:
-                if B.is_const(a):
-                    conc.append(B.to_signed(B.const_value(a)))
-                else:
-                    raise EncodingError(
-                        f"library call {method!r} needs concrete arguments",
-                        span)
-            elif isinstance(a, B.Term):
-                if a.op != "bconst":
-                    raise EncodingError(
-                        f"library call {method!r} needs concrete arguments",
-                        span)
-                conc.append(a.payload)
-            else:
-                conc.append(a)
+        for a, tag in zip(args, method.param_tags):
+            if isinstance(a, B.Term) and B.is_const(a):
+                a = B.to_signed(B.const_value(a))
+            elif isinstance(a, B.Term) or (type(a) is RefMux and tag != OBJECT):
+                raise EncodingError(
+                    f"library call {method!r} needs concrete arguments", span)
+            conc.append(a)
         try:
             out = method.run(self, recv, conc)
         except BuiltinTrap as t:
@@ -606,8 +603,6 @@ class Interp:
 def _zero_like(v):
     if isinstance(v, B.Term):
         return FALSE if v.is_bool else B.const(0)
-    if isinstance(v, str):
-        return ""
     return None
 
 

@@ -13,7 +13,7 @@ class IrExpr(Record):
 
 class Const(IrExpr):
     def __init__(self, value, tag=None):
-        self.value = value  # int | bool | str | None (null)
+        self.value = value  # int | bool | str (a String literal) | None (null)
         self.tag = tag
 
 
@@ -67,9 +67,11 @@ class Call(IrExpr):
 
 
 class CallBuiltin(IrExpr):
-    def __init__(self, method, receiver, args, span=None):
+    """A library constructor or free function; library methods are
+    ``VirtualCall``s."""
+
+    def __init__(self, method, args, span=None):
         self.method = method  # stdlib.BuiltinMethod
-        self.receiver = receiver  # IrExpr, or None for a free function
         self.args = args
         self.span = span
 

@@ -23,10 +23,9 @@ EQ_OPS = {"==", "!="}
 LOGIC_OPS = {"&&", "||"}
 
 
-def lower_program(ast, table, registry):
-    """Translate a desugared SketchAst into an IrProgram.  Lowering reaches
-    each declaration of ``ast`` through ``table``, which was built from
-    it."""
+def lower_program(table, registry):
+    """Translate the desugared program that ``table`` was built from into
+    an IrProgram; lowering reaches each declaration through ``table``."""
     lw = _Lowerer(table, registry)
     return lw.run()
 
@@ -248,9 +247,9 @@ class _Env:
     def lower_value(self, e, slot):
         """``e`` lowered to be stored in (or returned as) a ``slot``-typed
         value: it must be assignable there, as an argument to a parameter
-        of that type is, and ``null`` also fits a String."""
+        of that type is."""
         expr, tag = self.lower_expr(e, expected=slot)
-        _require(T.compatible(tag, slot) or (tag == T.NULL and slot == T.STR),
+        _require(T.compatible(tag, slot),
                  "{} cannot be converted to {}", e.span, tag, slot)
         return expr
 
@@ -359,27 +358,21 @@ class _Env:
             free = [m for m in stdlib.FREE_FUNCTIONS if m.name == e.name]
             if free:
                 m = pick_overload(free, tags, f"function '{e.name}'", e.span)
-            else:
-                m = self.table.resolve_method(self.ci.name, e.name, tags, e.span)
-                if not m.is_static:
-                    _require(not self.static, "instance method '{}' called "
-                             "from static context", e.span, e.name)
-                    recv = I.LocalRead("self")
+                return I.CallBuiltin(m, self.bind_args(e.args, lowered, m),
+                                     span=e.span), m.ret
+            m = self.table.resolve_method(self.ci.name, e.name, tags, e.span)
+            if not m.is_static:
+                _require(not self.static, "instance method '{}' called "
+                         "from static context", e.span, e.name)
+                recv = I.LocalRead("self")
         elif cls is not None:
             m = self.table.resolve_method(cls, e.name, tags, e.span)
             _require(m.is_static, "'{}.{}' is not static", e.span, cls, e.name)
         else:
             recv, rtag = self.lower_expr(e.target)
-            if rtag == T.STR:
-                m = pick_overload(
-                    [m for m in stdlib.STRING_METHODS if m.name == e.name],
-                    tags, f"String method '{e.name}'", e.span)
-            else:
-                _require(rtag.kind == "obj", "method call on non-object", e.span)
-                m = self.table.resolve_method(rtag.cls, e.name, tags, e.span)
+            _require(rtag.kind == "obj", "method call on non-object", e.span)
+            m = self.table.resolve_method(rtag.cls, e.name, tags, e.span)
         args = self.bind_args(e.args, lowered, m)
-        if isinstance(m, stdlib.BuiltinMethod):
-            return I.CallBuiltin(m, recv, args, span=e.span), m.ret
         if m.is_static:
             return I.Call(m.mangled, args, span=e.span), m.ret
         if m.plain_sig not in self.table.implemented:
@@ -403,7 +396,7 @@ class _Env:
         m = pick_overload(ctors, tags, f"constructor of '{name}'", e.span)
         args = self.bind_args(e.args, lowered, m)
         if ci.is_builtin:
-            return I.CallBuiltin(m, None, args, span=e.span), T.obj(name)
+            return I.CallBuiltin(m, args, span=e.span), T.obj(name)
         return I.Call("new_" + m.mangled, args, span=e.span), T.obj(name)
 
     def lower_args(self, args):
@@ -435,8 +428,7 @@ class _Env:
         if op in EQ_OPS:
             okay = ((ltag.is_numeric and rtag.is_numeric)
                     or (ltag == T.BOOL and rtag == T.BOOL)
-                    or (ltag.is_object and rtag.is_object)
-                    or (ltag == T.STR and rtag == T.STR))
+                    or (ltag.is_object and rtag.is_object))
             _require(okay, "'{}' on incompatible types {} and {}", e.span,
                      op, ltag, rtag)
             return I.Bin(op, left, right), T.BOOL

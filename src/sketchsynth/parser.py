@@ -300,10 +300,14 @@ class _Parser:
 
     def parse_body(self):
         """The statement under an ``if``, ``else`` or ``while``: one level
-        of nesting, which a block standing as the body shares."""
+        of nesting, which a block standing as the body shares, and no
+        local declaration (JLS 14.5)."""
         self.nest("a statement")
         body = self.parse_block() if self.at("{") else self.parse_stmt()
         self.nesting -= 1
+        if type(body) is A.LocalDecl:
+            raise ParseError(body.span, "a statement", "a declaration",
+                             "variable declaration not allowed here")
         return body
 
     def looks_like_local_decl(self):

@@ -4,16 +4,17 @@ Each library method is one :class:`BuiltinMethod` record: its name,
 parameter and return tags, whether it mutates its receiver, and the Python
 function that runs it.  The class table, the IR and the interpreter hold
 that record itself, so no layer looks a method up by name or key.  The
-library is Iterator, List/LinkedList, StringBuilder, the methods of String
-values and the string-to-token bridge ``convertToIterator``; its calls are
-run natively by the interpreter and consume no unknowns.  Out-of-bounds
-access and iterator overrun raise :class:`BuiltinTrap`, which the
-interpreter turns into candidate rejection.
+library is Iterator, List/LinkedList, StringBuilder, String and the
+string-to-token bridge ``convertToIterator``; its calls are run natively
+by the interpreter and consume no unknowns.  Out-of-bounds access and
+iterator overrun raise :class:`BuiltinTrap`, which the interpreter turns
+into candidate rejection.
 """
 
 from __future__ import annotations
 
 from . import typetags as T
+from .errors import EncodingError
 from .records import Frozen, Record
 
 ROOT_CLASS = "Object"
@@ -65,14 +66,13 @@ class BuiltinClassSpec(Frozen, Record):
 # native evaluation
 #
 # ``ctx`` is the calling interpreter; it provides ``alloc_builtin(cls,
-# payload)``.  Receivers of builtin classes are object records with a
-# ``payload`` attribute; String receivers are plain str values.
+# payload)``.  Values of library classes are object records with a
+# ``payload`` attribute; a String's payload is its text.  Int and char
+# arguments arrive as Python ints.
 
 
 def char_tokens(ctx, s):
     """One token object per character of ``s``; getId is the code point."""
-    if not isinstance(s, str):
-        raise BuiltinTrap("convertToIterator argument must be a string value")
     items = [ctx.alloc_builtin("CharToken", ord(ch)) for ch in s]
     return ctx.alloc_builtin("CharTokenIterator", {"items": items, "pos": 0})
 
@@ -86,48 +86,53 @@ def _iter_next(ctx, recv, args):
     return item
 
 
-def _require_int(v, what):
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise BuiltinTrap(f"{what} must be a concrete integer")
-    return v
+def _text(s):
+    """The text of String argument ``s``; null traps.  Object tags are
+    mutually compatible, so the type check lets a record of another class
+    through, where Java would call its ``toString``: unsupported."""
+    if s is None:
+        raise BuiltinTrap("String argument is null")
+    if type(s.payload) is not str:
+        raise EncodingError(f"a {s.class_name} passed as a String is not "
+                            "supported")
+    return s.payload
 
 
 def _list_get(ctx, recv, args):
-    index = _require_int(args[0], "list index")
-    items = recv.payload["items"]
+    index, items = args[0], recv.payload["items"]
     if not 0 <= index < len(items):
         raise BuiltinTrap("list index out of bounds")
     return items[index]
 
 
 def _sb_append(recv, text):
-    if not isinstance(text, str):
-        raise BuiltinTrap("append argument must be a string value")
     recv.payload["parts"].append(text)
     return recv
 
 
 def _char_at(ctx, s, args):
-    index = _require_int(args[0], "charAt index")
-    if not 0 <= index < len(s):
+    index, text = args[0], s.payload
+    if not 0 <= index < len(text):
         raise BuiltinTrap("charAt index out of bounds")
-    return ord(s[index])
+    return ord(text[index])
 
 
-_OBJECT = T.obj(ROOT_CLASS)
+# the root class's tag; a library method only stores an argument of this
+# type, so that argument may be a case split over references
+OBJECT = T.obj(ROOT_CLASS)
 _SB = T.obj("StringBuilder")
 
 ITERATOR_METHODS = (
     BuiltinMethod("Iterator", "hasNext", (), T.BOOL,
                   lambda ctx, r, a: r.payload["pos"] < len(r.payload["items"])),
-    BuiltinMethod("Iterator", "next", (), _OBJECT, _iter_next, mutates=True),
+    BuiltinMethod("Iterator", "next", (), OBJECT, _iter_next, mutates=True),
 )
 
 LIST_METHODS = (
-    BuiltinMethod("List", "add", (_OBJECT,), T.BOOL,
+    BuiltinMethod("List", "add", (OBJECT,), T.BOOL,
                   lambda ctx, r, a: (r.payload["items"].append(a[0]), True)[1],
                   mutates=True),
-    BuiltinMethod("List", "get", (T.INT,), _OBJECT, _list_get),
+    BuiltinMethod("List", "get", (T.INT,), OBJECT, _list_get),
     BuiltinMethod("List", "size", (), T.INT,
                   lambda ctx, r, a: len(r.payload["items"])),
     BuiltinMethod("List", "iterator", (), T.obj("Iterator"),
@@ -146,18 +151,20 @@ BUILTIN_CLASSES = (
                                "LinkedList", {"items": []}))),
     BuiltinClassSpec(
         "StringBuilder", (
+            # Java appends a null String as "null"
             BuiltinMethod("StringBuilder", "append", (T.STR,), _SB,
-                          lambda ctx, r, a: _sb_append(r, a[0]), mutates=True),
-            BuiltinMethod("StringBuilder", "append", (T.INT,), _SB,
                           lambda ctx, r, a: _sb_append(
-                              r, str(_require_int(a[0], "append argument"))),
+                              r, "null" if a[0] is None else _text(a[0])),
+                          mutates=True),
+            BuiltinMethod("StringBuilder", "append", (T.INT,), _SB,
+                          lambda ctx, r, a: _sb_append(r, str(a[0])),
                           mutates=True),
             BuiltinMethod("StringBuilder", "append", (T.CHAR,), _SB,
-                          lambda ctx, r, a: _sb_append(r, chr(
-                              _require_int(a[0], "append argument") & 0x10FFFF)),
+                          lambda ctx, r, a: _sb_append(r, chr(a[0] & 0x10FFFF)),
                           mutates=True),
             BuiltinMethod("StringBuilder", "toString", (), T.STR,
-                          lambda ctx, r, a: "".join(r.payload["parts"])),
+                          lambda ctx, r, a: ctx.alloc_builtin(
+                              "String", "".join(r.payload["parts"]))),
             BuiltinMethod("StringBuilder", "length", (), T.INT,
                           lambda ctx, r, a: len("".join(r.payload["parts"]))),
         ),
@@ -172,15 +179,16 @@ BUILTIN_CLASSES = (
                           lambda ctx, r, a: r.payload),
         ),
         implements_if_declared=("Token",)),
-)
-
-# methods on String values (String is a value type, not an object record)
-STRING_METHODS = (
-    BuiltinMethod("String", "length", (), T.INT, lambda ctx, r, a: len(r)),
-    BuiltinMethod("String", "charAt", (T.INT,), T.CHAR, _char_at),
+    # last, so that the other library classes keep their ids
+    BuiltinClassSpec(
+        "String", (
+            BuiltinMethod("String", "length", (), T.INT,
+                          lambda ctx, r, a: len(r.payload)),
+            BuiltinMethod("String", "charAt", (T.INT,), T.CHAR, _char_at),
+        )),
 )
 
 FREE_FUNCTIONS = (
     BuiltinMethod(None, "convertToIterator", (T.STR,), T.obj("Iterator"),
-                  lambda ctx, r, a: char_tokens(ctx, a[0])),
+                  lambda ctx, r, a: char_tokens(ctx, _text(a[0]))),
 )

@@ -6,7 +6,7 @@ from .records import Frozen, Record
 
 
 class TypeTag(Frozen, Record):
-    """``kind`` is int, boolean, char, String, void, null or obj; ``cls``
+    """``kind`` is int, boolean, char, void, null or obj; ``cls``
     names the class or interface of an obj tag and is None otherwise."""
 
     def __init__(self, kind, cls=None):
@@ -33,20 +33,20 @@ class TypeTag(Frozen, Record):
         return self.kind in ("obj", "null")
 
 
-INT = TypeTag("int")
-BOOL = TypeTag("boolean")
-CHAR = TypeTag("char")
-STR = TypeTag("String")
-VOID = TypeTag("void")
-NULL = TypeTag("null")
-
-
 def obj(cls_name):
     return TypeTag("obj", cls_name)
 
 
-# payload of each kind's default; other kinds default to None (null, void)
-_DEFAULTS = {"int": 0, "char": 0, "boolean": False, "String": ""}
+INT = TypeTag("int")
+BOOL = TypeTag("boolean")
+CHAR = TypeTag("char")
+STR = obj("String")
+VOID = TypeTag("void")
+NULL = TypeTag("null")
+
+
+# payload of each kind's default; the others (obj, null, void) default to None
+_DEFAULTS = {"int": 0, "char": 0, "boolean": False}
 
 
 def default(tag):

@@ -58,14 +58,6 @@ class UnknownInstance(Frozen, Record):
         object.__setattr__(self, "unknown", unknown)  # UnknownId
         object.__setattr__(self, "name", name)        # e_h3 or e_h3_2
 
-    def __eq__(self, other):
-        if type(other) is not UnknownInstance:
-            return NotImplemented
-        return (self.unknown, self.name) == (other.unknown, other.name)
-
-    def __hash__(self):
-        return hash((self.unknown, self.name))
-
 
 class UnknownRegistry(Record):
     def __init__(self, holes=None, choices=None, repeats=None):

@@ -29,7 +29,7 @@ def run_front_end(files=None, texts=None):
     ast = parse_program(files) if files else parse_program_texts(texts)
     ast, _spec_map, registry = desugar(ast)
     table = build_class_table(ast)
-    program = lower_program(ast, table, registry)
+    program = lower_program(table, registry)
     return ast, registry, table, program
 
 

@@ -9,7 +9,9 @@ from sketchsynth import ir as I
 from sketchsynth import typetags as T
 from sketchsynth.classtable import build_class_table
 from sketchsynth.desugar import desugar
-from sketchsynth.errors import InheritanceCycleError, UnresolvedTypeError
+from sketchsynth.errors import (
+    InheritanceCycleError, SignatureClashError, UnresolvedTypeError,
+)
 from sketchsynth.lowering import lower_program
 from sketchsynth.parser import parse_program_texts
 
@@ -103,6 +105,18 @@ def test_unknown_supertype_rejected():
         table_for("class A extends Nowhere { }")
 
 
+def test_duplicate_signature_rejected():
+    with pytest.raises(SignatureClashError):
+        table_for("class A { int f(int x) { return 1; } int f(int y) { return 2; } }")
+
+
+def test_mangled_name_collision_takes_a_suffix():
+    t = table_for("class B { } class A { int f(B x) { return 1; } } "
+                  "class A_B { int f() { return 2; } }")
+    assert [m.mangled for m in t.info("A").methods][0] == "f_A_B"
+    assert [m.mangled for m in t.info("A_B").methods][0] == "f_A_B_2"
+
+
 def test_resolve_field_finds_inherited_fields():
     t = table_for("class A { int x; } class B extends A { int y; }")
     assert t.resolve_field("B", "x") == ("A", T.INT, False)
@@ -191,7 +205,7 @@ def test_long_chain_builds_and_lowers(subclass_first):
     t = build_class_table(ast)
     assert t.vtable[(t.id_of(f"C{n - 1}"), ("m", ()))] is t.info("C0").methods[0]
     assert t.all_interfaces(f"C{n - 1}") == []
-    program = lower_program(ast, t, registry)
+    program = lower_program(t, registry)
     body = program.functions["t_H"].body
     calls = [e for e in I.walk_ir(body) if isinstance(e, I.VirtualCall)]
     assert [c.sig for c in calls] == [("m", ())]

@@ -154,8 +154,17 @@ def _tree_bytes(root):
     ("mult2", MULT2), ("cadsr-small", CADSR_SMALL)],
     ids=["mult2", "cadsr-small"])
 def test_debug_dumps_match_expected_bytes(tmp_path, monkeypatch, name, names):
-    # the IR dump prints source spans, so the files are named as given
-    # on a command line run from the programs directory
+    """The dumps are byte-identical to ``tests/programs/expected/dumps/``.
+
+    The IR dump prints source spans, so the files are named as given on a
+    command line run from ``tests/programs``.  After a change that is meant
+    to alter the dumps, regenerate them there with, for mult2,
+    ``PYTHONPATH=../../src python -m sketchsynth.cli Test.java
+    SimpleMath.java --out OUT --emit-ir --emit-tables --emit-desugared``
+    (cadsr-small: ``CADsR.java Automaton.java TestCADsRSmall.java``) and
+    copy ``OUT/ir``, ``OUT/tables`` and ``OUT/desugared`` to
+    ``expected/dumps/<name>/``.
+    """
     monkeypatch.chdir(PROGRAMS)
     code, out = run(tmp_path, *names,
                     "--emit-ir", "--emit-tables", "--emit-desugared")
@@ -311,6 +320,65 @@ def test_virtual_calls(tmp_path, text, code, solution):
     assert got == code
     if solution is not None:
         assert (out / "solution.txt").read_text().splitlines()[:-1] == solution
+
+
+@pytest.mark.parametrize("stmts, choice", [
+    # a field read through a reference that may be null
+    ("C c = {| new C(1), new C(2), null |}; assert c.v == 2;", 1),
+    # null as the first alternative, and as the first receiver's result
+    ("C d = new C(1); C c = {| null, d |}; assert c == null;", 0),
+    ("LinkedList a = new LinkedList(); a.add(null); "
+     "LinkedList b = new LinkedList(); b.add(new C(2)); "
+     "LinkedList l = {| b, a |}; C c = l.get(0); assert c == null;", 1),
+], ids=["field-read", "null-alternative-first", "null-result-first"])
+def test_choice_among_references_that_may_be_null(tmp_path, stmts, choice):
+    src = tmp_path / "A.java"
+    src.write_text("class C { int v; C(int x) { v = x; } } " + _harness(stmts))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == \
+        f"choice e_c1 = {choice}"
+
+
+def test_two_objectives_in_one_harness_are_both_minimized(tmp_path):
+    src = tmp_path / "A.java"
+    src.write_text(_harness("assert a + b >= 3 && b >= 1; minimize(a); minimize(b);",
+                            "static int a = ??; static int b = ??; "))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[:-1] == [
+        "hole e_h1 = 0", "hole e_h2 = 3", "objective t_A = 0",
+        "objective t_A_2 = 3"]
+
+
+@pytest.mark.parametrize("stmts, members, message", [
+    ("int x = 1; { int x = 2; } assert ?? == x;", "",
+     "variable 'x' is already defined"),
+    ("int x = 1; if (x == 1) { int x = 2; } assert ?? == x;", "",
+     "variable 'x' is already defined"),
+    ("int x = 1; while (x == 0) { int x = 2; } assert ?? == x;", "",
+     "variable 'x' is already defined"),
+    ("assert ?? == f(1);", "static int f(int x) { int x = 2; return x; } ",
+     "variable 'x' is already defined"),
+    ("int y = 0; if (y == 0) int x = 1; assert ?? == y;", "",
+     "variable declaration not allowed here"),
+    ("int y = 0; if (y == 0) { } else int x = 1; assert ?? == y;", "",
+     "variable declaration not allowed here"),
+    ("int y = 0; while (y == 1) int x = 1; assert ?? == y;", "",
+     "variable declaration not allowed here"),
+], ids=["nested-block", "if-block", "while-block", "parameter", "if-body",
+        "else-body", "while-body"])
+def test_local_declaration_that_javac_rejects_gives_exit_2(tmp_path, capsys,
+                                                           stmts, members,
+                                                           message):
+    text = _harness(stmts, members)
+    src = tmp_path / "A.java"
+    src.write_text(text)
+    code, _ = run(tmp_path, str(src))
+    assert code == cli.EXIT_INPUT
+    # reported at the second declaration's name
+    assert (f"A.java:1:{text.rindex(' x = ') + 2}: {message}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("stmt, value", [
@@ -614,7 +682,7 @@ def test_uninitialized_local_holds_its_types_default(tmp_path):
     src = tmp_path / "A.java"
     src.write_text(_harness("A a; int i; boolean b; String s; char c; "
                             "assert a == null && i == 0 && !b "
-                            "&& s.length() == 0 && c == 0 && ?? == 1;"))
+                            "&& s == null && c == 0 && ?? == 1;"))
     code, out = run(tmp_path, str(src))
     assert code == cli.EXIT_SOLVED
     assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 1"

@@ -6,7 +6,7 @@ from conftest import find_type, program_files
 from sketchsynth import ast_nodes as A
 from sketchsynth import decode
 from sketchsynth.desugar import desugar
-from sketchsynth.errors import DirectGeneratorUseError
+from sketchsynth.errors import DirectGeneratorUseError, SketchError
 from sketchsynth.parser import parse_program, parse_program_texts
 
 
@@ -46,6 +46,18 @@ def test_specialization_map_records_contexts():
 def test_direct_generator_instantiation_is_rejected():
     with pytest.raises(DirectGeneratorUseError):
         desugar_texts(GEN, "class A { Gen g = new Gen(); }")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("generator interface I { }", "interface 'I' cannot be a generator"),
+    ("generator class G { } generator class H extends G { } class A extends H { }",
+     "generator class 'H' may not extend another generator"),
+    ("class A { static void t() { minrepeat { minrepeat { } } } }",
+     "nested minrepeat is not supported"),
+], ids=["generator-interface", "generator-extends-generator", "nested-minrepeat"])
+def test_unsupported_sketch_construct_is_rejected(text, message):
+    with pytest.raises(SketchError, match=message):
+        desugar_texts(text)
 
 
 def test_unknown_ids_are_dense_per_kind_in_program_order():

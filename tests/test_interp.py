@@ -90,7 +90,7 @@ def test_fields_default_initialized_and_inherited():
             harness static void t() {
                 C c = new C();
                 assert c.x == 0 && !c.f && c.y == 0;
-                assert c.s.length() == 0;
+                assert c.s == null;
             }
         }""")
     run_concrete(prog)

@@ -1,7 +1,8 @@
 """Small sketches whose answers must be the ones Java 17 gives: simple
 names (locals, parameters, fields and classes) bound by scope, nested
-classes that use an enclosing class's static members, and a select
-between a constant and a variable bit.
+classes that use an enclosing class's static members, a select between a
+constant and a variable bit, Strings as objects (identity, null, library
+arguments), and constructs that no other test runs.
 
 Each probe has one ``??`` and a harness ``Outer.t()``.  Its answer is
 compared with Java's, and, when ``javac`` and ``java`` are on PATH, also
@@ -143,12 +144,104 @@ class Outer {
         assert f.g() == ??;
     }
 }""", 2),
+    # a method of a class declared in a local's scope may declare a local
+    # of its name (JLS 6.4)
+    "anonymous-class-local-named-like-an-enclosing-local": ("""class F { int g() { return 0; } }
+class Outer {
+    harness static void t() {
+        int x = 1;
+        F f = new F() { int g() { int x = 3; return x; } };
+        assert f.g() + x == ??;
+    }
+}""", 4),
     # a field initializer runs in each constructor, but sees the fields,
     # not the constructor's parameters
     "field-initializer-beside-a-parameter-of-its-name": ("""class P { int x = 3; int y; P(int x) { y = x; } }
 class Outer {
     harness static void t() { P p = new P(9); assert p.x + p.y == ??; }
 }""", 12),
+    # a String is an object: == compares references (JLS 15.21.3), and
+    # equal literals are one object (JLS 3.10.5)
+    "string-identity": ("""class Outer {
+    harness static void t() {
+        StringBuilder sb = new StringBuilder();
+        sb.append("a");
+        int x = 0;
+        if (sb.toString() == "a") { x = 1; }
+        assert x == ??;
+    }
+}""", 0),
+    "literal-identity": ("""class Outer {
+    static String k = "hi";
+    harness static void t() {
+        String s = "hi";
+        int x = 0;
+        if (s == k) { x = 1; }
+        assert x == ??;
+    }
+}""", 1),
+    "static-string-defaults-to-null": ("""class Outer {
+    static String s;
+    harness static void t() { int x = 0; if (s == null) { x = 1; } assert x == ??; }
+}""", 1),
+    "null-for-a-string-parameter": ("""class Outer {
+    static int f(String s) { if (s == null) { return 2; } return s.length(); }
+    harness static void t() { assert f(null) == ??; }
+}""", 2),
+    "string-chosen-under-a-hole": ("""class Outer {
+    harness static void t() {
+        String s = "ab";
+        if (?? == 1) { s = "abc"; }
+        assert s.length() == 3;
+    }
+}""", 1),
+    "linked-list-of-strings": ("""class Outer {
+    harness static void t() {
+        LinkedList<String> l = new LinkedList<String>();
+        l.add("x");
+        l.add("yz");
+        String s = l.get(1);
+        assert s.length() == ??;
+    }
+}""", 2),
+    "this": ("""class Outer {
+    int f = 3;
+    int g() { return this.f + h(this); }
+    static int h(Outer o) { return o.f; }
+    harness static void t() { assert new Outer().g() == ??; }
+}""", 6),
+    "boolean-equality": ("""class Outer {
+    harness static void t() {
+        int h = ??; boolean b = h > 2; boolean c = h < 5;
+        assert b == c;
+    }
+}""", 3),
+    # the second if merges a reference that both of its paths hold
+    "one-reference-on-two-paths": ("""class C { int v; C(int x) { v = x; } }
+class Outer {
+    harness static void t() {
+        C a = new C(1); C b = new C(2);
+        int h = ??;
+        C c = a;
+        if (h == 1) { c = b; }
+        if (h > 1) { c = a; }
+        assert c.v == 2;
+    }
+}""", 1),
+    # A.f(B) and A_B.f() have one mangled name, f_A_B
+    "mangled-name-collision": ("""class B { }
+class A { int f(B x) { return 1; } }
+class A_B { int f() { return 2; } }
+class Outer {
+    harness static void t() { assert new A().f(new B()) * 10 + new A_B().f() == ??; }
+}""", 12),
+    "escapes": (r"""class Outer {
+    harness static void t() {
+        int s = '\n' + '\t' + '\'' + '\\' + '\r' + '\0';
+        String q = "\"\\\n\t\r\0";
+        assert s + q.length() == 100 + ??;
+    }
+}""", 69),
 }
 
 
@@ -168,10 +261,11 @@ def solve(tmp_path, source):
 
 def java_source(source, value, package):
     """``source`` with ``value`` in place of its ``??``, no ``harness``, and
-    a ``main`` that calls the harness, in ``package``."""
+    a ``main`` that calls the harness, in ``package``; the library classes
+    come from ``java.util``."""
     assert source.count("??") == 1
     text = source.replace("??", str(value)).replace("harness ", "")
-    return (f"package {package};\n{text}\n"
+    return (f"package {package};\nimport java.util.*;\n{text}\n"
             "class Main { public static void main(String[] a) { Outer.t(); } }\n")
 
 
@@ -184,15 +278,17 @@ def test_probe_answer_is_javas(tmp_path, pid):
 @pytest.fixture(scope="module")
 def jvm_exits(tmp_path_factory):
     """{run id: exit code of ``java -ea``} for each probe's solved answer
-    (None for a probe without one), and for the member pair's former answer
-    2 as a control; one ``javac`` call compiles them all, each in a package
-    of its own."""
+    (None for a probe without one), and as controls for two former
+    answers: 2 to the member pair, and 1 to String identity, when Strings
+    were compared by their text; one ``javac`` call compiles them all,
+    each in a package of its own."""
     if shutil.which("javac") is None or shutil.which("java") is None:
         pytest.skip("javac and java are not on PATH")
     root = tmp_path_factory.mktemp("jvm")
     runs = {pid: (source, solve(root / pid, source)[0])
             for pid, (source, _) in PROBES.items()}
     runs["member-pair-former-answer"] = (PROBES["member-pair"][0], 2)
+    runs["string-identity-former-answer"] = (PROBES["string-identity"][0], 1)
     packages, paths = {}, []
     for rid, (source, value) in runs.items():
         if value is None:
@@ -220,6 +316,24 @@ def test_probe_answer_passes_its_harness_under_the_jvm(jvm_exits, pid):
 def test_the_jvm_rejects_the_former_member_pair_answer(jvm_exits):
     # text renaming answered 2; the check tells that answer from Java's
     assert jvm_exits["member-pair-former-answer"] != 0
+
+
+def test_the_jvm_rejects_the_former_string_identity_answer(jvm_exits):
+    # comparing Strings by their text answered 1
+    assert jvm_exits["string-identity-former-answer"] != 0
+
+
+def test_decoded_literals_keep_their_escapes(tmp_path):
+    _, out = solve(tmp_path, PROBES["escapes"][0])
+    text = (out / "java" / "Probe.java").read_text()
+    assert r"""'\n' + '\t' + '\'' + '\\' + '\r' + '\0'""" in text
+    assert r'''"\"\\\n\t\r\0"''' in text
+    if shutil.which("javac") is None:
+        pytest.skip("javac is not on PATH")
+    done = subprocess.run(["javac", "-d", str(tmp_path / "classes"),
+                           str(out / "java" / "Probe.java")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_hoisted_static_member_class_is_printed_without_static(tmp_path):

@@ -14,7 +14,6 @@ from sketchsynth.interp import ConcreteUnknowns, HarnessFailure, Interp
 RECORDS = (
     [(spec.name, m) for spec in stdlib.BUILTIN_CLASSES for m in spec.methods]
     + [(spec.name, spec.ctor) for spec in stdlib.BUILTIN_CLASSES if spec.ctor]
-    + [("String", m) for m in stdlib.STRING_METHODS]
     + [(None, m) for m in stdlib.FREE_FUNCTIONS])
 
 
@@ -71,18 +70,21 @@ def test_list_add_get_size_and_bounds():
 def test_string_builder_appends():
     ctx = FakeCtx()
     sb = lib("StringBuilder.new").run(ctx, None, [])
-    lib("StringBuilder.append", T.STR).run(ctx, sb, ["n="])
+    lib("StringBuilder.append", T.STR).run(ctx, sb, [ctx.Rec("String", "n=")])
+    lib("StringBuilder.append", T.STR).run(ctx, sb, [None])
     lib("StringBuilder.append", T.INT).run(ctx, sb, [42])
     lib("StringBuilder.append", T.CHAR).run(ctx, sb, [ord("!")])
-    assert lib("StringBuilder.toString").run(ctx, sb, []) == "n=42!"
-    assert lib("StringBuilder.length").run(ctx, sb, []) == 5
+    text = lib("StringBuilder.toString").run(ctx, sb, [])
+    assert (text.class_name, text.payload) == ("String", "n=null42!")
+    assert lib("StringBuilder.length").run(ctx, sb, []) == 9
 
 
 def test_string_char_at_bounds():
     ctx = FakeCtx()
-    assert lib("String.charAt").run(ctx, "abc", [1]) == ord("b")
+    abc = ctx.Rec("String", "abc")
+    assert lib("String.charAt").run(ctx, abc, [1]) == ord("b")
     with pytest.raises(stdlib.BuiltinTrap):
-        lib("String.charAt").run(ctx, "abc", [3])
+        lib("String.charAt").run(ctx, abc, [3])
 
 
 def run_harnesses(*texts):
@@ -188,3 +190,28 @@ def test_every_library_record_checks_its_arguments(tmp_path, cls, m, args, ok):
     src.write_text(call_text(cls, m, args))
     code = cli.main([str(src), "--out", str(tmp_path / "out")])
     assert code in ((cli.EXIT_SOLVED, cli.EXIT_UNSAT) if ok else (cli.EXIT_INPUT,))
+
+
+@pytest.mark.parametrize("stmts, code", [
+    # an Object argument is only stored, so it may be one of several
+    ("B b = new B(); b.v = 3; LinkedList l = new LinkedList(); "
+     "l.add({| new B(), b |}); B c = l.get(0); assert c.v == 3;",
+     cli.EXIT_SOLVED),
+    # a String argument is read, so it must be one record
+    ('Iterator it = convertToIterator({| "ab", "c" |}); assert it.hasNext();',
+     cli.EXIT_INPUT),
+    ('StringBuilder sb = new StringBuilder(); sb.append({| "ab", "c" |}); '
+     "assert sb.length() == 1;", cli.EXIT_INPUT),
+    # null appends "null", as in Java; Java appends another object's
+    # toString(), which is not modelled
+    ("StringBuilder sb = new StringBuilder(); String s = null; sb.append(s); "
+     "assert sb.length() == 4;", cli.EXIT_SOLVED),
+    ("StringBuilder sb = new StringBuilder(); sb.append(new B()); "
+     "assert ?? == 1;", cli.EXIT_INPUT),
+], ids=["stored-object-choice", "read-string-choice", "appended-string-choice",
+        "appended-null", "appended-object"])
+def test_library_argument_of_a_choice_or_null(tmp_path, stmts, code):
+    src = tmp_path / "A.java"
+    src.write_text("class B { int v; } "
+                   f"class A {{ harness static void t() {{ {stmts} }} }}")
+    assert cli.main([str(src), "--out", str(tmp_path / "out")]) == code
