@@ -71,6 +71,7 @@ def var(name, width=WIDTH):
 
 TRUE = Term("bconst", payload=True, is_bool=True)
 FALSE = Term("bconst", payload=False, is_bool=True)
+ZERO = const(0)
 
 
 def bconst(v):
@@ -110,7 +111,7 @@ def sub(a, b):
 
 
 def neg(a):
-    return sub(const(0), a)
+    return sub(ZERO, a)
 
 
 def mul(a, b):

@@ -37,15 +37,30 @@ def _is_synthetic_root(d):
             and not d.members and d.superclass is None)
 
 
-# the escape that the lexer reads back, for each character that needs one
-# in any literal
-_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r", "\0": "\\0"}
+# the escape that the lexer and javac read back, for each character that
+# needs one in any literal and has a name
+_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r",
+            "\b": "\\b", "\f": "\\f"}
 
 
 def _quoted(text, quote):
     """``text`` as a Java literal between ``quote``s."""
-    return quote + "".join(
-        _ESCAPES.get(c) or ("\\" + c if c == quote else c) for c in text) + quote
+    return quote + "".join(_escaped(c, quote) for c in text) + quote
+
+
+def _escaped(c, quote):
+    """Character ``c`` as it is written between ``quote``s.  A control
+    character without a named escape, and any other character outside
+    ASCII up to ``\\377``, is a three-digit octal escape: a digit after
+    it cannot join the escape, and javac reads it in any locale."""
+    esc = _ESCAPES.get(c)
+    if esc is not None:
+        return esc
+    if c == quote:
+        return "\\" + c
+    if c < " " or "\x7f" <= c <= "\xff":
+        return f"\\{ord(c):03o}"
+    return c
 
 
 def _is_minimize(s):

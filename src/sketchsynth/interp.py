@@ -37,11 +37,10 @@ from __future__ import annotations
 
 from . import bitvec as B
 from . import ir as I
-from . import typetags as T
 from .errors import EncodingError, InternalError
 from .stdlib import OBJECT, BuiltinTrap
 
-TRUE, FALSE = B.TRUE, B.FALSE
+TRUE, FALSE, ZERO = B.TRUE, B.FALSE, B.ZERO
 
 # A call nests 9 Python frames in the usual shape (a call in a binary
 # operator in a return in an if) and a level of expression nesting 2.  So
@@ -159,20 +158,16 @@ def _is_ref(v):
     return v is None or isinstance(v, (ObjRecord, RefMux))
 
 
-def _value(kind, payload):
-    """A constant of type ``kind`` (a ``TypeTag.kind``) as the interpreter
-    holds it, from the payload an IR ``Const`` holds."""
-    if kind == "int" or kind == "char":
-        return B.const(payload)
-    if kind == "boolean":
-        return B.bconst(payload)
-    return payload       # null
-
-
 def default_value(tag):
-    """The value of a ``tag``-typed slot before its first write; None for
-    no tag and for void."""
-    return None if tag is None else _value(tag.kind, T.default(tag))
+    """The value of a ``tag``-typed slot before its first write: one
+    shared zero or ``FALSE``, or None for a reference, for no tag and for
+    void."""
+    if tag is None:
+        return None
+    kind = tag.kind
+    if kind == "int" or kind == "char":
+        return ZERO
+    return FALSE if kind == "boolean" else None
 
 
 # -- unknown providers -----------------------------------------------------
@@ -401,13 +396,17 @@ class Interp:
         return _EVAL[type(e)](self, e, frame, active)
 
     def _eval_const(self, e, frame, active):
+        term = e.term
+        if term is not None:
+            return term
         value = e.value
-        if type(value) is str:      # a String literal: one record per text
-            rec = self.literals.get(value)
-            if rec is None:
-                rec = self.literals[value] = self.alloc_builtin("String", value)
-            return rec
-        return _value(e.tag.kind, value)
+        if value is None:
+            return None
+        # a String literal: one record per text
+        rec = self.literals.get(value)
+        if rec is None:
+            rec = self.literals[value] = self.alloc_builtin("String", value)
+        return rec
 
     def _eval_local(self, e, frame, active):
         try:
@@ -485,7 +484,7 @@ class Interp:
             res = self._eq_values(l, r)
             return B.not_(res) if op == "!=" else res
         if op == "/" or op == "%":
-            self.constrain(B.implies(active, B.ne(r, B.const(0))),
+            self.constrain(B.implies(active, B.ne(r, ZERO)),
                            "division by zero", getattr(e, "span", None))
             return B.sdiv(l, r) if op == "/" else B.srem(l, r)
         raise InternalError(f"unknown operator '{op}'")
@@ -602,7 +601,7 @@ class Interp:
 
 def _zero_like(v):
     if isinstance(v, B.Term):
-        return FALSE if v.is_bool else B.const(0)
+        return FALSE if v.is_bool else ZERO
     return None
 
 

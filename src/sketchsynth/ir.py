@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from . import bitvec as B
 from .records import Record
 
 # -- expressions -----------------------------------------------------------
@@ -12,9 +13,15 @@ class IrExpr(Record):
 
 
 class Const(IrExpr):
+    _hidden = ("term",)
+
     def __init__(self, value, tag=None):
         self.value = value  # int | bool | str (a String literal) | None (null)
         self.tag = tag
+        # the interpreter's value of an int, char or boolean constant, built
+        # once here; None for a String literal and for null
+        self.term = (B.bconst(value) if type(value) is bool
+                     else B.const(value) if type(value) is int else None)
 
 
 class LocalRead(IrExpr):

@@ -4,8 +4,10 @@ Sketch extensions get their own token kinds: ``??`` (HOLE), ``{|`` (LCHOICE),
 ``|}`` (RCHOICE), and the ``minrepeat``/``harness``/``generator`` keywords.
 Comments and whitespace are discarded; every token carries a SourceSpan.
 
-One compiled pattern scans the text, with a named group per token class; the
-line and column come from counting newlines in the skipped text.
+One compiled pattern scans the text, one match per token: the skipped
+text (whitespace and comments) and then the token, in a named group per
+token class.  The line and column come from counting newlines in the
+skipped text.
 """
 
 from __future__ import annotations
@@ -24,20 +26,32 @@ KEYWORDS = {
     "minrepeat", "harness", "generator",
 }
 
+# what follows the backslash of an escape (JLS 3.10.7); an octal escape
+# takes as many digits as it can, up to \377
+_ESCAPE_TAIL = r"[0-3][0-7]{0,2}|[4-7][0-7]?|[\s\S]"
+
 # alternatives are tried in order: multi-char symbols before their prefixes,
-# and each malformed form after the well-formed one it would have been
+# and each malformed form after the well-formed one it would have been (an
+# unclosed ``/*`` before the ``/`` symbol).  The end of the text is a match
+# of its own: without it, the match after a trailing space would take the
+# space back from the skipped text as a ``bad`` character.
 _TOKEN_RE = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]|//[^\n]*|/\*[\s\S]*?\*/)+)"
-    r"|(?P<open_comment>/\*)"
+    r"(?:[ \t\r\n]|//[^\n]*|/\*[\s\S]*?\*/)*"
+    r"(?:(?P<open_comment>/\*)"
     r"|(?P<INT>[0-9]+)"
     r"|(?P<IDENT>[^\W\d]\w*)"
     r'|(?P<STRING>"(?P<body>(?:[^"\\\n]|\\[\s\S])*)"?)'
-    r"|(?P<CHAR>'(?:[^'\\\n]|\\[\s\S])')"
+    rf"|(?P<CHAR>'(?:[^'\\\n]|\\(?:{_ESCAPE_TAIL}))')"
     r"|(?P<bad_char>')"
     r"|(?P<SYM>\?\?|\{\||\|\}|==|!=|<=|>=|&&|\|\||[{}();,.<>+\-*/%=!])"
-    r"|(?P<bad>[\s\S])")
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>[\s\S]))")
 
-_ESCAPE_RE = re.compile(r"\\([\s\S])")
+_ESCAPE_RE = re.compile(rf"\\({_ESCAPE_TAIL})")
+
+# builds a Token or SourceSpan from a tuple of its fields, without the
+# namedtuple's ``__new__``
+_new = tuple.__new__
 
 
 class Token(namedtuple("Token", "kind text span")):
@@ -54,19 +68,22 @@ def tokenize(source_text, file_id="<input>"):
     """Scan ``source_text`` into a token list (without the trailing EOF)."""
     toks = []
     file_id = str(file_id)
+    count = source_text.count
     line = 1
     line_start = 0   # offset of the first character of ``line``
+    prev_end = 0     # end of the previous token
     for m in _TOKEN_RE.finditer(source_text):
         kind = m.lastgroup
-        text = m.group()
-        start = m.start()
-        if kind == "skip":
-            newlines = text.count("\n")
+        start, end = m.span(kind)
+        if start != prev_end:
+            newlines = count("\n", prev_end, start)
             if newlines:
                 line += newlines
-                line_start = start + text.rindex("\n") + 1
-            continue
-        span = SourceSpan(file_id, line, start - line_start + 1, len(text))
+                line_start = source_text.rindex("\n", prev_end, start) + 1
+        prev_end = end
+        text = source_text[start:end]
+        span = _new(SourceSpan, (file_id, line, start - line_start + 1,
+                                 end - start))
         if kind == "IDENT":
             if text in KEYWORDS:
                 kind = text
@@ -75,11 +92,15 @@ def tokenize(source_text, file_id="<input>"):
                                span._replace(length=1))
         elif kind == "SYM":
             kind = text
+        elif kind == "INT":
+            pass
+        elif kind == "end":
+            break
         elif kind == "STRING":
             text = _unescape(m.group("body"), span._replace(length=2))
-            if m.end("body") == m.end():
+            if m.end("body") == end:
                 raise LexError("unterminated string literal",
-                               span._replace(length=m.end("body") - start))
+                               span._replace(length=end - start))
         elif kind == "CHAR":
             text = _unescape(text[1:-1], span._replace(length=2))
         elif kind == "open_comment":
@@ -88,19 +109,23 @@ def tokenize(source_text, file_id="<input>"):
             raise LexError("malformed char literal", span._replace(length=2))
         elif kind == "bad":
             raise LexError(f"unexpected character {text!r}", span)
-        toks.append(Token(kind, text, span))
+        toks.append(_new(Token, (kind, text, span)))
     return toks
 
 
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"', "0": "\0"}
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", "s": " ",
+            "\\": "\\", "'": "'", '"': '"'}
 
 
 def _unescape(text, at):
     """``text`` with every backslash escape replaced; LexError at ``at`` on
     the first unknown one."""
     def one(m):
+        tail = m[1]
+        if "0" <= tail[0] <= "7":     # an octal escape
+            return chr(int(tail, 8))
         try:
-            return _ESCAPES[m[1]]
+            return _ESCAPES[tail]
         except KeyError:
-            raise LexError(f"unknown escape '\\{m[1]}'", at) from None
+            raise LexError(f"unknown escape '\\{tail}'", at) from None
     return _ESCAPE_RE.sub(one, text)

@@ -265,6 +265,11 @@ class _Env:
         return self.literal(e.value, T.CHAR, e.value)
 
     def _lower_string(self, e, expected):
+        # a literal is a java.lang.String, which the program's own class
+        # String would hide
+        _require(self.table.info("String").is_builtin,
+                 "a String literal needs the library class String, which "
+                 "the program's own class 'String' hides", e.span)
         return self.literal(e.value, T.STR, max(map(ord, e.value), default=0))
 
     def _lower_bool(self, e, expected):
@@ -469,9 +474,7 @@ def _fold(e):
     (JLS 15.29); None otherwise."""
     kind = type(e)
     if kind is I.Const:
-        if type(e.value) is bool:
-            return B.bconst(e.value)
-        return B.const(e.value) if type(e.value) is int else None
+        return e.term
     if kind is I.Un:
         v = _fold(e.operand)
         if v is None:

@@ -7,9 +7,9 @@ A record's fields are its instance attributes, in the order its
 
 
 class Record:
-    """The repr lists every field not named in ``_hidden``; two records of
-    the same class are equal when all their fields are, and a record is
-    unhashable."""
+    """``_hidden`` names the fields derived from the others.  The repr
+    lists every other field; two records of the same class are equal when
+    all their other fields are, and a record is unhashable."""
 
     _hidden = ()
     __hash__ = None
@@ -22,7 +22,9 @@ class Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return vars(self) == vars(other)
+        theirs = vars(other)
+        return all(theirs[k] == v for k, v in vars(self).items()
+                   if k not in self._hidden)
 
 
 class Frozen:

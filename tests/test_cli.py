@@ -853,3 +853,29 @@ def test_a_bench_sketch_leaves_no_cyclic_garbage(tmp_path, sid):
         gc.collect()
     assert got == sk.exit_code
     assert owned == []
+
+
+_OWN_STRING = "class String { int length() { return 7; } } "
+
+
+def test_string_literal_beside_an_own_string_class_gives_exit_2(tmp_path, capsys):
+    # the literal is a java.lang.String, which javac will not assign to
+    # the program's String
+    src = tmp_path / "A.java"
+    text = _OWN_STRING + _harness('String s = "ab"; assert s.length() == ??;')
+    src.write_text(text)
+    code, _ = run(tmp_path, str(src))
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    at = text.index('"ab"') + 1
+    assert f"A.java:1:{at}: " in err
+    assert "own class 'String'" in err
+
+
+def test_own_string_class_without_literals_still_solves(tmp_path):
+    src = tmp_path / "A.java"
+    src.write_text(_OWN_STRING + _harness(
+        "String s = new String(); assert s.length() == ??;"))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 7"

@@ -7,6 +7,7 @@ from sketchsynth import bitvec as B
 from sketchsynth import decode, engine
 from sketchsynth.errors import IncompleteSolutionError
 from sketchsynth.interp import ConcreteUnknowns, Interp
+from sketchsynth.lexer import tokenize
 from sketchsynth.parser import parse_program_texts
 
 
@@ -138,3 +139,14 @@ def test_unparse_is_idempotent_after_reparse():
     once = decode.unparse_program(ast, result.assignment)
     again = decode.unparse_program(parse_program_texts(list(once.items())))
     assert once == again
+
+
+def test_printed_literals_read_back_as_the_same_characters():
+    # a digit after an escape must not join it, so a control character
+    # goes out as three octal digits; so does any other character an octal
+    # escape can write, which keeps the text ASCII for javac in any locale
+    for c in map(chr, range(0x100)):
+        text = decode._quoted(c + "7", '"') + " " + decode._quoted(c, "'")
+        assert text.isascii()
+        s, ch = tokenize(text)
+        assert (s.kind, s.text, ch.kind, ch.text) == ("STRING", c + "7", "CHAR", c)

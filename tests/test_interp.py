@@ -189,3 +189,36 @@ def test_every_ir_node_class_has_a_handler():
     # the interpreter dispatches on a node's exact class
     assert _subclasses(ir.IrExpr) == set(interp._EVAL)
     assert _subclasses(ir.IrInstr) == set(interp._EXEC)
+
+
+def test_a_concrete_run_builds_a_term_only_for_each_arithmetic_result(
+        monkeypatch):
+    # the literals read, the default of the field read and the '%'
+    # guard's zero are terms built before the run; each '+' and '%' of
+    # the loop builds one
+    prog = program("""
+        class A {
+            int f;
+            harness static void t() {
+                A a = new A();
+                boolean b = true;
+                char c = 'x';
+                int i = 0;
+                int s = 0;
+                while (i < 5 && b && c == 'x') {
+                    s = s + i % 3 + a.f;
+                    i = i + 1;
+                }
+                assert s == 4;
+            }
+        }""")
+    built = []
+    init = B.Term.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(B.Term, "__init__", counting)
+    run_concrete(prog)
+    assert len(built) == 5 * 4
+    assert all(t.op == "const" for t in built)

@@ -242,6 +242,19 @@ class Outer {
         assert s + q.length() == 100 + ??;
     }
 }""", 69),
+    # JLS 3.10.7: an octal escape takes up to three digits, to \377
+    "octal-escapes": (r"""class Outer {
+    harness static void t() {
+        String a = "\01";
+        String b = "\1234";
+        String c = "\b\f\s\177";
+        String d = "\0001";
+        char x = '\101';
+        int n = a.length() + b.length() * 10 + c.length() * 100 + d.length() * 1000
+            + b.charAt(0) + c.charAt(3) + x;
+        assert n == 2600 + ??;
+    }
+}""", 96),
 }
 
 
@@ -326,8 +339,28 @@ def test_the_jvm_rejects_the_former_string_identity_answer(jvm_exits):
 def test_decoded_literals_keep_their_escapes(tmp_path):
     _, out = solve(tmp_path, PROBES["escapes"][0])
     text = (out / "java" / "Probe.java").read_text()
-    assert r"""'\n' + '\t' + '\'' + '\\' + '\r' + '\0'""" in text
-    assert r'''"\"\\\n\t\r\0"''' in text
+    assert r"""'\n' + '\t' + '\'' + '\\' + '\r' + '\000'""" in text
+    assert r'''"\"\\\n\t\r\000"''' in text
+    if shutil.which("javac") is None:
+        pytest.skip("javac is not on PATH")
+    done = subprocess.run(["javac", "-d", str(tmp_path / "classes"),
+                           str(out / "java" / "Probe.java")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_decoded_octal_escapes_read_back_as_the_same_characters(tmp_path):
+    # a control character goes out as three octal digits, so the digit
+    # after NUL in "\0001" stays a character of its own
+    _, out = solve(tmp_path, PROBES["octal-escapes"][0])
+    text = (out / "java" / "Probe.java").read_text()
+    for literal in ('"\\001"', '"S4"', '"\\b\\f \\177"', '"\\0001"', "'A'"):
+        assert literal in text
+    again = tmp_path / "again"
+    again.mkdir()
+    (again / "Probe.java").write_text(text.replace("== 2600 + 96", "== 2600 + ??"))
+    code = cli.main([str(again / "Probe.java"), "--out", str(again / "result")])
+    assert code == cli.EXIT_SOLVED
     if shutil.which("javac") is None:
         pytest.skip("javac is not on PATH")
     done = subprocess.run(["javac", "-d", str(tmp_path / "classes"),

@@ -1,9 +1,11 @@
 """Scanner tests: token kinds, sketch symbols, spans, escapes, errors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchsynth.errors import LexError
-from sketchsynth.lexer import tokenize
+from sketchsynth.lexer import KEYWORDS, tokenize
 
 
 def kinds(text):
@@ -45,6 +47,27 @@ def test_escape_sequences():
     assert toks[0].text == 'a\n\t"\\'
     assert toks[1].text == "\n"
     assert toks[2].text == "'"
+
+
+@pytest.mark.parametrize("literal, value", [
+    (r'"\0"', "\0"), (r'"\01"', "\1"), (r'"\101"', "A"), (r'"\377"', "\xff"),
+    (r'"\1234"', "S4"), (r'"\400"', " 0"), (r'"\477"', "'7"), (r'"\08"', "\08"),
+    (r'"a\7b"', "a\7b"), (r'"\b\f\s"', "\b\f "),
+    (r"'\0'", "\0"), (r"'\101'", "A"), (r"'\377'", "\xff"), (r"'\47'", "'"),
+    (r"'\s'", " "), (r"'\b'", "\b"), (r"'\f'", "\f"),
+])
+def test_octal_and_named_escapes_as_in_jls_3_10_7(literal, value):
+    # an octal escape takes as many digits as it can, up to \377
+    (tok,) = tokenize(literal)
+    assert tok.text == value
+
+
+@pytest.mark.parametrize("text", ["c = '\\400';", "c = '\\1234';"])
+def test_char_literal_of_an_octal_escape_and_a_digit_is_malformed(text):
+    with pytest.raises(LexError) as info:
+        tokenize(text, file_id="f.java")
+    assert (info.value.message, str(info.value.span)) == (
+        "malformed char literal", "f.java:1:5")
 
 
 def test_comments_are_skipped():
@@ -105,3 +128,78 @@ def test_char_literal_of_a_bare_quote_or_line_end_is_malformed(text):
         tokenize("c = " + text + ";", file_id="f.java")
     assert (info.value.message, str(info.value.span)) == (
         "malformed char literal", "f.java:1:5")
+
+
+# -- property: tokens joined by skipped text come back with their spans -----
+#
+# Each strategy draws (raw source text, kind, text) for one token.
+
+_SYMBOLS = ["??", "{|", "|}", "==", "!=", "<=", ">=", "&&", "||", "{", "}",
+            "(", ")", ";", ",", ".", "<", ">", "+", "-", "*", "/", "%", "=",
+            "!"]
+
+# escapes as written and the character each stands for
+_ESCAPED = st.sampled_from([
+    ("\\n", "\n"), ("\\t", "\t"), ("\\r", "\r"), ("\\b", "\b"),
+    ("\\f", "\f"), ("\\s", " "), ("\\\\", "\\"), ("\\'", "'"),
+    ('\\"', '"'),
+]) | st.integers(0, 0o377).map(lambda v: (f"\\{v:03o}", chr(v)))
+
+
+def _plain(excluded):
+    return st.characters(blacklist_characters=excluded + "\\\n\r",
+                         blacklist_categories=("Cs",)).map(lambda c: (c, c))
+
+
+def _word(word):
+    return (word, word if word in KEYWORDS else "IDENT", word)
+
+
+def _string(units):
+    return ('"' + "".join(r for r, _ in units) + '"', "STRING",
+            "".join(c for _, c in units))
+
+
+_TOKENS = st.one_of(
+    st.from_regex(r"[A-Za-z_\u00e9\u00df][A-Za-z0-9_\u00e9]{0,5}",
+                  fullmatch=True).map(_word),
+    st.sampled_from(sorted(KEYWORDS)).map(_word),
+    st.integers(0, 10 ** 12).map(lambda n: (str(n), "INT", str(n))),
+    st.sampled_from(_SYMBOLS).map(lambda s: (s, s, s)),
+    st.lists(_plain('"') | _ESCAPED, max_size=6).map(_string),
+    (_plain("'") | _ESCAPED).map(lambda u: ("'" + u[0] + "'", "CHAR", u[1])),
+)
+
+_COMMENT_TEXT = st.text(st.characters(blacklist_characters="\r",
+                                      blacklist_categories=("Cs",)),
+                        max_size=8)
+
+# skipped text starts with whitespace, so that it never joins the token
+# before it (``/`` and ``/* */`` would make ``//* */``)
+_SKIP = st.tuples(
+    st.sampled_from([" ", "\t", "\n", "\r\n"]),
+    st.lists(st.sampled_from([" ", "\t", "\n", "\r\n"])
+             | _COMMENT_TEXT.map(lambda t: "//" + t.replace("\n", "") + "\n")
+             | _COMMENT_TEXT.filter(lambda t: "*/" not in t)
+                 .map(lambda t: "/*" + t + "*/"),
+             max_size=3),
+).map(lambda s: s[0] + "".join(s[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SKIP, _TOKENS), max_size=12), st.booleans(),
+       st.sampled_from(["", " ", "\n", " // end", " /* end */\r\n"]))
+def test_tokens_joined_by_skipped_text_come_back_with_their_spans(pairs, lead,
+                                                                  tail):
+    source = "".join(skip + raw for skip, (raw, _, _) in pairs) + tail
+    if pairs and not lead:      # the first token at offset 0
+        source = source[len(pairs[0][0]):]
+    toks = tokenize(source, file_id="f.java")
+    assert [(t.kind, t.text) for t in toks] == [
+        (kind, text) for _, (_, kind, text) in pairs]
+    line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+    for tok, (_, (raw, _, _)) in zip(toks, pairs):
+        span = tok.span
+        assert span.file == "f.java"
+        at = line_starts[span.line - 1] + span.col - 1
+        assert source[at:at + span.length] == raw

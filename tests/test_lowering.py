@@ -4,8 +4,10 @@ import pytest
 
 from conftest import (CADSR, find_type, program_files, run_front_end,
                       walk_unknowns)
+from sketchsynth import bitvec as B
 from sketchsynth import decode, engine
 from sketchsynth import ir as I
+from sketchsynth import typetags as T
 from sketchsynth.errors import HarnessShapeError, TypeLoweringError
 
 
@@ -142,3 +144,11 @@ def test_walk_ir_handles_deep_nesting_without_recursion():
         expr = I.Un("-", expr)
     nodes = list(I.walk_ir([I.EvalInstr(expr)]))
     assert len(nodes) == 5001 and nodes[1] is expr and nodes[-1] is leaf
+
+
+def test_a_constant_is_compared_and_printed_without_its_term():
+    # the term a Const builds for the interpreter is derived from its value
+    a, b = I.Const(7, T.INT), I.Const(7, T.INT)
+    assert a.term is not b.term and B.const_value(a.term) == 7
+    assert a == b and a != I.Const(8, T.INT)
+    assert repr(a) == "Const(value=7, tag=TypeTag(kind='int', cls=None))"
