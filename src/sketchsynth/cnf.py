@@ -10,20 +10,26 @@ All structural sharing happens here, per builder; terms are not interned.
 A term is blasted once per object.  One memo, keyed by op, holds every
 gate ("and"/"or"/"xor" over literal values), constant word and word
 operation (over the identity of its operands' bit lists).  So a term built
-twice, or with its operands swapped, costs no new variables or clauses.  Blasting walks the term with an explicit stack.
+twice, or with its operands swapped, costs no new variables or clauses.
+Blasting walks the term with an explicit stack, and reads the deadline
+once per ``CLOCK_CLAUSES`` clauses it emits.
 """
 
 from __future__ import annotations
 
 from . import bitvec as B
+from .errors import check_deadline
 
 W = B.WIDTH
+CLOCK_CLAUSES = 4096
 
 
 class CnfBuilder:
-    def __init__(self):
+    def __init__(self, deadline=None):
         self.nvars = 0
         self.clauses = []
+        self.deadline = deadline    # time.monotonic() value or None
+        self._next_check = 0        # clause count that reads the deadline
         self.var_bits = {}      # term var name -> [bit] * width
         self._blasted = {}      # term -> bits list (bv) or single bit (bool)
         self._memo = {}         # (op, inputs) -> result; see the module doc
@@ -191,8 +197,12 @@ class CnfBuilder:
         """Bool term -> bit; bitvector term -> list of W bits (LSB first),
         shared between terms: callers must not mutate it."""
         done = self._blasted
+        clauses = self.clauses
         for t in B.postorder(term, done):
             done[t] = self._blast_node(t, [done[a] for a in t.args])
+            if len(clauses) > self._next_check:
+                check_deadline(self.deadline)
+                self._next_check = len(clauses) + CLOCK_CLAUSES
         return done[term]
 
     def _blast_node(self, term, args):

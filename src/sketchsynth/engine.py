@@ -10,11 +10,20 @@ satisfiable depth, objectives are minimized lexicographically, then every
 unknown is minimized in registry order (canonicalization), making the
 reported assignment independent of solver internals.
 
-Minimization fixes a term's blasted bits from the MSB down under
-assumptions, preferring 1 on the sign bit and 0 on every other bit: that is
-the signed 32-bit minimum.  Narrow unknowns have a constant-0 sign bit, so
-they come out as their unsigned minimum.  A SAT call is made only when the
-current model does not already have the preferred bit.
+Canonicalization is one more SAT call on the same solver, with preferred
+literals: every objective's blasted bits, then every unknown's, each from
+the MSB down, preferring 1 on the sign bit and 0 on every other bit (the
+signed 32-bit minimum), constant bits left out.  The solver decides them
+first and in that order, so its model is their lexicographic optimum.
+Narrow unknowns have a constant-0 sign bit, so they come out as their
+unsigned minimum.  The first call, a plain VSIDS search, alone decides
+whether the vector has a solution: deciding the preferred bits first from
+the start is far slower on refuted vectors.
+
+One deadline, ``cfg.timeout`` after ``solve`` starts, holds in every layer:
+symbolic execution and replay, blasting, clause intake and SAT search each
+raise ``DeadlineExceeded`` once past it, and ``solve`` reports a
+``Timeout``.
 
 The winner is replayed concretely before being returned: every harness must
 pass and every objective must evaluate to the model's value.  A concrete run
@@ -28,8 +37,8 @@ import time
 
 from . import bitvec as B
 from . import sat
-from .cnf import CnfBuilder, bits_value, lit_true
-from .errors import InternalError
+from .cnf import CnfBuilder, bits_value
+from .errors import DeadlineExceeded, InternalError
 from .interp import (
     ConcreteUnknowns, HarnessFailure, Interp, ResourceLimit, SymbolicUnknowns,
 )
@@ -105,14 +114,14 @@ def effective_hole_width(program, cfg):
 # -- concrete evaluation ---------------------------------------------------
 
 
-def _concrete_interp(program, assignment, cfg):
+def _concrete_interp(program, assignment, cfg, deadline):
     return Interp(program, ConcreteUnknowns(assignment.values),
-                  assignment.repeat_counts, cfg)
+                  assignment.repeat_counts, cfg, deadline)
 
 
-def eval_harness(program, harness, assignment, cfg):
+def eval_harness(program, harness, assignment, cfg, deadline=None):
     """Run one harness under a total concrete assignment."""
-    interp = _concrete_interp(program, assignment, cfg)
+    interp = _concrete_interp(program, assignment, cfg, deadline)
     try:
         interp.run_harness(harness)
     except HarnessFailure as f:
@@ -122,18 +131,18 @@ def eval_harness(program, harness, assignment, cfg):
     return EvalOutcome(interp.steps)
 
 
-def replay(program, assignment, objective_values, cfg):
+def replay(program, assignment, objective_values, cfg, deadline=None):
     """Check a model concretely: every harness passes, and every objective,
     read right after ``init_statics()`` as the encoding reads it, has the
     model's value.  Raises ``InternalError`` on any mismatch."""
     for h in program.harnesses:
-        out = eval_harness(program, h, assignment, cfg)
+        out = eval_harness(program, h, assignment, cfg, deadline)
         if out.reason is not None:
             raise InternalError(f"replay of harness '{h}' failed: "
                                 f"{out.reason}", out.span)
     if not program.objectives:
         return
-    interp = _concrete_interp(program, assignment, cfg)
+    interp = _concrete_interp(program, assignment, cfg, deadline)
     interp.init_statics()
     for name, expr in program.objectives:
         got = B.to_signed(B.const_value(interp.eval_objective(expr)))
@@ -169,7 +178,7 @@ def _compositions(total, n, cap):
 # -- one repeat vector -----------------------------------------------------
 
 
-def _encode(program, vector, cfg):
+def _encode(program, vector, cfg, deadline):
     """Symbolic execution of every harness, then of every objective right
     after ``init_statics()``: (constraints, [(objective name, term)]), or
     None if a harness fails on every path."""
@@ -178,7 +187,7 @@ def _encode(program, vector, cfg):
     objectives = []
 
     def interp():
-        return Interp(program, unknowns, vector, cfg)
+        return Interp(program, unknowns, vector, cfg, deadline)
     try:
         for h in program.harnesses:
             it = interp()
@@ -199,12 +208,12 @@ def _solve_vector(program, vector, cfg, deadline):
     """None if no candidate passes at ``vector``; otherwise the canonical
     minimal assignment and its objective values.  All clauses reach the
     solver in one batch before the first search."""
-    encoded = _encode(program, vector, cfg)
+    encoded = _encode(program, vector, cfg, deadline)
     if encoded is None:
         return None
     constraints, objectives = encoded
     hole_insts, choice_insts = program.registry.instantiate(vector)
-    cb = CnfBuilder()
+    cb = CnfBuilder(deadline)
     for inst in choice_insts:
         cb.assert_term(B.ult(B.var(inst.name, inst.unknown.bit_width),
                              B.const(inst.unknown.arity)))
@@ -217,43 +226,30 @@ def _solve_vector(program, vector, cfg, deadline):
     solver = sat.Solver(deadline=deadline)
     solver.ensure_vars(cb.nvars)
     solver.add_clauses(cb.clauses)
-    model = solver.solve()
-    if model is None:
+    if solver.solve() is None:
         return None
     # lexicographic objective minimization, then canonicalization
-    # (smallest value for every unknown in registry order)
-    assumptions = []
-    for _, bits in objective_bits:
-        model = _fix_bits(solver, bits, model, assumptions)
+    # (smallest value for every unknown in registry order), in one search
+    # that decides the preferred bits first
     insts = hole_insts + choice_insts
-    for inst in insts:
-        model = _fix_bits(solver, cb.var_bits.get(inst.name, []), model,
-                          assumptions)
+    terms = [bits for _, bits in objective_bits] + \
+        [cb.var_bits.get(inst.name, []) for inst in insts]
+    model = solver.solve(preferred=[lit for bits in terms
+                                    for lit in _signed_minimum(bits)])
     objective_values = {name: B.to_signed(bits_value(bits, model))
                         for name, bits in objective_bits}
     values = {inst.name: cb.model_value(inst.name, model) for inst in insts}
     return Assignment(values, dict(vector)), objective_values
 
 
-def _fix_bits(solver, bits, model, assumptions):
-    """Fix ``bits`` (a blasted term, LSB first) from the MSB down to the
-    signed minimum over models satisfying ``assumptions``: 1 preferred on
-    the sign bit, 0 on every other bit.  Each chosen literal is appended to
-    ``assumptions``; returns a model attaining the minimum."""
+def _signed_minimum(bits):
+    """The literals, MSB first, that give ``bits`` (a blasted term, LSB
+    first) its signed minimum: 1 on the sign bit, 0 on every other bit.
+    Constant bits are left out."""
     sign = len(bits) - 1
-    for i in range(sign, -1, -1):
-        bit = bits[i]
-        if isinstance(bit, bool):
-            continue
-        want = bit if i == sign else -bit
-        if not lit_true(want, model):
-            m = solver.solve(assumptions + [want])
-            if m is None:
-                want = -want
-            else:
-                model = m
-        assumptions.append(want)
-    return model
+    return [bit if i == sign else -bit
+            for i, bit in reversed(list(enumerate(bits)))
+            if not isinstance(bit, bool)]
 
 
 # -- top level -------------------------------------------------------------
@@ -287,7 +283,7 @@ def solve(program, cfg):
             if result is None:
                 continue
             assignment, objective_values = result
-            replay(program, assignment, objective_values, cfg)
+            replay(program, assignment, objective_values, cfg, deadline)
             return Solution(assignment=assignment,
                             objective_values=objective_values,
                             depth=depth)
@@ -295,6 +291,6 @@ def solve(program, cfg):
             overrun.wall_ms = ms()
             return overrun
         return Unsat(depth_reached, ms())
-    except sat.Timeout:
+    except DeadlineExceeded:
         return Timeout(depth_reached, ms())
 

@@ -6,6 +6,8 @@ CLI can print ``file:line:col`` diagnostics.
 
 from __future__ import annotations
 
+import time
+
 
 class SketchError(Exception):
     """Base class for all tool errors."""
@@ -74,3 +76,17 @@ class EncodingError(SketchError):
 
 class InternalError(SketchError):
     """Invariant violation inside the tool itself; maps to exit code 4."""
+
+
+class DeadlineExceeded(Exception):
+    """The search's wall-clock deadline has passed; ``engine.solve`` reports
+    it as a ``Timeout`` verdict."""
+
+
+def check_deadline(deadline):
+    """Raises ``DeadlineExceeded`` once ``time.monotonic()`` is past
+    ``deadline`` (None: no deadline).  A clock read costs about as much as
+    a few dozen bytecodes, so each caller reads it once per batch of its
+    own work."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded()

@@ -30,14 +30,16 @@ muxes the results.
 
 Calls nest at most ``MAX_CALL_DEPTH`` deep.  Like the step limit, the bound
 is a resource limit: overrunning it leaves the current run undecided
-rather than failing the candidate.
+rather than failing the candidate.  The search's deadline is read with the
+step count: a step compares ``steps`` with ``next_check`` only, and every
+``CLOCK_STEPS`` steps the comparison fails and reads the clock.
 """
 
 from __future__ import annotations
 
 from . import bitvec as B
 from . import ir as I
-from .errors import EncodingError, InternalError
+from .errors import EncodingError, InternalError, check_deadline
 from .stdlib import OBJECT, BuiltinTrap
 
 TRUE, FALSE, ZERO = B.TRUE, B.FALSE, B.ZERO
@@ -49,6 +51,7 @@ TRUE, FALSE, ZERO = B.TRUE, B.FALSE, B.ZERO
 # default recursion limit of 1000 for the CLI or a test runner underneath
 # and for calls made from deeper inside their statements.
 MAX_CALL_DEPTH = 40
+CLOCK_STEPS = 1024
 
 
 class HarnessFailure(Exception):
@@ -224,14 +227,16 @@ class _Frame:
 
 
 class Interp:
-    def __init__(self, program, unknowns, repeat_counts, cfg):
+    def __init__(self, program, unknowns, repeat_counts, cfg, deadline=None):
         self.program = program
         self.table = program.table
         self.unknowns = unknowns
         self.repeat_counts = repeat_counts   # repeat name -> count
         self.loop_bound = cfg.loop_bound     # cfg: an engine.EngineConfig
         self.step_limit = cfg.step_limit
+        self.deadline = deadline             # time.monotonic() value or None
         self.steps = 0
+        self.next_check = 0                  # a step past it runs _checkpoint
         self.depth = 0                       # calls now running
         self.constraints = []
         self.statics = {}
@@ -246,6 +251,14 @@ class Interp:
         if term is FALSE:
             raise HarnessFailure(reason, span)
         self.constraints.append(term)
+
+    def _checkpoint(self):
+        """Run once ``steps`` passes ``next_check``: enforces the step
+        limit and the deadline, and sets the next checkpoint."""
+        if self.steps > self.step_limit:
+            raise StepLimitExceeded(self.step_limit)
+        check_deadline(self.deadline)
+        self.next_check = min(self.step_limit, self.steps + CLOCK_STEPS)
 
     def alloc_builtin(self, cls_name, payload):
         return ObjRecord(self.table.id_of(cls_name), cls_name, payload)
@@ -275,8 +288,8 @@ class Interp:
         if len(args) != len(fn.params):
             raise InternalError(f"arity mismatch calling '{name}'")
         self.steps += 1
-        if self.steps > self.step_limit:
-            raise StepLimitExceeded(self.step_limit)
+        if self.steps > self.next_check:
+            self._checkpoint()
         if self.depth == MAX_CALL_DEPTH:
             raise CallDepthExceeded()
         self.depth += 1
@@ -297,8 +310,8 @@ class Interp:
             if active is FALSE:
                 return
             self.steps += 1
-            if self.steps > self.step_limit:
-                raise StepLimitExceeded(self.step_limit)
+            if self.steps > self.next_check:
+                self._checkpoint()
             _EXEC[type(instr)](self, instr, frame, active)
 
     def _exec_assign_local(self, instr, frame, active):
@@ -391,8 +404,8 @@ class Interp:
     def eval(self, e, frame, active):
         """The value of ``e`` on the paths ``active`` holds on; one step."""
         self.steps += 1
-        if self.steps > self.step_limit:
-            raise StepLimitExceeded(self.step_limit)
+        if self.steps > self.next_check:
+            self._checkpoint()
         return _EVAL[type(e)](self, e, frame, active)
 
     def _eval_const(self, e, frame, active):

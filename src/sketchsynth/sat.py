@@ -28,24 +28,22 @@ other literal's code as a plain int.
   batch, before the first search.
 
 Deterministic by construction: every choice above is a function of the
-clause stream and the assumptions (no randomness, no hashing of objects),
-so identical inputs always yield identical models and counter values.
-Solving under assumptions puts them on the first decision levels, which
-the engine uses to fix the bits of objectives and unknowns one at a time
-without re-encoding; learnt clauses stay between calls.  A call keeps the
-levels of the longest assumption prefix it shares with the previous call
-(van der Tak, Ramos & Heule, "Reusing the Assignment Trail in CDCL
-Solvers", JSAT 2011); each minimization call shares all or all but the
-last of the previous call's assumptions.
+clause stream, the assumptions and the preferred literals (no randomness,
+no hashing of objects), so identical inputs always yield identical models
+and counter values.  Assumptions sit on the first decision levels.  Then
+the first preferred literal still unassigned is the next decision, with
+its given polarity, until all have a value; so the first model is their
+lexicographic optimum (Di Rosa, Giunchiglia & Maratea, "Solving
+Satisfiability Problems with Preferences", Constraints 2010), the
+engine's canonical answer.  Learnt clauses stay between calls.
+
+The deadline (a ``time.monotonic()`` value, or None) is read once per
+decision or conflict and once per ``CLAUSE_BATCH`` clauses taken in.
 """
 
 from __future__ import annotations
 
-import time
-
-
-class Timeout(Exception):
-    pass
+from .errors import check_deadline
 
 
 def luby(i):
@@ -62,6 +60,7 @@ def luby(i):
 
 
 RESTART_UNIT = 100
+CLAUSE_BATCH = 4096
 
 
 class Solver:
@@ -74,7 +73,6 @@ class Solver:
         self.watches = [[], []]    # per literal code: watched clause lists
         self.trail = []
         self.trail_lim = []
-        self.assumed = []          # codes of the last solve's assumptions
         self.qhead = 0             # trail index of the next literal to propagate
         self.activity = [0.0]
         self.var_inc = 1.0
@@ -110,33 +108,36 @@ class Solver:
         self.seen.extend(bytes(k))
 
     def add_clauses(self, clauses):
-        """Adds the clauses of the iterable ``clauses`` (lists of nonzero
-        ints over variables that ``ensure_vars`` has made) in order, at
-        level 0; a unit is propagated as it comes."""
+        """Adds the clauses of the list ``clauses`` (lists of nonzero ints
+        over variables that ``ensure_vars`` has made) in order, at level 0;
+        a unit is propagated as it comes.  The deadline is read once per
+        ``CLAUSE_BATCH`` clauses."""
         if not self.ok:
             return
         self._backtrack(0)
         value = self.value
-        for lits in clauses:
-            out = []
-            for l in lits:
-                c = 2 * l if l > 0 else -2 * l + 1
-                val = value[c]
-                if val > 0 or c ^ 1 in out:
-                    break                   # satisfied at level 0, or tautology
-                if val == 0 and c not in out:
-                    out.append(c)
-            else:
-                if len(out) > 1:
-                    self._attach(out)
-                elif not out:
-                    self.ok = False
-                    return
+        for at in range(0, len(clauses), CLAUSE_BATCH):
+            check_deadline(self.deadline)
+            for lits in clauses[at:at + CLAUSE_BATCH]:
+                out = []
+                for l in lits:
+                    c = 2 * l if l > 0 else -2 * l + 1
+                    val = value[c]
+                    if val > 0 or c ^ 1 in out:
+                        break               # satisfied at level 0, or tautology
+                    if val == 0 and c not in out:
+                        out.append(c)
                 else:
-                    self._assign(out[0], None)
-                    if self.propagate() is not None:
+                    if len(out) > 1:
+                        self._attach(out)
+                    elif not out:
                         self.ok = False
                         return
+                    else:
+                        self._assign(out[0], None)
+                        if self.propagate() is not None:
+                            self.ok = False
+                            return
 
     def _attach(self, cl):
         if len(cl) == 2:
@@ -391,36 +392,31 @@ class Solver:
 
     # -- main loop ---------------------------------------------------------
 
-    def solve(self, assumptions=()):
+    def solve(self, assumptions=(), preferred=()):
         """Returns a set of true variable indices, or None if unsatisfiable
-        under the assumptions."""
+        under the assumptions.  The model is the lexicographic optimum of
+        ``preferred`` (literals, highest priority first): each comes out
+        true unless the clauses, the assumptions and the preferred literals
+        before it make it false."""
         if not self.ok:
             return None
-        # the previous call's assumptions sit in order on levels 1, 2, ...
-        # below its decisions; keep the levels of the prefix shared with
-        # this call's
-        assumed = [2 * l if l > 0 else -2 * l + 1 for l in assumptions]
-        keep = 0
-        for c, prev in zip(assumed, self.assumed[:len(self.trail_lim)]):
-            if c != prev:
-                break
-            keep += 1
-        self.assumed = assumed
-        self._backtrack(keep)
-        if not keep and self.propagate() is not None:
+        self._backtrack(0)
+        if self.propagate() is not None:
             self.ok = False
             return None
-        self.ensure_vars(max(map(abs, assumptions), default=0))
+        self.ensure_vars(max(map(abs, [*assumptions, *preferred]), default=0))
+        assumed = [2 * l if l > 0 else -2 * l + 1 for l in assumptions]
+        prefer = [2 * l if l > 0 else -2 * l + 1 for l in preferred]
         value, heap = self.value, self.heap
         trail, trail_lim = self.trail, self.trail_lim
         deadline = self.deadline
         restarts = 0
         budget = luby(0) * RESTART_UNIT
+        cursor = 0              # every preferred literal before it has a value
         while True:
+            check_deadline(deadline)
             confl = self.propagate()
             if confl is not None:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise Timeout()
                 # every literal propagated since the last decision is at the
                 # current level, so the conflict has one there; at level 0
                 # it refutes the clauses
@@ -430,6 +426,7 @@ class Solver:
                 self.conflicts += 1
                 learnt, btlevel = self.analyze(confl)
                 self._backtrack(btlevel)
+                cursor = 0
                 if len(learnt) == 1:
                     self._assign(learnt[0], None)
                 else:
@@ -454,11 +451,20 @@ class Solver:
                 if val == 0:
                     self._assign(c, None)
                 continue
-            if len(trail) == self.nvars:
+            # a preferred literal with a value is skipped: if false, the
+            # clauses, the assumptions and the decisions below it (all on
+            # preferred literals before it) imply that
+            while cursor < len(prefer) and value[prefer[cursor]] != 0:
+                cursor += 1
+            if cursor < len(prefer):
+                c = prefer[cursor]
+            elif len(trail) == self.nvars:
                 return {c >> 1 for c in trail if not c & 1}
-            while value[2 * heap[0]] != 0:
-                self._heap_pop()
-            v = self._heap_pop()
+            else:
+                while value[2 * heap[0]] != 0:
+                    self._heap_pop()
+                v = self._heap_pop()
+                c = 2 * v | self.polarity[v]
             self.decisions += 1
             trail_lim.append(len(trail))
-            self._assign(2 * v | self.polarity[v], None)
+            self._assign(c, None)

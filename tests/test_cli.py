@@ -6,6 +6,7 @@ import importlib
 import pkgutil
 import re
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -129,6 +130,29 @@ def test_timeout_gives_exit_3(tmp_path):
         "DBConnection.java", "Automaton.java", "TestDBConnection.java"),
         "--timeout", "0.01")
     assert code == cli.EXIT_TIMEOUT
+    assert not (out / "java").exists()
+
+
+@pytest.mark.parametrize("body, flags", [
+    # blasting 400 multiplications by holes, clause intake and SAT
+    ("int s = 1; int i = 0; while (i < 400) { s = s * ?? + ??; i = i + 1; } "
+     "assert s != 0;", ["--loop-bound", "2000"]),
+    # 300,000 concrete iterations, executed symbolically and in replay
+    ("int s = 0; int i = 0; while (i < 300000) { s = s + 3; i = i + 1; } "
+     "assert s + ?? == 900001;",
+     ["--loop-bound", "400000", "--step-limit", "50000000"]),
+], ids=["blast-and-sat", "interp"])
+def test_timeout_holds_inside_one_repeat_vector(tmp_path, capsys, body,
+                                                 flags):
+    # each sketch has one repeat vector, and its first layer alone takes
+    # over 2 s: without a deadline check there, it overshoots the bound
+    src = tmp_path / "A.java"
+    src.write_text(f"class A {{ harness static void t() {{ {body} }} }}")
+    t0 = time.monotonic()
+    code, out = run(tmp_path, str(src), "--timeout", "1", *flags)
+    assert code == cli.EXIT_TIMEOUT
+    assert time.monotonic() - t0 < 2
+    assert "timeout after" in capsys.readouterr().err
     assert not (out / "java").exists()
 
 

@@ -2,9 +2,13 @@
 
 import pytest
 
-from conftest import DB, DB_TWO_STATE, MULT2, program_files, run_front_end
-from sketchsynth import engine
-from sketchsynth.errors import InternalError
+from conftest import (CADSR_SMALL, DB, DB_TWO_STATE, MULT2, add_clause,
+                      program_files, run_front_end)
+from sketchsynth import bitvec as B
+from sketchsynth import engine, sat
+from sketchsynth.cnf import CnfBuilder
+from sketchsynth.errors import DeadlineExceeded, InternalError
+from sketchsynth.interp import ConcreteUnknowns, Interp
 
 
 def solve_texts(*texts, **cfg_kw):
@@ -181,3 +185,48 @@ def test_solutions_are_deterministic_across_runs():
         results.append((r.assignment.values, r.assignment.repeat_counts,
                         r.objective_values, r.depth))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("files, calls", [(MULT2, 2), (CADSR_SMALL, 4)],
+                         ids=["mult2", "cadsr-small"])
+def test_canonical_answer_takes_one_sat_call(monkeypatch, files, calls):
+    # one search per refuted vector and one for the solved vector, then one
+    # call that decides the preferred bits first
+    made = []
+    solve = sat.Solver.solve
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs)
+        return solve(self, *args, **kwargs)
+    monkeypatch.setattr(sat.Solver, "solve", counted)
+    prog = run_front_end(files=program_files(*files))[3]
+    assert isinstance(engine.solve(prog, engine.EngineConfig()),
+                      engine.Solution)
+    assert len(made) == calls
+    assert [bool(kw.get("preferred")) for kw in made] == \
+        [False] * (calls - 1) + [True]
+
+
+def test_an_expired_deadline_stops_every_layer():
+    prog = run_front_end(texts=[("f.java", """
+        class A {
+            harness static void t() { int s = ??; assert s * s == 9; }
+        }""")])[3]
+    cfg = engine.EngineConfig()
+    with pytest.raises(DeadlineExceeded):
+        Interp(prog, ConcreteUnknowns({"e_h1": 3}), {}, cfg,
+               deadline=0.0).run_harness("t_A")
+    with pytest.raises(DeadlineExceeded):
+        engine.eval_harness(prog, "t_A", engine.Assignment({"e_h1": 3}, {}),
+                            cfg, deadline=0.0)
+    with pytest.raises(DeadlineExceeded):
+        CnfBuilder(deadline=0.0).assert_term(B.eq(B.var("x", 8),
+                                                  B.var("y", 8)))
+    s = sat.Solver(deadline=0.0)
+    with pytest.raises(DeadlineExceeded):
+        add_clause(s, [1, 2])
+    s.deadline = None
+    add_clause(s, [1, 2])
+    s.deadline = 0.0
+    with pytest.raises(DeadlineExceeded):
+        s.solve()

@@ -10,6 +10,8 @@ import pytest
 
 from conftest import add_clause
 from sketchsynth import sat
+from sketchsynth.cnf import lit_true
+from sketchsynth.errors import DeadlineExceeded
 
 
 def brute_force(nvars, clauses, fixed=()):
@@ -130,9 +132,9 @@ def test_deadline_raises_timeout():
             for p1 in range(pigeons):
                 for p2 in range(p1 + 1, pigeons):
                     add_clause(s, [-var(p1, h), -var(p2, h)])
-    except sat.Timeout:
+    except DeadlineExceeded:
         return
-    with pytest.raises(sat.Timeout):
+    with pytest.raises(DeadlineExceeded):
         s.solve()
 
 
@@ -309,8 +311,9 @@ def _next_assumptions(rng, prev, nvars):
 
 
 def test_assumption_sequences_match_brute_force():
-    """Each call's assumptions share a prefix with the previous call's, so
-    the solver keeps those levels of its trail; clauses come in between."""
+    """Each call's assumptions share a prefix with the previous call's, as
+    a search that fixes literals one at a time makes them; clauses come in
+    between."""
     rng = random.Random(47)
     kinds = 0
     for trial in range(24):
@@ -340,13 +343,58 @@ def test_assumption_sequences_match_brute_force():
     assert kinds == 3         # models and refutations under assumptions
 
 
-def test_extending_the_assumptions_keeps_their_propagation():
-    # x1 implies x2 .. x10; x11 or x12
-    clauses = [[-v, v + 1] for v in range(1, 10)] + [[11, 12]]
-    s = solver_for(12, clauses)
-    assert s.solve(assumptions=[1]) is not None
-    before = s.propagations
-    assert 12 in s.solve(assumptions=[1, -11])
-    fresh = solver_for(12, clauses)
-    assert 12 in fresh.solve(assumptions=[1, -11])
-    assert s.propagations - before == 2 < fresh.propagations == 12
+def _minimize_by_assumptions(s, preferred):
+    """The reference: one call under assumptions per preferred literal that
+    the current model does not already make true, each keeping the
+    literals chosen before it."""
+    model = s.solve()
+    fixed = []
+    for lit in preferred:
+        if not lit_true(lit, model):
+            m = s.solve(assumptions=fixed + [lit])
+            if m is None:
+                lit = -lit
+            else:
+                model = m
+        fixed.append(lit)
+    return model
+
+
+def test_preferred_literals_give_the_lexicographic_optimum():
+    """After a first search has left learnt clauses and saved phases, one
+    call with preferred literals (variables repeated, in both polarities)
+    makes the same literals true as brute force's lexicographic optimum
+    and as the per-literal minimizer under assumptions."""
+    rng = random.Random(53)
+    conflicts = checked = 0
+    for trial in range(300):
+        nvars = rng.randrange(3, 13)
+        true_sets = _true_sets(nvars)
+        full = (1 << (1 << nvars)) - 1
+        clauses = [[v * rng.choice([1, -1])
+                    for v in rng.sample(range(1, nvars + 1), 3)]
+                   for _ in range(rng.randrange(3 * nvars, 9 * nvars // 2))]
+        s = solver_for(nvars, clauses)
+        models = _models(true_sets, clauses)
+        if s.solve() is None:
+            assert not models
+            continue
+        preferred = [rng.randrange(1, nvars + 1) * rng.choice([1, -1])
+                     for _ in range(rng.randrange(1, 2 * nvars + 1))]
+        before = s.conflicts
+        model = s.solve(preferred=preferred)
+        conflicts += s.conflicts > before
+        check_model(model, nvars, clauses)
+        optimum = []
+        for lit in preferred:
+            narrowed = models & (true_sets[lit] if lit > 0
+                                 else full ^ true_sets[-lit])
+            optimum.append(bool(narrowed))
+            models = narrowed or models
+        assert [lit_true(l, model) for l in preferred] == optimum, trial
+        reference = _minimize_by_assumptions(solver_for(nvars, clauses),
+                                             preferred)
+        assert [lit_true(l, reference) for l in preferred] == optimum
+        assert_order_is_a_heap_of_distinct_variables(s)
+        checked += 1
+    assert checked > 200 and conflicts > 100
