@@ -257,8 +257,6 @@ def _format_ir(program):
         lines.append(f"{head}function {name}({', '.join(fn.params)})")
         _format_instrs(fn.body, 1, lines)
         lines.append("")
-    for name, expr in program.objectives:
-        lines.append(f"objective {name} = {expr}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import ast_nodes as A
 from . import bitvec as B
-from .errors import IncompleteSolutionError
+from .errors import InternalError
 from .stdlib import ROOT_CLASS
 
 INDENT = "    "
@@ -78,7 +78,7 @@ class _Printer:
         it = self.iteration if uid.template_of is not None else None
         name = uid.instance_name(it)
         if name not in self.assignment.values:
-            raise IncompleteSolutionError(f"solution has no value for '{name}'")
+            raise InternalError(f"solution has no value for '{name}'")
         return self.assignment.values[name]
 
     def unit(self, unit):
@@ -137,7 +137,7 @@ class _Printer:
         """A solved minrepeat: a block of its copies, one per iteration."""
         count = self.assignment.repeat_counts.get(r.uid.name)
         if count is None:
-            raise IncompleteSolutionError(
+            raise InternalError(
                 f"solution has no count for '{r.uid.name}'")
         lines = [INDENT * depth + "{"]
         for i in range(count):
@@ -222,7 +222,7 @@ class _Printer:
                 return f"{{| {alts} |}}"
             idx = self._value(e.uid)
             if not 0 <= idx < len(e.alternatives):
-                raise IncompleteSolutionError(
+                raise InternalError(
                     f"choice index {idx} out of range for '{e.uid.name}'")
             return self.expr(e.alternatives[idx], parent_prec)
         if isinstance(e, A.FieldAccess):

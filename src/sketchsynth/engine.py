@@ -10,6 +10,11 @@ satisfiable depth, objectives are minimized lexicographically, then every
 unknown is minimized in registry order (canonicalization), making the
 reported assignment independent of solver internals.
 
+An objective is set by its ``minimize(e)`` statement where that statement
+runs: it is an implicit ``int`` of its harness, 0 until the statement runs,
+and the last run on a path gives its value.  The harness's own run, symbolic
+or concrete, yields it.
+
 Canonicalization is one more SAT call on the same solver, with preferred
 literals: every objective's blasted bits, then every unknown's, each from
 the MSB down, preferring 1 on the sign bit and 0 on every other bit (the
@@ -26,9 +31,10 @@ raise ``DeadlineExceeded`` once past it, and ``solve`` reports a
 ``Timeout``.
 
 The winner is replayed concretely before being returned: every harness must
-pass and every objective must evaluate to the model's value.  A concrete run
-takes one of the paths the symbolic run took, so it fits in the same bounds;
-any mismatch contradicts the encoding and is an ``InternalError``.
+pass and every objective must end its harness's run with the model's value.
+A concrete run takes one of the paths the symbolic run took, so it fits in
+the same bounds; any mismatch contradicts the encoding and is an
+``InternalError``.
 """
 
 from __future__ import annotations
@@ -62,10 +68,12 @@ class Assignment(Record):
 
 
 class EvalOutcome(Record):
-    def __init__(self, steps_used, reason=None, span=None):
+    def __init__(self, steps_used, reason=None, span=None, objectives=None):
         self.steps_used = steps_used
         self.reason = reason  # None if the harness passed
         self.span = span
+        # objective name -> int, for each objective the passing run set
+        self.objectives = {} if objectives is None else objectives
 
 
 class Solution(Record):
@@ -114,40 +122,36 @@ def effective_hole_width(program, cfg):
 # -- concrete evaluation ---------------------------------------------------
 
 
-def _concrete_interp(program, assignment, cfg, deadline):
-    return Interp(program, ConcreteUnknowns(assignment.values),
-                  assignment.repeat_counts, cfg, deadline)
-
-
 def eval_harness(program, harness, assignment, cfg, deadline=None):
     """Run one harness under a total concrete assignment."""
-    interp = _concrete_interp(program, assignment, cfg, deadline)
+    interp = Interp(program, ConcreteUnknowns(assignment.values),
+                    assignment.repeat_counts, cfg, deadline)
     try:
         interp.run_harness(harness)
     except HarnessFailure as f:
         return EvalOutcome(interp.steps, f.reason, f.span)
     except ResourceLimit as r:
         return EvalOutcome(interp.steps, str(r))
-    return EvalOutcome(interp.steps)
+    return EvalOutcome(interp.steps, objectives={
+        name: B.to_signed(B.const_value(v))
+        for name, v in interp.objectives.items()})
 
 
 def replay(program, assignment, objective_values, cfg, deadline=None):
-    """Check a model concretely: every harness passes, and every objective,
-    read right after ``init_statics()`` as the encoding reads it, has the
-    model's value.  Raises ``InternalError`` on any mismatch."""
+    """Check a model concretely: every harness passes, and every objective
+    ends its harness's run with the model's value (0 if its ``minimize``
+    never ran).  Raises ``InternalError`` on any mismatch."""
+    got = {}
     for h in program.harnesses:
         out = eval_harness(program, h, assignment, cfg, deadline)
         if out.reason is not None:
             raise InternalError(f"replay of harness '{h}' failed: "
                                 f"{out.reason}", out.span)
-    if not program.objectives:
-        return
-    interp = _concrete_interp(program, assignment, cfg, deadline)
-    interp.init_statics()
-    for name, expr in program.objectives:
-        got = B.to_signed(B.const_value(interp.eval_objective(expr)))
-        if got != objective_values[name]:
-            raise InternalError(f"replay of objective '{name}' gives {got}, "
+        got.update(out.objectives)
+    for name in program.objectives:
+        value = got.get(name, 0)
+        if value != objective_values[name]:
+            raise InternalError(f"replay of objective '{name}' gives {value}, "
                                 f"the model {objective_values[name]}")
 
 
@@ -179,29 +183,21 @@ def _compositions(total, n, cap):
 
 
 def _encode(program, vector, cfg, deadline):
-    """Symbolic execution of every harness, then of every objective right
-    after ``init_statics()``: (constraints, [(objective name, term)]), or
-    None if a harness fails on every path."""
+    """Symbolic execution of every harness: (constraints, [(objective name,
+    term)]), or None if a harness fails on every path."""
     unknowns = SymbolicUnknowns(effective_hole_width(program, cfg))
     constraints = []
-    objectives = []
-
-    def interp():
-        return Interp(program, unknowns, vector, cfg, deadline)
+    terms = {}
     try:
         for h in program.harnesses:
-            it = interp()
+            it = Interp(program, unknowns, vector, cfg, deadline)
             it.run_harness(h)
             constraints.extend(it.constraints)
-        if program.objectives:
-            it = interp()
-            it.init_statics()
-            for name, expr in program.objectives:
-                objectives.append((name, it.eval_objective(expr)))
-            constraints.extend(it.constraints)
+            terms.update(it.objectives)
     except HarnessFailure:
         return None
-    return constraints, objectives
+    return constraints, [(name, terms.get(name, B.ZERO))
+                         for name in program.objectives]
 
 
 def _solve_vector(program, vector, cfg, deadline):
@@ -292,5 +288,8 @@ def solve(program, cfg):
             return overrun
         return Unsat(depth_reached, ms())
     except DeadlineExceeded:
-        return Timeout(depth_reached, ms())
+        pass
+    # read after the handler, which holds the interrupted vector's terms
+    # and clauses until it exits
+    return Timeout(depth_reached, ms())
 

@@ -66,10 +66,6 @@ class HarnessShapeError(SketchError):
     """Harness is not static/void/parameterless."""
 
 
-class IncompleteSolutionError(SketchError):
-    pass
-
-
 class EncodingError(SketchError):
     """The symbolic encoder met a construct outside the supported fragment."""
 

@@ -239,6 +239,7 @@ class Interp:
         self.next_check = 0                  # a step past it runs _checkpoint
         self.depth = 0                       # calls now running
         self.constraints = []
+        self.objectives = {}                 # objective name -> its value
         self.statics = {}
         self.rep_iter = {}                   # repeat name -> current iteration
         self.literals = {}                   # text -> its String record
@@ -268,14 +269,11 @@ class Interp:
     def init_statics(self):
         for owner, name, tag in self.table.static_fields:
             self.statics[(owner, name)] = default_value(tag)
-        self.call_function(self.program.static_init, [], TRUE)
+        self.call_function(I.STATIC_INIT, [], TRUE)
 
     def run_harness(self, name):
         self.init_statics()
         self.call_function(name, [], TRUE)
-
-    def eval_objective(self, expr):
-        return self.eval(expr, _Frame({}, None), TRUE)
 
     # -- functions ---------------------------------------------------------
 
@@ -383,6 +381,13 @@ class Interp:
 
     def _exec_eval(self, instr, frame, active):
         self.eval(instr.expr, frame, active)
+
+    def _exec_minimize(self, instr, frame, active):
+        # an assignment to an implicit int of the harness that starts at 0
+        v = self.eval(instr.expr, frame, active)
+        name = instr.name
+        self.objectives[name] = mux_value(active, v,
+                                          self.objectives.get(name, ZERO))
 
     def _exec_repeat(self, instr, frame, active):
         name = instr.uid.name
@@ -648,5 +653,6 @@ _EXEC = {
     I.ReturnInstr: Interp._exec_return,
     I.AssertInstr: Interp._exec_assert,
     I.EvalInstr: Interp._exec_eval,
+    I.MinimizeInstr: Interp._exec_minimize,
     I.RepeatInstr: Interp._exec_repeat,
 }

@@ -5,6 +5,9 @@ from __future__ import annotations
 from . import bitvec as B
 from .records import Record
 
+# the function that runs every static initializer before each harness
+STATIC_INIT = "__static_init__"
+
 # -- expressions -----------------------------------------------------------
 
 
@@ -156,6 +159,15 @@ class EvalInstr(IrInstr):
         self.expr = expr
 
 
+class MinimizeInstr(IrInstr):
+    """``minimize(expr)``: sets objective ``name``, an implicit ``int`` of
+    its harness that is 0 until this runs, to the value of ``expr``."""
+
+    def __init__(self, name, expr):
+        self.name = name
+        self.expr = expr
+
+
 class RepeatInstr(IrInstr):
     def __init__(self, uid, body):
         self.uid = uid  # repeat UnknownId
@@ -176,25 +188,13 @@ class IrFunction(Record):
 
 class IrProgram(Record):
     def __init__(self, functions=None, harnesses=None, objectives=None,
-                 static_init="__static_init__", registry=None, table=None,
-                 max_literal=0):
+                 registry=None, table=None, max_literal=0):
         self.functions = {} if functions is None else functions
         self.harnesses = [] if harnesses is None else harnesses
-        # (name, IrExpr)
+        # the names of the MinimizeInstrs, in lowering order: their
+        # priority in lexicographic minimization
         self.objectives = [] if objectives is None else objectives
-        self.static_init = static_init
         self.registry = registry
         self.table = table
         self.max_literal = max_literal
 
-
-def walk_ir(node):
-    """Pre-order traversal over IrExpr/IrInstr trees."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (IrExpr, IrInstr)):
-            yield node
-            stack.extend(reversed(vars(node).values()))
-        elif isinstance(node, list):
-            stack.extend(reversed(node))

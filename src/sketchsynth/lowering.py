@@ -3,8 +3,9 @@
 Every method body becomes a flat function named by the mangling scheme;
 every instance-method call site becomes one ``VirtualCall`` node that the
 interpreter resolves through the class table's vtable; constructors become
-``new_*`` factory functions returning a fresh object record; ``minimize(e)``
-harness statements become program-level objectives.
+``new_*`` factory functions returning a fresh object record; each
+``minimize(e)`` harness statement becomes a ``MinimizeInstr`` that sets one
+named objective of the program.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class _Lowerer:
                     owner, ftag, _ = self.table.resolve_field(ci.name, f.name)
                     expr = env.lower_value(f.init, ftag)
                     body.append(I.AssignStatic(owner, f.name, expr))
-        fn = I.IrFunction(self.prog.static_init, [], body, ret_tag=T.VOID)
+        fn = I.IrFunction(I.STATIC_INIT, [], body, ret_tag=T.VOID)
         self.prog.functions[fn.name] = fn
 
     # -- methods -----------------------------------------------------------
@@ -84,11 +85,7 @@ class _Lowerer:
         self.prog.functions[fn.name] = fn
         if mi.is_harness:
             self.prog.harnesses.append(fn.name)
-            for name, expr in env.objectives:
-                self.prog.objectives.append((name, expr))
-        elif env.objectives:
-            raise TypeLoweringError(
-                "minimize(...) may appear only inside harness bodies", decl.span)
+            self.prog.objectives.extend(env.objectives)
 
     def _lower_constructor(self, ci, mi):
         env = _Env(self, ci, mi, static=False)
@@ -141,7 +138,7 @@ class _Env:
         # slot -> TypeTag of each parameter and local lowered so far; desugar
         # bound each Name to its slot
         self.tags = dict(mi.params) if mi is not None else {}
-        self.objectives = []
+        self.objectives = []        # names of this harness's objectives
         # whether the statements lowered so far can complete normally
         # (JLS 14.22, without labels or break)
         self.completes = True
@@ -232,15 +229,11 @@ class _Env:
         _require(len(e.args) == 1, "minimize takes exactly one argument", e.span)
         expr, tag = self.lower_expr(e.args[0])
         _require(tag.is_numeric, "minimize objective must be an integer", e.span)
-        for n in I.walk_ir(expr):
-            if isinstance(n, I.LocalRead):
-                raise TypeLoweringError(
-                    "minimize objective may not read locals or parameters", e.span)
         name = self.mi.mangled
-        if any(n == name for n, _ in self.objectives):
+        if self.objectives:
             name = f"{name}_{len(self.objectives) + 1}"
-        self.objectives.append((name, expr))
-        return I.EvalInstr(I.Const(0, T.INT))
+        self.objectives.append(name)
+        return I.MinimizeInstr(name, expr)
 
     # -- expressions -------------------------------------------------------
 

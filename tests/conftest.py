@@ -9,6 +9,7 @@ import pytest
 from sketchsynth import ast_nodes as A
 from sketchsynth import bitvec as B
 from sketchsynth import engine
+from sketchsynth import ir as I
 from sketchsynth.classtable import build_class_table
 from sketchsynth.desugar import desugar
 from sketchsynth.lowering import lower_program
@@ -42,6 +43,18 @@ def walk_unknowns(node):
     """Hole/Choice/MinRepeat nodes in pre-order."""
     return [n for n in A.walk(node)
             if isinstance(n, (A.Hole, A.Choice, A.MinRepeat))]
+
+
+def walk_ir(node):
+    """IrExpr/IrInstr nodes in pre-order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (I.IrExpr, I.IrInstr)):
+            yield node
+            stack.extend(reversed(vars(node).values()))
+        elif isinstance(node, list):
+            stack.extend(reversed(node))
 
 
 def add_clause(solver, lits):

@@ -476,6 +476,72 @@ def test_criterion_6_differential_vs_brute_force():
     assert checked == 200
 
 
+def gen_objective_sketch(rng):
+    """(source text, oracle) for a tiny sketch whose holes are harness
+    locals and whose objective is a local computed from them, minimized in
+    place: under a generated condition in half of the sketches (0 where it
+    is skipped), and written again after the statement, which the objective
+    does not see.
+
+    The oracle is (hole_names, asserts, objective, guard or None).
+    """
+    holes = ["a", "b", "c"][:rng.randrange(1, 4)]
+    body = [f"        int {h} = ??;" for h in holes]
+    asserts = []
+    for _ in range(rng.randrange(0, 3)):
+        text, fn = gen_bool(rng, holes, rng.randrange(0, 2))
+        body.append(f"        assert {text};")
+        asserts.append(fn)
+    otext, objective = gen_int(rng, holes, rng.randrange(1, 3))
+    body.append(f"        int o = {otext};")
+    guard = None
+    if rng.random() < 0.5:
+        gtext, guard = gen_bool(rng, holes, 0)
+        body.append(f"        if ({gtext}) {{ minimize(o); }}")
+    else:
+        body.append("        minimize(o);")
+    body.append("        o = o * 2 + 1;")
+    src = ("class P {\n    harness static void h() {\n" + "\n".join(body)
+           + "\n    }\n}\n")
+    return src, (holes, asserts, objective, guard)
+
+
+def brute_force_objective(oracle):
+    """The least (objective, hole values) over passing assignments, or
+    None."""
+    holes, asserts, objective, guard = oracle
+    passing = []
+    for values in itertools.product(range(8), repeat=len(holes)):
+        env = dict(zip(holes, values))
+        try:
+            if not all(fn(env) for fn in asserts):
+                continue
+            value = objective(env)
+            if guard is not None and not guard(env):
+                value = 0
+        except Reject:
+            continue
+        passing.append((value, values))
+    return min(passing, default=None)
+
+
+def test_criterion_6_objectives_over_harness_locals_vs_brute_force():
+    rng = random.Random(2027)
+    for trial in range(50):
+        src, oracle = gen_objective_sketch(rng)
+        prog = run_front_end(texts=[("p.java", src)])[3]
+        result = engine.solve(prog, engine.EngineConfig(hole_bits=3))
+        best = brute_force_objective(oracle)
+        if best is None:
+            assert isinstance(result, engine.Unsat), f"trial {trial}:\n{src}"
+            continue
+        assert isinstance(result, engine.Solution), f"trial {trial}:\n{src}"
+        got = tuple(result.assignment.values[f"e_h{i + 1}"]
+                    for i in range(len(oracle[0])))
+        assert (result.objective_values["h_P"], got) == best, \
+            f"trial {trial}:\n{src}"
+
+
 def _largest_literal(ast):
     """The largest magnitude among the tree's int, char and String
     literals, by a walk over the whole tree."""

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import program_files, run_front_end
+from conftest import program_files, run_front_end, walk_ir
 from sketchsynth import ir as I
 from sketchsynth import typetags as T
 from sketchsynth.classtable import build_class_table
@@ -207,5 +207,5 @@ def test_long_chain_builds_and_lowers(subclass_first):
     assert t.all_interfaces(f"C{n - 1}") == []
     program = lower_program(t, registry)
     body = program.functions["t_H"].body
-    calls = [e for e in I.walk_ir(body) if isinstance(e, I.VirtualCall)]
+    calls = [e for e in walk_ir(body) if isinstance(e, I.VirtualCall)]
     assert [c.sig for c in calls] == [("m", ())]

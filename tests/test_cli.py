@@ -594,8 +594,8 @@ def test_step_limit_overrun_leaves_later_vectors_to_search(tmp_path):
 
 
 def test_objective_replay_fits_the_harness_step_limit(tmp_path):
-    # the harness needs every step the limit allows; the objective is read
-    # by its own interpreter during replay, as during encoding
+    # the harness needs every step the limit allows, its minimize
+    # statement's included; replay reads the objective within those steps
     text = ("class A { static int c = ??; harness static void t() { "
             "assert c >= 3; minimize(c); } }")
     prog = run_front_end(texts=[("obj.java", text)])[3]

@@ -5,7 +5,7 @@ import pytest
 from conftest import CADSR, DB, MULT2, program_files, run_front_end
 from sketchsynth import bitvec as B
 from sketchsynth import decode, engine
-from sketchsynth.errors import IncompleteSolutionError
+from sketchsynth.errors import InternalError
 from sketchsynth.interp import ConcreteUnknowns, Interp
 from sketchsynth.lexer import tokenize
 from sketchsynth.parser import parse_program_texts
@@ -54,21 +54,21 @@ def test_unknown_free_program_round_trips_unchanged():
 def test_missing_value_raises_incomplete_solution():
     ast, _, _, _ = run_front_end(
         texts=[("f.java", "class A { static int s = ??; }")])
-    with pytest.raises(IncompleteSolutionError):
+    with pytest.raises(InternalError):
         decode.unparse_program(ast, engine.Assignment({}, {}))
 
 
 def test_missing_repeat_count_raises_incomplete_solution():
     ast, _, _, _ = run_front_end(texts=[(
         "f.java", "class A { static void f() { minrepeat { int x = 1; } } }")])
-    with pytest.raises(IncompleteSolutionError, match="no count for 'e_r1'"):
+    with pytest.raises(InternalError, match="no count for 'e_r1'"):
         decode.unparse_program(ast, engine.Assignment({}, {}))
 
 
 def test_out_of_range_choice_raises_incomplete_solution():
     ast, _, _, _ = run_front_end(
         texts=[("f.java", "class A { static int s = {| 1, 2 |}; }")])
-    with pytest.raises(IncompleteSolutionError, match="out of range"):
+    with pytest.raises(InternalError, match="out of range"):
         decode.unparse_program(
             ast, engine.Assignment({"e_c1": 2}, {}))
 

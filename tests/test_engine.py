@@ -1,5 +1,7 @@
 """Engine tests: search order, minimization, canonical solutions, verdicts."""
 
+import time
+
 import pytest
 
 from conftest import (CADSR_SMALL, DB, DB_TWO_STATE, MULT2, add_clause,
@@ -160,21 +162,58 @@ def test_eval_harness_classifies_outcomes():
     assert wrong.reason == "assertion failed"
 
 
-def test_replay_reads_objectives_after_static_init_and_rejects_tampering():
-    # the harness changes c before minimize(c); the objective is c as the
-    # static initializer leaves it, so the minimum is 2, not 3
+def test_replay_reads_objectives_where_they_run_and_rejects_tampering():
+    # the harness changes c before minimize(c); the objective is c where
+    # the statement runs, so the minimum is 3, not the initializer's 2
     result, prog = solve_texts(
         "class A { static int c = ??; harness static void t() { "
         "c = c + 1; assert c >= 3; minimize(c); } }")
     assert result.assignment.values == {"e_h1": 2}
-    assert result.objective_values == {"t_A": 2}
+    assert result.objective_values == {"t_A": 3}
     cfg = engine.EngineConfig()
     engine.replay(prog, result.assignment, result.objective_values, cfg)
-    with pytest.raises(InternalError, match="objective 't_A' gives 2"):
-        engine.replay(prog, result.assignment, {"t_A": 3}, cfg)
+    with pytest.raises(InternalError, match="objective 't_A' gives 3"):
+        engine.replay(prog, result.assignment, {"t_A": 2}, cfg)
     with pytest.raises(InternalError, match="harness 't_A' failed"):
         engine.replay(prog, engine.Assignment({"e_h1": 1}, {}),
                       result.objective_values, cfg)
+
+
+@pytest.mark.parametrize("decls, init", [
+    ("static int x; static int y; ", ""), ("", "int "),
+], ids=["statics", "locals"])
+def test_objective_is_read_where_minimize_runs(decls, init):
+    result, _ = solve_texts(
+        f"class M {{ {decls}harness static void h() {{ {init}x = ??; "
+        f"{init}y = ??; assert x + y == 10; minimize(y); }} }}")
+    assert result.assignment.values == {"e_h1": 10, "e_h2": 0}
+    assert result.objective_values == {"h_M": 0}
+
+
+def test_objective_in_a_loop_is_its_last_iteration():
+    # the first iteration sets the objective to a, the last to b
+    result, _ = solve_texts(
+        "class A { harness static void t() { int a = ??; int b = ??; "
+        "int i = 0; int s = 0; while (i < 2) { "
+        "if (i == 0) { s = a; } else { s = b; } minimize(s); i = i + 1; } "
+        "assert a + b == 5; } }")
+    assert result.assignment.values == {"e_h1": 5, "e_h2": 0}
+    assert result.objective_values == {"t_A": 0}
+
+
+def test_objective_is_zero_where_minimize_is_skipped():
+    result, prog = solve_texts(
+        "class A { harness static void t() { int x = ??; int y = ??; "
+        "assert x + y == 10 && y >= 3; if (??) { minimize(y); } } }")
+    assert result.assignment.values == {"e_h1": 0, "e_h2": 10, "e_h3": 0}
+    assert result.objective_values == {"t_A": 0}
+    cfg = engine.EngineConfig()
+    taken = engine.Assignment({"e_h1": 7, "e_h2": 3, "e_h3": 1}, {})
+    assert engine.eval_harness(prog, "t_A", taken, cfg).objectives == \
+        {"t_A": 3}
+    skipped = engine.Assignment({"e_h1": 7, "e_h2": 3, "e_h3": 0}, {})
+    assert engine.eval_harness(prog, "t_A", skipped, cfg).objectives == {}
+    engine.replay(prog, skipped, {"t_A": 0}, cfg)
 
 
 def test_solutions_are_deterministic_across_runs():
@@ -230,3 +269,18 @@ def test_an_expired_deadline_stops_every_layer():
     s.deadline = 0.0
     with pytest.raises(DeadlineExceeded):
         s.solve()
+
+
+def test_timeout_reports_the_wall_time_it_took():
+    # the interrupted vector's terms and clauses are freed before the
+    # verdict reads the clock
+    text = ("class A { harness static void t() { int s = 1; int i = 0; "
+            "while (i < 400) { s = s * ?? + ??; i = i + 1; } "
+            "assert s != 0; } }")
+    prog = run_front_end(texts=[("f.java", text)])[3]
+    t0 = time.monotonic()
+    result = engine.solve(prog, engine.EngineConfig(timeout=1.0,
+                                                    loop_bound=2000))
+    elapsed_ms = (time.monotonic() - t0) * 1000
+    assert isinstance(result, engine.Timeout)
+    assert 0 <= elapsed_ms - result.wall_ms < 50

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import (CADSR, find_type, program_files, run_front_end,
-                      walk_unknowns)
+                      walk_ir, walk_unknowns)
 from sketchsynth import bitvec as B
 from sketchsynth import decode, engine
 from sketchsynth import ir as I
@@ -60,7 +60,7 @@ def test_instance_calls_lower_to_virtual_calls():
         class U { int use(I x) { return x.m(); } }
         """)
     for fn, sig in (("f_A", ("g", ())), ("use_U_I", ("m", ()))):
-        calls = [n for n in I.walk_ir(prog.functions[fn].body)
+        calls = [n for n in walk_ir(prog.functions[fn].body)
                  if isinstance(n, (I.Call, I.VirtualCall))]
         assert [type(c) for c in calls] == [I.VirtualCall]
         assert calls[0].sig == sig
@@ -83,10 +83,11 @@ def test_static_field_initializers_collect_into_static_init():
 def test_minimize_collects_named_objective():
     _, _, _, prog = lower_texts(
         "class A { static int s = ??; "
-        "harness static void t() { minimize(s); } }")
-    (name, expr) = prog.objectives[0]
-    assert name == "t_A"
-    assert isinstance(expr, I.StaticRead)
+        "harness static void t() { minimize(s); s = 1; minimize(s); } }")
+    assert prog.objectives == ["t_A", "t_A_2"]
+    first, _, second = prog.functions["t_A"].body
+    assert first == I.MinimizeInstr("t_A", I.StaticRead("A", "s"))
+    assert second.name == "t_A_2"
 
 
 def test_minimize_outside_harness_rejected():
@@ -94,10 +95,12 @@ def test_minimize_outside_harness_rejected():
         lower_texts("class A { static int s; void f() { minimize(s); } }")
 
 
-def test_minimize_over_locals_rejected():
-    with pytest.raises(TypeLoweringError):
-        lower_texts("class A { harness static void t() "
-                    "{ int x = 1; minimize(x); } }")
+def test_minimize_over_a_local_reads_it_in_place():
+    _, _, _, prog = lower_texts("class A { harness static void t() "
+                                "{ int x = 1; minimize(x + 1); } }")
+    (decl, minimize) = prog.functions["t_A"].body
+    assert isinstance(minimize, I.MinimizeInstr) and minimize.name == "t_A"
+    assert minimize.expr.left == I.LocalRead(decl.name)
 
 
 def test_hole_in_boolean_context_is_flagged_bool():
@@ -135,15 +138,6 @@ def test_max_literal_covers_char_codes_in_strings():
 def test_extending_a_builtin_class_is_rejected():
     with pytest.raises(TypeLoweringError):
         lower_texts("class A extends LinkedList { A() { } }")
-
-
-def test_walk_ir_handles_deep_nesting_without_recursion():
-    leaf = I.LocalRead("x")
-    expr = leaf
-    for _ in range(4999):
-        expr = I.Un("-", expr)
-    nodes = list(I.walk_ir([I.EvalInstr(expr)]))
-    assert len(nodes) == 5001 and nodes[1] is expr and nodes[-1] is leaf
 
 
 def test_a_constant_is_compared_and_printed_without_its_term():

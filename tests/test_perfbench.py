@@ -9,7 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # hook points the tracer reports as missing on the current program
-UNHOOKED = {"sketchsynth.decode.apply_solution", "bitvec.var(...).tid"}
+UNHOOKED = {"sketchsynth.decode.apply_solution", "bitvec.var(...).tid",
+            "Interp.eval_objective"}
 
 
 def _check_traced_run(workload):
