@@ -3,8 +3,12 @@
 Built once from the desugared AST (inner classes already flattened, anonymous
 classes already lifted).  Builtin library classes are registered after user
 classes so that dispatch over e.g. ``Iterator`` receivers works uniformly.
-The vtable maps each (class id, plain signature) to the override that an
-instance call on that class runs.
+Every callee is a :class:`MethodInfo` here: the library's methods and
+constructors are members of their classes, and its functions
+(``convertToIterator``) static methods of the root class ``Object``, so a
+program's own method of that name hides one as a subclass's static hides
+its superclass's.  The vtable maps each (class id, plain signature) to the
+override that an instance call on that class runs.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ def mangle_method(method, cls, param_tags):
 
 
 class MethodInfo(Record):
-    _hidden = ("param_tags", "plain_sig")
+    _hidden = ("param_tags", "plain_sig", "function")
 
     def __init__(self, plain_name, mangled, params, ret, is_static=False,
                  is_harness=False, is_constructor=False, is_abstract=False,
@@ -47,21 +51,28 @@ class MethodInfo(Record):
         self.is_harness = is_harness
         self.is_constructor = is_constructor
         self.is_abstract = is_abstract
-        self.builtin = builtin  # stdlib.BuiltinMethod of a library method
+        # the stdlib.BuiltinMethod of a library method, constructor or
+        # function, which runs natively
+        self.builtin = builtin
         self.decl = decl  # MethodDecl for user methods
         # derived from ``params``, which never changes after construction
         self.param_tags = tuple(t for _, t in params)
         self.plain_sig = (plain_name,  # (name, mangled params)
                           tuple(map(mangle_param, self.param_tags)))
+        self.function = None  # its IR function's name, set with ``mangled``
+
+    def __repr__(self):
+        return repr(self.mangled)
 
 
 class ClassInfo(Record):
-    def __init__(self, cid, name, is_interface=False, is_builtin=False,
-                 superclass=None, interfaces=None, methods=None, fields=None,
-                 decl=None):
+    def __init__(self, cid, name, is_interface=False, is_abstract=False,
+                 is_builtin=False, superclass=None, interfaces=None,
+                 methods=None, fields=None, decl=None):
         self.cid = cid
         self.name = name
         self.is_interface = is_interface
+        self.is_abstract = is_abstract  # an interface is abstract, too
         self.is_builtin = is_builtin
         self.superclass = superclass
         self.interfaces = [] if interfaces is None else interfaces
@@ -136,8 +147,12 @@ class ClassTable:
         raise TypeLoweringError(f"no field '{fname}' in class '{cls_name}'")
 
     def resolve_method(self, cls_name, name, arg_tags, span=None):
-        """Overload resolution over the class chain and its interfaces."""
+        """Overload resolution over the class chain and its interfaces,
+        and for an interface the root class, whose members an interface
+        has too (JLS 9.2): the library functions among them."""
         scope = self.superclass_chain(cls_name) + self.all_interfaces(cls_name)
+        if self.info(cls_name).is_interface and stdlib.ROOT_CLASS in self.by_name:
+            scope.append(stdlib.ROOT_CLASS)
         return pick_overload(
             [m for cur in scope for m in self.info(cur).methods
              if m.plain_name == name],
@@ -188,6 +203,7 @@ def build_class_table(ast):
         ci = ClassInfo(
             cid=len(table.classes), name=decl.name,
             is_interface=decl.is_interface, decl=decl,
+            is_abstract=decl.is_interface or "abstract" in decl.modifiers,
             superclass=decl.superclass.name if decl.superclass else None,
             interfaces=[i.name for i in decl.interfaces],
         )
@@ -205,7 +221,8 @@ def build_class_table(ast):
                and stdlib.ROOT_CLASS in table.by_name else None)
         ci = ClassInfo(
             cid=len(table.classes), name=spec.name,
-            is_interface=spec.is_interface, is_builtin=True,
+            is_interface=spec.is_interface, is_abstract=spec.is_interface,
+            is_builtin=True,
             superclass=sup, interfaces=interfaces, decl=spec,
         )
         table.classes.append(ci)
@@ -252,7 +269,8 @@ def _supertypes(ci):
 
 def _new_method(taken, info):
     """Registers ``info``'s mangled name, suffixing ``_2``, ``_3``, ... on a
-    collision."""
+    collision, and names its IR function: a constructor's is its mangled
+    name after ``init_``."""
     if info.mangled in taken:
         base = info.mangled
         k = 2
@@ -260,7 +278,18 @@ def _new_method(taken, info):
             k += 1
         info.mangled = f"{base}_{k}"
     taken.add(info.mangled)
+    info.function = ("init_" if info.is_constructor else "") + info.mangled
     return info
+
+
+def _library_method(taken, ci, bm, is_static=False, is_constructor=False):
+    """The MethodInfo of library record ``bm`` as a member of ``ci``."""
+    name = ci.name if is_constructor else bm.name
+    return _new_method(taken, MethodInfo(
+        plain_name=name, mangled=mangle_method(name, ci.name, bm.param_tags),
+        params=[(f"a{i}", t) for i, t in enumerate(bm.param_tags)],
+        ret=bm.ret, is_static=is_static, is_constructor=is_constructor,
+        is_abstract=ci.is_interface, builtin=bm))
 
 
 def _build_members(table):
@@ -268,14 +297,10 @@ def _build_members(table):
     for ci in table.classes:
         if ci.is_builtin:
             for bm in ci.decl.methods:
-                params = [(f"a{i}", t) for i, t in enumerate(bm.param_tags)]
-                mi = MethodInfo(
-                    plain_name=bm.name,
-                    mangled=mangle_method(bm.name, ci.name, bm.param_tags),
-                    params=params, ret=bm.ret,
-                    is_abstract=ci.is_interface, builtin=bm,
-                )
-                ci.methods.append(_new_method(taken, mi))
+                ci.methods.append(_library_method(taken, ci, bm))
+            if ci.decl.ctor is not None:
+                ci.methods.append(_library_method(
+                    taken, ci, ci.decl.ctor, is_constructor=True))
             continue
         decl = ci.decl
         for f in decl.fields():
@@ -302,6 +327,12 @@ def _build_members(table):
                     f"duplicate signature '{m.name}' in class '{ci.name}'", m.span)
             sigs.add(mi.plain_sig)
             ci.methods.append(_new_method(taken, mi))
+    root = table.by_name.get(stdlib.ROOT_CLASS)
+    if root is not None:
+        # after the root's own methods, which win over them
+        for bm in stdlib.FREE_FUNCTIONS:
+            root.methods.append(
+                _library_method(taken, root, bm, is_static=True))
 
 
 def _build_vtable(table):

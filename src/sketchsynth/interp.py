@@ -28,6 +28,12 @@ split over concrete records.  A virtual call runs, for each case, the
 override that the class table's vtable names for that record's class, and
 muxes the results.
 
+Calls: every callee is a class-table method.  ``Call`` names one, ``New``
+allocates a record and names the constructor that fills it, and a virtual
+call finds one per receiver case; all of them run it through
+:meth:`Interp.call`, the one place that tells a library method, which runs
+natively, from one that runs its IR function.
+
 Calls nest at most ``MAX_CALL_DEPTH`` deep.  Like the step limit, the bound
 is a resource limit: overrunning it leaves the current run undecided
 rather than failing the candidate.  The search's deadline is read with the
@@ -45,7 +51,9 @@ from .stdlib import OBJECT, BuiltinTrap
 TRUE, FALSE, ZERO = B.TRUE, B.FALSE, B.ZERO
 
 # A call nests 9 Python frames in the usual shape (a call in a binary
-# operator in a return in an if) and a level of expression nesting 2.  So
+# operator in a return in an if), each further enclosing if or while 2,
+# and a level of expression nesting 2, as measured with a profile hook
+# that counts the stack at each ``Interp.call`` and ``Interp.eval``.  So
 # MAX_CALL_DEPTH calls with an expression ``parser.MAX_NESTING`` deep below
 # them take 40 * 9 + 160 * 2 = 680 frames.  That leaves room under Python's
 # default recursion limit of 1000 for the CLI or a test runner underneath
@@ -269,22 +277,35 @@ class Interp:
     def init_statics(self):
         for owner, name, tag in self.table.static_fields:
             self.statics[(owner, name)] = default_value(tag)
-        self.call_function(I.STATIC_INIT, [], TRUE)
+        self._run_entry(I.STATIC_INIT)
 
     def run_harness(self, name):
         self.init_statics()
-        self.call_function(name, [], TRUE)
+        self._run_entry(name)
 
-    # -- functions ---------------------------------------------------------
+    def _run_entry(self, name):
+        """Run the parameterless function ``name``, the outermost call of
+        its run; one step."""
+        self.steps += 1
+        self.depth = 1
+        self.exec_block(self.program.functions[name].body,
+                        _Frame({}, None), TRUE)
+        self.depth = 0
 
-    def call_function(self, name, args, guard):
-        """Run function ``name`` on the paths ``guard`` holds on; one step.
-        An exception ends the whole run, so ``depth`` need not unwind."""
-        fn = self.program.functions.get(name)
-        if fn is None:
-            raise InternalError(f"undefined function '{name}'")
-        if len(args) != len(fn.params):
-            raise InternalError(f"arity mismatch calling '{name}'")
+    # -- calls -------------------------------------------------------------
+
+    def call(self, method, args, guard, span=None):
+        """Run class-table method ``method`` on ``args``, its receiver
+        first unless it is static, on the paths ``guard`` holds on: a
+        library method natively, any other as its IR function, which takes
+        one step and one level of call depth.  An exception ends the whole
+        run, so ``depth`` need not unwind."""
+        native = method.builtin
+        if native is not None:
+            return self._run_builtin(native, args, guard, span)
+        fn = self.program.functions.get(method.function)
+        if fn is None or len(args) != len(fn.params):
+            raise InternalError(f"no function fits a call of {method!r}")
         self.steps += 1
         if self.steps > self.next_check:
             self._checkpoint()
@@ -527,10 +548,20 @@ class Interp:
         args = []
         for a in e.args:   # a loop: a comprehension nests one more frame
             args.append(self.eval(a, frame, active))
-        return self.call_function(e.fn, args, active)
+        return self.call(e.method, args, active, e.span)
 
-    def _eval_alloc(self, e, frame, active):
-        return ObjRecord(self.table.id_of(e.cls), e.cls)
+    def _eval_new(self, e, frame, active):
+        # allocation comes before the arguments (JLS 15.9.4)
+        obj = ObjRecord(self.table.id_of(e.cls), e.cls)
+        args = [obj]
+        for a in e.args:
+            args.append(self.eval(a, frame, active))
+        self.call(e.ctor, args, active, e.span)
+        return obj
+
+    def _eval_seq(self, e, frame, active):
+        self.eval(e.first, frame, active)
+        return self.eval(e.value, frame, active)
 
     # -- references --------------------------------------------------------
 
@@ -545,12 +576,10 @@ class Interp:
             self.constrain(B.not_(B.and_(active, nullg)), what,
                            getattr(node, "span", None))
 
-    # -- calls -------------------------------------------------------------
-
     def _eval_virtual(self, e, frame, active):
         """Run the receiver's override of ``e.sig``, one case per class."""
         recv = self.eval(e.receiver, frame, active)
-        args = []
+        args = [recv]
         for a in e.args:
             args.append(self.eval(a, frame, active))
         if type(recv) is ObjRecord:
@@ -558,9 +587,7 @@ class Interp:
             # ``active``, when the receiver's class implements the call
             impl = self.table.vtable.get((recv.class_id, e.sig))
             if impl is not None:
-                if impl.builtin is None:
-                    return self.call_function(impl.mangled, [recv] + args, active)
-                return self._run_builtin(impl.builtin, recv, args, active, e.span)
+                return self.call(impl, args, active, e.span)
         self._null_check(recv, active, e, what="dynamic dispatch on null")
         acc = _NO_CASE
         for cg, ref in _as_cases(recv):
@@ -572,31 +599,26 @@ class Interp:
                 self.constrain(B.not_(g), f"no implementation of '{e.sig[0]}'",
                                e.span)
                 continue
-            if impl.builtin is None:
-                v = self.call_function(impl.mangled, [ref] + args, g)
-            else:
-                v = self._run_builtin(impl.builtin, ref, args, g, e.span)
+            args[0] = ref
+            v = self.call(impl, args, g, e.span)
             acc = v if acc is _NO_CASE else mux_value(cg, v, acc)
         return default_value(e.ret_tag) if acc is _NO_CASE else acc
 
-    def _eval_builtin(self, e, frame, active):
-        """A library constructor or free function."""
-        args = []
-        for a in e.args:
-            args.append(self.eval(a, frame, active))
-        return self._run_builtin(e.method, None, args, active, e.span)
-
-    def _run_builtin(self, method, recv, args, guard, span):
-        """Run a library method natively on concrete arguments: constant
-        ints (no library method takes a boolean) and references, which
-        must be one record or null unless the method only stores them (an
-        ``Object`` parameter); a trap rejects the candidate unless
+    def _run_builtin(self, method, args, guard, span):
+        """Run a library method natively: ``args`` hold its receiver first,
+        unless it is a free function, and then concrete arguments:
+        constant ints (no library method takes a boolean) and references,
+        which must be one record or null unless the method only stores
+        them (an ``Object`` parameter); a trap rejects the candidate unless
         ``guard`` is false."""
         if method.mutates and guard is not TRUE:
             # its effect could not be undone on the paths that skip it
             raise EncodingError(
                 f"library call {method!r} with side effects under "
                 "a symbolic condition is not supported", span)
+        recv = None
+        if method.owner is not None:
+            recv, args = args[0], args[1:]
         conc = []
         for a, tag in zip(args, method.param_tags):
             if isinstance(a, B.Term) and B.is_const(a):
@@ -641,8 +663,8 @@ _EVAL = {
     I.Un: Interp._eval_un,
     I.Call: Interp._eval_call,
     I.VirtualCall: Interp._eval_virtual,
-    I.CallBuiltin: Interp._eval_builtin,
-    I.AllocObj: Interp._eval_alloc,
+    I.New: Interp._eval_new,
+    I.Seq: Interp._eval_seq,
 }
 _EXEC = {
     I.AssignLocal: Interp._exec_assign_local,

@@ -1,4 +1,11 @@
-"""Flat imperative IR: functions over scalars and uniform object records."""
+"""Flat imperative IR: functions over scalars and uniform object records.
+
+Each method and each constructor of the program lowers to one function;
+the library's run natively.  A call names its callee one of two ways:
+``Call`` and ``New`` name one class-table method, the program's or the
+library's, and ``VirtualCall`` names a plain signature, which the
+interpreter resolves per receiver class through the vtable.
+"""
 
 from __future__ import annotations
 
@@ -70,25 +77,35 @@ class Un(IrExpr):
 
 
 class Call(IrExpr):
-    def __init__(self, fn, args, span=None):
-        self.fn = fn
-        self.args = args
-        self.span = span
-
-
-class CallBuiltin(IrExpr):
-    """A library constructor or free function; library methods are
-    ``VirtualCall``s."""
+    """A call of one class-table method: a static method, a library
+    function, or (from a constructor) a superclass constructor's body,
+    whose first argument is the receiver."""
 
     def __init__(self, method, args, span=None):
-        self.method = method  # stdlib.BuiltinMethod
+        self.method = method  # classtable.MethodInfo
         self.args = args
         self.span = span
 
 
-class AllocObj(IrExpr):
-    def __init__(self, cls):
+class New(IrExpr):
+    """``new cls(args)``: a fresh record of class ``cls``, which
+    constructor ``ctor`` (a class-table MethodInfo) then initializes."""
+
+    def __init__(self, cls, ctor, args, span=None):
         self.cls = cls
+        self.ctor = ctor
+        self.args = args
+        self.span = span
+
+
+class Seq(IrExpr):
+    """``value``, after ``first`` is evaluated and its value dropped: the
+    expression through which a static member is reached (JLS 15.11.1,
+    15.12.4.1), which throws nothing when it is null."""
+
+    def __init__(self, first, value):
+        self.first = first
+        self.value = value
 
 
 class VirtualCall(IrExpr):

@@ -1,11 +1,16 @@
 """AST-to-IR translation.
 
-Every method body becomes a flat function named by the mangling scheme;
-every instance-method call site becomes one ``VirtualCall`` node that the
-interpreter resolves through the class table's vtable; constructors become
-``new_*`` factory functions returning a fresh object record; each
-``minimize(e)`` harness statement becomes a ``MinimizeInstr`` that sets one
-named objective of the program.
+Every method body becomes a flat function named by the mangling scheme,
+and every constructor one function, ``init_`` and its mangled name, that
+initializes the record its ``self`` holds.  Every callee is resolved
+through the class table, the library's included, by one overload rule:
+an instance-method call becomes one ``VirtualCall`` node that the
+interpreter resolves through the vtable, any other call a ``Call`` of the
+method it names, and ``new`` a ``New`` of the constructor it picks.  Each
+``minimize(e)`` harness statement becomes a ``MinimizeInstr`` that sets
+one named objective of the program.  Lowering type-checks as it goes and
+rejects what javac rejects in its reach: among others an unreachable
+statement (JLS 14.22) and ``new`` of an abstract class or an interface.
 """
 
 from __future__ import annotations
@@ -41,14 +46,8 @@ class _Lowerer:
     def run(self):
         self._build_static_init()
         for ci in self.table.classes:
-            if ci.is_builtin or ci.is_interface:
-                continue
             for mi in ci.methods:
-                if mi.is_abstract:
-                    continue
-                if mi.is_constructor:
-                    self._lower_constructor(ci, mi)
-                else:
+                if not mi.is_abstract and mi.builtin is None:
                     self._lower_method(ci, mi)
         return self.prog
 
@@ -69,6 +68,8 @@ class _Lowerer:
     # -- methods -----------------------------------------------------------
 
     def _lower_method(self, ci, mi):
+        """The one function of method or constructor ``mi`` of ``ci``; a
+        constructor's first runs the superclass's zero-argument one."""
         decl = mi.decl
         if mi.is_harness:
             if not mi.is_static or mi.params or mi.ret != T.VOID:
@@ -77,43 +78,25 @@ class _Lowerer:
                     "and parameterless", decl.span)
         env = _Env(self, ci, mi, static=mi.is_static)
         params = ([] if mi.is_static else ["self"]) + [p for p, _ in mi.params]
-        body = env.lower_block(decl.body)
+        body = []
+        sup = ci.superclass
+        if mi.is_constructor and sup not in (None, stdlib.ROOT_CLASS):
+            sup_ci = self.table.info(sup)
+            if sup_ci.is_builtin:
+                raise TypeLoweringError(
+                    f"class '{ci.name}' may not extend builtin '{sup}'",
+                    ci.decl.span)
+            body.append(I.EvalInstr(
+                I.Call(self._zero_arg_ctor(sup_ci), [I.LocalRead("self")])))
+        body += env.lower_block(decl.body)
         _require(not (env.completes and env.returns_value()),
                  "missing return statement", decl.span)
-        fn = I.IrFunction(mi.mangled, params, body, ret_tag=mi.ret,
+        fn = I.IrFunction(mi.function, params, body, ret_tag=mi.ret,
                           is_harness=mi.is_harness)
         self.prog.functions[fn.name] = fn
         if mi.is_harness:
             self.prog.harnesses.append(fn.name)
             self.prog.objectives.extend(env.objectives)
-
-    def _lower_constructor(self, ci, mi):
-        env = _Env(self, ci, mi, static=False)
-        init_body = []
-        sup = ci.superclass
-        if sup is not None and sup != stdlib.ROOT_CLASS:
-            sup_ci = self.table.info(sup)
-            if sup_ci.is_builtin:
-                raise TypeLoweringError(
-                    f"class '{ci.name}' may not extend builtin '{sup}'", ci.decl.span)
-            sup_ctor = self._zero_arg_ctor(sup_ci)
-            init_body.append(I.EvalInstr(
-                I.Call("init_" + sup_ctor.mangled, [I.LocalRead("self")])))
-        init_body.extend(env.lower_block(mi.decl.body))
-        init_fn = I.IrFunction("init_" + mi.mangled,
-                               ["self"] + [p for p, _ in mi.params], init_body,
-                               ret_tag=T.VOID)
-        self.prog.functions[init_fn.name] = init_fn
-        factory_body = [
-            I.AssignLocal("self", I.AllocObj(ci.name)),
-            I.EvalInstr(I.Call(init_fn.name,
-                               [I.LocalRead("self")] +
-                               [I.LocalRead(p) for p, _ in mi.params])),
-            I.ReturnInstr(I.LocalRead("self")),
-        ]
-        factory = I.IrFunction("new_" + mi.mangled, [p for p, _ in mi.params],
-                               factory_body, ret_tag=T.obj(ci.name))
-        self.prog.functions[factory.name] = factory
 
     def _zero_arg_ctor(self, ci):
         for m in ci.methods:
@@ -148,6 +131,7 @@ class _Env:
     def lower_block(self, block):
         out = []
         for s in block.stmts:
+            _require(self.completes, "unreachable statement", s.span)
             out.extend(self.lower_stmt(s))
         return out
 
@@ -174,10 +158,13 @@ class _Env:
     def _lower_while(self, s):
         cond, ctag = self.lower_expr(s.cond, expected=T.BOOL)
         _require(ctag == T.BOOL, "while condition must be boolean", s.span)
+        # the body of a loop on a constant false condition never runs, and
+        # a loop on a constant true one never exits
+        value = _fold(cond)
+        _require(value is not B.FALSE, "unreachable statement", s.body.span)
         reachable = self.completes
         body = self.lower_stmt(s.body)
-        # a loop on a constant true condition never exits
-        self.completes = reachable and _fold(cond) is not B.TRUE
+        self.completes = reachable and value is not B.TRUE
         return [I.WhileInstr(cond, body)]
 
     def _lower_return(self, s):
@@ -202,7 +189,7 @@ class _Env:
     def _lower_expr_stmt(self, s):
         e = s.expr
         if isinstance(e, A.Assign):
-            return [self.lower_assign(e)]
+            return self.lower_assign(e)
         if isinstance(e, A.MethodCall) and e.target is None and e.name == "minimize":
             return [self.lower_minimize(e)]
         expr, _ = self.lower_expr(e)
@@ -214,14 +201,18 @@ class _Env:
         return not self.mi.is_constructor and self.mi.ret.kind != "void"
 
     def lower_assign(self, e):
+        """The instructions of assignment statement ``e``."""
         target, tag = self.lower_variable(e.target)
         value = self.lower_value(e.value, tag)
         kind = type(target)
         if kind is I.LocalRead:
-            return I.AssignLocal(target.name, value)
-        if kind is I.StaticRead:
-            return I.AssignStatic(target.cls, target.name, value)
-        return I.AssignField(target.obj, target.owner, target.name, value)
+            return [I.AssignLocal(target.name, value)]
+        if kind is I.FieldRead:
+            return [I.AssignField(target.obj, target.owner, target.name, value)]
+        first = []
+        if kind is I.Seq:       # a static reached through an expression
+            first, target = [I.EvalInstr(target.first)], target.value
+        return first + [I.AssignStatic(target.cls, target.name, value)]
 
     def lower_minimize(self, e):
         _require(self.mi is not None and self.mi.is_harness,
@@ -341,7 +332,7 @@ class _Env:
             message = f"unknown name '{name}'" if kind is A.Name else err.message
             raise TypeLoweringError(message, e.span) from None
         if is_static:
-            return I.StaticRead(owner, name), tag
+            return _after(recv, I.StaticRead(owner, name)), tag
         _require(recv is not None, "non-static field '{}' cannot be referenced "
                  "from a static context", e.span, name)
         return I.FieldRead(recv, owner, name), tag
@@ -353,11 +344,6 @@ class _Env:
         if e.target is None:
             _require(e.name != "minimize",
                      "minimize(...) may appear only as a harness statement", e.span)
-            free = [m for m in stdlib.FREE_FUNCTIONS if m.name == e.name]
-            if free:
-                m = pick_overload(free, tags, f"function '{e.name}'", e.span)
-                return I.CallBuiltin(m, self.bind_args(e.args, lowered, m),
-                                     span=e.span), m.ret
             m = self.table.resolve_method(self.ci.name, e.name, tags, e.span)
             if not m.is_static:
                 _require(not self.static, "instance method '{}' called "
@@ -372,7 +358,7 @@ class _Env:
             m = self.table.resolve_method(rtag.cls, e.name, tags, e.span)
         args = self.bind_args(e.args, lowered, m)
         if m.is_static:
-            return I.Call(m.mangled, args, span=e.span), m.ret
+            return _after(recv, I.Call(m, args, span=e.span)), m.ret
         if m.plain_sig not in self.table.implemented:
             raise TypeLoweringError(f"no implementation of '{m.plain_name}'",
                                     e.span)
@@ -382,20 +368,13 @@ class _Env:
     def _lower_new(self, e, expected):
         name = e.type.name
         ci = self.table.info(name)
-        if ci.is_builtin:
-            _require(ci.decl.ctor is not None,
-                     "builtin '{}' cannot be instantiated", e.span, name)
-            ctors = [ci.decl.ctor]
-        else:
-            _require(not ci.is_interface,
-                     "cannot instantiate interface '{}'", e.span, name)
-            ctors = [m for m in ci.methods if m.is_constructor]
+        _require(not ci.is_abstract,
+                 "'{}' is abstract; cannot be instantiated", e.span, name)
         lowered, tags = self.lower_args(e.args)
-        m = pick_overload(ctors, tags, f"constructor of '{name}'", e.span)
-        args = self.bind_args(e.args, lowered, m)
-        if ci.is_builtin:
-            return I.CallBuiltin(m, args, span=e.span), T.obj(name)
-        return I.Call("new_" + m.mangled, args, span=e.span), T.obj(name)
+        m = pick_overload([m for m in ci.methods if m.is_constructor], tags,
+                          f"constructor of '{name}'", e.span)
+        return (I.New(name, m, self.bind_args(e.args, lowered, m), span=e.span),
+                T.obj(name))
 
     def lower_args(self, args):
         """The arguments lowered before overload resolution, as (expr, tag)
@@ -435,6 +414,14 @@ class _Env:
                      "'{}' needs boolean operands", e.span, op)
             return I.Bin(op, left, right), T.BOOL
         raise TypeLoweringError(f"unknown operator '{op}'", e.span)
+
+
+def _after(first, value):
+    """IR expression ``value``, after ``first`` (or None) is evaluated for
+    its effects; reading a local has none."""
+    if first is None or type(first) is I.LocalRead:
+        return value
+    return I.Seq(first, value)
 
 
 def _class_of(target):

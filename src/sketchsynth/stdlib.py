@@ -1,14 +1,16 @@
 """Native models of the small library surface the subject language needs.
 
-Each library method is one :class:`BuiltinMethod` record: its name,
-parameter and return tags, whether it mutates its receiver, and the Python
-function that runs it.  The class table, the IR and the interpreter hold
-that record itself, so no layer looks a method up by name or key.  The
-library is Iterator, List/LinkedList, StringBuilder, String and the
-string-to-token bridge ``convertToIterator``; its calls are run natively
-by the interpreter and consume no unknowns.  Out-of-bounds access and
-iterator overrun raise :class:`BuiltinTrap`, which the interpreter turns
-into candidate rejection.
+Each library method, constructor and function is one :class:`BuiltinMethod`
+record: its name, parameter and return tags, whether it mutates its
+receiver, and the Python function that runs it.  Only the class table
+reads this module's tables: it makes each record a method of its class,
+and a free function (the string-to-token bridge ``convertToIterator``) a
+static method of the root class ``Object``.  The library is Iterator,
+List/LinkedList, StringBuilder, String and ``convertToIterator``; its
+calls are run natively by the interpreter and consume no unknowns.  A
+constructor fills the payload of the record that ``new`` allocated.
+Out-of-bounds access and iterator overrun raise :class:`BuiltinTrap`,
+which the interpreter turns into candidate rejection.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ class BuiltinMethod(Frozen):
     def __init__(self, owner, name, param_tags, ret, run, mutates=False):
         # owner: the declaring class, or None for a free function;
         # param_tags and ret: TypeTags; run: (ctx, receiver, args) -> value,
-        # where ctx allocates; mutates: changes its receiver or consumes an
-        # iterator
+        # where ctx allocates and a constructor's receiver is the new
+        # record; mutates: changes its receiver or consumes an iterator
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "param_tags", param_tags)
@@ -147,8 +149,8 @@ BUILTIN_CLASSES = (
     BuiltinClassSpec(
         "LinkedList", LIST_METHODS, interfaces=("List",),
         ctor=BuiltinMethod("LinkedList", "new", (), T.obj("LinkedList"),
-                           lambda ctx, r, a: ctx.alloc_builtin(
-                               "LinkedList", {"items": []}))),
+                           lambda ctx, r, a: setattr(r, "payload",
+                                                     {"items": []}))),
     BuiltinClassSpec(
         "StringBuilder", (
             # Java appends a null String as "null"
@@ -169,8 +171,8 @@ BUILTIN_CLASSES = (
                           lambda ctx, r, a: len("".join(r.payload["parts"]))),
         ),
         ctor=BuiltinMethod("StringBuilder", "new", (), _SB,
-                           lambda ctx, r, a: ctx.alloc_builtin(
-                               "StringBuilder", {"parts": []}))),
+                           lambda ctx, r, a: setattr(r, "payload",
+                                                     {"parts": []}))),
     BuiltinClassSpec("CharTokenIterator", ITERATOR_METHODS,
                      interfaces=("Iterator",)),
     BuiltinClassSpec(

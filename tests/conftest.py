@@ -57,6 +57,14 @@ def walk_ir(node):
             stack.extend(reversed(node))
 
 
+def subclasses(cls):
+    """Every class derived from ``cls``, at any depth."""
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | subclasses(sub)
+    return out
+
+
 def add_clause(solver, lits):
     """Add one clause, making its variables first."""
     solver.ensure_vars(max(map(abs, lits), default=0))

@@ -4,7 +4,9 @@ import copy
 import gc
 import importlib
 import pkgutil
+import os
 import re
+import subprocess
 import sys
 import time
 import types
@@ -635,6 +637,26 @@ def test_calls_up_to_the_depth_bound_solve(tmp_path, capsys):
     assert not (out / "java").exists()
 
 
+def test_recursion_through_13_nested_ifs_solves_29_calls_deep(tmp_path):
+    """Each call level runs inside 13 ifs, the Python frames of each if
+    nesting on those of the call; at 29 levels the CLI, run as a user runs
+    it, stays within Python's default recursion limit only while a call
+    of an IR function nests no Python frame beyond its statements'."""
+    src = tmp_path / "R.java"
+    src.write_text(
+        "class R { static int f(int k) { if (k == 0) { return 0; } "
+        + "if (k > -1) { " * 13 + "return f(k - 1) + 1; " + "} " * 13
+        + "return 0; } harness static void t() { assert f(29) == ??; } }")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sketchsynth.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sketchsynth.cli", str(src),
+         "--out", str(tmp_path / "result")], env=env, capture_output=True)
+    assert done.returncode == cli.EXIT_SOLVED, done.stderr
+    assert (tmp_path / "result" / "solution.txt").read_text().splitlines()[0] \
+        == "hole e_h1 = 29"
+
+
 @pytest.mark.parametrize("n", [200, 400])
 def test_deep_recursion_is_a_resource_limit(tmp_path, n):
     src = tmp_path / "A.java"
@@ -700,6 +722,101 @@ def test_non_void_method_must_return_a_value(tmp_path, capsys, members,
     else:
         assert (out / "solution.txt").read_text().splitlines()[0] == \
             "hole e_h1 = 0"
+
+
+@pytest.mark.parametrize("members, stmts, code", [
+    ("static int g() { return 1; int y = 2; } ", "", cli.EXIT_INPUT),
+    ("static int g() { while (false) { return 3; } return 1; } ", "",
+     cli.EXIT_INPUT),
+    ("static int g() { while (1 > 2) return 3; return 1; } ", "",
+     cli.EXIT_INPUT),
+    ("static int g() { while (true) { } return 1; } ", "", cli.EXIT_INPUT),
+    ("static int g() { if (?? > 2) { return 1; } else { return 2; } "
+     "return 3; } ", "", cli.EXIT_INPUT),
+    ("static int g() { { return 1; } return 2; } ", "", cli.EXIT_INPUT),
+    ("", "return; assert g() == 1;", cli.EXIT_INPUT),
+    ("A() { return; int y = 1; } static int g() { return 1; } ",
+     "", cli.EXIT_INPUT),
+    # JLS 14.22 exempts the branches of an if from constant conditions,
+    # and a loop body may run no times
+    ("static int g() { if (false) { return 3; } return 1; } ", "",
+     cli.EXIT_SOLVED),
+    ("static int g() { minrepeat { return 1; } return 1; } ", "",
+     cli.EXIT_SOLVED),
+    ("static int g() { int x = 0; while (x > 0) { return 3; } return 1; } ",
+     "", cli.EXIT_SOLVED),
+], ids=["after-return", "while-false", "while-constant-false-statement",
+        "after-while-true", "after-if-else-returns", "after-block-return",
+        "harness", "constructor", "if-false", "after-minrepeat",
+        "while-variable"])
+def test_unreachable_statement_gives_exit_2(tmp_path, capsys, members,
+                                            stmts, code):
+    """As javac: "unreachable statement" (JLS 14.22)."""
+    src = tmp_path / "A.java"
+    src.write_text(_harness(stmts or "assert g() + 4 == ??;", members))
+    got, out = run(tmp_path, str(src))
+    assert got == code
+    if code == cli.EXIT_INPUT:
+        assert "unreachable statement" in capsys.readouterr().err
+    else:
+        assert (out / "solution.txt").read_text().splitlines()[0] == \
+            "hole e_h1 = 5"
+
+
+@pytest.mark.parametrize("text, code", [
+    ("abstract class S { int v() { return 3; } } "
+     + _harness("S s = new S(); assert s.v() == ??;"), cli.EXIT_INPUT),
+    ("abstract class S { int v() { return 3; } } "
+     + _harness("S s = new S() { }; assert s.v() == ??;"), cli.EXIT_SOLVED),
+    ("interface I { } " + _harness("I i = new I(); assert ?? == 3;"),
+     cli.EXIT_INPUT),
+    (_harness("List l = new List(); assert ?? == 3;"), cli.EXIT_INPUT),
+], ids=["abstract", "anonymous-subclass", "interface", "library-interface"])
+def test_new_of_an_abstract_class_gives_exit_2(tmp_path, capsys, text, code):
+    """As javac: "S is abstract; cannot be instantiated"."""
+    src = tmp_path / "A.java"
+    src.write_text(text)
+    got, out = run(tmp_path, str(src))
+    assert got == code
+    if code == cli.EXIT_SOLVED:
+        assert (out / "solution.txt").read_text().splitlines()[0] == \
+            "hole e_h1 = 3"
+    else:
+        assert "instantiate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("member, stmts, value", [
+    ("static int convertToIterator(int x) { return x + 1; } ",
+     "assert convertToIterator(3) == ??;", 4),
+    ("static Iterator convertToIterator(String s) { return null; } ",
+     'assert convertToIterator("ab") == null; assert ?? == 1;', 1),
+    # a subclass's own method hides the library's, too
+    ("static class B { static int convertToIterator(String s) "
+     "{ return 7; } } static class C extends B { static int g() "
+     '{ return convertToIterator("ab"); } } ', "assert C.g() == ??;", 7),
+], ids=["other-parameters", "same-signature", "in-a-superclass"])
+def test_own_method_named_like_a_library_function_wins(tmp_path, member,
+                                                        stmts, value):
+    src = tmp_path / "A.java"
+    src.write_text(_harness(stmts, member))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == \
+        f"hole e_h1 = {value}"
+
+
+def test_static_member_reached_through_an_assigned_expression(tmp_path):
+    # JLS 15.26.1: the expression is evaluated first, even for a static
+    src = tmp_path / "A.java"
+    src.write_text(
+        "class St { static int k = 2; } "
+        + _harness("make().k = 3; assert c * 10 + St.k == ??;",
+                   "static int c = 0; "
+                   "static St make() { c = c + 1; return null; } "))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == \
+        "hole e_h1 = 13"
 
 
 def test_uninitialized_local_holds_its_types_default(tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import run_front_end
+from conftest import run_front_end, subclasses
 from sketchsynth import bitvec as B
 from sketchsynth import interp, ir
 from sketchsynth.engine import EngineConfig
@@ -178,17 +178,10 @@ def test_symbolic_constraints_hold_under_known_solution():
     assert not all(B.evaluate(c, bad) for c in interp.constraints)
 
 
-def _subclasses(cls):
-    out = set()
-    for sub in cls.__subclasses__():
-        out |= {sub} | _subclasses(sub)
-    return out
-
-
 def test_every_ir_node_class_has_a_handler():
     # the interpreter dispatches on a node's exact class
-    assert _subclasses(ir.IrExpr) == set(interp._EVAL)
-    assert _subclasses(ir.IrInstr) == set(interp._EXEC)
+    assert subclasses(ir.IrExpr) == set(interp._EVAL)
+    assert subclasses(ir.IrInstr) == set(interp._EXEC)
 
 
 def test_a_concrete_run_builds_a_term_only_for_each_arithmetic_result(

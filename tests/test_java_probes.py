@@ -2,7 +2,8 @@
 names (locals, parameters, fields and classes) bound by scope, nested
 classes that use an enclosing class's static members, a select between a
 constant and a variable bit, Strings as objects (identity, null, library
-arguments), and constructs that no other test runs.
+arguments), a static member reached through an expression, and
+constructs that no other test runs.
 
 Each probe has one ``??`` and a harness ``Outer.t()``.  Its answer is
 compared with Java's, and, when ``javac`` and ``java`` are on PATH, also
@@ -242,6 +243,25 @@ class Outer {
         assert s + q.length() == 100 + ??;
     }
 }""", 69),
+    # a program's own method hides the library function of its name
+    "own-method-named-like-a-library-function": ("""class Outer {
+    static int convertToIterator(int x) { return x + 1; }
+    harness static void t() { assert convertToIterator(3) == ??; }
+}""", 4),
+    # the expression through which a static member is reached is
+    # evaluated, and may be null (JLS 15.11.1, 15.12.4.1)
+    "static-method-through-an-expression": ("""class St { static int sf() { return 5; } }
+class Outer {
+    static int c = 0;
+    static St make() { c = c + 1; return null; }
+    harness static void t() { int v = make().sf(); assert c == ??; }
+}""", 1),
+    "static-field-through-an-expression": ("""class St { static int k = 2; }
+class Outer {
+    static int c = 0;
+    static St make() { c = c + 1; return null; }
+    harness static void t() { int v = make().k; assert c == ??; }
+}""", 1),
     # JLS 3.10.7: an octal escape takes up to three digits, to \377
     "octal-escapes": (r"""class Outer {
     harness static void t() {

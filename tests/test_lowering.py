@@ -3,9 +3,10 @@
 import pytest
 
 from conftest import (CADSR, find_type, program_files, run_front_end,
-                      walk_ir, walk_unknowns)
+                      subclasses, walk_ir, walk_unknowns)
+from sketchsynth import ast_nodes as A
 from sketchsynth import bitvec as B
-from sketchsynth import decode, engine
+from sketchsynth import decode, engine, lowering
 from sketchsynth import ir as I
 from sketchsynth import typetags as T
 from sketchsynth.errors import HarnessShapeError, TypeLoweringError
@@ -34,12 +35,14 @@ def test_harness_must_be_static_void_parameterless():
         lower_texts("class A { harness static void t(int x) { } }")
 
 
-def test_constructor_lowered_to_init_and_factory():
-    _, _, _, prog = lower_texts("class A { A(int x) { } }")
-    assert "init_A_A_int" in prog.functions
-    assert "new_A_A_int" in prog.functions
-    factory = prog.functions["new_A_A_int"]
-    assert isinstance(factory.body[0].expr, I.AllocObj)
+def test_constructor_lowered_to_one_function_that_new_calls():
+    _, _, _, prog = lower_texts(
+        "class A { A(int x) { } } class B { A f() { return new A(1); } }")
+    assert [f for f in prog.functions if "A_A" in f] == ["init_A_A_int"]
+    assert prog.functions["init_A_A_int"].params == ["self", "x"]
+    (ret,) = prog.functions["f_B"].body
+    assert type(ret.expr) is I.New and ret.expr.cls == "A"
+    assert ret.expr.ctor.function == "init_A_A_int"
 
 
 def test_instance_methods_take_self():
@@ -146,3 +149,9 @@ def test_a_constant_is_compared_and_printed_without_its_term():
     assert a.term is not b.term and B.const_value(a.term) == 7
     assert a == b and a != I.Const(8, T.INT)
     assert repr(a) == "Const(value=7, tag=TypeTag(kind='int', cls=None))"
+
+
+def test_every_syntax_node_kind_has_a_lowering():
+    # a node kind added to or removed from ast_nodes.py is wired here too
+    assert set(lowering._LOWER_EXPR) == subclasses(A.Expr)
+    assert set(lowering._LOWER_STMT) == subclasses(A.Stmt)

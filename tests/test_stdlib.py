@@ -9,12 +9,12 @@ from sketchsynth.engine import EngineConfig
 from sketchsynth import typetags as T
 from sketchsynth.interp import ConcreteUnknowns, HarnessFailure, Interp
 
-# (class whose value receives the call, record); the class is None for a
-# free function and the record's own class for a constructor
-RECORDS = (
-    [(spec.name, m) for spec in stdlib.BUILTIN_CLASSES for m in spec.methods]
-    + [(spec.name, spec.ctor) for spec in stdlib.BUILTIN_CLASSES if spec.ctor]
-    + [(None, m) for m in stdlib.FREE_FUNCTIONS])
+# (class whose value receives the call, record) of each library method as
+# the class table holds it; the class is None for a free function, a static
+# method of the root class, and the record's own class for a constructor
+RECORDS = [(None if m.is_static else ci.name, m.builtin)
+           for ci in run_front_end(texts=[("A.java", "class A { }")])[2].classes
+           for m in ci.methods if m.builtin is not None]
 
 
 def lib(key, *param_tags):
@@ -56,7 +56,8 @@ def test_iterator_overrun_traps():
 
 def test_list_add_get_size_and_bounds():
     ctx = FakeCtx()
-    lst = lib("LinkedList.new").run(ctx, None, [])
+    lst = ctx.Rec("LinkedList", None)
+    lib("LinkedList.new").run(ctx, lst, [])
     lib("List.add").run(ctx, lst, ["a"])
     lib("List.add").run(ctx, lst, ["b"])
     assert lib("List.size").run(ctx, lst, []) == 2
@@ -69,7 +70,8 @@ def test_list_add_get_size_and_bounds():
 
 def test_string_builder_appends():
     ctx = FakeCtx()
-    sb = lib("StringBuilder.new").run(ctx, None, [])
+    sb = ctx.Rec("StringBuilder", None)
+    lib("StringBuilder.new").run(ctx, sb, [])
     lib("StringBuilder.append", T.STR).run(ctx, sb, [ctx.Rec("String", "n=")])
     lib("StringBuilder.append", T.STR).run(ctx, sb, [None])
     lib("StringBuilder.append", T.INT).run(ctx, sb, [42])
@@ -128,6 +130,16 @@ def test_convert_to_iterator_end_to_end():
                 assert b.getId() == 'a';
                 assert !it.hasNext();
             }
+        }""")
+
+
+def test_convert_to_iterator_in_an_interface_constant():
+    # a library function is a static of the root class, which an
+    # interface's scope reaches too
+    run_harnesses("""
+        interface K { Iterator I = convertToIterator("ab"); }
+        class A {
+            harness static void t() { Iterator it = K.I; assert it.hasNext(); }
         }""")
 
 
