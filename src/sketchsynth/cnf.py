@@ -1,14 +1,17 @@
 """Bit-blasting of bitvector/boolean terms to CNF.
 
-A "bit" is either the Python constants True/False or a DIMACS-style literal
-(positive/negative nonzero int).  Constant bits are propagated through every
-gate before any clause is emitted, so a clause holds literals only, and
-terms over mostly-constant words (the common case: small holes
-zero-extended to 32 bits) produce compact CNF.
+A "bit" is a literal code, the one literal form from here to the solver
+(``sat``): variable ``v`` has the codes ``2v`` (positive) and ``2v + 1``
+(negative), so negation is ``code ^ 1``.  Variable 0 is reserved as
+always true: ``TRUE`` is 0 and ``FALSE`` is 1, and a bit is constant
+exactly when it is below 2.  Constant bits are propagated through every
+gate before any clause is emitted, so a clause holds no constant and no
+variable twice, and terms over mostly-constant words (the common case:
+small holes zero-extended to 32 bits) produce compact CNF.
 
 All structural sharing happens here, per builder; terms are not interned.
 A term is blasted once per object.  One memo, keyed by op, holds every
-gate ("and"/"or"/"xor" over literal values), constant word and word
+gate ("and"/"or"/"xor" over literal codes), constant word and word
 operation (over the identity of its operands' bit lists).  So a term built
 twice, or with its operands swapped, costs no new variables or clauses.
 Blasting walks the term with an explicit stack, and reads the deadline
@@ -22,12 +25,13 @@ from .errors import check_deadline
 
 W = B.WIDTH
 CLOCK_CLAUSES = 4096
+TRUE, FALSE = 0, 1      # the codes of the reserved variable 0
 
 
 class CnfBuilder:
     def __init__(self, deadline=None):
-        self.nvars = 0
-        self.clauses = []
+        self.nvars = 0          # variables 1..nvars; 0 is the constant
+        self.clauses = []       # lists of literal codes
         self.deadline = deadline    # time.monotonic() value or None
         self._next_check = 0        # clause count that reads the deadline
         self.var_bits = {}      # term var name -> [bit] * width
@@ -38,79 +42,76 @@ class CnfBuilder:
     # -- raw CNF -----------------------------------------------------------
 
     def new_var(self):
+        """The positive code of a fresh variable."""
         self.nvars += 1
-        return self.nvars
+        return 2 * self.nvars
 
     # -- gates (with constant/structural sharing) --------------------------
 
-    def g_not(self, a):
-        if isinstance(a, bool):
-            return not a
-        return -a
-
     def g_and(self, a, b):
-        if a is False or b is False:
-            return False
-        if a is True:
+        if a == FALSE or b == FALSE:
+            return FALSE
+        if a == TRUE:
             return b
-        if b is True:
+        if b == TRUE:
             return a
         if a == b:
             return a
-        if a == -b:
-            return False
+        if a == b ^ 1:
+            return FALSE
         key = ("and", a, b) if a < b else ("and", b, a)
         o = self._memo.get(key)
         if o is None:
             o = self.new_var()
-            self.clauses += ([-o, a], [-o, b], [o, -a, -b])
+            self.clauses += ([o ^ 1, a], [o ^ 1, b], [o, a ^ 1, b ^ 1])
             self._memo[key] = o
         return o
 
     def g_or(self, a, b):
-        if a is True or b is True:
-            return True
-        if a is False:
+        if a == TRUE or b == TRUE:
+            return TRUE
+        if a == FALSE:
             return b
-        if b is False:
+        if b == FALSE:
             return a
         if a == b:
             return a
-        if a == -b:
-            return True
+        if a == b ^ 1:
+            return TRUE
         key = ("or", a, b) if a < b else ("or", b, a)
         o = self._memo.get(key)
         if o is None:
             o = self.new_var()
-            self.clauses += ([o, -a], [o, -b], [-o, a, b])
+            self.clauses += ([o, a ^ 1], [o, b ^ 1], [o ^ 1, a, b])
             self._memo[key] = o
         return o
 
     def g_xor(self, a, b):
-        if isinstance(a, bool):
-            return self.g_not(b) if a else b
-        if isinstance(b, bool):
-            return self.g_not(a) if b else a
+        if a < 2:
+            return b ^ a ^ 1        # TRUE flips b, FALSE keeps it
+        if b < 2:
+            return a ^ b ^ 1
         if a == b:
-            return False
-        if a == -b:
-            return True
-        neg = (a < 0) != (b < 0)
-        x, y = abs(a), abs(b)
+            return FALSE
+        if a == b ^ 1:
+            return TRUE
+        neg = (a ^ b) & 1
+        x, y = a & ~1, b & ~1
         key = ("xor", x, y) if x < y else ("xor", y, x)
         o = self._memo.get(key)
         if o is None:
             o = self.new_var()
-            self.clauses += ([-o, x, y], [-o, -x, -y], [o, -x, y], [o, x, -y])
+            self.clauses += ([o ^ 1, x, y], [o ^ 1, x ^ 1, y ^ 1],
+                             [o, x ^ 1, y], [o, x, y ^ 1])
             self._memo[key] = o
-        return -o if neg else o
+        return o ^ neg
 
     def g_ite(self, c, a, b):
-        if isinstance(c, bool):
-            return a if c else b
-        if a == b and type(a) is type(b):   # True == 1, but not as bits
+        if c < 2:
+            return a if c == TRUE else b
+        if a == b:
             return a
-        return self.g_or(self.g_and(c, a), self.g_and(self.g_not(c), b))
+        return self.g_or(self.g_and(c, a), self.g_and(c ^ 1, b))
 
     def full_adder(self, a, b, cin):
         s = self.g_xor(self.g_xor(a, b), cin)
@@ -120,9 +121,9 @@ class CnfBuilder:
     # -- word-level helpers ------------------------------------------------
 
     def w_const(self, v, width=W):
-        return [bool((v >> i) & 1) for i in range(width)]
+        return [((v >> i) & 1) ^ 1 for i in range(width)]
 
-    def w_add(self, xs, ys, cin=False):
+    def w_add(self, xs, ys, cin=FALSE):
         out = []
         c = cin
         for a, b in zip(xs, ys):
@@ -131,40 +132,48 @@ class CnfBuilder:
         return out
 
     def w_neg_bits(self, xs):
-        return [self.g_not(b) for b in xs]
+        return [b ^ 1 for b in xs]
 
     def w_sub(self, xs, ys):
-        return self.w_add(xs, self.w_neg_bits(ys), cin=True)
+        return self.w_add(xs, self.w_neg_bits(ys), cin=TRUE)
 
     def w_mul(self, xs, ys):
         n = len(xs)
-        acc = [False] * n
+        acc = [FALSE] * n
         for i, yi in enumerate(ys):
-            if yi is False:
+            if yi == FALSE:
                 continue
-            row = [False] * i + [self.g_and(x, yi) for x in xs[: n - i]]
+            row = [FALSE] * i + [self.g_and(x, yi) for x in xs[: n - i]]
             acc = self.w_add(acc, row)
         return acc
 
     def w_eq(self, xs, ys):
-        out = True
+        out = TRUE
         for a, b in zip(xs, ys):
-            out = self.g_and(out, self.g_not(self.g_xor(a, b)))
+            if a < 2 and b < 2:     # a constant pair adds no gate
+                if a != b:
+                    out = FALSE
+                continue
+            out = self.g_and(out, self.g_xor(a, b) ^ 1)
         return out
 
     def w_ult(self, xs, ys):
         # borrow chain: lt accumulates from LSB to MSB
-        lt = False
+        lt = FALSE
         for a, b in zip(xs, ys):
-            a_eq_b = self.g_not(self.g_xor(a, b))
-            a_lt_b = self.g_and(self.g_not(a), b)
+            if a < 2 and b < 2:     # a constant pair adds no gate
+                if a != b:
+                    lt = b
+                continue
+            a_eq_b = self.g_xor(a, b) ^ 1
+            a_lt_b = self.g_and(a ^ 1, b)
             lt = self.g_or(a_lt_b, self.g_and(a_eq_b, lt))
         return lt
 
     def w_slt(self, xs, ys):
         # flip sign bits and compare unsigned
-        xs2 = xs[:-1] + [self.g_not(xs[-1])]
-        ys2 = ys[:-1] + [self.g_not(ys[-1])]
+        xs2 = xs[:-1] + [xs[-1] ^ 1]
+        ys2 = ys[:-1] + [ys[-1] ^ 1]
         return self.w_ult(xs2, ys2)
 
     def w_mux(self, c, xs, ys):
@@ -173,13 +182,12 @@ class CnfBuilder:
     def w_udiv_urem(self, xs, ys):
         """Restoring division; quotient/remainder unconstrained for ys == 0."""
         n = len(xs)
-        ext = lambda bits: bits + [False]          # n+1-bit working width
-        yext = ext(ys)
-        r = [False] * (n + 1)
-        q = [False] * n
+        yext = ys + [FALSE]                        # n+1-bit working width
+        r = [FALSE] * (n + 1)
+        q = [FALSE] * n
         for i in range(n - 1, -1, -1):
             r = [xs[i]] + r[:n]                    # shift left, bring down bit
-            ge = self.g_not(self.w_ult(r, yext))
+            ge = self.w_ult(r, yext) ^ 1
             r = self.w_mux(ge, self.w_sub(r, yext), r)
             q[i] = ge
         return q, r[:n]
@@ -189,7 +197,7 @@ class CnfBuilder:
         return self.w_mux(s, self.w_negate(xs), xs), s
 
     def w_negate(self, xs):
-        return self.w_add(self.w_neg_bits(xs), self.w_const(0, len(xs)), cin=True)
+        return self.w_add(self.w_neg_bits(xs), self.w_const(0, len(xs)), cin=TRUE)
 
     # -- term blasting -----------------------------------------------------
 
@@ -209,9 +217,9 @@ class CnfBuilder:
         """Blast one term whose operands are already blasted to ``args``."""
         op = term.op
         if op == "bconst":
-            return term.payload
+            return TRUE if term.payload else FALSE
         if op == "not":
-            return self.g_not(args[0])
+            return args[0] ^ 1
         if op == "and":
             return self.g_and(args[0], args[1])
         if op == "or":
@@ -220,14 +228,13 @@ class CnfBuilder:
             name, width = term.payload
             bits = self.var_bits.get(name)
             if bits is None:
-                bits = [self.new_var() for _ in range(width)] + [False] * (W - width)
+                bits = [self.new_var() for _ in range(width)] + [FALSE] * (W - width)
                 self.var_bits[name] = bits
             return bits
         if op == "ite":
             c, a, b = args
-            if isinstance(c, bool):
-                return a if c else b
-            # c is a literal here, never True/False, so it keys by value
+            if c < 2:
+                return a if c == TRUE else b
             key = ("ite", c, id(a), id(b))
         elif op == "const":
             key = (op, term.payload)
@@ -261,9 +268,9 @@ class CnfBuilder:
     def assert_term(self, term):
         """Add ``term`` as a hard constraint."""
         bit = self.blast(term)
-        if bit is False:
+        if bit == FALSE:
             self.contradiction = True
-        elif bit is not True:
+        elif bit != TRUE:
             self.clauses.append([bit])
 
     def model_value(self, name, model):
@@ -271,17 +278,11 @@ class CnfBuilder:
         return bits_value(self.var_bits.get(name, ()), model)
 
 
-def lit_true(bit, model):
-    """Whether a bit holds under a SAT model (the set of true variables)."""
-    if isinstance(bit, bool):
-        return bit
-    return bit in model if bit > 0 else -bit not in model
-
-
 def bits_value(bits, model):
-    """Unsigned integer value of blasted bits (LSB first) under a model."""
+    """Unsigned integer value of blasted bits (LSB first) under a model
+    (``sat.Solver.solve``'s, positive on every true literal code)."""
     v = 0
     for i, b in enumerate(bits):
-        if lit_true(b, model):
+        if model[b] > 0:
             v |= 1 << i
     return v

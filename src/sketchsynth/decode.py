@@ -52,7 +52,8 @@ def _escaped(c, quote):
     """Character ``c`` as it is written between ``quote``s.  A control
     character without a named escape, and any other character outside
     ASCII up to ``\\377``, is a three-digit octal escape: a digit after
-    it cannot join the escape, and javac reads it in any locale."""
+    it cannot join the escape, and javac reads it in any locale.  A
+    character above ``\\377`` is a Unicode escape, for the same reasons."""
     esc = _ESCAPES.get(c)
     if esc is not None:
         return esc
@@ -60,6 +61,8 @@ def _escaped(c, quote):
         return "\\" + c
     if c < " " or "\x7f" <= c <= "\xff":
         return f"\\{ord(c):03o}"
+    if c > "\xff":
+        return f"\\u{ord(c):04x}"
     return c
 
 

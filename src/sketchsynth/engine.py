@@ -241,11 +241,11 @@ def _solve_vector(program, vector, cfg, deadline):
 def _signed_minimum(bits):
     """The literals, MSB first, that give ``bits`` (a blasted term, LSB
     first) its signed minimum: 1 on the sign bit, 0 on every other bit.
-    Constant bits are left out."""
+    Constant bits (codes 0 and 1) are left out."""
     sign = len(bits) - 1
-    return [bit if i == sign else -bit
+    return [bit if i == sign else bit ^ 1
             for i, bit in reversed(list(enumerate(bits)))
-            if not isinstance(bit, bool)]
+            if bit > 1]
 
 
 # -- top level -------------------------------------------------------------

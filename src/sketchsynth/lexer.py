@@ -3,6 +3,8 @@
 Sketch extensions get their own token kinds: ``??`` (HOLE), ``{|`` (LCHOICE),
 ``|}`` (RCHOICE), and the ``minrepeat``/``harness``/``generator`` keywords.
 Comments and whitespace are discarded; every token carries a SourceSpan.
+Unicode escapes (``\\u0041``) are translated first, over the whole text
+(JLS 3.3), so columns after one on its line count translated characters.
 
 One compiled pattern scans the text, one match per token: the skipped
 text (whitespace and comments) and then the token, in a named group per
@@ -49,6 +51,10 @@ _TOKEN_RE = re.compile(
 
 _ESCAPE_RE = re.compile(rf"\\({_ESCAPE_TAIL})")
 
+# a backslash starts a Unicode escape when an even number of backslashes
+# precede it (JLS 3.3): ``\\u0041`` is an escaped backslash and ``u0041``
+_UNICODE_RE = re.compile(r"(?<!\\)((?:\\\\)*)\\u+([0-9A-Fa-f]{4})")
+
 # builds a Token or SourceSpan from a tuple of its fields, without the
 # namedtuple's ``__new__``
 _new = tuple.__new__
@@ -66,6 +72,9 @@ class Token(namedtuple("Token", "kind text span")):
 
 def tokenize(source_text, file_id="<input>"):
     """Scan ``source_text`` into a token list (without the trailing EOF)."""
+    if "\\u" in source_text:
+        source_text = _UNICODE_RE.sub(
+            lambda m: m[1] + chr(int(m[2], 16)), source_text)
     toks = []
     file_id = str(file_id)
     count = source_text.count

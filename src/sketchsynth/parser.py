@@ -241,6 +241,11 @@ class _Parser:
 
     def parse_stmt(self):
         tok = self.peek()
+        if tok.kind == ";":
+            # the empty statement (JLS 14.6) is an empty block: both do
+            # nothing and complete normally iff reachable (JLS 14.22)
+            self.next()
+            return A.Block(stmts=[], span=tok.span)
         if tok.kind == "{":
             self.nest("a statement")
             block = self.parse_block()

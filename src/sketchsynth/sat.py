@@ -1,13 +1,16 @@
 """Conflict-driven clause-learning SAT solver in the MiniSat layout
 (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003).
 
-Layout.  Variable ``v`` (1-based, as in the clauses handed in) has the
-literal codes ``2v`` (positive) and ``2v + 1`` (negative), so negation is
-``code ^ 1`` and ``code >> 1`` is the variable.  ``value`` holds one entry
-per literal code: 1 true, -1 false, 0 unassigned.  ``level`` and
-``reason`` are indexed by variable.  A reason is the implying clause (a
-list whose first literal is the implied one) or, for a binary clause, the
-other literal's code as a plain int.
+Layout.  Literals are codes, in clauses, assumptions, preferred literals
+and models alike, as ``cnf.CnfBuilder`` emits them: variable ``v`` has the
+codes ``2v`` (positive) and ``2v + 1`` (negative), so negation is
+``code ^ 1`` and ``code >> 1`` is the variable.  Variable 0 is the
+constant: true from the start, at level 0, on no trail and in no heap, so
+its codes 0 (true) and 1 (false) read as constants wherever a value is
+looked up.  ``value`` holds one entry per literal code: 1 true, -1 false,
+0 unassigned.  ``level`` and ``reason`` are indexed by variable.  A
+reason is the implying clause (a list whose first literal is the implied
+one) or, for a binary clause, the other literal's code as a plain int.
 
 - Clauses of two literals live in per-literal implication lists:
   ``binary[c]`` holds every literal implied once ``c`` is false.  Tseitin
@@ -24,8 +27,9 @@ other literal's code as a plain int.
   of the clause (local minimization).
 - Restarts follow the Luby sequence with a unit of 100 conflicts.
 - Clauses come in batches (``add_clauses``) with one return to level 0
-  per batch.  The engine hands each solver all of its clauses in one
-  batch, before the first search.
+  per batch, taken as they are: a clause repeats no variable (the
+  builder never emits one that does).  The engine hands each solver all
+  of its clauses in one batch, before the first search.
 
 Deterministic by construction: every choice above is a function of the
 clause stream, the assumptions and the preferred literals (no randomness,
@@ -66,7 +70,7 @@ CLAUSE_BATCH = 4096
 class Solver:
     def __init__(self, deadline=None):
         self.nvars = 0
-        self.value = [0, 0]        # per literal code: 1 / -1 / 0
+        self.value = [1, -1]       # per literal code: 1 / -1 / 0
         self.level = [0]           # per variable
         self.reason = [None]       # per variable: clause list, int or None
         self.binary = [[], []]     # per literal code: implied literal codes
@@ -97,8 +101,8 @@ class Solver:
         self.value.extend([0] * (2 * k))
         self.level.extend([0] * k)
         self.reason.extend([None] * k)
-        self.binary.extend([] for _ in range(2 * k))
-        self.watches.extend([] for _ in range(2 * k))
+        self.binary += [[] for _ in range(2 * k)]
+        self.watches += [[] for _ in range(2 * k)]
         self.activity.extend([0.0] * k)
         self.polarity.extend([1] * k)
         # a new variable has activity 0 and the largest index, so it is the
@@ -108,10 +112,12 @@ class Solver:
         self.seen.extend(bytes(k))
 
     def add_clauses(self, clauses):
-        """Adds the clauses of the list ``clauses`` (lists of nonzero ints
-        over variables that ``ensure_vars`` has made) in order, at level 0;
-        a unit is propagated as it comes.  The deadline is read once per
-        ``CLAUSE_BATCH`` clauses."""
+        """Adds the clauses of the list ``clauses`` (lists of literal codes
+        over variables that ``ensure_vars`` has made, none repeated within
+        a clause) in order, at level 0; a literal false at level 0 is
+        dropped, a clause true there skipped, and a unit is propagated as
+        it comes.  The deadline is read once per ``CLAUSE_BATCH``
+        clauses."""
         if not self.ok:
             return
         self._backtrack(0)
@@ -120,12 +126,11 @@ class Solver:
             check_deadline(self.deadline)
             for lits in clauses[at:at + CLAUSE_BATCH]:
                 out = []
-                for l in lits:
-                    c = 2 * l if l > 0 else -2 * l + 1
+                for c in lits:
                     val = value[c]
-                    if val > 0 or c ^ 1 in out:
-                        break               # satisfied at level 0, or tautology
-                    if val == 0 and c not in out:
+                    if val > 0:
+                        break               # satisfied at level 0
+                    if val == 0:
                         out.append(c)
                 else:
                     if len(out) > 1:
@@ -193,6 +198,8 @@ class Solver:
             # compacted in place: a kept clause moves to ws[j], j <= i; a
             # moved watch never lands on false_lit, so ws does not grow
             ws = watches[false_lit]
+            if not ws:
+                continue
             j = 0
             for i, cl in enumerate(ws):
                 first = cl[0]
@@ -205,11 +212,15 @@ class Solver:
                     continue
                 lk = cl[2]
                 if value[lk] == -1:
-                    for k in range(3, len(cl)):
+                    # a while loop: most clauses are ternary, and a range
+                    # per scan would cost more than the scan
+                    k, n = 3, len(cl)
+                    while k < n:
                         lk = cl[k]
                         if value[lk] != -1:
                             cl[k] = false_lit
                             break
+                        k += 1
                     else:
                         ws[j] = cl
                         j += 1
@@ -393,20 +404,20 @@ class Solver:
     # -- main loop ---------------------------------------------------------
 
     def solve(self, assumptions=(), preferred=()):
-        """Returns a set of true variable indices, or None if unsatisfiable
-        under the assumptions.  The model is the lexicographic optimum of
-        ``preferred`` (literals, highest priority first): each comes out
-        true unless the clauses, the assumptions and the preferred literals
-        before it make it false."""
+        """Returns a model, or None if unsatisfiable under the assumptions
+        (literal codes).  A model is a copy of ``value``: ``model[c] > 0``
+        exactly when literal code ``c`` is true, the constant's included.
+        It is the lexicographic optimum of ``preferred`` (literal codes,
+        highest priority first): each comes out true unless the clauses,
+        the assumptions and the preferred literals before it make it
+        false."""
         if not self.ok:
             return None
         self._backtrack(0)
         if self.propagate() is not None:
             self.ok = False
             return None
-        self.ensure_vars(max(map(abs, [*assumptions, *preferred]), default=0))
-        assumed = [2 * l if l > 0 else -2 * l + 1 for l in assumptions]
-        prefer = [2 * l if l > 0 else -2 * l + 1 for l in preferred]
+        self.ensure_vars(max([*assumptions, *preferred], default=0) >> 1)
         value, heap = self.value, self.heap
         trail, trail_lim = self.trail, self.trail_lim
         deadline = self.deadline
@@ -440,10 +451,10 @@ class Solver:
                     budget = luby(restarts) * RESTART_UNIT
                     self._backtrack(0)
                 continue
-            if len(trail_lim) < len(assumed):
+            if len(trail_lim) < len(assumptions):
                 # assumptions occupy the first decision levels; a falsified
                 # assumption means UNSAT under the given assumption set
-                c = assumed[len(trail_lim)]
+                c = assumptions[len(trail_lim)]
                 val = value[c]
                 if val < 0:
                     return None
@@ -454,12 +465,12 @@ class Solver:
             # a preferred literal with a value is skipped: if false, the
             # clauses, the assumptions and the decisions below it (all on
             # preferred literals before it) imply that
-            while cursor < len(prefer) and value[prefer[cursor]] != 0:
+            while cursor < len(preferred) and value[preferred[cursor]] != 0:
                 cursor += 1
-            if cursor < len(prefer):
-                c = prefer[cursor]
+            if cursor < len(preferred):
+                c = preferred[cursor]
             elif len(trail) == self.nvars:
-                return {c >> 1 for c in trail if not c & 1}
+                return value[:]
             else:
                 while value[2 * heap[0]] != 0:
                     self._heap_pop()

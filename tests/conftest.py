@@ -65,10 +65,21 @@ def subclasses(cls):
     return out
 
 
+def code(lit):
+    """The literal code of a DIMACS literal: ``2v`` for ``v``, ``2v + 1``
+    for ``-v``."""
+    return 2 * lit if lit > 0 else -2 * lit + 1
+
+
 def add_clause(solver, lits):
-    """Add one clause, making its variables first."""
+    """Add one clause of DIMACS literals, making its variables first.  The
+    solver takes clauses that repeat no variable, as the bit-blaster
+    emits them, so a repeated literal is dropped and a tautology
+    skipped."""
     solver.ensure_vars(max(map(abs, lits), default=0))
-    solver.add_clauses([lits])
+    codes = list(dict.fromkeys(map(code, lits)))
+    if not any(c ^ 1 in codes for c in codes):
+        solver.add_clauses([codes])
 
 
 def bool_var(name):

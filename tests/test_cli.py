@@ -745,10 +745,14 @@ def test_non_void_method_must_return_a_value(tmp_path, capsys, members,
      cli.EXIT_SOLVED),
     ("static int g() { int x = 0; while (x > 0) { return 3; } return 1; } ",
      "", cli.EXIT_SOLVED),
+    # the empty statement (JLS 14.6) is a statement like any other
+    ("static int g() { return 1;; } ", "", cli.EXIT_INPUT),
+    ("static int g() { int x = 1;; ; if (x == 1) ; else ; return x; } ", "",
+     cli.EXIT_SOLVED),
 ], ids=["after-return", "while-false", "while-constant-false-statement",
         "after-while-true", "after-if-else-returns", "after-block-return",
         "harness", "constructor", "if-false", "after-minrepeat",
-        "while-variable"])
+        "while-variable", "empty-after-return", "empty-statements"])
 def test_unreachable_statement_gives_exit_2(tmp_path, capsys, members,
                                             stmts, code):
     """As javac: "unreachable statement" (JLS 14.22)."""

@@ -5,17 +5,16 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add_clause, bool_var
+from conftest import bool_var
 from sketchsynth import bitvec as B
 from sketchsynth import sat
-from sketchsynth.cnf import CnfBuilder
+from sketchsynth.cnf import FALSE, TRUE, CnfBuilder
 
 
 def solve_builder(cb, assumptions=()):
     s = sat.Solver()
     s.ensure_vars(cb.nvars)
-    for cl in cb.clauses:
-        add_clause(s, cl)
+    s.add_clauses(cb.clauses)
     return None if cb.contradiction else s.solve(assumptions=list(assumptions))
 
 
@@ -107,13 +106,14 @@ def test_separately_built_terms_share_their_circuit():
 def test_constant_true_is_not_shared_with_literal_one():
     cb = CnfBuilder()
     p = bool_var("p")
-    assert cb.blast(p) == 1
-    assert cb.blast(B.not_(p)) == -1
-    # x == x over two separate objects blasts to True, so its negation is
-    # False, not the negation of literal 1
+    # variable 0 is the constant, so the first variable's codes are 2 and 3
+    assert cb.blast(p) == 2
+    assert cb.blast(B.not_(p)) == 3
+    # x == x over two separate objects blasts to TRUE, so its negation is
+    # FALSE, not the negation of the first variable
     cb.assert_term(B.not_(B.eq(B.var("a"), B.var("a"))))
     assert cb.contradiction
-    assert [-1] not in cb.clauses
+    assert [3] not in cb.clauses and [FALSE] not in cb.clauses
     # likewise a select on x == x is x, not the select on p blasted before
     cb.blast(B.ite(p, B.var("x"), B.var("y")))
     same = B.eq(B.var("a"), B.var("a"))
@@ -121,14 +121,15 @@ def test_constant_true_is_not_shared_with_literal_one():
 
 
 def test_select_between_constant_true_and_literal_one_is_no_constant():
-    # True == 1 in Python, but the select is c itself, not True
+    # the constants' codes belong to no variable, so a select between a
+    # constant and a variable is a new variable
     cb = CnfBuilder()
     one = cb.new_var()
     c = cb.new_var()
-    assert cb.g_ite(c, True, one) is not True
-    assert cb.g_ite(c, False, -one) is not False
+    assert cb.g_ite(c, TRUE, one) > 1
+    assert cb.g_ite(c, FALSE, one ^ 1) > 1
     # a select between one value on both sides is that value
-    assert cb.g_ite(c, 1, 1) == 1 and cb.g_ite(c, True, True) is True
+    assert cb.g_ite(c, one, one) == one and cb.g_ite(c, TRUE, TRUE) == TRUE
 
 
 def test_deep_term_blasts_without_recursion():
@@ -137,6 +138,38 @@ def test_deep_term_blasts_without_recursion():
         t = B.and_(t, bool_var(f"p{i}"))
     cb = CnfBuilder()
     cb.assert_term(t)
-    model = solve_builder(cb, [-cb.blast(bool_var("p0"))])
+    model = solve_builder(cb, [cb.blast(bool_var("p0")) ^ 1])
     assert model is None
     assert solve_builder(cb) is not None
+
+
+def _rel(words):
+    return st.builds(lambda f, a, b: f(a, b),
+                     st.sampled_from([B.eq, B.ult, B.slt]), words, words)
+
+
+def _terms():
+    """32-bit terms over narrow variables (zero-extended, so their high
+    bits are constants) and small constants, with every word operation
+    the blaster has."""
+    leaves = st.one_of(
+        st.builds(B.var, st.sampled_from("xyz"), st.sampled_from([1, 3, 6])),
+        st.builds(B.const, st.integers(-4, 4)))
+    ops = [B.add, B.sub, B.mul, B.sdiv, B.srem]
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(lambda f, a, b: f(a, b), st.sampled_from(ops), sub, sub),
+        st.builds(B.ite, _rel(leaves), sub, sub)), max_leaves=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.recursive(_rel(_terms()), lambda sub: st.one_of(
+    st.builds(B.not_, sub), st.builds(B.and_, sub, sub),
+    st.builds(B.or_, sub, sub)), max_leaves=3), min_size=1, max_size=3))
+def test_no_clause_repeats_a_variable(constraints):
+    """The solver takes clauses as they are (``Solver.add_clauses``), so
+    none may hold a variable twice, nor the constant."""
+    cb = CnfBuilder()
+    for c in constraints:
+        cb.assert_term(c)
+    for cl in cb.clauses:
+        assert len({lit >> 1 for lit in cl}) == len(cl) and min(cl) > 1, cl

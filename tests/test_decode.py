@@ -144,8 +144,9 @@ def test_unparse_is_idempotent_after_reparse():
 def test_printed_literals_read_back_as_the_same_characters():
     # a digit after an escape must not join it, so a control character
     # goes out as three octal digits; so does any other character an octal
-    # escape can write, which keeps the text ASCII for javac in any locale
-    for c in map(chr, range(0x100)):
+    # escape can write, and one above it as a Unicode escape, which keeps
+    # the text ASCII for javac in any locale
+    for c in map(chr, [*range(0x100), *range(0x100, 0x10000, 97), 0xffff]):
         text = decode._quoted(c + "7", '"') + " " + decode._quoted(c, "'")
         assert text.isascii()
         s, ch = tokenize(text)

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from conftest import (CADSR_SMALL, DB, DB_TWO_STATE, MULT2, add_clause,
-                      program_files, run_front_end)
+from conftest import (CADSR, CADSR_SMALL, DB, DB_TWO_STATE, MULT2,
+                      add_clause, program_files, run_front_end)
 from sketchsynth import bitvec as B
 from sketchsynth import engine, sat
 from sketchsynth.cnf import CnfBuilder
@@ -244,6 +244,48 @@ def test_canonical_answer_takes_one_sat_call(monkeypatch, files, calls):
     assert len(made) == calls
     assert [bool(kw.get("preferred")) for kw in made] == \
         [False] * (calls - 1) + [True]
+
+
+# per fixture: SAT calls, conflicts, decisions and propagations summed over
+# its solvers, then variables and clauses summed over its builders
+SEARCH_COUNTERS = {
+    "mult2": (MULT2, (2, 0, 0, 36, 36, 99)),
+    "db": (DB, (6, 1172, 2484, 151048, 2557, 7636)),
+    "db-two-state": (DB_TWO_STATE, (9, 387, 1125, 49394, 6095, 17640)),
+    "cadsr": (CADSR, (4, 233, 630, 58558, 3194, 10022)),
+    "cadsr-small": (CADSR_SMALL, (4, 233, 630, 32814, 1586, 4754)),
+}
+
+
+def test_search_counters_of_the_paper_sketches(monkeypatch):
+    """The clause stream and the search are pinned: a change that makes a
+    step cheaper keeps every counter; one that changes the search states
+    its new counters here."""
+    builders, calls = [], []
+    init, solve = CnfBuilder.__init__, sat.Solver.solve
+
+    def built(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builders.append(self)
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return solve(self, *args, **kwargs)
+    monkeypatch.setattr(CnfBuilder, "__init__", built)
+    monkeypatch.setattr(sat.Solver, "solve", counted)
+    got = {}
+    for name, (files, _) in SEARCH_COUNTERS.items():
+        builders.clear()
+        calls.clear()
+        prog = run_front_end(files=program_files(*files))[3]
+        engine.solve(prog, engine.EngineConfig())
+        solvers = dict.fromkeys(calls)      # every solver is called
+        got[name] = (len(calls),
+                     *(sum(getattr(s, k) for s in solvers)
+                       for k in ("conflicts", "decisions", "propagations")),
+                     sum(b.nvars for b in builders),
+                     sum(len(b.clauses) for b in builders))
+    assert got == {name: want for name, (_, want) in SEARCH_COUNTERS.items()}
 
 
 def test_an_expired_deadline_stops_every_layer():

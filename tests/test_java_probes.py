@@ -275,6 +275,29 @@ class Outer {
         assert n == 2600 + ??;
     }
 }""", 96),
+    # JLS 3.3: Unicode escapes are translated before anything else, where
+    # an even number of backslashes precede them, in names and literals
+    "unicode-escapes": (r"""class Outer {
+    harness static void t() {
+        int \u0061b = "\u0041".charAt(0);
+        char c = '\uu0042';
+        String s = "\\u0041";
+        String b = "\u005c\u005c";
+        assert c == 66 && s.length() == 6 && s.charAt(0) == 92;
+        assert b.length() == 1 && b.charAt(0) == 92;
+        assert ab == ??;
+    }
+}""", 65),
+    # JLS 14.6: the empty statement, also as a branch
+    "empty-statements": ("""class Outer {
+    harness static void t() {
+        int x = 1;;
+        ;
+        if (x == 1) ; else x = 2;
+        while (x == 0) ;
+        assert x * 10 == ??;
+    }
+}""", 10),
 }
 
 

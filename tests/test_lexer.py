@@ -70,6 +70,23 @@ def test_char_literal_of_an_octal_escape_and_a_digit_is_malformed(text):
         "malformed char literal", "f.java:1:5")
 
 
+@pytest.mark.parametrize("text, tokens", [
+    (r'"\u0041"', [("STRING", "A")]),
+    (r"'\uuu0042'", [("CHAR", "B")]),
+    (r"\u0061b", [("IDENT", "ab")]),
+    # an escaped backslash does not start one (JLS 3.3)
+    (r'"\\u0041"', [("STRING", "\\u0041")]),
+    (r'"\\\u0041"', [("STRING", "\\A")]),
+    # a translated backslash starts no Unicode escape, but an escape
+    (r'"\u005c\u005c"', [("STRING", "\\")]),
+    (r'"\u005cn"', [("STRING", "\n")]),
+    (r"a\u002b\u002bb", [("IDENT", "a"), ("+", "+"), ("+", "+"),
+                          ("IDENT", "b")]),
+])
+def test_unicode_escapes_are_translated_first(text, tokens):
+    assert [(t.kind, t.text) for t in tokenize(text)] == tokens
+
+
 def test_comments_are_skipped():
     assert kinds("a // line comment\n b /* block\n comment */ c") == [
         "IDENT", "IDENT", "IDENT"]

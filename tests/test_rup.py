@@ -1,18 +1,18 @@
-"""Proof check of the SAT layer on the paper's sketches: every clause the
-solver learns is RUP (reverse unit propagation: its negation propagates to
-a conflict) with respect to the clauses and learnt clauses before it, and
-every UNSAT verdict is a conflict of unit propagation alone.  The
-propagator here shares no code with the solver."""
+"""Proof check of the SAT layer on the paper's sketches and on generated
+ones: every clause the solver learns is RUP (reverse unit propagation: its
+negation propagates to a conflict) with respect to the clauses and learnt
+clauses before it, and every UNSAT verdict is a conflict of unit
+propagation alone.  The propagator here shares no code with the solver;
+it reads the literal codes that the bit-blaster hands the solver."""
+
+import random
 
 import pytest
 
-from conftest import (CADSR, CADSR_SMALL, DB, DB_TWO_STATE, MULT2,
+from conftest import (CADSR, CADSR_SMALL, DB, DB_TWO_STATE, MULT2, code,
                       program_files, run_front_end)
 from sketchsynth import engine, sat
-
-
-def _code(lit):
-    return 2 * lit if lit > 0 else -2 * lit + 1
+from test_acceptance import gen_sketch
 
 
 class Propagator:
@@ -123,8 +123,8 @@ def check_proof(events):
             nvars, batch = data
             assert prop is None          # the engine's one batch per solver
             prop = Propagator(nvars)
-            for lits in batch:
-                prop.add([_code(l) for l in lits])
+            for codes in batch:
+                prop.add(codes)
         elif kind == "learnt":
             assert prop.implies(data[0]), f"learnt clause {data[0]} not RUP"
             prop.add(data[0])
@@ -138,11 +138,11 @@ def check_proof(events):
 def test_propagator_checks_rup():
     p = Propagator(3)
     for lits in ([1, 2], [-1, 3], [-2, 3]):
-        p.add([_code(l) for l in lits])
-    assert p.implies([_code(3)])            # -3 forces -1 and -2
-    assert not p.implies([_code(1)])
+        p.add([code(l) for l in lits])
+    assert p.implies([code(3)])             # -3 forces -1 and -2
+    assert not p.implies([code(1)])
     assert not p.refuted and not p.trail
-    p.add([_code(-3)])
+    p.add([code(-3)])
     assert p.refuted
 
 
@@ -165,11 +165,33 @@ def test_learnt_clauses_and_unsat_verdicts_of_the_paper_sketches_check(
     assert unsat == 4 + 9 + 2 + 2 and learnt > 1500
 
 
+# criterion 6's first 100 sketches: (solvers, learnt clauses, UNSAT verdicts)
+SLICE, COUNTS = 100, (66, 150, 25)
+
+
+def test_learnt_clauses_and_unsat_verdicts_of_generated_sketches_check(
+        monkeypatch):
+    """The first sketches of acceptance criterion 6's generator, its seed
+    and its hole width."""
+    events = record_sat_events(monkeypatch)
+    rng = random.Random(2026)
+    for _ in range(SLICE):
+        src, _ = gen_sketch(rng)
+        prog = run_front_end(texts=[("p.java", src)])[3]
+        engine.solve(prog, engine.EngineConfig(hole_bits=3))
+    learnt = unsat = 0
+    for solver_events in events.values():
+        n, u = check_proof(solver_events)
+        learnt += n
+        unsat += u
+    assert (len(events), learnt, unsat) == COUNTS
+
+
 @pytest.mark.parametrize("bad", ["learnt", "verdict"])
 def test_a_wrong_step_fails_the_check(bad):
-    clauses = [[1, 2], [-1, 2], [1, -2]]
+    clauses = [[code(l) for l in lits] for lits in ([1, 2], [-1, 2], [1, -2])]
     events = [("clauses", 2, clauses)]
-    events.append(("learnt", [_code(-2)]) if bad == "learnt"
+    events.append(("learnt", [code(-2)]) if bad == "learnt"
                   else ("verdict", True))
     with pytest.raises(AssertionError):
         check_proof(events)

@@ -8,10 +8,24 @@ import random
 
 import pytest
 
-from conftest import add_clause
+from conftest import add_clause, code
 from sketchsynth import sat
-from sketchsynth.cnf import lit_true
 from sketchsynth.errors import DeadlineExceeded
+
+
+def solve(s, assumptions=(), preferred=()):
+    """``s.solve`` over DIMACS literals: the set of true variables, or
+    None."""
+    model = s.solve([code(l) for l in assumptions],
+                    [code(l) for l in preferred])
+    if model is None:
+        return None
+    return {c >> 1 for c in range(2, len(model), 2) if model[c] > 0}
+
+
+def lit_true(lit, model):
+    """Whether a DIMACS literal holds in a set of true variables."""
+    return (abs(lit) in model) == (lit > 0)
 
 
 def brute_force(nvars, clauses, fixed=()):
@@ -55,7 +69,7 @@ def test_verdict_matches_brute_force_on_random_instances():
         s.ensure_vars(nvars)
         for cl in clauses:
             add_clause(s, list(cl))
-        model = s.solve()
+        model = solve(s)
         expected = brute_force(nvars, clauses)
         if model is None:
             assert not expected, f"trial {trial}: solver missed a solution"
@@ -76,7 +90,7 @@ def test_assumptions_match_brute_force():
             k = rng.randrange(0, nvars)
             fixed = rng.sample(
                 [v * rng.choice([1, -1]) for v in range(1, nvars + 1)], k)
-            model = s.solve(assumptions=fixed)
+            model = solve(s, assumptions=fixed)
             expected = brute_force(nvars, clauses, fixed)
             if model is None:
                 assert not expected
@@ -88,22 +102,22 @@ def test_solver_reusable_across_calls_with_added_clauses():
     s = sat.Solver()
     s.ensure_vars(3)
     add_clause(s, [1, 2])
-    assert s.solve() is not None
+    assert solve(s) is not None
     add_clause(s, [-1])
-    m = s.solve()
+    m = solve(s)
     assert m is not None and 2 in m
     add_clause(s, [-2])
-    assert s.solve() is None
+    assert solve(s) is None
 
 
 def test_unit_and_empty_clauses():
     s = sat.Solver()
     add_clause(s, [4])
-    m = s.solve()
+    m = solve(s)
     assert m is not None and 4 in m
     s2 = sat.Solver()
     add_clause(s2, [])
-    assert s2.solve() is None
+    assert solve(s2) is None
 
 
 def test_deterministic_models():
@@ -115,7 +129,7 @@ def test_deterministic_models():
         s.ensure_vars(12)
         for cl in clauses:
             add_clause(s, list(cl))
-        models.append(s.solve())
+        models.append(solve(s))
     assert models[0] == models[1]
 
 
@@ -135,7 +149,7 @@ def test_deadline_raises_timeout():
     except DeadlineExceeded:
         return
     with pytest.raises(DeadlineExceeded):
-        s.solve()
+        solve(s)
 
 
 def pigeonhole(pigeons, holes):
@@ -170,12 +184,12 @@ def assert_order_is_a_heap_of_distinct_variables(s):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_pigeonhole_unsat_and_sat(n):
     s = solver_for(*pigeonhole(n + 1, n))
-    assert s.solve() is None
+    assert solve(s) is None
     assert_order_is_a_heap_of_distinct_variables(s)
     if n == 6:
         assert s.conflicts > sat.RESTART_UNIT    # the proof restarts
     nvars, clauses = pigeonhole(n, n)
-    model = solver_for(nvars, clauses).solve()
+    model = solve(solver_for(nvars, clauses))
     assert model is not None
     check_model(model, nvars, clauses)
 
@@ -228,7 +242,7 @@ def test_incremental_calls_match_brute_force():
             clauses += added
             fixed = [v * rng.choice([1, -1])
                      for v in rng.sample(range(1, nvars + 1), rng.randrange(0, 5))]
-            model = s.solve(assumptions=fixed)
+            model = solve(s, assumptions=fixed)
             expected = _models(true_sets, clauses + [[l] for l in fixed])
             if model is None:
                 assert not expected, f"trial {trial} step {step}: missed a model"
@@ -241,7 +255,7 @@ def test_counters_repeat_exactly():
     counts = []
     for _ in range(2):
         s = solver_for(*pigeonhole(7, 6))
-        assert s.solve() is None
+        assert solve(s) is None
         counts.append((s.conflicts, s.decisions, s.propagations))
     assert counts[0] == counts[1]
     conflicts, decisions, propagations = counts[0]
@@ -267,7 +281,7 @@ def test_learnt_clauses_are_implied_by_the_clauses():
         for _ in range(6):
             fixed = [v * rng.choice([1, -1]) for v in
                      rng.sample(range(1, nvars + 1), rng.choice([0, 1, 3]))]
-            model = s.solve(assumptions=fixed)
+            model = solve(s, assumptions=fixed)
             assert (model is None) == \
                 (not _models(true_sets, [[l] for l in fixed]) & models)
         for codes, _ in learnt:
@@ -285,7 +299,7 @@ def test_decisions_take_the_smallest_index_among_equal_activities():
         add_clause(s, cl)
     # all activities are 0: x1 = 0 forces x2, x3 = 0, x4 = 0 forces x5,
     # then x6 = 0
-    assert s.solve() == {2, 5}
+    assert solve(s) == {2, 5}
     assert s.decisions == 4
 
 
@@ -331,7 +345,7 @@ def test_assumption_sequences_match_brute_force():
                 add_clause(s, list(cl))
                 clauses.append(cl)
             fixed = _next_assumptions(rng, fixed, nvars)
-            model = s.solve(assumptions=fixed)
+            model = solve(s, assumptions=fixed)
             expected = _models(true_sets, clauses + [[l] for l in fixed])
             if model is None:
                 assert not expected, f"trial {trial} step {step}: missed a model"
@@ -347,11 +361,11 @@ def _minimize_by_assumptions(s, preferred):
     """The reference: one call under assumptions per preferred literal that
     the current model does not already make true, each keeping the
     literals chosen before it."""
-    model = s.solve()
+    model = solve(s)
     fixed = []
     for lit in preferred:
         if not lit_true(lit, model):
-            m = s.solve(assumptions=fixed + [lit])
+            m = solve(s, assumptions=fixed + [lit])
             if m is None:
                 lit = -lit
             else:
@@ -376,13 +390,13 @@ def test_preferred_literals_give_the_lexicographic_optimum():
                    for _ in range(rng.randrange(3 * nvars, 9 * nvars // 2))]
         s = solver_for(nvars, clauses)
         models = _models(true_sets, clauses)
-        if s.solve() is None:
+        if solve(s) is None:
             assert not models
             continue
         preferred = [rng.randrange(1, nvars + 1) * rng.choice([1, -1])
                      for _ in range(rng.randrange(1, 2 * nvars + 1))]
         before = s.conflicts
-        model = s.solve(preferred=preferred)
+        model = solve(s, preferred=preferred)
         conflicts += s.conflicts > before
         check_model(model, nvars, clauses)
         optimum = []
