@@ -31,7 +31,8 @@ TRUE, FALSE = 0, 1      # the codes of the reserved variable 0
 class CnfBuilder:
     def __init__(self, deadline=None):
         self.nvars = 0          # variables 1..nvars; 0 is the constant
-        self.clauses = []       # lists of literal codes
+        self.clauses = []       # lists of literal codes; a solver that
+                                # takes one owns it and reorders it
         self.deadline = deadline    # time.monotonic() value or None
         self._next_check = 0        # clause count that reads the deadline
         self.var_bits = {}      # term var name -> [bit] * width
@@ -206,11 +207,25 @@ class CnfBuilder:
         shared between terms: callers must not mutate it."""
         done = self._blasted
         clauses = self.clauses
-        for t in B.postorder(term, done):
-            done[t] = self._blast_node(t, [done[a] for a in t.args])
-            if len(clauses) > self._next_check:
-                check_deadline(self.deadline)
-                self._next_check = len(clauses) + CLOCK_CLAUSES
+        # postorder, children left to right, each term once: a term on top
+        # of the stack is blasted once none of its operands is pushed
+        stack = [term]
+        push = stack.append
+        while stack:
+            t = stack[-1]
+            if t in done:
+                stack.pop()
+                continue
+            n = len(stack)
+            for a in reversed(t.args):
+                if a not in done:
+                    push(a)
+            if len(stack) == n:
+                stack.pop()
+                done[t] = self._blast_node(t, [done[a] for a in t.args])
+                if len(clauses) > self._next_check:
+                    check_deadline(self.deadline)
+                    self._next_check = len(clauses) + CLOCK_CLAUSES
         return done[term]
 
     def _blast_node(self, term, args):

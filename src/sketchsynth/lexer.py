@@ -4,7 +4,7 @@ Sketch extensions get their own token kinds: ``??`` (HOLE), ``{|`` (LCHOICE),
 ``|}`` (RCHOICE), and the ``minrepeat``/``harness``/``generator`` keywords.
 Comments and whitespace are discarded; every token carries a SourceSpan.
 Unicode escapes (``\\u0041``) are translated first, over the whole text
-(JLS 3.3), so columns after one on its line count translated characters.
+(JLS 3.3); columns and lengths still count the raw characters of the file.
 
 One compiled pattern scans the text, one match per token: the skipped
 text (whitespace and comments) and then the token, in a named group per
@@ -15,6 +15,7 @@ skipped text.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import namedtuple
 
 from .ast_nodes import SourceSpan
@@ -70,11 +71,31 @@ class Token(namedtuple("Token", "kind text span")):
         return f"Token({self.kind!r}, {self.text!r})"
 
 
+def _translate_unicode(text):
+    """(``text`` with its Unicode escapes translated, ``raw``), where
+    ``raw(i)`` is the offset in ``text`` of offset ``i`` of the
+    translation."""
+    parts = []
+    # from offset ends[k] of the translation on, raw offsets are
+    # shifts[k] larger
+    ends, shifts = [0], [0]
+    pos = 0
+    for m in _UNICODE_RE.finditer(text):
+        at = m.end(1)
+        parts += text[pos:at], chr(int(m[2], 16))
+        pos = m.end()
+        ends.append(at - shifts[-1] + 1)
+        shifts.append(shifts[-1] + pos - at - 1)
+    parts.append(text[pos:])
+    return "".join(parts), \
+        lambda i: i + shifts[bisect_right(ends, i) - 1]
+
+
 def tokenize(source_text, file_id="<input>"):
     """Scan ``source_text`` into a token list (without the trailing EOF)."""
+    raw = None
     if "\\u" in source_text:
-        source_text = _UNICODE_RE.sub(
-            lambda m: m[1] + chr(int(m[2], 16)), source_text)
+        source_text, raw = _translate_unicode(source_text)
     toks = []
     file_id = str(file_id)
     count = source_text.count
@@ -91,8 +112,13 @@ def tokenize(source_text, file_id="<input>"):
                 line_start = source_text.rindex("\n", prev_end, start) + 1
         prev_end = end
         text = source_text[start:end]
-        span = _new(SourceSpan, (file_id, line, start - line_start + 1,
-                                 end - start))
+        if raw is None:
+            span = _new(SourceSpan, (file_id, line, start - line_start + 1,
+                                     end - start))
+        else:
+            span = _new(SourceSpan, (file_id, line,
+                                     raw(start) - raw(line_start) + 1,
+                                     raw(end) - raw(start)))
         if kind == "IDENT":
             if text in KEYWORDS:
                 kind = text

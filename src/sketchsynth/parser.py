@@ -87,6 +87,9 @@ class _Parser:
     def parse_unit(self):
         types = []
         while not self.at("EOF"):
+            if self.at(";"):        # an empty declaration (JLS 7.6)
+                self.next()
+                continue
             types.append(self.parse_type_decl())
         return A.CompilationUnit(file=self.file_id, types=types)
 
@@ -140,6 +143,9 @@ class _Parser:
         self.expect("{")
         members = []
         while not self.at("}"):
+            if self.at(";"):        # an empty member (JLS 8.1.6, 9.1.4)
+                self.next()
+                continue
             members.append(self.parse_member(class_name, is_interface))
         self.expect("}")
         return members

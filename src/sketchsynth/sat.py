@@ -18,18 +18,28 @@ one) or, for a binary clause, the other literal's code as a plain int.
 - Longer clauses are watched on their first two literals.
   ``watches[c]`` holds the clause lists themselves whose watch ``c`` has
   to move when ``c`` becomes false; propagation compacts it in place.
-- Decisions pop the unassigned variable of highest VSIDS activity from an
-  indexed binary heap (``heap`` plus ``heap_pos``, so a variable is in it
-  at most once); ties go to the smallest index.  The saved phase picks
-  the polarity, negative at first.
+- Decisions take the unassigned variable of highest VSIDS activity,
+  ties to the smallest index: the least ``(-activity, v)`` entry of a
+  ``heapq`` list with lazy deletion.  ``fresh[v]`` marks a variable whose
+  newest entry carries its current activity, so its older entries are
+  stale and skipped.  A bump pushes an entry for a fresh variable, a
+  backtrack one for each unassigned variable that is not fresh; every
+  unassigned variable is fresh.  A decision pops stale and assigned
+  entries until it reaches a fresh, unassigned variable.  Rescaling the
+  activities, and a heap longer than ``4 * nvars + 64``, rebuild the
+  heap from the unassigned variables.  The saved phase picks the
+  polarity, negative at first.
 - Conflict analysis learns the first-UIP clause with one reused ``seen``
   buffer and drops literals whose reason is already covered by the rest
   of the clause (local minimization).
 - Restarts follow the Luby sequence with a unit of 100 conflicts.
 - Clauses come in batches (``add_clauses``) with one return to level 0
   per batch, taken as they are: a clause repeats no variable (the
-  builder never emits one that does).  The engine hands each solver all
-  of its clauses in one batch, before the first search.
+  builder never emits one that does).  The solver owns, and reorders in
+  place, each clause list it attaches; only a clause with a literal
+  already valued at level 0 is copied, without its false literals.  The
+  engine hands each solver all of its clauses in one batch, before the
+  first search.
 
 Deterministic by construction: every choice above is a function of the
 clause stream, the assumptions and the preferred literals (no randomness,
@@ -46,6 +56,8 @@ decision or conflict and once per ``CLAUSE_BATCH`` clauses taken in.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .errors import check_deadline
 
@@ -82,8 +94,8 @@ class Solver:
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.polarity = [1]        # saved phase: 0 positive, 1 negative
-        self.heap = []             # variables by (activity desc, index asc)
-        self.heap_pos = [-1]       # index in heap, -1 if absent
+        self.heap = []             # (-activity, variable) entries, heapq
+        self.fresh = bytearray(1)  # newest heap entry has current activity
         self.seen = bytearray(1)
         self.ok = True
         self.deadline = deadline
@@ -105,10 +117,10 @@ class Solver:
         self.watches += [[] for _ in range(2 * k)]
         self.activity.extend([0.0] * k)
         self.polarity.extend([1] * k)
-        # a new variable has activity 0 and the largest index, so it is the
-        # heap's least element and goes at the end
-        self.heap_pos.extend(range(len(self.heap), len(self.heap) + k))
-        self.heap.extend(range(n - k + 1, n + 1))
+        # a new variable has activity 0 and the largest index, so its
+        # entry is the heap's last and goes at the end
+        self.heap.extend((-0.0, v) for v in range(n - k + 1, n + 1))
+        self.fresh.extend(b"\1" * k)
         self.seen.extend(bytes(k))
 
     def add_clauses(self, clauses):
@@ -116,8 +128,9 @@ class Solver:
         over variables that ``ensure_vars`` has made, none repeated within
         a clause) in order, at level 0; a literal false at level 0 is
         dropped, a clause true there skipped, and a unit is propagated as
-        it comes.  The deadline is read once per ``CLAUSE_BATCH``
-        clauses."""
+        it comes.  A clause list with no valued literal is attached as it
+        is, and the solver reorders it from then on.  The deadline is read
+        once per ``CLAUSE_BATCH`` clauses."""
         if not self.ok:
             return
         self._backtrack(0)
@@ -125,24 +138,25 @@ class Solver:
         for at in range(0, len(clauses), CLAUSE_BATCH):
             check_deadline(self.deadline)
             for lits in clauses[at:at + CLAUSE_BATCH]:
-                out = []
                 for c in lits:
-                    val = value[c]
-                    if val > 0:
-                        break               # satisfied at level 0
-                    if val == 0:
-                        out.append(c)
+                    if value[c]:
+                        if any(value[d] > 0 for d in lits):
+                            lits = None         # satisfied at level 0
+                        else:
+                            lits = [d for d in lits if not value[d]]
+                        break
+                if lits is None:
+                    continue
+                if len(lits) > 1:
+                    self._attach(lits)
+                elif not lits:
+                    self.ok = False
+                    return
                 else:
-                    if len(out) > 1:
-                        self._attach(out)
-                    elif not out:
+                    self._assign(lits[0], None)
+                    if self.propagate() is not None:
                         self.ok = False
                         return
-                    else:
-                        self._assign(out[0], None)
-                        if self.propagate() is not None:
-                            self.ok = False
-                            return
 
     def _attach(self, cl):
         if len(cl) == 2:
@@ -249,67 +263,35 @@ class Solver:
 
     # -- variable order ----------------------------------------------------
 
-    def _heap_pop(self):
-        heap, pos, act = self.heap, self.heap_pos, self.activity
-        top = heap[0]
-        pos[top] = -1
-        v = heap.pop()
-        n = len(heap)
-        if n:
-            a = act[v]
-            i = 0
-            while True:
-                child = 2 * i + 1
-                if child >= n:
-                    break
-                u = heap[child]
-                b = act[u]
-                right = child + 1
-                if right < n:
-                    w = heap[right]
-                    c = act[w]
-                    if c > b or (c == b and w < u):
-                        child, u, b = right, w, c
-                if a > b or (a == b and v < u):
-                    break
-                heap[i] = u
-                pos[u] = i
-                i = child
-            heap[i] = v
-            pos[v] = i
-        return top
+    def _rebuild_heap(self):
+        """Refills the heap with one fresh entry per unassigned variable."""
+        value, act, fresh = self.value, self.activity, self.fresh
+        variables = range(1, self.nvars + 1)
+        fresh[1:] = bytes(value[2 * v] == 0 for v in variables)
+        self.heap[:] = [(-act[v], v) for v in variables if fresh[v]]
+        heapify(self.heap)
 
     def _backtrack(self, lvl):
         """Unassigns every level above ``lvl``, saving each phase and
-        putting each variable back in the heap (sifted up from the end)."""
+        pushing a heap entry for each variable that is not fresh."""
         if len(self.trail_lim) <= lvl:
             return
         value, polarity = self.value, self.polarity
-        heap, heap_pos, act = self.heap, self.heap_pos, self.activity
+        heap, fresh, act = self.heap, self.fresh, self.activity
         trail = self.trail
         lim = self.trail_lim[lvl]
         for c in reversed(trail[lim:]):
             v = c >> 1
             value[c] = value[c ^ 1] = 0
             polarity[v] = c & 1
-            if heap_pos[v] < 0:
-                i = len(heap)
-                heap.append(v)
-                a = act[v]
-                while i:
-                    parent = (i - 1) >> 1
-                    u = heap[parent]
-                    b = act[u]
-                    if b > a or (b == a and u < v):
-                        break
-                    heap[i] = u
-                    heap_pos[u] = i
-                    i = parent
-                heap[i] = v
-                heap_pos[v] = i
+            if not fresh[v]:
+                heappush(heap, (-act[v], v))
+                fresh[v] = 1
         del trail[lim:]
         del self.trail_lim[lvl:]
         self.qhead = lim
+        if len(heap) > 4 * self.nvars + 64:
+            self._rebuild_heap()
 
     # -- conflict analysis -------------------------------------------------
 
@@ -320,7 +302,7 @@ class Solver:
         second."""
         seen, level, reason, trail = self.seen, self.level, self.reason, \
             self.trail
-        act, heap, heap_pos = self.activity, self.heap, self.heap_pos
+        act, heap, fresh = self.activity, self.heap, self.fresh
         var_inc = self.var_inc
         cur = len(self.trail_lim)
         learnt = [0]
@@ -333,27 +315,16 @@ class Solver:
                 v = q >> 1
                 if not seen[v] and level[v] > 0 and q != p:
                     seen[v] = 1
-                    # bump v's activity, rescaling all of them past 1e100,
-                    # and sift v up the heap if it is there
+                    # bump v's activity, rescaling all of them (and
+                    # rebuilding the heap) past 1e100
                     a = act[v] = act[v] + var_inc
                     if a > 1e100:
                         for i in range(1, self.nvars + 1):
                             act[i] *= 1e-100
                         var_inc = self.var_inc = var_inc * 1e-100
-                        a = act[v]
-                    i = heap_pos[v]
-                    if i > 0:
-                        while i:
-                            parent = (i - 1) >> 1
-                            u = heap[parent]
-                            b = act[u]
-                            if b > a or (b == a and u < v):
-                                break
-                            heap[i] = u
-                            heap_pos[u] = i
-                            i = parent
-                        heap[i] = v
-                        heap_pos[v] = i
+                        self._rebuild_heap()
+                    elif fresh[v]:
+                        heappush(heap, (-a, v))
                     if level[v] >= cur:
                         pending += 1
                     else:
@@ -418,7 +389,7 @@ class Solver:
             self.ok = False
             return None
         self.ensure_vars(max([*assumptions, *preferred], default=0) >> 1)
-        value, heap = self.value, self.heap
+        value, heap, fresh = self.value, self.heap, self.fresh
         trail, trail_lim = self.trail, self.trail_lim
         deadline = self.deadline
         restarts = 0
@@ -472,9 +443,12 @@ class Solver:
             elif len(trail) == self.nvars:
                 return value[:]
             else:
-                while value[2 * heap[0]] != 0:
-                    self._heap_pop()
-                v = self._heap_pop()
+                while True:
+                    v = heappop(heap)[1]
+                    if fresh[v]:
+                        fresh[v] = 0
+                        if not value[2 * v]:
+                            break
                 c = 2 * v | self.polarity[v]
             self.decisions += 1
             trail_lim.append(len(trail))

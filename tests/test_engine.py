@@ -56,6 +56,13 @@ def test_canonical_solution_is_minimal_in_registry_order():
     assert result.assignment.values == {"e_h1": 0, "e_h2": 0}
 
 
+def test_empty_members_solve():
+    result, _ = solve_texts(
+        "class A { ; static int f() { return 1; } ; "
+        "harness static void t() { assert f() == ??; } } ;")
+    assert result.assignment.values == {"e_h1": 1}
+
+
 def test_choice_index_canonically_minimal():
     result, _ = solve_texts(
         "class A { static int f(int x) { return {| x, x + 0, 7 |}; } "
@@ -256,11 +263,16 @@ SEARCH_COUNTERS = {
     "cadsr-small": (CADSR_SMALL, (4, 233, 630, 32814, 1586, 4754)),
 }
 
+# the loop of test_cli.py::test_loop_of_1200_additions_solves
+ADDITION_LOOP = ("class A { harness static void t() { int s = 0; int i = 0; "
+                 "while (i < 1200) { s = s + ??; i = i + 1; } "
+                 "assert s != 0; } }")
 
-def test_search_counters_of_the_paper_sketches(monkeypatch):
-    """The clause stream and the search are pinned: a change that makes a
-    step cheaper keeps every counter; one that changes the search states
-    its new counters here."""
+
+def search_counters(prog, cfg):
+    """SAT calls, conflicts, decisions and propagations summed over the
+    solvers of one ``engine.solve``, then variables and clauses summed
+    over its builders."""
     builders, calls = [], []
     init, solve = CnfBuilder.__init__, sat.Solver.solve
 
@@ -271,21 +283,36 @@ def test_search_counters_of_the_paper_sketches(monkeypatch):
     def counted(self, *args, **kwargs):
         calls.append(self)
         return solve(self, *args, **kwargs)
-    monkeypatch.setattr(CnfBuilder, "__init__", built)
-    monkeypatch.setattr(sat.Solver, "solve", counted)
-    got = {}
-    for name, (files, _) in SEARCH_COUNTERS.items():
-        builders.clear()
-        calls.clear()
-        prog = run_front_end(files=program_files(*files))[3]
-        engine.solve(prog, engine.EngineConfig())
-        solvers = dict.fromkeys(calls)      # every solver is called
-        got[name] = (len(calls),
-                     *(sum(getattr(s, k) for s in solvers)
-                       for k in ("conflicts", "decisions", "propagations")),
-                     sum(b.nvars for b in builders),
-                     sum(len(b.clauses) for b in builders))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(CnfBuilder, "__init__", built)
+        m.setattr(sat.Solver, "solve", counted)
+        engine.solve(prog, cfg)
+    solvers = dict.fromkeys(calls)      # every solver is called
+    return (len(calls),
+            *(sum(getattr(s, k) for s in solvers)
+              for k in ("conflicts", "decisions", "propagations")),
+            sum(b.nvars for b in builders),
+            sum(len(b.clauses) for b in builders))
+
+
+def test_search_counters_of_the_paper_sketches():
+    """The clause stream and the search are pinned: a change that makes a
+    step cheaper keeps every counter; one that changes the search states
+    its new counters here."""
+    got = {name: search_counters(
+               run_front_end(files=program_files(*files))[3],
+               engine.EngineConfig())
+           for name, (files, _) in SEARCH_COUNTERS.items()}
     assert got == {name: want for name, (_, want) in SEARCH_COUNTERS.items()}
+
+
+def test_search_counters_of_the_1200_addition_loop():
+    """The search where variable order and clause intake cost the most:
+    a chain of 1200 adders over one hole, pinned as the paper sketches
+    are."""
+    prog = run_front_end(texts=[("A.java", ADDITION_LOOP)])[3]
+    assert search_counters(prog, engine.EngineConfig(loop_bound=2000)) == \
+        (2, 2, 22, 342374, 108040, 372397)
 
 
 def test_an_expired_deadline_stops_every_layer():

@@ -87,6 +87,21 @@ def test_unicode_escapes_are_translated_first(text, tokens):
     assert [(t.kind, t.text) for t in tokenize(text)] == tokens
 
 
+def test_columns_after_a_unicode_escape_count_raw_characters():
+    toks = tokenize("class U {\n"
+                    "    harness static void t() { int \\u0061b = zz; }\n"
+                    "  \\uu0041\\u0042 = \"\\u0043\"; z\n"
+                    "\\u0041 y", file_id="U.java")
+    spans = {t.text: t.span for t in toks}
+    assert (spans["ab"].line, spans["ab"].col, spans["ab"].length) == \
+        (2, 35, 7)
+    assert (spans["zz"].line, spans["zz"].col) == (2, 45)
+    assert (spans["AB"].col, spans["AB"].length) == (3, 13)
+    assert (spans["C"].col, spans["C"].length) == (19, 8)
+    assert (spans["z"].line, spans["z"].col) == (3, 29)
+    assert (spans["A"].line, spans["A"].col, spans["y"].col) == (4, 1, 8)
+
+
 def test_comments_are_skipped():
     assert kinds("a // line comment\n b /* block\n comment */ c") == [
         "IDENT", "IDENT", "IDENT"]

@@ -51,6 +51,17 @@ def test_field_method_constructor_shapes():
     assert [p.type.name for p in get.params] == ["int", "char"]
 
 
+def test_empty_members_and_declarations_are_skipped():
+    # JLS 8.1.6, 9.1.4 and 7.6; a modifier still needs a member after it
+    a, i = parse_one("; class A { ; static int f() { return 1; } ; "
+                     "harness static void t() { assert f() == ??; } } ; "
+                     "interface I { ; int g(); } ;")
+    assert [m.name for m in a.members] == ["f", "t"]
+    assert [m.name for m in i.members] == ["g"]
+    with pytest.raises(ParseError, match="expected a type, found ';'"):
+        parse_one("class A { static ; }")
+
+
 def test_hole_choice_minrepeat_nodes():
     (d,) = parse_one("""
         class A {

@@ -171,21 +171,27 @@ def solver_for(nvars, clauses):
     return s
 
 
-def assert_order_is_a_heap_of_distinct_variables(s):
+def assert_vsids_order_invariants(s):
+    """The VSIDS order's invariants: ``(-activity, variable)`` entries in
+    heap order, at most ``4 * nvars + 64`` of them, every unassigned
+    variable fresh, and every fresh variable with an entry that carries
+    its current activity."""
     heap = s.heap
-    assert len(heap) == len(set(heap)) <= s.nvars
-    assert all(s.heap_pos[v] == i for i, v in enumerate(heap))
-    assert sum(1 for p in s.heap_pos if p >= 0) == len(heap)
+    assert len(heap) <= 4 * s.nvars + 64
+    assert all(1 <= v <= s.nvars for _, v in heap)
     for i in range(1, len(heap)):
-        parent, child = heap[(i - 1) // 2], heap[i]
-        assert (s.activity[parent], -parent) >= (s.activity[child], -child)
+        assert heap[(i - 1) // 2] <= heap[i]
+    entries = set(heap)
+    for v in range(1, s.nvars + 1):
+        assert s.fresh[v] or s.value[2 * v] != 0, v
+        assert not s.fresh[v] or (-s.activity[v], v) in entries, v
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_pigeonhole_unsat_and_sat(n):
     s = solver_for(*pigeonhole(n + 1, n))
     assert solve(s) is None
-    assert_order_is_a_heap_of_distinct_variables(s)
+    assert_vsids_order_invariants(s)
     if n == 6:
         assert s.conflicts > sat.RESTART_UNIT    # the proof restarts
     nvars, clauses = pigeonhole(n, n)
@@ -248,7 +254,7 @@ def test_incremental_calls_match_brute_force():
                 assert not expected, f"trial {trial} step {step}: missed a model"
             else:
                 check_model(model, nvars, clauses, fixed)
-        assert_order_is_a_heap_of_distinct_variables(s)
+        assert_vsids_order_invariants(s)
 
 
 def test_counters_repeat_exactly():
@@ -294,7 +300,7 @@ def test_learnt_clauses_are_implied_by_the_clauses():
 def test_decisions_take_the_smallest_index_among_equal_activities():
     s = sat.Solver()
     s.ensure_vars(6)
-    assert_order_is_a_heap_of_distinct_variables(s)
+    assert_vsids_order_invariants(s)
     for cl in ([1, 2], [4, 5], [6, -3]):
         add_clause(s, cl)
     # all activities are 0: x1 = 0 forces x2, x3 = 0, x4 = 0 forces x5,
@@ -353,7 +359,7 @@ def test_assumption_sequences_match_brute_force():
                 check_model(model, nvars, clauses, fixed)
                 kinds |= 1
             kinds |= 2 if model is None and s.ok else 0
-        assert_order_is_a_heap_of_distinct_variables(s)
+        assert_vsids_order_invariants(s)
     assert kinds == 3         # models and refutations under assumptions
 
 
@@ -409,6 +415,45 @@ def test_preferred_literals_give_the_lexicographic_optimum():
         reference = _minimize_by_assumptions(solver_for(nvars, clauses),
                                              preferred)
         assert [lit_true(l, reference) for l in preferred] == optimum
-        assert_order_is_a_heap_of_distinct_variables(s)
+        assert_vsids_order_invariants(s)
         checked += 1
     assert checked > 200 and conflicts > 100
+
+
+def test_vsids_decisions_take_the_most_active_unassigned_variable():
+    """Every decision past the assumptions is the unassigned variable of
+    largest (activity, -index), found here by a linear scan, under a decay
+    that rescales the activities and with a heap that outgrows its bound,
+    so that both rebuilds happen."""
+    rng = random.Random(61)
+    decisions = 0
+    rebuilds = []               # per rebuild: whether the size bound made it
+    for _ in range(30):
+        nvars = rng.randrange(40, 71)
+        s = solver_for(nvars, [[v * rng.choice([1, -1])
+                                for v in rng.sample(range(1, nvars + 1), 3)]
+                               for _ in range(13 * nvars // 3)])
+        s.var_decay = 0.1
+        rebuild = s._rebuild_heap
+        s._rebuild_heap = lambda: rebuilds.append(
+            len(s.heap) > 4 * s.nvars + 64) or rebuild()
+        fixed = []
+        assign = s._assign
+
+        def checked(c, reason):
+            nonlocal decisions
+            if reason is None and len(s.trail_lim) > len(fixed) and \
+                    s.trail_lim[-1] == len(s.trail):
+                best = max((s.activity[v], -v) for v in range(1, s.nvars + 1)
+                           if s.value[2 * v] == 0)
+                assert c == 2 * -best[1] | s.polarity[-best[1]]
+                decisions += 1
+            assign(c, reason)
+        s._assign = checked
+        for _ in range(8):
+            fixed = [v * rng.choice([1, -1]) for v in
+                     rng.sample(range(1, nvars + 1), rng.randrange(0, 3))]
+            solve(s, assumptions=fixed)
+            assert_vsids_order_invariants(s)
+    assert decisions > 1000
+    assert True in rebuilds and False in rebuilds
