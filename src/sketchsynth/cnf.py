@@ -16,6 +16,23 @@ operation (over the identity of its operands' bit lists).  So a term built
 twice, or with its operands swapped, costs no new variables or clauses.
 Blasting walks the term with an explicit stack, and reads the deadline
 once per ``CLOCK_CLAUSES`` clauses it emits.
+
+Comparisons see through muxes.  An ``eq``, ``slt`` or ``ult`` with exactly
+one ``ite`` operand (the tree; the other operand is ``z``) is blasted as
+the tree's boolean muxes over its leaves' comparisons, ``cmp(ite(c, x, y),
+z) = ite(c, cmp(x, z), cmp(y, z))``, and its word muxes are not blasted
+(they still are wherever the tree has another use).  The lifted bit of
+each tree node is memoized per builder on the node and the identity of
+``z``'s bits, and each leaf comparison is a word operation of the one
+memo: so ``state < num_state`` over every transition's state tree shares
+one comparator per hole, and what the solver learns about it carries over.
+Two guards bound the cost, and past them the word mux is blasted:
+
+- only trees whose leaves are all ``var`` or ``const`` are lifted, so that
+  their leaf comparisons are shared;
+- at most ``W`` distinct ``z`` per builder, taken in postorder (inner
+  comparisons first), so a tree node costs no more gates than the ``W``
+  mux gates it replaces.
 """
 
 from __future__ import annotations
@@ -25,6 +42,7 @@ from .errors import check_deadline
 
 W = B.WIDTH
 CLOCK_CLAUSES = 4096
+_LIFTABLE = frozenset(("eq", "slt", "ult"))
 TRUE, FALSE = 0, 1      # the codes of the reserved variable 0
 
 
@@ -38,6 +56,11 @@ class CnfBuilder:
         self.var_bits = {}      # term var name -> [bit] * width
         self._blasted = {}      # term -> bits list (bv) or single bit (bool)
         self._memo = {}         # (op, inputs) -> result; see the module doc
+        self._plain = {}        # ite tree node -> its leaves are var/const
+        self._ready = set()     # ite tree nodes whose conditions and
+                                # leaves are blasted
+        self._lifted = {}       # (op, flip, id(z bits)) -> {node: bit}
+        self._targets = set()   # id(z bits) lifted against, at most W
         self.contradiction = False
 
     # -- raw CNF -----------------------------------------------------------
@@ -206,27 +229,127 @@ class CnfBuilder:
         """Bool term -> bit; bitvector term -> list of W bits (LSB first),
         shared between terms: callers must not mutate it."""
         done = self._blasted
+        ready = self._ready
         clauses = self.clauses
         # postorder, children left to right, each term once: a term on top
-        # of the stack is blasted once none of its operands is pushed
+        # of the stack is blasted once none of its operands is pushed.  A
+        # 1-tuple ``(node,)`` on the stack blasts the conditions and leaves
+        # of the ``ite`` tree at ``node``, but not its muxes.
         stack = [term]
         push = stack.append
         while stack:
             t = stack[-1]
+            if t.__class__ is tuple:
+                node = t[0]
+                if node in ready:
+                    stack.pop()
+                    continue
+                c, x, y = node.args
+                n = len(stack)
+                for a in (y, x):
+                    if a.op == "ite":
+                        if a not in ready:
+                            push((a,))
+                    elif a not in done:
+                        push(a)
+                if c not in done:
+                    push(c)
+                if len(stack) == n:
+                    stack.pop()
+                    ready.add(node)
+                continue
             if t in done:
                 stack.pop()
                 continue
-            n = len(stack)
-            for a in reversed(t.args):
-                if a not in done:
-                    push(a)
-            if len(stack) == n:
-                stack.pop()
-                done[t] = self._blast_node(t, [done[a] for a in t.args])
-                if len(clauses) > self._next_check:
-                    check_deadline(self.deadline)
-                    self._next_check = len(clauses) + CLOCK_CLAUSES
+            args = t.args
+            r = None
+            if t.op in _LIFTABLE and \
+                    (args[0].op == "ite") != (args[1].op == "ite"):
+                flip = args[1].op == "ite"      # the tree is on the right
+                z, tree = args if flip else args[::-1]
+                if self._plain_leaves(tree):
+                    if z not in done:
+                        push(z)
+                        continue
+                    if tree not in ready:
+                        push((tree,))
+                        continue
+                    r = self._lift(t.op, tree, done[z], flip)
+            if r is None:
+                n = len(stack)
+                for a in reversed(args):
+                    if a not in done:
+                        push(a)
+                if len(stack) > n:
+                    continue
+                r = self._blast_node(t, [done[a] for a in args])
+            stack.pop()
+            done[t] = r
+            if len(clauses) > self._next_check:
+                check_deadline(self.deadline)
+                self._next_check = len(clauses) + CLOCK_CLAUSES
         return done[term]
+
+    def _lift(self, op, tree, zbits, flip):
+        """``op(tree, z)`` (``op(z, tree)`` if ``flip``) as the boolean muxes
+        of the ``ite`` tree over its leaves' comparisons with ``zbits``, or
+        None once the target cap keeps the word mux.  The tree's conditions
+        and leaves are blasted."""
+        flip = flip and op != "eq"
+        key = (op, flip, id(zbits))
+        table = self._lifted.get(key)
+        if table is None:
+            targets = self._targets
+            if id(zbits) not in targets:
+                if len(targets) >= W:
+                    return None
+                targets.add(id(zbits))
+            table = self._lifted[key] = {}
+        done = self._blasted
+        stack = [tree]
+        while stack:
+            t = stack[-1]
+            if t in table:
+                stack.pop()
+            elif t.op != "ite":
+                bits = done[t]
+                table[t] = self._word(op, zbits, bits) if flip \
+                    else self._word(op, bits, zbits)
+                stack.pop()
+            else:
+                c, x, y = t.args
+                n = len(stack)
+                if y not in table:
+                    stack.append(y)
+                if x not in table:
+                    stack.append(x)
+                if len(stack) == n:
+                    stack.pop()
+                    table[t] = self.g_ite(done[c], table[x], table[y])
+        return table[tree]
+
+    def _plain_leaves(self, tree):
+        """Whether every leaf of the ``ite`` tree is a var or a const."""
+        plain = self._plain
+        stack = [tree]
+        while stack:
+            t = stack[-1]
+            if t in plain:
+                stack.pop()
+            elif t.op != "ite":
+                plain[t] = t.op in ("var", "const")
+                stack.pop()
+            else:
+                _, x, y = t.args
+                n = len(stack)
+                if y not in plain:
+                    stack.append(y)
+                if x not in plain:
+                    stack.append(x)
+                if len(stack) == n:
+                    stack.pop()
+                    plain[t] = plain[x] and plain[y]
+        return plain[tree]
 
     def _blast_node(self, term, args):
         """Blast one term whose operands are already blasted to ``args``."""
@@ -254,13 +377,22 @@ class CnfBuilder:
         elif op == "const":
             key = (op, term.payload)
         else:
-            i, j = id(args[0]), id(args[1])
-            if op in ("add", "mul", "eq") and j < i:    # commutative
-                i, j = j, i
-            key = (op, i, j)
+            return self._word(op, args[0], args[1])
         r = self._memo.get(key)
         if r is None:
             r = self._memo[key] = self._blast_word(op, term.payload, args)
+        return r
+
+    def _word(self, op, a, b):
+        """The word operation ``op`` on two blasted operands, memoized on
+        their identities."""
+        i, j = id(a), id(b)
+        if op in ("add", "mul", "eq") and j < i:    # commutative
+            i, j = j, i
+        key = (op, i, j)
+        r = self._memo.get(key)
+        if r is None:
+            r = self._memo[key] = self._blast_word(op, None, (a, b))
         return r
 
     def _blast_word(self, op, payload, args):
@@ -287,10 +419,6 @@ class CnfBuilder:
             self.contradiction = True
         elif bit != TRUE:
             self.clauses.append([bit])
-
-    def model_value(self, name, model):
-        """Integer value of a bitvector variable under a SAT model."""
-        return bits_value(self.var_bits.get(name, ()), model)
 
 
 def bits_value(bits, model):

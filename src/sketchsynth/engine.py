@@ -4,8 +4,9 @@ The outer loop deepens over repeat-count vectors in ascending total order.
 For each vector, one call of ``_solve_vector`` executes the program
 symbolically once, yielding a constraint system over the hole/choice
 variables, blasts it and hands all of its clauses to a fresh SAT solver in
-one batch; a SAT check decides whether any candidate passes every harness at
-that depth.  Nothing of a refuted vector outlives that call.  On the first
+one batch; the terms and the blaster's memos are dropped before the search.
+A SAT check decides whether any candidate passes every harness at that
+depth.  Nothing of a refuted vector outlives that call.  On the first
 satisfiable depth, objectives are minimized lexicographically, then every
 unknown is minimized in registry order (canonicalization), making the
 reported assignment independent of solver internals.
@@ -200,15 +201,15 @@ def _encode(program, vector, cfg, deadline):
                          for name in program.objectives]
 
 
-def _solve_vector(program, vector, cfg, deadline):
-    """None if no candidate passes at ``vector``; otherwise the canonical
-    minimal assignment and its objective values.  All clauses reach the
-    solver in one batch before the first search."""
+def _load(program, vector, choice_insts, cfg, deadline):
+    """(solver, variable bits, [(objective name, bits)]) for ``vector``:
+    a solver that holds every clause of its encoding, in one batch; None if
+    a harness fails on every path or the terms blast to false.  The terms
+    and the blaster's memos die with this call, before the search."""
     encoded = _encode(program, vector, cfg, deadline)
     if encoded is None:
         return None
     constraints, objectives = encoded
-    hole_insts, choice_insts = program.registry.instantiate(vector)
     cb = CnfBuilder(deadline)
     for inst in choice_insts:
         cb.assert_term(B.ult(B.var(inst.name, inst.unknown.bit_width),
@@ -222,6 +223,17 @@ def _solve_vector(program, vector, cfg, deadline):
     solver = sat.Solver(deadline=deadline)
     solver.ensure_vars(cb.nvars)
     solver.add_clauses(cb.clauses)
+    return solver, cb.var_bits, objective_bits
+
+
+def _solve_vector(program, vector, cfg, deadline):
+    """None if no candidate passes at ``vector``; otherwise the canonical
+    minimal assignment and its objective values."""
+    hole_insts, choice_insts = program.registry.instantiate(vector)
+    loaded = _load(program, vector, choice_insts, cfg, deadline)
+    if loaded is None:
+        return None
+    solver, var_bits, objective_bits = loaded
     if solver.solve() is None:
         return None
     # lexicographic objective minimization, then canonicalization
@@ -229,12 +241,13 @@ def _solve_vector(program, vector, cfg, deadline):
     # that decides the preferred bits first
     insts = hole_insts + choice_insts
     terms = [bits for _, bits in objective_bits] + \
-        [cb.var_bits.get(inst.name, []) for inst in insts]
+        [var_bits.get(inst.name, []) for inst in insts]
     model = solver.solve(preferred=[lit for bits in terms
                                     for lit in _signed_minimum(bits)])
     objective_values = {name: B.to_signed(bits_value(bits, model))
                         for name, bits in objective_bits}
-    values = {inst.name: cb.model_value(inst.name, model) for inst in insts}
+    values = {inst.name: bits_value(var_bits.get(inst.name, ()), model)
+              for inst in insts}
     return Assignment(values, dict(vector)), objective_values
 
 

@@ -151,11 +151,20 @@ class _Parser:
         return members
 
     def parse_member(self, class_name, in_interface=False):
+        start = self.pos
         mods = self.parse_modifiers()
         if self.at("class"):
             return self.parse_class(mods, is_interface=False)
         if self.at("interface"):
             return self.parse_class(mods, is_interface=True)
+        if "generator" in mods:
+            # Sketch gives each call of a generator function fresh holes;
+            # here every call would share them
+            raise ParseError(self.toks[start + mods.index("generator")].span,
+                             "a member", "'generator'",
+                             "'generator' on a method, field or constructor "
+                             "is outside the supported subset (only "
+                             "'generator class' is supported)")
         # constructor: ClassName '('
         if self.at("IDENT") and self.peek().text == class_name and self.peek(1).kind == "(":
             name = self.next()

@@ -26,7 +26,7 @@ one) or, for a binary clause, the other literal's code as a plain int.
   backtrack one for each unassigned variable that is not fresh; every
   unassigned variable is fresh.  A decision pops stale and assigned
   entries until it reaches a fresh, unassigned variable.  Rescaling the
-  activities, and a heap longer than ``4 * nvars + 64``, rebuild the
+  activities, and a heap longer than ``heap_limit(nvars)``, rebuild the
   heap from the unassigned variables.  The saved phase picks the
   polarity, negative at first.
 - Conflict analysis learns the first-UIP clause with one reused ``seen``
@@ -77,6 +77,12 @@ def luby(i):
 
 RESTART_UNIT = 100
 CLAUSE_BATCH = 4096
+
+
+def heap_limit(nvars):
+    """The heap length past which a backtrack rebuilds the heap: each
+    variable has at most one fresh entry, so stale ones make up the rest."""
+    return 2 * nvars + 64
 
 
 class Solver:
@@ -290,7 +296,7 @@ class Solver:
         del trail[lim:]
         del self.trail_lim[lvl:]
         self.qhead = lim
-        if len(heap) > 4 * self.nvars + 64:
+        if len(heap) > heap_limit(self.nvars):
             self._rebuild_heap()
 
     # -- conflict analysis -------------------------------------------------

@@ -789,6 +789,26 @@ def test_new_of_an_abstract_class_gives_exit_2(tmp_path, capsys, text, code):
         assert "instantiate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("member, stmts", [
+    ("generator static int c() { return ??; } ",
+     "assert c() == 3; assert c() == 4;"),
+    ("generator static int k = 1; ", "assert k == ??;"),
+    ("int v; generator A() { v = ??; } ", "assert new A().v == 3;"),
+], ids=["method", "field", "constructor"])
+def test_generator_member_gives_exit_2(tmp_path, capsys, member, stmts):
+    """Sketch gives each call of a generator function fresh holes; a
+    generator member is outside the subset, not a plain member whose calls
+    share their holes (the method sketch would exit 1)."""
+    src = tmp_path / "A.java"
+    src.write_text(_harness(stmts, member))
+    got, _ = run(tmp_path, str(src))
+    assert got == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    col = src.read_text().index("generator") + 1
+    assert f"A.java:1:{col}: 'generator' on a method, field or constructor " \
+        "is outside the supported subset" in err
+
+
 @pytest.mark.parametrize("member, stmts, value", [
     ("static int convertToIterator(int x) { return x + 1; } ",
      "assert convertToIterator(3) == ??;", 4),

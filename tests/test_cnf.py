@@ -2,13 +2,15 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bool_var
+from conftest import bool_var, run_front_end
 from sketchsynth import bitvec as B
-from sketchsynth import sat
-from sketchsynth.cnf import FALSE, TRUE, CnfBuilder
+from sketchsynth import engine, sat
+from sketchsynth.cnf import FALSE, TRUE, W, CnfBuilder, bits_value
+from test_engine import search_counters
 
 
 def solve_builder(cb, assumptions=()):
@@ -28,7 +30,7 @@ def forced_value(op, a, b, width=4):
     cb.assert_term(B.eq(B.var("z"), op(x, y)))
     model = solve_builder(cb)
     assert model is not None
-    return cb.model_value("z", model)
+    return bits_value(cb.var_bits["z"], model)
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,7 +87,7 @@ def test_bool_hole_as_width_one_variable():
     p = B.eq(B.var("b", 1), B.const(1))
     cb.assert_term(p)
     model = solve_builder(cb)
-    assert cb.model_value("b", model) == 1
+    assert bits_value(cb.var_bits["b"], model) == 1
 
 
 def test_separately_built_terms_share_their_circuit():
@@ -173,3 +175,105 @@ def test_no_clause_repeats_a_variable(constraints):
         cb.assert_term(c)
     for cl in cb.clauses:
         assert len({lit >> 1 for lit in cl}) == len(cl) and min(cl) > 1, cl
+
+
+def _trees(leaves):
+    """``ite`` trees over ``leaves`` and the bool variables p, q and r."""
+    conds = st.sampled_from([bool_var("p"), bool_var("q"),
+                             B.not_(bool_var("r"))])
+    return st.recursive(leaves, lambda sub: st.builds(B.ite, conds, sub, sub),
+                        max_leaves=4)
+
+
+_PLAIN = st.one_of(st.builds(B.var, st.sampled_from("xy"), st.just(2)),
+                   st.builds(B.const, st.sampled_from([-1, 0, 2, 3])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([B.eq, B.slt, B.ult]),
+       _trees(_PLAIN).filter(lambda t: t.op == "ite"), _PLAIN, st.booleans())
+def test_lifted_comparison_agrees_with_evaluate(op, tree, z, flip):
+    """A comparison with one ``ite`` operand over var/const leaves is lifted
+    over the tree (its word mux is not blasted), and its bit has the
+    evaluator's value under every assignment of the inputs."""
+    term = op(z, tree) if flip else op(tree, z)
+    cb = CnfBuilder()
+    bit = cb.blast(term)
+    assert tree not in cb._blasted
+    s = sat.Solver()
+    s.ensure_vars(cb.nvars)
+    s.add_clauses(cb.clauses)
+    inputs = {"x": 2, "y": 2, "p": 1, "q": 1, "r": 1}
+    for value in range(1 << 7):
+        env, assumptions, shift = {}, [], 0
+        for name, width in inputs.items():
+            env[name] = (value >> shift) & ((1 << width) - 1)
+            shift += width
+            bits = cb.var_bits.get(name, ())
+            assumptions += [b ^ (((env[name] >> i) & 1) ^ 1)
+                            for i, b in enumerate(bits) if b > 1]
+        model = s.solve(assumptions=assumptions)
+        got = bit == TRUE if bit < 2 else model[bit] > 0
+        assert got == B.evaluate(term, env), env
+
+
+def test_lift_leaf_guard_keeps_the_word_mux():
+    """The leaf guard: a tree with a leaf other than a var or a const is
+    blasted as a word mux, as is the tree a comparison shares with no
+    other ``ite``-free operand."""
+    cb = CnfBuilder()
+    tree = B.ite(bool_var("p"), B.add(B.var("x"), B.const(3)), B.var("y"))
+    cb.blast(B.eq(tree, B.var("z")))
+    assert tree in cb._blasted
+    both = B.ite(bool_var("q"), B.var("x"), B.var("y"))
+    cb.blast(B.slt(both, B.ite(bool_var("r"), B.var("y"), B.var("z"))))
+    assert both in cb._blasted
+
+
+def test_lift_target_cap_keeps_the_word_mux():
+    """The target cap: a tree is lifted against at most ``W`` distinct
+    other operands per builder; past that, its word mux is blasted."""
+    cb = CnfBuilder()
+    tree = B.ite(bool_var("p"), B.var("x", 4), B.var("y", 4))
+    for k in range(W):
+        cb.blast(B.eq(tree, B.const(k)))
+    assert tree not in cb._blasted
+    cb.blast(B.ult(tree, B.const(0)))       # a target seen before
+    assert tree not in cb._blasted
+    cb.blast(B.eq(tree, B.const(W)))
+    assert tree in cb._blasted
+
+
+def test_lifted_comparison_over_a_deep_chain_blasts_without_recursion():
+    t = B.var("x", 2)
+    for i in range(10_000):
+        t = B.ite(bool_var(f"p{i}"), B.const(i % 4), t)
+    cb = CnfBuilder()
+    cb.assert_term(B.eq(t, B.var("z", 2)))
+    assert t not in cb._blasted
+    last = cb.blast(bool_var("p9999"))      # selects the leaf 9999 % 4
+    assert bits_value(cb.var_bits["z"], solve_builder(cb, [last])) == 3
+    assert solve_builder(cb, [last, cb.var_bits["z"][1] ^ 1]) is None
+
+
+# a loop whose every iteration compares the state with a new constant:
+# summed (vars, clauses) with the lift, and without it (the word muxes)
+WRITE_LOOP = ("class A { harness static void t() { int s = ??; int i = 0; "
+              "while (i < 400) { if (s == i) { s = WRITE; } i = i + 1; } "
+              "assert s == 401; } }")
+LIFT_SIZES = {"s + 3": ((74307, 235019), (74307, 235019)),
+              "??": ((15726, 47125), (14026, 42025))}
+
+
+@pytest.mark.parametrize("write", LIFT_SIZES)
+def test_lift_guards_bound_the_encoding_size(write):
+    """Sketch A (``s = s + 3``) has an arithmetic leaf, so the leaf guard
+    keeps its word muxes; in sketch B (``s = ??``) the target cap lifts
+    only the 32 innermost comparisons.  Both stay within 1.25 times the
+    word-mux encoding's size."""
+    prog = run_front_end(texts=[("A.java", WRITE_LOOP.replace("WRITE", write))])[3]
+    got = search_counters(prog, engine.EngineConfig(loop_bound=500,
+                                                    hole_bits=9))[4:]
+    lifted, words = LIFT_SIZES[write]
+    assert got == lifted
+    assert all(n <= 1.25 * m for n, m in zip(got, words))

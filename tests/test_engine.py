@@ -257,10 +257,10 @@ def test_canonical_answer_takes_one_sat_call(monkeypatch, files, calls):
 # its solvers, then variables and clauses summed over its builders
 SEARCH_COUNTERS = {
     "mult2": (MULT2, (2, 0, 0, 36, 36, 99)),
-    "db": (DB, (6, 1172, 2484, 151048, 2557, 7636)),
-    "db-two-state": (DB_TWO_STATE, (9, 387, 1125, 49394, 6095, 17640)),
-    "cadsr": (CADSR, (4, 233, 630, 58558, 3194, 10022)),
-    "cadsr-small": (CADSR_SMALL, (4, 233, 630, 32814, 1586, 4754)),
+    "db": (DB, (6, 199, 941, 34072, 1825, 5280)),
+    "db-two-state": (DB_TWO_STATE, (9, 436, 969, 80373, 7211, 21528)),
+    "cadsr": (CADSR, (4, 22, 124, 5588, 1104, 3248)),
+    "cadsr-small": (CADSR_SMALL, (4, 22, 124, 3945, 824, 2300)),
 }
 
 # the loop of test_cli.py::test_loop_of_1200_additions_solves

@@ -162,11 +162,12 @@ def test_learnt_clauses_and_unsat_verdicts_of_the_paper_sketches_check(
         unsat += u
     # db's 5 vectors, db-two-state's 9 and 3 each for cadsr and cadsr-small
     assert len(events) == 21
-    assert unsat == 4 + 9 + 2 + 2 and learnt > 1500
+    assert unsat == 4 + 9 + 2 + 2 and learnt == 679
 
 
-# criterion 6's first 100 sketches: (solvers, learnt clauses, UNSAT verdicts)
-SLICE, COUNTS = 100, (66, 150, 25)
+# criterion 6's first 100 sketches: (solvers, learnt clauses, UNSAT verdicts);
+# one vector among them blasts to false, so it needs no solver
+SLICE, COUNTS = 100, (65, 150, 24)
 
 
 def test_learnt_clauses_and_unsat_verdicts_of_generated_sketches_check(

@@ -173,11 +173,11 @@ def solver_for(nvars, clauses):
 
 def assert_vsids_order_invariants(s):
     """The VSIDS order's invariants: ``(-activity, variable)`` entries in
-    heap order, at most ``4 * nvars + 64`` of them, every unassigned
+    heap order, at most ``heap_limit(nvars)`` of them, every unassigned
     variable fresh, and every fresh variable with an entry that carries
     its current activity."""
     heap = s.heap
-    assert len(heap) <= 4 * s.nvars + 64
+    assert len(heap) <= sat.heap_limit(s.nvars)
     assert all(1 <= v <= s.nvars for _, v in heap)
     for i in range(1, len(heap)):
         assert heap[(i - 1) // 2] <= heap[i]
@@ -436,7 +436,7 @@ def test_vsids_decisions_take_the_most_active_unassigned_variable():
         s.var_decay = 0.1
         rebuild = s._rebuild_heap
         s._rebuild_heap = lambda: rebuilds.append(
-            len(s.heap) > 4 * s.nvars + 64) or rebuild()
+            len(s.heap) > sat.heap_limit(s.nvars)) or rebuild()
         fixed = []
         assign = s._assign
 
