@@ -27,10 +27,6 @@ class SourceSpan(namedtuple("SourceSpan", "file line col length",
         return f"{self.file}:{self.line}:{self.col}"
 
 
-def synthetic_span(label="<synthetic>"):
-    return SourceSpan(label, 1, 1, 0)
-
-
 class Node(Record):
     """Base for all AST nodes; every node has a ``span`` field (a
     SourceSpan or None) except ``CompilationUnit`` and ``SketchAst``."""

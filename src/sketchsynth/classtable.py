@@ -2,13 +2,15 @@
 
 Built once from the desugared AST (inner classes already flattened, anonymous
 classes already lifted).  Builtin library classes are registered after user
-classes so that dispatch over e.g. ``Iterator`` receivers works uniformly.
+classes so that dispatch over e.g. ``Iterator`` receivers works uniformly;
+a user class shadows the library class of its name.  The root class
+``Object``, the library's unless the program declares its own, is the
+superclass of every class that names none but itself and the interfaces.
 Every callee is a :class:`MethodInfo` here: the library's methods and
-constructors are members of their classes, and its functions
-(``convertToIterator``) static methods of the root class ``Object``, so a
-program's own method of that name hides one as a subclass's static hides
-its superclass's.  The vtable maps each (class id, plain signature) to the
-override that an instance call on that class runs.
+constructors are members of their classes, ``convertToIterator`` a static
+method of the root, so a program's own method of that name hides it as a
+subclass's static hides its superclass's.  The vtable maps each (class id,
+plain signature) to the override that an instance call on that class runs.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class MethodInfo(Record):
         self.is_harness = is_harness
         self.is_constructor = is_constructor
         self.is_abstract = is_abstract
-        # the stdlib.BuiltinMethod of a library method, constructor or
-        # function, which runs natively
+        # the stdlib.BuiltinMethod of a library method or constructor,
+        # which runs natively
         self.builtin = builtin
         self.decl = decl  # MethodDecl for user methods
         # derived from ``params``, which never changes after construction
@@ -149,9 +151,9 @@ class ClassTable:
     def resolve_method(self, cls_name, name, arg_tags, span=None):
         """Overload resolution over the class chain and its interfaces,
         and for an interface the root class, whose members an interface
-        has too (JLS 9.2): the library functions among them."""
+        has too (JLS 9.2): ``convertToIterator`` among them."""
         scope = self.superclass_chain(cls_name) + self.all_interfaces(cls_name)
-        if self.info(cls_name).is_interface and stdlib.ROOT_CLASS in self.by_name:
+        if self.info(cls_name).is_interface:
             scope.append(stdlib.ROOT_CLASS)
         return pick_overload(
             [m for cur in scope for m in self.info(cur).methods
@@ -217,17 +219,18 @@ def build_class_table(ast):
         for i in spec.implements_if_declared:
             if i in table.by_name and table.by_name[i].is_interface:
                 interfaces.append(i)
-        sup = (stdlib.ROOT_CLASS if not spec.is_interface
-               and stdlib.ROOT_CLASS in table.by_name else None)
         ci = ClassInfo(
             cid=len(table.classes), name=spec.name,
             is_interface=spec.is_interface, is_abstract=spec.is_interface,
-            is_builtin=True,
-            superclass=sup, interfaces=interfaces, decl=spec,
+            is_builtin=True, interfaces=interfaces, decl=spec,
         )
         table.classes.append(ci)
         table.by_name[ci.name] = ci
 
+    for ci in table.classes:
+        if (ci.superclass is None and not ci.is_interface
+                and ci.name != stdlib.ROOT_CLASS):
+            ci.superclass = stdlib.ROOT_CLASS
     _check_hierarchy(table)
     _build_members(table)
     _build_vtable(table)
@@ -282,13 +285,13 @@ def _new_method(taken, info):
     return info
 
 
-def _library_method(taken, ci, bm, is_static=False, is_constructor=False):
+def _library_method(taken, ci, bm, is_constructor=False):
     """The MethodInfo of library record ``bm`` as a member of ``ci``."""
     name = ci.name if is_constructor else bm.name
     return _new_method(taken, MethodInfo(
         plain_name=name, mangled=mangle_method(name, ci.name, bm.param_tags),
         params=[(f"a{i}", t) for i, t in enumerate(bm.param_tags)],
-        ret=bm.ret, is_static=is_static, is_constructor=is_constructor,
+        ret=bm.ret, is_static=bm.is_static, is_constructor=is_constructor,
         is_abstract=ci.is_interface, builtin=bm))
 
 
@@ -327,12 +330,6 @@ def _build_members(table):
                     f"duplicate signature '{m.name}' in class '{ci.name}'", m.span)
             sigs.add(mi.plain_sig)
             ci.methods.append(_new_method(taken, mi))
-    root = table.by_name.get(stdlib.ROOT_CLASS)
-    if root is not None:
-        # after the root's own methods, which win over them
-        for bm in stdlib.FREE_FUNCTIONS:
-            root.methods.append(
-                _library_method(taken, root, bm, is_static=True))
 
 
 def _build_vtable(table):

@@ -14,7 +14,6 @@ from __future__ import annotations
 from . import ast_nodes as A
 from . import bitvec as B
 from .errors import InternalError
-from .stdlib import ROOT_CLASS
 
 INDENT = "    "
 
@@ -28,13 +27,6 @@ def unparse_program(ast, assignment=None):
     ``assignment`` when one is given."""
     printer = _Printer(assignment)
     return {unit.file: printer.unit(unit) for unit in ast.units}
-
-
-def _is_synthetic_root(d):
-    """The desugarer injects an empty root class; emitted source leaves it
-    implicit again."""
-    return (isinstance(d, A.ClassDecl) and d.name == ROOT_CLASS
-            and not d.members and d.superclass is None)
 
 
 # the escape that the lexer and javac read back, for each character that
@@ -85,8 +77,7 @@ class _Printer:
         return self.assignment.values[name]
 
     def unit(self, unit):
-        parts = [self.type_decl(d, 0)
-                 for d in unit.types if not _is_synthetic_root(d)]
+        parts = [self.type_decl(d, 0) for d in unit.types]
         return "\n".join(parts) + "\n"
 
     def type_decl(self, d, depth):
@@ -96,7 +87,7 @@ class _Printer:
             head.append("generator")
         head.append("interface" if d.is_interface else "class")
         head.append(d.name)
-        if d.superclass is not None and d.superclass.name != ROOT_CLASS:
+        if d.superclass is not None:
             head.append("extends")
             head.append(d.superclass.name)
         if d.interfaces:

@@ -17,14 +17,16 @@ the end of :func:`desugar`.
    anonymous bodies; and ``Outer.x`` for a nested class's use of a static
    member ``x`` of its enclosing class ``Outer``.
 3. normalization — member classes hoisted (``Inner_Outer``), anonymous
-   classes lifted (``Base_<n>``), the root superclass, constructors named
-   after their class and given the field initializers.
+   classes lifted (``Base_<n>``), constructors named after their class and
+   given the field initializers.
+
+A class that names no superclass keeps none here; the class table makes
+the root class ``Object`` its superclass.
 """
 
 from __future__ import annotations
 
 from . import ast_nodes as A
-from .stdlib import ROOT_CLASS
 from .errors import DirectGeneratorUseError, EncodingError, SketchError
 from .unknowns import CHOICE, HOLE, REPEAT, UnknownId, UnknownRegistry
 
@@ -350,21 +352,16 @@ def _lift_anonymous_classes(ast, binder):
         unit.types.extend(d for decl in lifted for d in _flatten(decl, binder))
 
 
-def _finish_classes(ast):
-    """The root superclass, and constructors named after their class, one at
-    least in each class but the root, each first running field initializers."""
-    if all(d.name != ROOT_CLASS for d in ast.top_level_types()):
-        ast.units[0].types.insert(0, A.ClassDecl(
-            name=ROOT_CLASS, span=A.synthetic_span("<root>")))
+def _finish_constructors(ast):
+    """Constructors named after their class, one at least in each class,
+    each first running field initializers."""
     for decl in ast.top_level_types():
         if decl.is_interface:
             continue
-        if decl.name != ROOT_CLASS and decl.superclass is None:
-            decl.superclass = A.TypeRef(ROOT_CLASS, span=decl.span)
         ctors = [m for m in decl.methods() if m.is_constructor]
         for ctor in ctors:
             ctor.name = decl.name
-        if not ctors and decl.name != ROOT_CLASS:
+        if not ctors:
             ctors = [A.MethodDecl(name=decl.name, is_constructor=True,
                                   body=A.Block([], span=decl.span), span=decl.span)]
             decl.members += ctors
@@ -390,5 +387,5 @@ def desugar(ast):
     # every class reference takes its declaration's final name
     for node, attr, decl in binder.bound.values():
         setattr(node, attr, decl.name)
-    _finish_classes(ast)
+    _finish_constructors(ast)
     return ast, binder.spec_map, binder.registry

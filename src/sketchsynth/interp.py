@@ -606,7 +606,7 @@ class Interp:
 
     def _run_builtin(self, method, args, guard, span):
         """Run a library method natively: ``args`` hold its receiver first,
-        unless it is a free function, and then concrete arguments:
+        unless it is static, and then concrete arguments:
         constant ints (no library method takes a boolean) and references,
         which must be one record or null unless the method only stores
         them (an ``Object`` parameter); a trap rejects the candidate unless
@@ -617,7 +617,7 @@ class Interp:
                 f"library call {method!r} with side effects under "
                 "a symbolic condition is not supported", span)
         recv = None
-        if method.owner is not None:
+        if not method.is_static:
             recv, args = args[0], args[1:]
         conc = []
         for a, tag in zip(args, method.param_tags):

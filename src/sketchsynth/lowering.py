@@ -54,7 +54,7 @@ class _Lowerer:
     def _build_static_init(self):
         body = []
         for ci in self.table.classes:
-            if ci.is_builtin or not isinstance(ci.decl, A.ClassDecl):
+            if ci.is_builtin:
                 continue
             for f in ci.decl.fields():
                 if f.is_static and f.init is not None:
@@ -86,8 +86,8 @@ class _Lowerer:
                 raise TypeLoweringError(
                     f"class '{ci.name}' may not extend builtin '{sup}'",
                     ci.decl.span)
-            body.append(I.EvalInstr(
-                I.Call(self._zero_arg_ctor(sup_ci), [I.LocalRead("self")])))
+            body.append(I.EvalInstr(I.Call(self._zero_arg_ctor(sup_ci, decl),
+                                           [I.LocalRead("self")])))
         body += env.lower_block(decl.body)
         _require(not (env.completes and env.returns_value()),
                  "missing return statement", decl.span)
@@ -98,13 +98,16 @@ class _Lowerer:
             self.prog.harnesses.append(fn.name)
             self.prog.objectives.extend(env.objectives)
 
-    def _zero_arg_ctor(self, ci):
+    def _zero_arg_ctor(self, ci, ctor):
+        """The constructor of superclass ``ci`` that ``ctor``, a
+        subclass's, calls; as javac, its absence is reported at the body of
+        ``ctor``, an implicit one's at its class."""
         for m in ci.methods:
             if m.is_constructor and not m.params:
                 return m
         raise TypeLoweringError(
             f"class '{ci.name}' needs a zero-argument constructor "
-            "(implicit super call)", getattr(ci.decl, "span", None))
+            "(implicit super call)", ctor.body.span)
 
 
 # --------------------------------------------------------------------------

@@ -198,6 +198,8 @@ class _Parser:
                 modifiers=mods,
                 span=name.span,
             )
+        if rtype.name == "void":
+            raise ParseError(rtype.span, "a type", "'void'")
         init = None
         if self.at("="):
             self.next()

@@ -1,4 +1,4 @@
-"""Bases for the plain record classes of the syntax tree, the IR, the
+"""Base for the plain record classes of the syntax tree, the IR, the
 tables and the engine.
 
 A record's fields are its instance attributes, in the order its
@@ -25,14 +25,3 @@ class Record:
         theirs = vars(other)
         return all(theirs[k] == v for k, v in vars(self).items()
                    if k not in self._hidden)
-
-
-class Frozen:
-    """No field is set or deleted after ``__init__``, which assigns them
-    with ``object.__setattr__``."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")

@@ -1,12 +1,14 @@
 """Native models of the small library surface the subject language needs.
 
-Each library method, constructor and function is one :class:`BuiltinMethod`
-record: its name, parameter and return tags, whether it mutates its
-receiver, and the Python function that runs it.  Only the class table
-reads this module's tables: it makes each record a method of its class,
-and a free function (the string-to-token bridge ``convertToIterator``) a
-static method of the root class ``Object``.  The library is Iterator,
-List/LinkedList, StringBuilder, String and ``convertToIterator``; its
+Each library method and constructor is one :class:`BuiltinMethod` record:
+its name, parameter and return tags, whether it mutates its receiver or is
+static, and the Python function that runs it.  Only the class table reads
+this module's tables: it makes each record a method of its class.  The
+library is the root class ``Object``, Iterator, List/LinkedList,
+StringBuilder and String; ``Object``'s constructor does nothing, and its
+one static method is the string-to-token bridge ``convertToIterator``,
+which every class inherits.  A program's own class of a library class's
+name shadows it, ``Object`` and its ``convertToIterator`` too.  Library
 calls are run natively by the interpreter and consume no unknowns.  A
 constructor fills the payload of the record that ``new`` allocated.
 Out-of-bounds access and iterator overrun raise :class:`BuiltinTrap`,
@@ -15,9 +17,10 @@ which the interpreter turns into candidate rejection.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from . import typetags as T
 from .errors import EncodingError
-from .records import Frozen, Record
 
 ROOT_CLASS = "Object"
 
@@ -30,38 +33,31 @@ class BuiltinTrap(Exception):
         self.reason = reason
 
 
-class BuiltinMethod(Frozen):
-    """One library method; identity is equality."""
+class BuiltinMethod(namedtuple(
+        "BuiltinMethod", "owner name param_tags ret run mutates is_static",
+        defaults=(False, False))):
+    """One library method or constructor.  owner: the declaring class;
+    param_tags and ret: TypeTags; run: (ctx, receiver, args) -> value,
+    where ctx allocates, a constructor's receiver is the new record and a
+    static method's is None; mutates: changes its receiver or consumes an
+    iterator."""
 
-    def __init__(self, owner, name, param_tags, ret, run, mutates=False):
-        # owner: the declaring class, or None for a free function;
-        # param_tags and ret: TypeTags; run: (ctx, receiver, args) -> value,
-        # where ctx allocates and a constructor's receiver is the new
-        # record; mutates: changes its receiver or consumes an iterator
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "param_tags", param_tags)
-        object.__setattr__(self, "ret", ret)
-        object.__setattr__(self, "run", run)
-        object.__setattr__(self, "mutates", mutates)
+    __slots__ = ()
 
     def __repr__(self):
-        return repr(f"{self.owner}.{self.name}" if self.owner else self.name)
+        return repr(self.name if self.is_static
+                    else f"{self.owner}.{self.name}")
 
 
-class BuiltinClassSpec(Frozen, Record):
-    def __init__(self, name, methods=(), is_interface=False, interfaces=(),
-                 implements_if_declared=(), ctor=None):
-        # implements_if_declared: interfaces attached only when the user
-        # program declares them; ctor: a BuiltinMethod, or None when the
-        # class cannot be instantiated
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "is_interface", is_interface)
-        object.__setattr__(self, "interfaces", interfaces)
-        object.__setattr__(self, "implements_if_declared",
-                           implements_if_declared)
-        object.__setattr__(self, "ctor", ctor)
+class BuiltinClassSpec(namedtuple(
+        "BuiltinClassSpec",
+        "name methods is_interface interfaces implements_if_declared ctor",
+        defaults=((), False, (), (), None))):
+    """One library class.  implements_if_declared: interfaces attached only
+    when the program declares them; ctor: a BuiltinMethod, or None when the
+    class cannot be instantiated."""
+
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------
@@ -144,6 +140,16 @@ LIST_METHODS = (
 )
 
 BUILTIN_CLASSES = (
+    # the root class, the superclass of every class that names none
+    BuiltinClassSpec(
+        ROOT_CLASS, (
+            BuiltinMethod(ROOT_CLASS, "convertToIterator", (T.STR,),
+                          T.obj("Iterator"),
+                          lambda ctx, r, a: char_tokens(ctx, _text(a[0])),
+                          is_static=True),
+        ),
+        ctor=BuiltinMethod(ROOT_CLASS, "new", (), OBJECT,
+                           lambda ctx, r, a: None)),
     BuiltinClassSpec("Iterator", ITERATOR_METHODS, is_interface=True),
     BuiltinClassSpec("List", LIST_METHODS, is_interface=True),
     BuiltinClassSpec(
@@ -188,9 +194,4 @@ BUILTIN_CLASSES = (
                           lambda ctx, r, a: len(r.payload)),
             BuiltinMethod("String", "charAt", (T.INT,), T.CHAR, _char_at),
         )),
-)
-
-FREE_FUNCTIONS = (
-    BuiltinMethod(None, "convertToIterator", (T.STR,), T.obj("Iterator"),
-                  lambda ctx, r, a: char_tokens(ctx, _text(a[0]))),
 )

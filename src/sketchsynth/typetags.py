@@ -2,24 +2,14 @@
 
 from __future__ import annotations
 
-from .records import Frozen, Record
+from collections import namedtuple
 
 
-class TypeTag(Frozen, Record):
+class TypeTag(namedtuple("TypeTag", "kind cls", defaults=(None,))):
     """``kind`` is int, boolean, char, void, null or obj; ``cls``
     names the class or interface of an obj tag and is None otherwise."""
 
-    def __init__(self, kind, cls=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "cls", cls)
-
-    def __eq__(self, other):
-        if type(other) is not TypeTag:
-            return NotImplemented
-        return (self.kind, self.cls) == (other.kind, other.cls)
-
-    def __hash__(self):
-        return hash((self.kind, self.cls))
+    __slots__ = ()
 
     def __str__(self):
         return self.cls if self.kind == "obj" else self.kind

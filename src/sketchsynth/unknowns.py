@@ -12,7 +12,9 @@ iteration, the instance of template ``e_h3`` at iteration ``i`` being named
 
 from __future__ import annotations
 
-from .records import Frozen, Record
+from collections import namedtuple
+
+from .records import Record
 
 HOLE = "hole"
 CHOICE = "choice"
@@ -51,12 +53,11 @@ class UnknownId:
         return self.name if iteration is None else f"{self.name}_{iteration}"
 
 
-class UnknownInstance(Frozen, Record):
-    """A solver variable: an unknown at a concrete iteration."""
+class UnknownInstance(namedtuple("UnknownInstance", "unknown name")):
+    """A solver variable: an unknown (an UnknownId) at a concrete
+    iteration, and its name (``e_h3`` or ``e_h3_2``)."""
 
-    def __init__(self, unknown, name):
-        object.__setattr__(self, "unknown", unknown)  # UnknownId
-        object.__setattr__(self, "name", name)        # e_h3 or e_h3_2
+    __slots__ = ()
 
 
 class UnknownRegistry(Record):

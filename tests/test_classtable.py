@@ -35,6 +35,24 @@ def test_subclass_reflexive_and_respects_extends():
     assert all("Object" in supertypes(t, n) for n in ("A", "B", "C"))
 
 
+def test_the_library_root_is_the_superclass_of_every_class_naming_none():
+    t = table_for("interface I { } class A { } class B extends A implements I { }")
+    root = t.info("Object")
+    assert root.is_builtin and root.superclass is None
+    assert t.info("A").superclass == "Object" and t.info("I").superclass is None
+    assert t.info("LinkedList").superclass == "Object"
+    assert [m.mangled for m in root.methods] == [
+        "convertToIterator_Object_String", "Object_Object"]
+
+
+def test_a_programs_own_object_shadows_the_library_root():
+    t = table_for("class Object { int k; } class A { }")
+    root = t.info("Object")
+    assert not root.is_builtin and root.superclass is None
+    assert t.info("A").superclass == "Object"
+    assert [m.plain_name for m in root.methods] == ["Object"]
+
+
 def test_interfaces_count_as_supertypes():
     t = table_for("interface I { } class A implements I { } "
                   "class B extends A { }")
@@ -53,6 +71,8 @@ def chain_walk(t, cls, sig):
     """Oracle: the first concrete method for ``sig`` up the superclass
     chain of ``cls``, found by reading the declarations."""
     for cur in t.superclass_chain(cls):
+        if t.info(cur).is_builtin:
+            continue    # the library's Object declares none of the sigs
         for m in t.info(cur).decl.methods():
             params = tuple(p.type.name for p in m.params)
             if (m.name, params) == sig and m.body is not None \

@@ -228,6 +228,37 @@ def test_nesting_beyond_the_limit_gives_exit_2(tmp_path, capsys, text):
     assert "nested at most" in capsys.readouterr().err
 
 
+_HARNESS = "class A { harness static void t() { %s assert ?? == 1; } }"
+
+
+@pytest.mark.parametrize("source, message", [
+    ("class A {\n  harness static void t() {\n    int x = 1\n    }\n}",
+     "4:5: expected ';', found '}'"),
+    (_HARNESS % "int x = 0; 1 = x;",
+     "1:50: expected assignable target, found '='"),
+    ("int x;", "1:1: expected 'class' or 'interface', found 'int'"),
+    ("class A { void f; }", "1:11: expected a type, found 'void'"),
+    ("class A { int g(void v) { return 1; } }",
+     "1:17: expected a type, found 'void'"),
+    ("class A { Foo f; }", "1:11: unknown type 'Foo'"),
+    (_HARNESS % "int x = 0; int y = 0; x = (y = 1);",
+     "1:66: assignment is only supported as a statement"),
+    # a program's own Object shadows the library's, and its
+    # convertToIterator with it
+    ("class Object { int k; } " + _HARNESS % 'Iterator it = convertToIterator("ab");',
+     "1:75: no method 'convertToIterator' in class 'A' takes (String)"),
+], ids=["expected-token", "assignable-target", "top-level-field",
+        "void-field", "void-parameter", "unknown-type", "nested-assignment",
+        "own-object"])
+def test_front_end_error_gives_exit_2_and_its_position(tmp_path, capsys,
+                                                        monkeypatch, source,
+                                                        message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "E.java").write_text(source)
+    assert cli.main(["E.java", "--out", "out"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: E.java:{message}\n"
+
+
 def test_chain_of_150_additions_solves(tmp_path):
     # each operator of the left-nested chain is one level of nesting
     src = tmp_path / "A.java"

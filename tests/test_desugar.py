@@ -123,7 +123,7 @@ def test_a_generators_copy_binds_its_own_name_to_itself():
 def test_generator_declared_in_an_anonymous_body_is_dropped():
     ast, _, _ = desugar_texts(
         "class S { } class A { S s = new S() { generator class G { } }; }")
-    assert sorted(d.name for d in ast.top_level_types()) == ["A", "Object", "S", "S_1"]
+    assert sorted(d.name for d in ast.top_level_types()) == ["A", "S", "S_1"]
 
 
 def test_every_generated_name_is_the_first_free_one_of_its_stem():
@@ -134,7 +134,7 @@ def test_every_generated_name_is_the_first_free_one_of_its_stem():
         "class Outer { class X { } X b; X_Outer a = new X_Outer() { }; "
         "F f = new F() { }; F g = new F() { }; F h = new F() { }; }")
     assert sorted(d.name for d in ast.top_level_types()) == [
-        "F", "F_1", "F_2", "F_3", "F_4", "Object", "Outer",
+        "F", "F_1", "F_2", "F_3", "F_4", "Outer",
         "X_Outer", "X_Outer_1", "X_Outer_2"]
     assert find_type(ast, "Outer").fields()[0].type.name == "X_Outer_2"
     assert find_type(ast, "X_Outer_1").superclass.name == "X_Outer"
@@ -153,10 +153,11 @@ def test_anonymous_class_lifted_to_named_subclass():
     assert init.anon_members is None and init.type.name == lifted[0].name
 
 
-def test_root_class_injected_and_supers_default_to_it():
+def test_no_root_class_is_injected():
+    # the root is a library class; the class table makes it the superclass
     ast, _, _ = desugar_texts("class A { }")
-    assert find_type(ast, "Object") is not None
-    assert find_type(ast, "A").superclass.name == "Object"
+    assert find_type(ast, "Object") is None
+    assert find_type(ast, "A").superclass is None
 
 
 def test_field_initializers_hoisted_into_constructors():

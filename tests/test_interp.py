@@ -4,7 +4,7 @@ import pytest
 
 from conftest import run_front_end, subclasses
 from sketchsynth import bitvec as B
-from sketchsynth import interp, ir
+from sketchsynth import engine, interp, ir
 from sketchsynth.engine import EngineConfig
 from sketchsynth.interp import (
     ConcreteUnknowns, HarnessFailure, Interp, StepLimitExceeded,
@@ -62,6 +62,19 @@ def test_null_field_access_rejects_candidate():
         """)
     with pytest.raises(HarnessFailure):
         run_concrete(prog)
+
+
+def test_field_write_through_a_maybe_null_reference_rules_out_null():
+    result = engine.solve(program("""
+        class F { int f; }
+        class A {
+            harness static void t() {
+                F a = {| null, new F() |};
+                a.f = 3;
+                assert a.f == ??;
+            }
+        }"""), EngineConfig())
+    assert result.assignment.values == {"e_h1": 3, "e_c1": 1}
 
 
 def test_loop_bound_rejects_runaway_candidate():

@@ -288,6 +288,25 @@ class Outer {
         assert ab == ??;
     }
 }""", 65),
+    # the library root class: two instances are two references
+    "new-object": ("""class Outer {
+    harness static void t() {
+        Object a = new Object();
+        Object b = new Object();
+        int r = 0;
+        if (a == b) { r = 1; }
+        assert r == ??;
+    }
+}""", 0),
+    # a library trap rejects only the path it is on
+    "library-trap-under-a-symbolic-guard": ("""class Outer {
+    harness static void t() {
+        String s = "ab";
+        int r = 0;
+        if (?? == 0) { r = s.charAt(5); }
+        assert r == 0;
+    }
+}""", 1),
     # JLS 14.6: the empty statement, also as a branch
     "empty-statements": ("""class Outer {
     harness static void t() {
@@ -456,3 +475,27 @@ def test_unsupported_or_invalid_use_of_a_local_gives_exit_2(tmp_path, capsys,
                    f"harness static void t() {{ {body} }} }}")
     assert cli.main([str(src), "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, position", [
+    ("class A { A(int x) { } }\nclass B extends A { B() { } }\n", "2:25"),
+    ("class A { A(int x) { } }\nclass D { }\nclass C extends A { }\n", "3:1"),
+], ids=["explicit-constructor", "implicit-constructor"])
+def test_missing_zero_argument_super_constructor_is_reported_where_javac_does(
+        tmp_path, capsys, monkeypatch, source, position):
+    """At the subclass constructor's body, or at its class for an implicit
+    one, as javac 17 reports it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "E.java").write_text(source)
+    assert cli.main(["E.java", "--out", "out"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: E.java:{position}: class 'A' needs a zero-argument "
+        "constructor (implicit super call)\n")
+    if shutil.which("javac") is None:
+        pytest.skip("javac is not on PATH")
+    done = subprocess.run(["javac", "-d", "classes", "E.java"],
+                          capture_output=True, text=True)
+    head, _, caret = done.stderr.splitlines()[:3]
+    line, col = position.split(":")
+    assert head.startswith(f"E.java:{line}: error: constructor A in class A")
+    assert caret.index("^") + 1 == int(col)
