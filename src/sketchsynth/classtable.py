@@ -3,9 +3,11 @@
 Built once from the desugared AST (inner classes already flattened, anonymous
 classes already lifted).  Builtin library classes are registered after user
 classes so that dispatch over e.g. ``Iterator`` receivers works uniformly;
-a user class shadows the library class of its name.  The root class
-``Object``, the library's unless the program declares its own, is the
-superclass of every class that names none but itself and the interfaces.
+a user class shadows the library class of its name, except the root: the
+library's ``Object`` is the superclass of every class that names none
+but itself and the interfaces, and a program's own ``Object`` is an
+ordinary class beside it, which the root's name ``java.lang.Object``
+then tells apart.
 Every callee is a :class:`MethodInfo` here: the library's methods and
 constructors are members of their classes, ``convertToIterator`` a static
 method of the root, so a program's own method of that name hides it as a
@@ -23,6 +25,9 @@ from .errors import (
     UnresolvedTypeError,
 )
 from .records import Record
+
+# the library root's name in a program that declares its own ``Object``
+SHADOWED_ROOT = "java.lang.Object"
 
 PRIMITIVE_TAGS = {
     "int": T.INT, "boolean": T.BOOL, "char": T.CHAR, "void": T.VOID,
@@ -93,6 +98,7 @@ class ClassTable:
         self.field_tags = {}        # (owner, name) -> TypeTag
         self.vtable = {}            # (cid, plain_sig) -> MethodInfo
         self.implemented = set()    # plain_sigs with an override in some class
+        self.root = stdlib.ROOT_CLASS   # the library root's name
 
     # -- queries -----------------------------------------------------------
 
@@ -154,7 +160,7 @@ class ClassTable:
         has too (JLS 9.2): ``convertToIterator`` among them."""
         scope = self.superclass_chain(cls_name) + self.all_interfaces(cls_name)
         if self.info(cls_name).is_interface:
-            scope.append(stdlib.ROOT_CLASS)
+            scope.append(self.root)
         return pick_overload(
             [m for cur in scope for m in self.info(cur).methods
              if m.plain_name == name],
@@ -212,15 +218,18 @@ def build_class_table(ast):
         table.classes.append(ci)
         table.by_name[ci.name] = ci
 
+    if table.root in user_names:
+        table.root = SHADOWED_ROOT
     for spec in stdlib.BUILTIN_CLASSES:
-        if spec.name in user_names:
+        name = table.root if spec.name == stdlib.ROOT_CLASS else spec.name
+        if name in user_names:
             continue  # user declaration shadows the builtin
         interfaces = [i for i in spec.interfaces]
         for i in spec.implements_if_declared:
             if i in table.by_name and table.by_name[i].is_interface:
                 interfaces.append(i)
         ci = ClassInfo(
-            cid=len(table.classes), name=spec.name,
+            cid=len(table.classes), name=name,
             is_interface=spec.is_interface, is_abstract=spec.is_interface,
             is_builtin=True, interfaces=interfaces, decl=spec,
         )
@@ -229,8 +238,8 @@ def build_class_table(ast):
 
     for ci in table.classes:
         if (ci.superclass is None and not ci.is_interface
-                and ci.name != stdlib.ROOT_CLASS):
-            ci.superclass = stdlib.ROOT_CLASS
+                and ci.name != table.root):
+            ci.superclass = table.root
     _check_hierarchy(table)
     _build_members(table)
     _build_vtable(table)
@@ -285,13 +294,16 @@ def _new_method(taken, info):
     return info
 
 
-def _library_method(taken, ci, bm, is_constructor=False):
-    """The MethodInfo of library record ``bm`` as a member of ``ci``."""
+def _library_method(taken, root, ci, bm, is_constructor=False):
+    """The MethodInfo of library record ``bm`` as a member of ``ci``; its
+    tags that name the library root name it by ``root``."""
     name = ci.name if is_constructor else bm.name
+    params = [T.obj(root) if t == stdlib.OBJECT else t for t in bm.param_tags]
     return _new_method(taken, MethodInfo(
-        plain_name=name, mangled=mangle_method(name, ci.name, bm.param_tags),
-        params=[(f"a{i}", t) for i, t in enumerate(bm.param_tags)],
-        ret=bm.ret, is_static=bm.is_static, is_constructor=is_constructor,
+        plain_name=name, mangled=mangle_method(name, ci.name, params),
+        params=[(f"a{i}", t) for i, t in enumerate(params)],
+        ret=T.obj(root) if bm.ret == stdlib.OBJECT else bm.ret,
+        is_static=bm.is_static, is_constructor=is_constructor,
         is_abstract=ci.is_interface, builtin=bm))
 
 
@@ -300,10 +312,10 @@ def _build_members(table):
     for ci in table.classes:
         if ci.is_builtin:
             for bm in ci.decl.methods:
-                ci.methods.append(_library_method(taken, ci, bm))
+                ci.methods.append(_library_method(taken, table.root, ci, bm))
             if ci.decl.ctor is not None:
                 ci.methods.append(_library_method(
-                    taken, ci, ci.decl.ctor, is_constructor=True))
+                    taken, table.root, ci, ci.decl.ctor, is_constructor=True))
             continue
         decl = ci.decl
         for f in decl.fields():

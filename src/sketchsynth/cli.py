@@ -153,6 +153,8 @@ def _run(args, log, out_dir):
         timeout=args.timeout)
     log.stage("solving")
     result = engine.solve(program, cfg)
+    for line in result.steps:
+        log.debug(line)
 
     if isinstance(result, engine.Timeout):
         log.stage("synthesis timed out")

@@ -11,6 +11,18 @@ satisfiable depth, objectives are minimized lexicographically, then every
 unknown is minimized in registry order (canonicalization), making the
 reported assignment independent of solver internals.
 
+Refuting one vector at a time pays for every depth again.  Once the
+refuted vectors have cost as many solver variables as one formula for the
+rest of the range would (``_switches``, the ski-rental rule),
+``_solve_range`` decides every remaining total in one formula, in which
+each repeat count is a solver variable, as Sketch treats ``repeat(??)``.
+Its preferred bits put the counts' sum and then each count first, so its
+answer is the one deepening would give.  When that formula cannot be
+encoded (a resource limit that more copies overrun, or a library call
+that needs a concrete condition), the search goes on one vector at a time
+from where it was.  Each verdict returned carries ``steps``, one line per
+decision step, which the CLI writes to the log.
+
 An objective is set by its ``minimize(e)`` statement where that statement
 runs: it is an implicit ``int`` of its harness, 0 until the statement runs,
 and the last run on a path gives its value.  The harness's own run, symbolic
@@ -45,9 +57,10 @@ import time
 from . import bitvec as B
 from . import sat
 from .cnf import CnfBuilder, bits_value
-from .errors import DeadlineExceeded, InternalError
+from .errors import DeadlineExceeded, EncodingError, InternalError
 from .interp import (
-    ConcreteUnknowns, HarnessFailure, Interp, ResourceLimit, SymbolicUnknowns,
+    ConcreteUnknowns, HarnessFailure, Interp, ResourceLimit, SymbolicCount,
+    SymbolicUnknowns,
 )
 from .records import Record
 
@@ -80,16 +93,18 @@ class EvalOutcome(Record):
 class Solution(Record):
     candidates = 1               # the first canonical model always replays
 
-    def __init__(self, assignment, objective_values, depth=0):
+    def __init__(self, assignment, objective_values, depth=0, steps=()):
         self.assignment = assignment
         self.objective_values = objective_values  # objective name -> int
         self.depth = depth
+        self.steps = steps  # one line per decision step of the search
 
 
 class _NoSolution(Record):
-    def __init__(self, depth_reached=0, wall_ms=0):
+    def __init__(self, depth_reached=0, wall_ms=0, steps=()):
         self.depth_reached = depth_reached
         self.wall_ms = wall_ms
+        self.steps = steps  # one line per decision step of the search
 
 
 class Unsat(_NoSolution):
@@ -106,9 +121,8 @@ class Overrun(_NoSolution):
     cannot tell whether that vector has a solution; ``depth_reached`` is
     the depth of the first such vector and ``limit`` what it overran."""
 
-    def __init__(self, depth_reached=0, wall_ms=0, limit=None):
-        self.depth_reached = depth_reached
-        self.wall_ms = wall_ms
+    def __init__(self, depth_reached=0, wall_ms=0, limit=None, steps=()):
+        super().__init__(depth_reached, wall_ms, steps)
         self.limit = limit  # ResourceLimit
 
 
@@ -180,10 +194,20 @@ def _compositions(total, n, cap):
             yield (first,) + rest
 
 
-# -- one repeat vector -----------------------------------------------------
+def _switches(paid, last, total, top):
+    """Whether the totals past ``total``, whose vectors are all refuted,
+    are decided in one formula: the ski-rental rule.  A formula grows about
+    linearly with its depth, so one for the rest of the range, which runs
+    ``top`` copies, costs about ``last * top / total`` solver variables,
+    ``last`` being the largest solver of ``total``; the refuted vectors
+    have cost ``paid``.  A total that built no solver never switches."""
+    return 0 < total < top and last > 0 and paid * total >= last * top
 
 
-def _encode(program, vector, cfg, deadline):
+# -- one formula -----------------------------------------------------------
+
+
+def _encode(program, counts, cfg, deadline):
     """Symbolic execution of every harness: (constraints, [(objective name,
     term)]), or None if a harness fails on every path."""
     unknowns = SymbolicUnknowns(effective_hole_width(program, cfg))
@@ -191,7 +215,7 @@ def _encode(program, vector, cfg, deadline):
     terms = {}
     try:
         for h in program.harnesses:
-            it = Interp(program, unknowns, vector, cfg, deadline)
+            it = Interp(program, unknowns, counts, cfg, deadline)
             it.run_harness(h)
             constraints.extend(it.constraints)
             terms.update(it.objectives)
@@ -201,54 +225,121 @@ def _encode(program, vector, cfg, deadline):
                          for name in program.objectives]
 
 
-def _load(program, vector, choice_insts, cfg, deadline):
-    """(solver, variable bits, [(objective name, bits)]) for ``vector``:
-    a solver that holds every clause of its encoding, in one batch; None if
-    a harness fails on every path or the terms blast to false.  The terms
-    and the blaster's memos die with this call, before the search."""
-    encoded = _encode(program, vector, cfg, deadline)
+def _load(program, counts, choice_insts, bounds, ranked, cfg, deadline):
+    """(solver, variable bits, bits of each ranked term, [(objective name,
+    bits)]) for repeat counts ``counts``: a solver that holds every clause
+    of the encoding and of the ``bounds`` terms, in one batch; None if a
+    harness fails on every path or the terms blast to false.  The terms and
+    the blaster's memos die with this call, before the search."""
+    encoded = _encode(program, counts, cfg, deadline)
     if encoded is None:
         return None
     constraints, objectives = encoded
     cb = CnfBuilder(deadline)
+    for term in bounds:
+        cb.assert_term(term)
     for inst in choice_insts:
         cb.assert_term(B.ult(B.var(inst.name, inst.unknown.bit_width),
                              B.const(inst.unknown.arity)))
     for c in constraints:
         cb.assert_term(c)
     # blasted before the first solve, so every model assigns their bits
+    ranked_bits = [cb.blast(term) for term in ranked]
     objective_bits = [(name, cb.blast(term)) for name, term in objectives]
     if cb.contradiction:
         return None
     solver = sat.Solver(deadline=deadline)
     solver.ensure_vars(cb.nvars)
     solver.add_clauses(cb.clauses)
-    return solver, cb.var_bits, objective_bits
+    return solver, cb.var_bits, ranked_bits, objective_bits
+
+
+def _decide(program, counts, at, bounds, ranked, cfg, deadline):
+    """(model, variable bits, objective bits, solver variables) of the
+    encoding at repeat counts ``counts``, whose unknowns are instantiated
+    at vector ``at``: model None if no candidate passes, variables 0 if no
+    solver was built.  A plain VSIDS search decides; a second one on the
+    same solver then decides the preferred bits first: each ranked term's
+    unsigned minimum, then the objectives' and then the unknown instances'
+    signed minimum, in registry order."""
+    hole_insts, choice_insts = program.registry.instantiate(at)
+    loaded = _load(program, counts, choice_insts, bounds, ranked, cfg,
+                   deadline)
+    if loaded is None:
+        return None, None, None, 0
+    solver, var_bits, ranked_bits, objective_bits = loaded
+    if solver.solve() is None:
+        return None, None, None, solver.nvars
+    preferred = [bit ^ 1 for bits in ranked_bits
+                 for bit in reversed(bits) if bit > 1]
+    for bits in [bits for _, bits in objective_bits] + \
+            [var_bits.get(inst.name, []) for inst in hole_insts + choice_insts]:
+        preferred += _signed_minimum(bits)
+    model = solver.solve(preferred=preferred)
+    return model, var_bits, objective_bits, solver.nvars
+
+
+def _answer(program, vector, model, var_bits, objective_bits):
+    """The assignment and objective values that ``model`` gives at repeat
+    vector ``vector``."""
+    hole_insts, choice_insts = program.registry.instantiate(vector)
+    values = {inst.name: bits_value(var_bits.get(inst.name, ()), model)
+              for inst in hole_insts + choice_insts}
+    objective_values = {name: B.to_signed(bits_value(bits, model))
+                        for name, bits in objective_bits}
+    return Assignment(values, dict(vector)), objective_values
 
 
 def _solve_vector(program, vector, cfg, deadline):
-    """None if no candidate passes at ``vector``; otherwise the canonical
-    minimal assignment and its objective values."""
-    hole_insts, choice_insts = program.registry.instantiate(vector)
-    loaded = _load(program, vector, choice_insts, cfg, deadline)
-    if loaded is None:
-        return None
-    solver, var_bits, objective_bits = loaded
-    if solver.solve() is None:
-        return None
-    # lexicographic objective minimization, then canonicalization
-    # (smallest value for every unknown in registry order), in one search
-    # that decides the preferred bits first
-    insts = hole_insts + choice_insts
-    terms = [bits for _, bits in objective_bits] + \
-        [var_bits.get(inst.name, []) for inst in insts]
-    model = solver.solve(preferred=[lit for bits in terms
-                                    for lit in _signed_minimum(bits)])
-    objective_values = {name: B.to_signed(bits_value(bits, model))
-                        for name, bits in objective_bits}
-    values = {inst.name: bits_value(var_bits.get(inst.name, ()), model)
-              for inst in insts}
-    return Assignment(values, dict(vector)), objective_values
+    """(answer, solver variables): answer None if no candidate passes at
+    ``vector``, otherwise the canonical minimal assignment and its
+    objective values."""
+    model, var_bits, objective_bits, nvars = _decide(
+        program, vector, vector, (), (), cfg, deadline)
+    if model is None:
+        return None, nvars
+    return _answer(program, vector, model, var_bits, objective_bits), nvars
+
+
+def _solve_range(program, lo, cfg, deadline):
+    """(answer, solver variables) of every repeat vector whose total is
+    ``lo`` or more, decided in one formula in which each repeat count is a
+    solver variable named after its repeat; answer None if no candidate
+    passes at any of them, otherwise the canonical answer of the first
+    vector in search order that has one.
+
+    Each count has the bits of ``unroll_max``, is at most ``unroll_max``,
+    and the counts sum to at least ``lo``.  A block runs ``unroll_max``
+    copies, copy ``i`` on the paths where ``i`` is below its count, and
+    the unknowns are instantiated at ``unroll_max``.  The preferred bits
+    are the sum's, then each count's in registry order, then those of
+    ``_solve_vector``: so the winning vector is the first in search order
+    that has a solution, and its answer the one ``_solve_vector`` gives
+    there.  A copy at or past its count runs under a false guard, so its
+    unknowns are free and take their minimum; the answer is read at the
+    winning vector, which lists no such copy.
+
+    Raises what the encoding raises: ``ResourceLimit`` where more copies
+    take more steps, ``EncodingError`` where a copy's guard reaches a
+    library call that needs a concrete condition."""
+    top = cfg.unroll_max
+    names = [r.name for r in program.registry.repeats]
+    counts = {name: B.var(name, top.bit_length()) for name in names}
+    total = B.ZERO
+    for count in counts.values():
+        total = B.add(total, count)
+    bounds = [B.not_(B.ult(B.const(top), c)) for c in counts.values()]
+    bounds.append(B.not_(B.ult(total, B.const(lo))))
+    # the copies that every vector of the range runs
+    floor = max(0, lo - (len(names) - 1) * top)
+    model, var_bits, objective_bits, nvars = _decide(
+        program, {name: SymbolicCount(c, floor) for name, c in counts.items()},
+        dict.fromkeys(names, top), bounds, [total, *counts.values()], cfg,
+        deadline)
+    if model is None:
+        return None, nvars
+    vector = {name: bits_value(var_bits[name], model) for name in names}
+    return _answer(program, vector, model, var_bits, objective_bits), nvars
 
 
 def _signed_minimum(bits):
@@ -265,44 +356,79 @@ def _signed_minimum(bits):
 
 
 def solve(program, cfg):
-    """Complete bounded search; Solution, Unsat, Timeout or Overrun."""
+    """Complete bounded search; Solution, Unsat, Timeout or Overrun, whose
+    ``steps`` say what each decision step found."""
     t0 = time.monotonic()
     deadline = t0 + cfg.timeout
-    repeat_names = [r.name for r in program.registry.repeats]
+    names = [r.name for r in program.registry.repeats]
+    top = len(names) * cfg.unroll_max
+    steps = []
     depth_reached = 0
     overrun = None
+    paid = 0            # solver variables of the refuted vectors so far
+    last = 0            # the largest solver of the current total
+    refuted = True      # every vector of the current total is refuted
+    ranged = False      # the range formula was tried
 
     def ms():
         return int((time.monotonic() - t0) * 1000)
 
+    def found(answer, depth):
+        assignment, objective_values = answer
+        replay(program, assignment, objective_values, cfg, deadline)
+        return Solution(assignment, objective_values, depth, steps)
+
     try:
-        for vector in repeat_vectors(repeat_names, cfg.unroll_max):
+        for vector in repeat_vectors(names, cfg.unroll_max):
             depth = sum(vector.values())
-            depth_reached = max(depth_reached, depth)
+            if depth != depth_reached:      # every vector of a total ran
+                if not ranged and refuted and \
+                        _switches(paid, last, depth_reached, top):
+                    ranged = True
+                    where = f"depths {depth}-{top}: one formula"
+                    depth_reached = top
+                    try:
+                        answer, nvars = _solve_range(program, depth, cfg,
+                                                     deadline)
+                    except (ResourceLimit, EncodingError) as e:
+                        steps.append(f"{where} not encoded ({e}); "
+                                     "one vector at a time")
+                    else:
+                        if answer is None:
+                            steps.append(f"{where}, unsat, {nvars} vars")
+                            break
+                        depth = sum(answer[0].repeat_counts.values())
+                        steps.append(f"{where}, sat at depth {depth}, "
+                                     f"{nvars} vars")
+                        return found(answer, depth)
+                depth_reached, last, refuted = depth, 0, True
             if time.monotonic() > deadline:
-                return Timeout(depth_reached, ms())
+                return Timeout(depth_reached, ms(), steps)
+            where = " ".join([f"depth {depth}"] +
+                             [f"{n}={c}" for n, c in vector.items()])
             # an overrun leaves this vector undecided; a later one may
             # still solve, so only a search that ends empty reports it
             try:
-                result = _solve_vector(program, vector, cfg, deadline)
+                answer, nvars = _solve_vector(program, vector, cfg, deadline)
             except ResourceLimit as limit:
+                steps.append(f"{where}: {limit}")
                 if overrun is None:
                     overrun = Overrun(depth, limit=limit)
+                refuted = False
                 continue
-            if result is None:
-                continue
-            assignment, objective_values = result
-            replay(program, assignment, objective_values, cfg, deadline)
-            return Solution(assignment=assignment,
-                            objective_values=objective_values,
-                            depth=depth)
+            steps.append(f"{where}: {'unsat' if answer is None else 'sat'}, "
+                         f"{nvars} vars")
+            if answer is not None:
+                return found(answer, depth)
+            paid += nvars
+            last = max(last, nvars)
         if overrun is not None:
             overrun.wall_ms = ms()
+            overrun.steps = steps
             return overrun
-        return Unsat(depth_reached, ms())
+        return Unsat(depth_reached, ms(), steps)
     except DeadlineExceeded:
         pass
     # read after the handler, which holds the interrupted vector's terms
     # and clauses until it exits
-    return Timeout(depth_reached, ms())
-
+    return Timeout(depth_reached, ms(), steps)

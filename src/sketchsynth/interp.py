@@ -34,32 +34,52 @@ call finds one per receiver case; all of them run it through
 :meth:`Interp.call`, the one place that tells a library method, which runs
 natively, from one that runs its IR function.
 
-Calls nest at most ``MAX_CALL_DEPTH`` deep.  Like the step limit, the bound
-is a resource limit: overrunning it leaves the current run undecided
-rather than failing the candidate.  The search's deadline is read with the
-step count: a step compares ``steps`` with ``next_check`` only, and every
-``CLOCK_STEPS`` steps the comparison fails and reads the clock.
+Calls nest at most ``MAX_CALL_DEPTH`` deep, and in at most
+``FRAME_BUDGET`` Python frames: each call is charged the frames that its
+call site's nesting takes (``call_frames``), so calls made from deep inside
+their statements reach the budget in fewer calls.  A run raises Python's
+recursion limit, for its duration, to leave it that budget and the
+deepest statement and expression the parser accepts below it.  Like the
+step limit, both bounds are resource limits: overrunning one leaves the
+current run undecided rather than failing the candidate.  The search's
+deadline is read with the step count: a step compares ``steps`` with
+``next_check`` only, and every ``CLOCK_STEPS`` steps the comparison fails
+and reads the clock.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import namedtuple
+
 from . import bitvec as B
 from . import ir as I
 from .errors import EncodingError, InternalError, check_deadline
+from .parser import MAX_NESTING
 from .stdlib import OBJECT, BuiltinTrap
 
 TRUE, FALSE, ZERO = B.TRUE, B.FALSE, B.ZERO
 
-# A call nests 9 Python frames in the usual shape (a call in a binary
-# operator in a return in an if), each further enclosing if or while 2,
-# and a level of expression nesting 2, as measured with a profile hook
-# that counts the stack at each ``Interp.call`` and ``Interp.eval``.  So
-# MAX_CALL_DEPTH calls with an expression ``parser.MAX_NESTING`` deep below
-# them take 40 * 9 + 160 * 2 = 680 frames.  That leaves room under Python's
-# default recursion limit of 1000 for the CLI or a test runner underneath
-# and for calls made from deeper inside their statements.
+# A call nests 3 Python frames (``eval``, its handler and ``call``) and 2
+# for each IR statement or expression around its call site in the
+# caller's function (an ``exec_block`` or ``eval`` and its handler), as
+# measured with a profile hook that counts the stack at each call: 9 in
+# the usual shape, a call in a binary operator in a return in an if, and
+# 33 from inside 13 more nested ifs.  The budget lets 36 such calls nest,
+# and 40 calls from 13 levels of nesting.
 MAX_CALL_DEPTH = 40
+FRAME_BUDGET = 1200
+# Below the innermost call, its function's statements and expressions:
+# 2 frames a level, to the parser's nesting limit, and the library and
+# term code at the bottom.
+STACK_FRAMES = FRAME_BUDGET + 2 * MAX_NESTING + 100
 CLOCK_STEPS = 1024
+
+
+def call_frames(nesting):
+    """The Python frames that a call charges, made from ``nesting`` IR
+    nodes deep in its function."""
+    return 3 + 2 * nesting
 
 
 class HarnessFailure(Exception):
@@ -83,8 +103,12 @@ class StepLimitExceeded(ResourceLimit):
 
 
 class CallDepthExceeded(ResourceLimit):
-    def __init__(self):
-        super().__init__(f"call depth limit of {MAX_CALL_DEPTH} exceeded")
+    def __init__(self, depth):
+        super().__init__(
+            f"call depth limit of {MAX_CALL_DEPTH} exceeded"
+            if depth == MAX_CALL_DEPTH else
+            f"call nesting limit of {FRAME_BUDGET} interpreter frames "
+            f"exceeded at call depth {depth}")
 
 
 class ObjRecord:
@@ -181,6 +205,14 @@ def default_value(tag):
     return FALSE if kind == "boolean" else None
 
 
+class SymbolicCount(namedtuple("SymbolicCount", "term floor")):
+    """A repeat count that is a solver variable, ``term``: the block runs
+    ``unroll_max`` copies, copy ``i`` on the paths where ``i < term``, and
+    the copies below ``floor`` wherever the block runs."""
+
+    __slots__ = ()
+
+
 # -- unknown providers -----------------------------------------------------
 
 
@@ -239,13 +271,16 @@ class Interp:
         self.program = program
         self.table = program.table
         self.unknowns = unknowns
-        self.repeat_counts = repeat_counts   # repeat name -> count
+        # repeat name -> count: an int, or a SymbolicCount
+        self.repeat_counts = repeat_counts
+        self.unroll_max = cfg.unroll_max
         self.loop_bound = cfg.loop_bound     # cfg: an engine.EngineConfig
         self.step_limit = cfg.step_limit
         self.deadline = deadline             # time.monotonic() value or None
         self.steps = 0
         self.next_check = 0                  # a step past it runs _checkpoint
         self.depth = 0                       # calls now running
+        self.frames = 0                      # the frames they are charged
         self.constraints = []
         self.objectives = {}                 # objective name -> its value
         self.statics = {}
@@ -280,41 +315,52 @@ class Interp:
         self._run_entry(I.STATIC_INIT)
 
     def run_harness(self, name):
-        self.init_statics()
-        self._run_entry(name)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, _stack_depth() + STACK_FRAMES))
+        try:
+            self.init_statics()
+            self._run_entry(name)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def _run_entry(self, name):
         """Run the parameterless function ``name``, the outermost call of
         its run; one step."""
         self.steps += 1
         self.depth = 1
+        self.frames = 0
         self.exec_block(self.program.functions[name].body,
                         _Frame({}, None), TRUE)
         self.depth = 0
 
     # -- calls -------------------------------------------------------------
 
-    def call(self, method, args, guard, span=None):
+    def call(self, method, args, guard, site):
         """Run class-table method ``method`` on ``args``, its receiver
-        first unless it is static, on the paths ``guard`` holds on: a
+        first unless it is static, on the paths ``guard`` holds on, for
+        call site ``site`` (a ``Call``, ``New`` or ``VirtualCall``): a
         library method natively, any other as its IR function, which takes
-        one step and one level of call depth.  An exception ends the whole
-        run, so ``depth`` need not unwind."""
+        one step, one level of call depth and the frames of its site's
+        nesting.  An exception ends the whole run, so neither need
+        unwind."""
         native = method.builtin
         if native is not None:
-            return self._run_builtin(native, args, guard, span)
+            return self._run_builtin(native, args, guard, site.span)
         fn = self.program.functions.get(method.function)
         if fn is None or len(args) != len(fn.params):
             raise InternalError(f"no function fits a call of {method!r}")
         self.steps += 1
         if self.steps > self.next_check:
             self._checkpoint()
-        if self.depth == MAX_CALL_DEPTH:
-            raise CallDepthExceeded()
+        frames = self.frames
+        self.frames = frames + call_frames(site.nesting)
+        if self.depth == MAX_CALL_DEPTH or self.frames > FRAME_BUDGET:
+            raise CallDepthExceeded(self.depth)
         self.depth += 1
         frame = _Frame(dict(zip(fn.params, args)), default_value(fn.ret_tag))
         self.exec_block(fn.body, frame, guard)
         self.depth -= 1
+        self.frames = frames
         return frame.retval
 
     # -- statements --------------------------------------------------------
@@ -413,10 +459,17 @@ class Interp:
     def _exec_repeat(self, instr, frame, active):
         name = instr.uid.name
         outer = self.rep_iter.get(name)
-        for i in range(self.repeat_counts.get(name, 0)):
+        count = self.repeat_counts.get(name, 0)
+        if type(count) is int:
+            copies = floor = count
+        else:
+            copies, floor, count = self.unroll_max, count.floor, count.term
+        for i in range(copies):
             self.rep_iter[name] = i
             g = active if frame.returned is FALSE else \
                 B.and_(active, B.not_(frame.returned))
+            if i >= floor:
+                g = B.and_(g, B.ult(B.const(i), count))
             if g is FALSE:
                 break
             self.exec_block(instr.body, frame, g)
@@ -548,7 +601,7 @@ class Interp:
         args = []
         for a in e.args:   # a loop: a comprehension nests one more frame
             args.append(self.eval(a, frame, active))
-        return self.call(e.method, args, active, e.span)
+        return self.call(e.method, args, active, e)
 
     def _eval_new(self, e, frame, active):
         # allocation comes before the arguments (JLS 15.9.4)
@@ -556,7 +609,7 @@ class Interp:
         args = [obj]
         for a in e.args:
             args.append(self.eval(a, frame, active))
-        self.call(e.ctor, args, active, e.span)
+        self.call(e.ctor, args, active, e)
         return obj
 
     def _eval_seq(self, e, frame, active):
@@ -587,7 +640,7 @@ class Interp:
             # ``active``, when the receiver's class implements the call
             impl = self.table.vtable.get((recv.class_id, e.sig))
             if impl is not None:
-                return self.call(impl, args, active, e.span)
+                return self.call(impl, args, active, e)
         self._null_check(recv, active, e, what="dynamic dispatch on null")
         acc = _NO_CASE
         for cg, ref in _as_cases(recv):
@@ -600,7 +653,7 @@ class Interp:
                                e.span)
                 continue
             args[0] = ref
-            v = self.call(impl, args, g, e.span)
+            v = self.call(impl, args, g, e)
             acc = v if acc is _NO_CASE else mux_value(cg, v, acc)
         return default_value(e.ret_tag) if acc is _NO_CASE else acc
 
@@ -637,6 +690,15 @@ class Interp:
         if isinstance(out, int):
             return B.const(out)
         return out
+
+
+def _stack_depth():
+    """The Python frames below the caller's."""
+    depth, f = 0, sys._getframe(1)
+    while f is not None:
+        depth += 1
+        f = f.f_back
+    return depth
 
 
 def _zero_like(v):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from . import ast_nodes as A
 from . import bitvec as B
 from . import ir as I
-from . import stdlib
 from . import typetags as T
 from .classtable import pick_overload
 from .errors import HarnessShapeError, TypeLoweringError
@@ -59,6 +58,7 @@ class _Lowerer:
             for f in ci.decl.fields():
                 if f.is_static and f.init is not None:
                     env = _Env(self, ci, None, static=True)
+                    env.nesting = 0         # in its AssignStatic
                     owner, ftag, _ = self.table.resolve_field(ci.name, f.name)
                     expr = env.lower_value(f.init, ftag)
                     body.append(I.AssignStatic(owner, f.name, expr))
@@ -80,14 +80,14 @@ class _Lowerer:
         params = ([] if mi.is_static else ["self"]) + [p for p, _ in mi.params]
         body = []
         sup = ci.superclass
-        if mi.is_constructor and sup not in (None, stdlib.ROOT_CLASS):
+        if mi.is_constructor and sup not in (None, self.table.root):
             sup_ci = self.table.info(sup)
             if sup_ci.is_builtin:
                 raise TypeLoweringError(
                     f"class '{ci.name}' may not extend builtin '{sup}'",
                     ci.decl.span)
             body.append(I.EvalInstr(I.Call(self._zero_arg_ctor(sup_ci, decl),
-                                           [I.LocalRead("self")])))
+                                           [I.LocalRead("self")], nesting=1)))
         body += env.lower_block(decl.body)
         _require(not (env.completes and env.returns_value()),
                  "missing return statement", decl.span)
@@ -128,6 +128,10 @@ class _Env:
         # whether the statements lowered so far can complete normally
         # (JLS 14.22, without labels or break)
         self.completes = True
+        # the IR nodes around the one being lowered, in its function: the
+        # ``nesting`` of a call, which the interpreter charges Python
+        # frames for; a block is no node of its own
+        self.nesting = -1
 
     # -- statements --------------------------------------------------------
 
@@ -139,7 +143,12 @@ class _Env:
         return out
 
     def lower_stmt(self, s):
-        return _LOWER_STMT[type(s)](self, s)
+        if type(s) is A.Block:
+            return self.lower_block(s)
+        self.nesting += 1
+        out = _LOWER_STMT[type(s)](self, s)
+        self.nesting -= 1
+        return out
 
     def _lower_local(self, s):
         tag = self.table.tag_from_typeref(s.type)
@@ -243,7 +252,10 @@ class _Env:
     def lower_expr(self, e, expected=None):
         """(IR expression, type tag) of ``e``; ``expected`` is the type
         its context wants, which decides the type of a bare ``??``."""
-        return _LOWER_EXPR[type(e)](self, e, expected)
+        self.nesting += 1
+        out = _LOWER_EXPR[type(e)](self, e, expected)
+        self.nesting -= 1
+        return out
 
     def _lower_int(self, e, expected):
         return self.literal(e.value, T.INT, abs(e.value))
@@ -361,12 +373,13 @@ class _Env:
             m = self.table.resolve_method(rtag.cls, e.name, tags, e.span)
         args = self.bind_args(e.args, lowered, m)
         if m.is_static:
-            return _after(recv, I.Call(m, args, span=e.span)), m.ret
+            return _after(recv, I.Call(m, args, e.span, self.nesting)), m.ret
         if m.plain_sig not in self.table.implemented:
             raise TypeLoweringError(f"no implementation of '{m.plain_name}'",
                                     e.span)
         # an instance call; the interpreter picks the override per receiver
-        return I.VirtualCall(m.plain_sig, recv, args, m.ret, span=e.span), m.ret
+        return (I.VirtualCall(m.plain_sig, recv, args, m.ret, e.span,
+                              self.nesting), m.ret)
 
     def _lower_new(self, e, expected):
         name = e.type.name
@@ -376,8 +389,8 @@ class _Env:
         lowered, tags = self.lower_args(e.args)
         m = pick_overload([m for m in ci.methods if m.is_constructor], tags,
                           f"constructor of '{name}'", e.span)
-        return (I.New(name, m, self.bind_args(e.args, lowered, m), span=e.span),
-                T.obj(name))
+        return (I.New(name, m, self.bind_args(e.args, lowered, m), e.span,
+                      self.nesting), T.obj(name))
 
     def lower_args(self, args):
         """The arguments lowered before overload resolution, as (expr, tag)
@@ -421,9 +434,12 @@ class _Env:
 
 def _after(first, value):
     """IR expression ``value``, after ``first`` (or None) is evaluated for
-    its effects; reading a local has none."""
+    its effects; reading a local has none.  A call that a ``Seq`` wraps
+    nests one node deeper."""
     if first is None or type(first) is I.LocalRead:
         return value
+    if type(value) is I.Call:
+        value.nesting += 1
     return I.Seq(first, value)
 
 

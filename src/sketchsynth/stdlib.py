@@ -8,7 +8,8 @@ library is the root class ``Object``, Iterator, List/LinkedList,
 StringBuilder and String; ``Object``'s constructor does nothing, and its
 one static method is the string-to-token bridge ``convertToIterator``,
 which every class inherits.  A program's own class of a library class's
-name shadows it, ``Object`` and its ``convertToIterator`` too.  Library
+name shadows it, except ``Object``: the class table keeps the root beside
+a program's own ``Object``, which is an ordinary class.  Library
 calls are run natively by the interpreter and consume no unknowns.  A
 constructor fills the payload of the record that ``new`` allocated.
 Out-of-bounds access and iterator overrun raise :class:`BuiltinTrap`,

@@ -45,12 +45,18 @@ def test_the_library_root_is_the_superclass_of_every_class_naming_none():
         "convertToIterator_Object_String", "Object_Object"]
 
 
-def test_a_programs_own_object_shadows_the_library_root():
-    t = table_for("class Object { int k; } class A { }")
-    root = t.info("Object")
-    assert not root.is_builtin and root.superclass is None
-    assert t.info("A").superclass == "Object"
-    assert [m.plain_name for m in root.methods] == ["Object"]
+def test_a_programs_own_object_is_an_ordinary_class_beside_the_root():
+    t = table_for("class Object { int k; } class A { } "
+                  "class B extends Object { }")
+    own, root = t.info("Object"), t.info(t.root)
+    assert t.root == "java.lang.Object" and root.is_builtin
+    assert not own.is_builtin and own.superclass == t.root
+    assert t.info("A").superclass == t.root
+    assert t.info("B").superclass == "Object"
+    assert [m.plain_name for m in own.methods] == ["Object"]
+    # the library's tags that name the root name it by its new name
+    get = next(m for m in t.info("List").methods if m.plain_name == "get")
+    assert get.ret.cls == t.root
 
 
 def test_interfaces_count_as_supertypes():

@@ -18,8 +18,8 @@ from conftest import (CADSR, CADSR_SMALL, DB, DB_TWO_STATE, MULT2, PROGRAMS,
                       program_files, run_front_end)
 import sketchsynth
 from sketchsynth import cli, engine, parser
-from sketchsynth.interp import (MAX_CALL_DEPTH, ConcreteUnknowns, Interp,
-                                SymbolicUnknowns)
+from sketchsynth.interp import (FRAME_BUDGET, MAX_CALL_DEPTH, ConcreteUnknowns,
+                                Interp, SymbolicUnknowns)
 
 STAGES = [
     "rewriting syntax sugar",
@@ -243,13 +243,13 @@ _HARNESS = "class A { harness static void t() { %s assert ?? == 1; } }"
     ("class A { Foo f; }", "1:11: unknown type 'Foo'"),
     (_HARNESS % "int x = 0; int y = 0; x = (y = 1);",
      "1:66: assignment is only supported as a statement"),
-    # a program's own Object shadows the library's, and its
-    # convertToIterator with it
-    ("class Object { int k; } " + _HARNESS % 'Iterator it = convertToIterator("ab");',
-     "1:75: no method 'convertToIterator' in class 'A' takes (String)"),
+    # a program's own Object is not the superclass of a class that names
+    # none, as javac reads it
+    ("class Object { int k; } " + _HARNESS % "A a = new A(); int v = a.k;",
+     "1:85: no field 'k' in class 'A'"),
 ], ids=["expected-token", "assignable-target", "top-level-field",
         "void-field", "void-parameter", "unknown-type", "nested-assignment",
-        "own-object"])
+        "own-object-is-not-the-root"])
 def test_front_end_error_gives_exit_2_and_its_position(tmp_path, capsys,
                                                         monkeypatch, source,
                                                         message):
@@ -686,6 +686,24 @@ def test_recursion_through_13_nested_ifs_solves_29_calls_deep(tmp_path):
     assert done.returncode == cli.EXIT_SOLVED, done.stderr
     assert (tmp_path / "result" / "solution.txt").read_text().splitlines()[0] \
         == "hole e_h1 = 29"
+
+
+def test_recursion_through_13_nested_ifs_38_calls_deep_is_a_resource_limit(
+        tmp_path, capsys):
+    """Each call is charged the Python frames of the 15 IR nodes around its
+    call site, so 38 of them overrun the interpreter's frame budget before
+    Python's stack: exit 3, never a RecursionError's exit 4."""
+    src = tmp_path / "R.java"
+    src.write_text(
+        "class R { static int f(int k) { if (k == 0) { return 0; } "
+        + "if (k > -1) { " * 13 + "return f(k - 1) + 1; " + "} " * 13
+        + "return 0; } harness static void t() { assert f(38) == ??; } }")
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_TIMEOUT
+    assert capsys.readouterr().err == (
+        f"call nesting limit of {FRAME_BUDGET} interpreter frames exceeded "
+        "at call depth 38 while encoding depth 0\n")
+    assert not (out / "java").exists()
 
 
 @pytest.mark.parametrize("n", [200, 400])

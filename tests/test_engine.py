@@ -1,5 +1,6 @@
 """Engine tests: search order, minimization, canonical solutions, verdicts."""
 
+import random
 import time
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import (CADSR, CADSR_SMALL, DB, DB_TWO_STATE, MULT2,
                       add_clause, program_files, run_front_end)
 from sketchsynth import bitvec as B
-from sketchsynth import engine, sat
+from sketchsynth import cli, engine, sat
 from sketchsynth.cnf import CnfBuilder
 from sketchsynth.errors import DeadlineExceeded, InternalError
 from sketchsynth.interp import ConcreteUnknowns, Interp
@@ -258,7 +259,7 @@ def test_canonical_answer_takes_one_sat_call(monkeypatch, files, calls):
 SEARCH_COUNTERS = {
     "mult2": (MULT2, (2, 0, 0, 36, 36, 99)),
     "db": (DB, (6, 199, 941, 34072, 1825, 5280)),
-    "db-two-state": (DB_TWO_STATE, (9, 436, 969, 80373, 7211, 21528)),
+    "db-two-state": (DB_TWO_STATE, (6, 208, 586, 43716, 3538, 10492)),
     "cadsr": (CADSR, (4, 22, 124, 5588, 1104, 3248)),
     "cadsr-small": (CADSR_SMALL, (4, 22, 124, 3945, 824, 2300)),
 }
@@ -353,3 +354,138 @@ def test_timeout_reports_the_wall_time_it_took():
     elapsed_ms = (time.monotonic() - t0) * 1000
     assert isinstance(result, engine.Timeout)
     assert 0 <= elapsed_ms - result.wall_ms < 50
+
+
+# -- the range formula ----------------------------------------------------
+
+
+def gen_repeat_sketch(rng):
+    """A sketch with one or two minrepeat blocks: in the harness, whose
+    copies may return early, and in a helper whose copies return early;
+    a copy may run a loop; the harness may minimize.  Values only grow
+    from 0: on some sketches whose copies drive a signed objective
+    negative, deepening takes a minute."""
+    n_blocks = rng.choice([1, 2])
+    in_helper = n_blocks == 2 and rng.random() < 0.4
+    copy = [
+        "a = a + ??;",
+        "a = a + {| 1, 2, 3 |};",
+        "if (?? == 1) { a = a + 2; }",
+        "b = b + a;",
+        "int i = 0; while (i < {| 1, 2 |}) { b = b + 1; i = i + 1; }",
+        "if (a == ??) { return; }",
+    ]
+    blocks = []
+    for _ in range(n_blocks - in_helper):
+        stmts = rng.sample(copy, rng.randrange(1, 3))
+        blocks.append("minrepeat { " + " ".join(stmts) + " }")
+    helper = ""
+    if in_helper:
+        helper = ("static int g(int x) { int t = x; minrepeat { "
+                  "if (t == ??) { return t + ??; } t = t + {| 1, 2 |}; } "
+                  "return t; } ")
+        blocks.insert(rng.randrange(len(blocks) + 1), "a = g(a);")
+    checks = []
+    for _ in range(rng.randrange(1, 3)):
+        var, op = rng.choice("ab"), rng.choice(["==", ">=", "!=", "<"])
+        checks.append(f"assert {var} {op} {rng.randrange(8)};")
+    if rng.random() < 0.4:
+        checks.append(f"minimize({rng.choice(['a', 'b', 'a + b'])});")
+    return ("class P { " + helper + "harness static void h() { "
+            "int a = 0; int b = 0; " + " ".join(blocks) + " "
+            + " ".join(checks) + " } }")
+
+
+def deepen(prog, cfg, lo):
+    """The answer of the first repeat vector, from total ``lo`` in search
+    order, that has one, found one vector at a time; None if none has."""
+    names = [r.name for r in prog.registry.repeats]
+    for vector in engine.repeat_vectors(names, cfg.unroll_max):
+        if sum(vector.values()) >= lo:
+            answer, _ = engine._solve_vector(prog, vector, cfg, None)
+            if answer is not None:
+                return answer
+    return None
+
+
+def test_range_formula_agrees_with_deepening_on_generated_sketches():
+    """From total 0, and from a random total, the range formula gives the
+    verdict, vector, assignment and objective values that deepening one
+    vector at a time gives, and its answers replay."""
+    rng = random.Random(28)
+    cfg = engine.EngineConfig(hole_bits=3, unroll_max=3, loop_bound=3)
+    solved = 0
+    for _ in range(200):
+        prog = run_front_end(texts=[("P.java", gen_repeat_sketch(rng))])[3]
+        top = len(prog.registry.repeats) * cfg.unroll_max
+        for lo in (0, rng.randrange(1, top + 1)):
+            answer, _ = engine._solve_range(prog, lo, cfg, None)
+            assert answer == deepen(prog, cfg, lo)
+            if answer is not None:
+                engine.replay(prog, *answer, cfg)
+                solved += 1
+    assert 100 < solved < 350     # both verdicts are well represented
+
+
+def test_range_formula_decides_the_depths_past_the_switch():
+    """db-two-state refutes depths 0-4 one at a time; then the refuted
+    depths have cost as much as the rest would, and one formula refutes
+    depths 5-8."""
+    prog = run_front_end(files=program_files(*DB_TWO_STATE))[3]
+    result = engine.solve(prog, engine.EngineConfig())
+    assert isinstance(result, engine.Unsat) and result.depth_reached == 8
+    assert result.steps == [
+        "depth 0 e_r1=0: unsat, 31 vars", "depth 1 e_r1=1: unsat, 131 vars",
+        "depth 2 e_r1=2: unsat, 275 vars", "depth 3 e_r1=3: unsat, 459 vars",
+        "depth 4 e_r1=4: unsat, 679 vars",
+        "depths 5-8: one formula, unsat, 1963 vars"]
+    # db solves at depth 4 before the refuted depths cost enough
+    prog = run_front_end(files=program_files(*DB))[3]
+    assert engine.solve(prog, engine.EngineConfig()).steps[-2:] == [
+        "depth 3 e_r1=3: unsat, 524 vars", "depth 4 e_r1=4: sat, 759 vars"]
+
+
+@pytest.mark.parametrize("paid, last, total, top, switch", [
+    (1575, 679, 4, 8, True),        # db-two-state after depth 4
+    (1066, 524, 3, 8, False),       # db after depth 3
+    (100, 0, 2, 8, False),          # no solver at this total
+    (100, 10, 0, 8, False),         # depth 0 alone never switches
+    (100, 10, 8, 8, False),         # nothing is left
+])
+def test_range_switch_is_the_ski_rental_rule(paid, last, total, top, switch):
+    assert engine._switches(paid, last, total, top) is switch
+
+
+@pytest.mark.parametrize("copy, args, code, why", [
+    ("", ["--step-limit", "70"], cli.EXIT_TIMEOUT, "step limit of 70 exceeded"),
+    ("sb.append(1); ", [], cli.EXIT_SOLVED,
+     "library call 'StringBuilder.append' with side effects under a "
+     "symbolic condition is not supported"),
+], ids=["step-limit", "mutating-library-call"])
+def test_range_fallback_gives_the_exit_and_message_of_deepening(
+        tmp_path, capsys, monkeypatch, copy, args, code, why):
+    """Depths 0-4 are refuted, so the range 5-8 is tried in one formula;
+    it overruns the step limit that depth 5 fits in, or it reaches a
+    mutating library call under a copy's guard, and the search goes on
+    one vector at a time, as a search that never switches does."""
+    src = tmp_path / "A.java"
+    src.write_text("class A { harness static void t() { int a = 0; "
+                   "StringBuilder sb = new StringBuilder(); minrepeat { "
+                   f"int d = ??; assert d <= 1; a = a + d; {copy}}} "
+                   "assert a == 7; } }")
+    outcomes = {}
+    for label in ("switch", "never"):
+        if label == "never":
+            monkeypatch.setattr(engine, "_switches", lambda *rule: False)
+        out = tmp_path / label
+        outcomes[label] = (cli.main([str(src), "--out", str(out), *args]),
+                           capsys.readouterr().err,
+                           sorted(p.name for p in out.iterdir()))
+    assert outcomes["switch"] == outcomes["never"]
+    assert outcomes["switch"][0] == code
+    if code == cli.EXIT_SOLVED:
+        assert (tmp_path / "switch" / "solution.txt").read_bytes() == \
+            (tmp_path / "never" / "solution.txt").read_bytes()
+    log = (tmp_path / "switch" / "log" / "log.txt").read_text()
+    fallback = next(l for l in log.splitlines() if l.startswith("depths 5-8"))
+    assert why in fallback and fallback.endswith("; one vector at a time")

@@ -298,6 +298,14 @@ class Outer {
         assert r == ??;
     }
 }""", 0),
+    # a program's own Object is an ordinary class: a subclass runs its
+    # constructor, and a class that names no superclass still has the
+    # library root, whose convertToIterator it inherits
+    "own-object-is-an-ordinary-class": ("""class Object { int k; Object() { k = 1; } }
+class B extends Object { }
+class Outer {
+    harness static void t() { B b = new B(); assert b.k == ??; }
+}""", 1),
     # a library trap rejects only the path it is on
     "library-trap-under-a-symbolic-guard": ("""class Outer {
     harness static void t() {
@@ -499,3 +507,24 @@ def test_missing_zero_argument_super_constructor_is_reported_where_javac_does(
     line, col = position.split(":")
     assert head.startswith(f"E.java:{line}: error: constructor A in class A")
     assert caret.index("^") + 1 == int(col)
+
+
+def test_a_programs_own_object_gives_no_field_to_a_class_naming_no_superclass(
+        tmp_path, capsys, monkeypatch):
+    """``A`` extends the library root, not the program's ``Object``, so
+    ``a.k`` is no field of it; javac 17 rejects it too."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "E.java").write_text(
+        "class Object { int k = 2; }\nclass A { }\nclass Outer {\n"
+        "    harness static void t() { A a = new A(); assert a.k == ??; }\n}\n")
+    assert cli.main(["E.java", "--out", "out"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == \
+        "error: E.java:4:54: no field 'k' in class 'A'\n"
+    if shutil.which("javac") is None:
+        pytest.skip("javac is not on PATH")
+    text = (tmp_path / "E.java").read_text().replace("harness ", "")
+    (tmp_path / "E.java").write_text(text.replace("??", "2"))
+    done = subprocess.run(["javac", "-d", "classes", "E.java"],
+                          capture_output=True, text=True)
+    assert done.returncode != 0
+    assert done.stderr.startswith("E.java:4: error: cannot find symbol")

@@ -149,20 +149,21 @@ def test_propagator_checks_rup():
 def test_learnt_clauses_and_unsat_verdicts_of_the_paper_sketches_check(
         monkeypatch):
     events = record_sat_events(monkeypatch)
-    verdicts = []
+    results = []
     for files in (MULT2, DB, DB_TWO_STATE, CADSR, CADSR_SMALL):
         prog = run_front_end(files=program_files(*files))[3]
-        verdicts.append(type(engine.solve(prog, engine.EngineConfig())))
-    assert verdicts == [engine.Solution, engine.Solution, engine.Unsat,
-                        engine.Solution, engine.Solution]
-    learnt = unsat = 0
-    for solver_events in events.values():
-        n, u = check_proof(solver_events)
-        learnt += n
-        unsat += u
-    # db's 5 vectors, db-two-state's 9 and 3 each for cadsr and cadsr-small
-    assert len(events) == 21
-    assert unsat == 4 + 9 + 2 + 2 and learnt == 679
+        results.append(engine.solve(prog, engine.EngineConfig()))
+    assert [type(r) for r in results] == [
+        engine.Solution, engine.Solution, engine.Unsat, engine.Solution,
+        engine.Solution]
+    checked = [check_proof(solver_events) for solver_events in events.values()]
+    # db's 5 vectors, db-two-state's depths 0-4 and its range formula for
+    # depths 5-8, and 3 vectors each for cadsr and cadsr-small
+    assert len(events) == 18
+    assert results[2].steps[-1] == "depths 5-8: one formula, unsat, 1963 vars"
+    assert checked[11] == (153, 1)      # the range formula's solver
+    assert sum(u for _, u in checked) == 4 + 6 + 2 + 2
+    assert sum(n for n, _ in checked) == 451
 
 
 # criterion 6's first 100 sketches: (solvers, learnt clauses, UNSAT verdicts);
