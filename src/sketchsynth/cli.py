@@ -128,9 +128,20 @@ def _main(argv):
 
 
 def _run(args, log, out_dir):
-    if not 1 <= args.hole_bits <= 32:
-        raise SketchError(
-            f"--hole-bits must be between 1 and 32, got {args.hole_bits}")
+    # NaN fails every comparison, so `> 0` also rejects a NaN timeout,
+    # under which the deadline would never pass
+    for flag, value, ok, domain in (
+            ("--hole-bits", args.hole_bits, 1 <= args.hole_bits <= 32,
+             "between 1 and 32"),
+            ("--unroll-max", args.unroll_max, args.unroll_max >= 0,
+             "at least 0"),
+            ("--loop-bound", args.loop_bound, args.loop_bound >= 0,
+             "at least 0"),
+            ("--step-limit", args.step_limit, args.step_limit >= 1,
+             "at least 1"),
+            ("--timeout", args.timeout, args.timeout > 0, "above 0")):
+        if not ok:
+            raise SketchError(f"{flag} must be {domain}, got {value}")
     ast = parse_program(args.files)
     log.stage("rewriting syntax sugar")
     log.stage("specializing class-level generator")

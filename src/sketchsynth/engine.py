@@ -1,27 +1,28 @@
 """Search engine: complete within the configured bounds.
 
-The outer loop deepens over repeat-count vectors in ascending total order.
-For each vector, one call of ``_solve_vector`` executes the program
-symbolically once, yielding a constraint system over the hole/choice
-variables, blasts it and hands all of its clauses to a fresh SAT solver in
-one batch; the terms and the blaster's memos are dropped before the search.
-A SAT check decides whether any candidate passes every harness at that
-depth.  Nothing of a refuted vector outlives that call.  On the first
-satisfiable depth, objectives are minimized lexicographically, then every
-unknown is minimized in registry order (canonicalization), making the
-reported assignment independent of solver internals.
+The outer loop deepens over the totals of the repeat counts and decides
+each total's vectors in lexicographic order.  For each vector, one call of
+``_solve_vector`` executes the program symbolically once, yielding a
+constraint system over the hole/choice variables, blasts it and hands all
+of its clauses to a fresh SAT solver in one batch; the terms and the
+blaster's memos are dropped before the search.  A SAT check decides
+whether any candidate passes every harness at that depth.  Nothing of a
+refuted vector outlives that call.  On the first satisfiable depth,
+objectives are minimized lexicographically, then every unknown is
+minimized in registry order (canonicalization), making the reported
+assignment independent of solver internals.
 
-Refuting one vector at a time pays for every depth again.  Once the
-refuted vectors have cost as many solver variables as one formula for the
-rest of the range would (``_switches``, the ski-rental rule),
-``_solve_range`` decides every remaining total in one formula, in which
-each repeat count is a solver variable, as Sketch treats ``repeat(??)``.
-Its preferred bits put the counts' sum and then each count first, so its
-answer is the one deepening would give.  When that formula cannot be
-encoded (a resource limit that more copies overrun, or a library call
-that needs a concrete condition), the search goes on one vector at a time
-from where it was.  Each verdict returned carries ``steps``, one line per
-decision step, which the CLI writes to the log.
+Refuting one vector at a time pays for every depth again.  The first time
+a refuted total leaves the refuted vectors costing as many solver
+variables as one formula for the rest of the range would (``_switches``,
+the ski-rental rule), ``_solve_range`` decides every remaining total in
+one formula, in which each repeat count is a solver variable, as Sketch
+treats ``repeat(??)``.  Its preferred bits put the counts' sum and then
+each count first, so its answer is the one deepening would give.  When
+that formula cannot be encoded (a resource limit that more copies
+overrun, or a library call that needs a concrete condition), the loop
+goes on with the next total.  Each verdict returned carries ``steps``,
+one line per decision step, which the CLI writes to the log.
 
 An objective is set by its ``minimize(e)`` statement where that statement
 runs: it is an implicit ``int`` of its harness, 0 until the statement runs,
@@ -173,21 +174,16 @@ def replay(program, assignment, objective_values, cfg, deadline=None):
 # -- depth iteration -------------------------------------------------------
 
 
-def repeat_vectors(repeat_names, unroll_max):
-    """Vectors in ascending total order, lexicographic within a total."""
-    n = len(repeat_names)
-    if n == 0:
-        yield {}
-        return
-    for total in range(n * unroll_max + 1):
-        for combo in _compositions(total, n, unroll_max):
-            yield dict(zip(repeat_names, combo))
+def repeat_vectors(repeat_names, unroll_max, total):
+    """The vectors whose counts sum to ``total``, in lexicographic order."""
+    for combo in _compositions(total, len(repeat_names), unroll_max):
+        yield dict(zip(repeat_names, combo))
 
 
 def _compositions(total, n, cap):
-    if n == 1:
-        if total <= cap:
-            yield (total,)
+    if n == 0:
+        if total == 0:
+            yield ()
         return
     for first in range(min(total, cap) + 1):
         for rest in _compositions(total - first, n - 1, cap):
@@ -280,20 +276,21 @@ def _decide(program, counts, at, bounds, ranked, cfg, deadline):
 
 
 def _answer(program, vector, model, var_bits, objective_bits):
-    """The assignment and objective values that ``model`` gives at repeat
-    vector ``vector``."""
+    """The ``Solution`` that ``model`` gives at repeat vector ``vector``,
+    at the depth of its total."""
     hole_insts, choice_insts = program.registry.instantiate(vector)
     values = {inst.name: bits_value(var_bits.get(inst.name, ()), model)
               for inst in hole_insts + choice_insts}
     objective_values = {name: B.to_signed(bits_value(bits, model))
                         for name, bits in objective_bits}
-    return Assignment(values, dict(vector)), objective_values
+    return Solution(Assignment(values, dict(vector)), objective_values,
+                    sum(vector.values()))
 
 
 def _solve_vector(program, vector, cfg, deadline):
     """(answer, solver variables): answer None if no candidate passes at
-    ``vector``, otherwise the canonical minimal assignment and its
-    objective values."""
+    ``vector``, otherwise the ``Solution`` of the canonical minimal
+    assignment and its objective values, without steps."""
     model, var_bits, objective_bits, nvars = _decide(
         program, vector, vector, (), (), cfg, deadline)
     if model is None:
@@ -363,72 +360,67 @@ def solve(program, cfg):
     names = [r.name for r in program.registry.repeats]
     top = len(names) * cfg.unroll_max
     steps = []
-    depth_reached = 0
-    overrun = None
+    overrun = None      # (depth, limit) of the first vector that overran
     paid = 0            # solver variables of the refuted vectors so far
-    last = 0            # the largest solver of the current total
-    refuted = True      # every vector of the current total is refuted
     ranged = False      # the range formula was tried
 
     def ms():
         return int((time.monotonic() - t0) * 1000)
 
-    def found(answer, depth):
-        assignment, objective_values = answer
-        replay(program, assignment, objective_values, cfg, deadline)
-        return Solution(assignment, objective_values, depth, steps)
+    def found(solution):
+        replay(program, solution.assignment, solution.objective_values, cfg,
+               deadline)
+        solution.steps = steps
+        return solution
 
     try:
-        for vector in repeat_vectors(names, cfg.unroll_max):
-            depth = sum(vector.values())
-            if depth != depth_reached:      # every vector of a total ran
-                if not ranged and refuted and \
-                        _switches(paid, last, depth_reached, top):
-                    ranged = True
-                    where = f"depths {depth}-{top}: one formula"
-                    depth_reached = top
-                    try:
-                        answer, nvars = _solve_range(program, depth, cfg,
-                                                     deadline)
-                    except (ResourceLimit, EncodingError) as e:
-                        steps.append(f"{where} not encoded ({e}); "
-                                     "one vector at a time")
-                    else:
-                        if answer is None:
-                            steps.append(f"{where}, unsat, {nvars} vars")
-                            break
-                        depth = sum(answer[0].repeat_counts.values())
-                        steps.append(f"{where}, sat at depth {depth}, "
-                                     f"{nvars} vars")
-                        return found(answer, depth)
-                depth_reached, last, refuted = depth, 0, True
-            if time.monotonic() > deadline:
-                return Timeout(depth_reached, ms(), steps)
-            where = " ".join([f"depth {depth}"] +
-                             [f"{n}={c}" for n, c in vector.items()])
-            # an overrun leaves this vector undecided; a later one may
-            # still solve, so only a search that ends empty reports it
-            try:
-                answer, nvars = _solve_vector(program, vector, cfg, deadline)
-            except ResourceLimit as limit:
-                steps.append(f"{where}: {limit}")
-                if overrun is None:
-                    overrun = Overrun(depth, limit=limit)
-                refuted = False
+        for depth in range(top + 1):
+            last = 0            # the largest solver of this total
+            refuted = True      # every vector of this total is refuted
+            for vector in repeat_vectors(names, cfg.unroll_max, depth):
+                if time.monotonic() > deadline:
+                    return Timeout(depth, ms(), steps)
+                where = " ".join([f"depth {depth}"] +
+                                 [f"{n}={c}" for n, c in vector.items()])
+                # an overrun leaves this vector undecided; a later one may
+                # still solve, so only a search that ends empty reports it
+                try:
+                    answer, nvars = _solve_vector(program, vector, cfg,
+                                                  deadline)
+                except ResourceLimit as limit:
+                    steps.append(f"{where}: {limit}")
+                    overrun = overrun or (depth, limit)
+                    refuted = False
+                    continue
+                steps.append(f"{where}: "
+                             f"{'unsat' if answer is None else 'sat'}, "
+                             f"{nvars} vars")
+                if answer is not None:
+                    return found(answer)
+                paid += nvars
+                last = max(last, nvars)
+            if ranged or not refuted or not _switches(paid, last, depth, top):
                 continue
-            steps.append(f"{where}: {'unsat' if answer is None else 'sat'}, "
-                         f"{nvars} vars")
+            # while the range runs, its last depth is the one reached
+            ranged, lo, depth = True, depth + 1, top
+            where = f"depths {lo}-{top}: one formula"
+            try:
+                answer, nvars = _solve_range(program, lo, cfg, deadline)
+            except (ResourceLimit, EncodingError) as e:
+                steps.append(f"{where} not encoded ({e}); "
+                             "one vector at a time")
+                continue
             if answer is not None:
-                return found(answer, depth)
-            paid += nvars
-            last = max(last, nvars)
+                steps.append(f"{where}, sat at depth {answer.depth}, "
+                             f"{nvars} vars")
+                return found(answer)
+            steps.append(f"{where}, unsat, {nvars} vars")
+            break
         if overrun is not None:
-            overrun.wall_ms = ms()
-            overrun.steps = steps
-            return overrun
-        return Unsat(depth_reached, ms(), steps)
+            return Overrun(overrun[0], ms(), overrun[1], steps)
+        return Unsat(depth, ms(), steps)
     except DeadlineExceeded:
         pass
     # read after the handler, which holds the interrupted vector's terms
     # and clauses until it exits
-    return Timeout(depth_reached, ms(), steps)
+    return Timeout(depth, ms(), steps)

@@ -569,33 +569,22 @@ class Interp:
             return B.or_(l, r)
         l = self.eval(e.left, frame, active)
         r = self.eval(e.right, frame, active)
-        arith = _BIN_OPS.get(op)
-        if arith is not None:
-            return arith(l, r)
-        if op == "==" or op == "!=":
-            res = self._eq_values(l, r)
-            return B.not_(res) if op == "!=" else res
-        if op == "/" or op == "%":
-            self.constrain(B.implies(active, B.ne(r, ZERO)),
-                           "division by zero", getattr(e, "span", None))
-            return B.sdiv(l, r) if op == "/" else B.srem(l, r)
-        raise InternalError(f"unknown operator '{op}'")
-
-    def _eq_values(self, l, r):
-        if _is_ref(l) or _is_ref(r):
-            if not (_is_ref(l) and _is_ref(r)):
-                raise EncodingError("'==' between a reference and a value")
-            out = FALSE
-            for ga, ra in _as_cases(l):
-                for gb, rb in _as_cases(r):
-                    if ra is rb:
-                        out = B.or_(out, B.and_(ga, gb))
-            return out
-        return B.eq(l, r)
+        if op in _GUARDED_OPS:
+            if op == "/" or op == "%":
+                self.constrain(B.implies(active, B.ne(r, ZERO)),
+                               "division by zero", getattr(e, "span", None))
+            elif _is_ref(l) or _is_ref(r):
+                # lowering rejects `==` between a reference and a value
+                same = FALSE
+                for ga, ra in _as_cases(l):
+                    for gb, rb in _as_cases(r):
+                        if ra is rb:
+                            same = B.or_(same, B.and_(ga, gb))
+                return B.not_(same) if op == "!=" else same
+        return I.BIN_OPS[op](l, r)
 
     def _eval_un(self, e, frame, active):
-        v = self.eval(e.operand, frame, active)
-        return B.not_(v) if e.op == "!" else B.neg(v)
+        return I.UN_OPS[e.op](self.eval(e.operand, frame, active))
 
     def _eval_call(self, e, frame, active):
         args = []
@@ -707,11 +696,9 @@ def _zero_like(v):
     return None
 
 
-# Binary operators that map straight to one term constructor.
-_BIN_OPS = {
-    "+": B.add, "-": B.sub, "*": B.mul, "<": B.slt, "<=": B.sle,
-    ">": lambda l, r: B.slt(r, l), ">=": lambda l, r: B.sle(r, l),
-}
+# Binary operators whose term the interpreter guards: a division's divisor
+# must be nonzero, and `==` over references compares identities.
+_GUARDED_OPS = frozenset(("/", "%", "==", "!="))
 
 # The handler of each IR node class.
 _EVAL = {

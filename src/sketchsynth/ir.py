@@ -76,6 +76,18 @@ class Un(IrExpr):
         self.operand = operand
 
 
+# The term each operator of a ``Bin`` or ``Un`` computes from its operands'
+# terms, read by constant folding in lowering and by the interpreter, which
+# guards `&&`, `||`, `/`, `%` and `==` over references itself.
+BIN_OPS = {
+    "+": B.add, "-": B.sub, "*": B.mul, "/": B.sdiv, "%": B.srem,
+    "<": B.slt, "<=": B.sle, ">": lambda l, r: B.slt(r, l),
+    ">=": lambda l, r: B.sle(r, l), "==": B.eq, "!=": B.ne,
+    "&&": B.and_, "||": B.or_,
+}
+UN_OPS = {"!": B.not_, "-": B.neg}
+
+
 class Call(IrExpr):
     """A call of one class-table method: a static method, a library
     function, or (from a constructor) a superclass constructor's body,

@@ -457,16 +457,6 @@ def _require(cond, message, span, *args):
         raise TypeLoweringError(message.format(*args), span)
 
 
-# the operators of a constant expression, each folding two constant terms
-# as the interpreter evaluates it
-_FOLD = {
-    "+": B.add, "-": B.sub, "*": B.mul, "/": B.sdiv, "%": B.srem,
-    "<": B.slt, "<=": B.sle, ">": lambda l, r: B.slt(r, l),
-    ">=": lambda l, r: B.sle(r, l), "==": B.eq, "!=": B.ne,
-    "&&": B.and_, "||": B.or_,
-}
-
-
 def _fold(e):
     """The constant term of IR expression ``e`` when it is built from int,
     char and boolean literals and operators only, a constant expression
@@ -478,14 +468,14 @@ def _fold(e):
         v = _fold(e.operand)
         if v is None:
             return None
-        return B.not_(v) if e.op == "!" else B.neg(v)
+        return I.UN_OPS[e.op](v)
     if kind is I.Bin:
         left, right = _fold(e.left), _fold(e.right)
         if left is None or right is None:
             return None
         if e.op in ("/", "%") and right.payload == 0:
             return None    # it completes abruptly, so it is no constant
-        return _FOLD[e.op](left, right)
+        return I.BIN_OPS[e.op](left, right)
     return None
 
 

@@ -285,11 +285,26 @@ def test_nesting_up_to_the_limit_solves(tmp_path):
 
 
 def test_hole_bits_outside_word_width_gives_exit_2(tmp_path, capsys):
-    for bits in ("0", "33", "40"):
+    """So does every numeric option outside its domain; an infinite
+    timeout is no limit."""
+    for flag, value, message in [
+            ("--hole-bits", "0", "must be between 1 and 32, got 0"),
+            ("--hole-bits", "33", "must be between 1 and 32, got 33"),
+            ("--hole-bits", "40", "must be between 1 and 32, got 40"),
+            ("--unroll-max", "-1", "must be at least 0, got -1"),
+            ("--loop-bound", "-1", "must be at least 0, got -1"),
+            ("--step-limit", "0", "must be at least 1, got 0"),
+            ("--timeout", "0", "must be above 0, got 0.0"),
+            ("--timeout", "-1", "must be above 0, got -1.0"),
+            ("--timeout", "nan", "must be above 0, got nan")]:
         code, _ = run(tmp_path, *program_files("Test.java", "SimpleMath.java"),
-                      "--hole-bits", bits)
+                      flag, value)
         assert code == cli.EXIT_INPUT
-        assert "--hole-bits" in capsys.readouterr().err
+        assert f"error: {flag} {message}" in capsys.readouterr().err
+    code, _ = run(tmp_path, *program_files("Test.java", "SimpleMath.java"),
+                  "--timeout", "inf", "--unroll-max", "0", "--loop-bound", "0",
+                  "--step-limit", "1000")
+    assert code == cli.EXIT_SOLVED
 
 
 def test_full_width_holes_take_signed_minimum_and_decode_as_java(tmp_path):

@@ -21,14 +21,17 @@ def solve_texts(*texts, **cfg_kw):
 
 
 def test_repeat_vectors_ascending_total_then_lexicographic():
-    vecs = list(engine.repeat_vectors(["a", "b"], 2))
+    vecs = [v for total in range(5)
+            for v in engine.repeat_vectors(["a", "b"], 2, total)]
     as_tuples = [(v["a"], v["b"]) for v in vecs]
     assert as_tuples == [(0, 0),
                          (0, 1), (1, 0),
                          (0, 2), (1, 1), (2, 0),
                          (1, 2), (2, 1),
                          (2, 2)]
-    assert list(engine.repeat_vectors([], 8)) == [{}]
+    assert list(engine.repeat_vectors(["a", "b"], 2, 5)) == []
+    assert list(engine.repeat_vectors([], 8, 0)) == [{}]
+    assert list(engine.repeat_vectors([], 8, 1)) == []
 
 
 def test_hole_width_covers_program_literals():
@@ -400,8 +403,8 @@ def deepen(prog, cfg, lo):
     """The answer of the first repeat vector, from total ``lo`` in search
     order, that has one, found one vector at a time; None if none has."""
     names = [r.name for r in prog.registry.repeats]
-    for vector in engine.repeat_vectors(names, cfg.unroll_max):
-        if sum(vector.values()) >= lo:
+    for total in range(lo, len(names) * cfg.unroll_max + 1):
+        for vector in engine.repeat_vectors(names, cfg.unroll_max, total):
             answer, _ = engine._solve_vector(prog, vector, cfg, None)
             if answer is not None:
                 return answer
@@ -422,7 +425,10 @@ def test_range_formula_agrees_with_deepening_on_generated_sketches():
             answer, _ = engine._solve_range(prog, lo, cfg, None)
             assert answer == deepen(prog, cfg, lo)
             if answer is not None:
-                engine.replay(prog, *answer, cfg)
+                assert answer.depth == sum(
+                    answer.assignment.repeat_counts.values())
+                engine.replay(prog, answer.assignment,
+                              answer.objective_values, cfg)
                 solved += 1
     assert 100 < solved < 350     # both verdicts are well represented
 
@@ -489,3 +495,29 @@ def test_range_fallback_gives_the_exit_and_message_of_deepening(
     log = (tmp_path / "switch" / "log" / "log.txt").read_text()
     fallback = next(l for l in log.splitlines() if l.startswith("depths 5-8"))
     assert why in fallback and fallback.endswith("; one vector at a time")
+
+
+def test_range_formula_answer_is_the_answer_of_deepening(
+        tmp_path, monkeypatch):
+    """Depths 0-4 are refuted, and the range 5-8 is satisfiable in one
+    formula: it reports the first depth that solves, 7, and the solution
+    and decoded sources are those of a search that never switches."""
+    src = tmp_path / "A.java"
+    src.write_text("class A { harness static void t() { int a = 0; "
+                   "minrepeat { int d = ??; assert d <= 1; a = a + d; } "
+                   "assert a == 7; } }")
+    for label in ("switch", "never"):
+        if label == "never":
+            monkeypatch.setattr(engine, "_switches", lambda *rule: False)
+        assert cli.main([str(src), "--out", str(tmp_path / label)]) == \
+            cli.EXIT_SOLVED
+    log = (tmp_path / "switch" / "log" / "log.txt").read_text()
+    assert [l for l in log.splitlines() if l.startswith("depth")] == [
+        f"depth {d} e_r1={d}: unsat, {n} vars"
+        for d, n in enumerate((0, 15, 49, 85, 123))] + [
+        "depths 5-8: one formula, sat at depth 7, 465 vars"]
+    for name in ("solution.txt", "java/A.java"):
+        assert (tmp_path / "switch" / name).read_bytes() == \
+            (tmp_path / "never" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "switch" / "java").iterdir()) \
+        == sorted(p.name for p in (tmp_path / "never" / "java").iterdir())
