@@ -96,6 +96,7 @@ class ClassTable:
         self.by_name = {}
         self.static_fields = []     # [(owner, name, TypeTag)]
         self.field_tags = {}        # (owner, name) -> TypeTag
+        self.final_fields = set()   # (owner, name) of each final field
         self.vtable = {}            # (cid, plain_sig) -> MethodInfo
         self.implemented = set()    # plain_sigs with an override in some class
         self.root = stdlib.ROOT_CLASS   # the library root's name
@@ -322,10 +323,26 @@ def _build_members(table):
             tag = table.tag_from_typeref(f.type)
             ci.fields.append((f.name, tag, f.is_static))
             table.field_tags[(ci.name, f.name)] = tag
+            # every interface field is final (JLS 9.3)
+            if "final" in f.modifiers or decl.is_interface:
+                table.final_fields.add((ci.name, f.name))
             if f.is_static:
                 table.static_fields.append((ci.name, f.name, tag))
         sigs = set()
         for m in decl.methods():
+            # as javac: a method has a body unless it is abstract, as an
+            # interface's public instance methods are (JLS 8.4.3.1, 9.4)
+            abstract = "abstract" in m.modifiers or decl.is_interface and not (
+                m.is_static or "private" in m.modifiers)
+            if abstract and m.body is not None and decl.is_interface:
+                raise TypeLoweringError(
+                    "interface abstract methods cannot have body", m.body.span)
+            if abstract and m.body is not None:
+                raise TypeLoweringError(
+                    "abstract methods cannot have a body", m.span)
+            if not abstract and m.body is None:
+                raise TypeLoweringError(
+                    "missing method body, or declare abstract", m.span)
             params = [(p.slot, table.tag_from_typeref(p.type)) for p in m.params]
             ret = (T.obj(ci.name) if m.is_constructor
                    else table.tag_from_typeref(m.return_type))
@@ -335,7 +352,7 @@ def _build_members(table):
                 params=params, ret=ret,
                 is_static=m.is_static, is_harness=m.is_harness,
                 is_constructor=m.is_constructor,
-                is_abstract=m.body is None, decl=m,
+                is_abstract=abstract, decl=m,
             )
             if mi.plain_sig in sigs and not m.is_constructor:
                 raise SignatureClashError(
@@ -347,12 +364,26 @@ def _build_members(table):
 def _build_vtable(table):
     """Inheritance from the root down: each concrete method overrides the
     entry for its signature, so a class gets the first concrete method up
-    its superclass chain."""
+    its superclass chain.  As javac, a program's concrete class leaves no
+    abstract method of its chain or its interfaces without one (JLS
+    8.1.1.1)."""
     for ci in table.classes:
         if ci.is_interface:
             continue
+        # each signature that is abstract in ``ci`` so far -> the type
+        # that declares it so
+        left = {m.plain_sig: i for i in table.all_interfaces(ci.name)
+                for m in table.info(i).methods if m.is_abstract}
         for cur in reversed(table.superclass_chain(ci.name)):
             for m in table.by_name[cur].methods:
-                if not m.is_abstract and not m.is_constructor:
+                if m.is_abstract:
+                    left[m.plain_sig] = cur
+                elif not m.is_constructor:
                     table.vtable[(ci.cid, m.plain_sig)] = m
                     table.implemented.add(m.plain_sig)
+                    left.pop(m.plain_sig, None)
+        if left and not (ci.is_abstract or ci.is_builtin):
+            (name, params), owner = next(iter(left.items()))
+            raise TypeLoweringError(
+                f"'{ci.name}' is not abstract and does not override abstract "
+                f"method '{name}({','.join(params)})' in '{owner}'", ci.decl.span)

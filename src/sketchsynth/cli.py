@@ -8,7 +8,8 @@ decode) over the given source files, writing the output tree::
     <out>/log/log.txt     staged log plus per-unknown replacement echoes
 
 Exit codes: 0 solved, 1 no solution within bounds, 2 input error,
-3 timeout, step limit or call depth limit, 4 internal error.
+3 timeout, step limit or calls nested past the interpreter's Python
+frames, 4 internal error.
 """
 
 from __future__ import annotations

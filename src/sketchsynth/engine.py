@@ -389,7 +389,8 @@ def solve(program, cfg):
                                                   deadline)
                 except ResourceLimit as limit:
                     steps.append(f"{where}: {limit}")
-                    overrun = overrun or (depth, limit)
+                    # kept without its traceback, which holds this frame
+                    overrun = overrun or (depth, limit.with_traceback(None))
                     refuted = False
                     continue
                 steps.append(f"{where}: "

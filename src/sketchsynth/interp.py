@@ -34,13 +34,12 @@ call finds one per receiver case; all of them run it through
 :meth:`Interp.call`, the one place that tells a library method, which runs
 natively, from one that runs its IR function.
 
-Calls nest at most ``MAX_CALL_DEPTH`` deep, and in at most
-``FRAME_BUDGET`` Python frames: each call is charged the frames that its
-call site's nesting takes (``call_frames``), so calls made from deep inside
-their statements reach the budget in fewer calls.  A run raises Python's
-recursion limit, for its duration, to leave it that budget and the
-deepest statement and expression the parser accepts below it.  Like the
-step limit, both bounds are resource limits: overrunning one leaves the
+A run bounds how deeply its calls nest by Python's own recursion limit,
+which it sets, for its duration, to ``STACK_FRAMES`` frames above its
+caller's: the bound counts the frames that calls and the statements
+around their call sites really take, whatever the host process's stack
+or limit.  A ``RecursionError`` becomes ``CallDepthExceeded``.  Like the
+step limit, the bound is a resource limit: overrunning it leaves the
 current run undecided rather than failing the candidate.  The search's
 deadline is read with the step count: a step compares ``steps`` with
 ``next_check`` only, and every ``CLOCK_STEPS`` steps the comparison fails
@@ -55,31 +54,18 @@ from collections import namedtuple
 from . import bitvec as B
 from . import ir as I
 from .errors import EncodingError, InternalError, check_deadline
-from .parser import MAX_NESTING
 from .stdlib import OBJECT, BuiltinTrap
 
 TRUE, FALSE, ZERO = B.TRUE, B.FALSE, B.ZERO
 
-# A call nests 3 Python frames (``eval``, its handler and ``call``) and 2
-# for each IR statement or expression around its call site in the
-# caller's function (an ``exec_block`` or ``eval`` and its handler), as
-# measured with a profile hook that counts the stack at each call: 9 in
-# the usual shape, a call in a binary operator in a return in an if, and
-# 33 from inside 13 more nested ifs.  The budget lets 36 such calls nest,
-# and 40 calls from 13 levels of nesting.
-MAX_CALL_DEPTH = 40
-FRAME_BUDGET = 1200
-# Below the innermost call, its function's statements and expressions:
-# 2 frames a level, to the parser's nesting limit, and the library and
-# term code at the bottom.
-STACK_FRAMES = FRAME_BUDGET + 2 * MAX_NESTING + 100
+# The Python frames a run's calls may nest in.  A call takes 3 (``eval``,
+# its handler and ``call``) and 2 for each IR statement or expression
+# around its call site (an ``exec_block`` or ``eval`` and its handler):
+# 9 in the usual shape, a call in a binary operator in a return in an if.
+# So 1620 frames hold about 180 such calls, or the parser's deepest
+# nesting (160 levels, 2 frames each) below 140 of them.
+STACK_FRAMES = 1620
 CLOCK_STEPS = 1024
-
-
-def call_frames(nesting):
-    """The Python frames that a call charges, made from ``nesting`` IR
-    nodes deep in its function."""
-    return 3 + 2 * nesting
 
 
 class HarnessFailure(Exception):
@@ -104,11 +90,8 @@ class StepLimitExceeded(ResourceLimit):
 
 class CallDepthExceeded(ResourceLimit):
     def __init__(self, depth):
-        super().__init__(
-            f"call depth limit of {MAX_CALL_DEPTH} exceeded"
-            if depth == MAX_CALL_DEPTH else
-            f"call nesting limit of {FRAME_BUDGET} interpreter frames "
-            f"exceeded at call depth {depth}")
+        super().__init__(f"call nesting exceeds {STACK_FRAMES} Python "
+                         f"frames at call depth {depth}")
 
 
 class ObjRecord:
@@ -279,8 +262,7 @@ class Interp:
         self.deadline = deadline             # time.monotonic() value or None
         self.steps = 0
         self.next_check = 0                  # a step past it runs _checkpoint
-        self.depth = 0                       # calls now running
-        self.frames = 0                      # the frames they are charged
+        self.depth = 1                       # calls now running, the entry's
         self.constraints = []
         self.objectives = {}                 # objective name -> its value
         self.statics = {}
@@ -316,51 +298,44 @@ class Interp:
 
     def run_harness(self, name):
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, _stack_depth() + STACK_FRAMES))
+        sys.setrecursionlimit(_stack_depth() + STACK_FRAMES)
         try:
             self.init_statics()
-            self._run_entry(name)
+            return self._run_entry(name)
+        except RecursionError:
+            pass    # raised below, so that it holds no overflowed stack
         finally:
             sys.setrecursionlimit(limit)
+        raise CallDepthExceeded(self.depth)
 
     def _run_entry(self, name):
         """Run the parameterless function ``name``, the outermost call of
         its run; one step."""
         self.steps += 1
-        self.depth = 1
-        self.frames = 0
         self.exec_block(self.program.functions[name].body,
                         _Frame({}, None), TRUE)
-        self.depth = 0
 
     # -- calls -------------------------------------------------------------
 
-    def call(self, method, args, guard, site):
+    def call(self, method, args, guard, span):
         """Run class-table method ``method`` on ``args``, its receiver
         first unless it is static, on the paths ``guard`` holds on, for
-        call site ``site`` (a ``Call``, ``New`` or ``VirtualCall``): a
-        library method natively, any other as its IR function, which takes
-        one step, one level of call depth and the frames of its site's
-        nesting.  An exception ends the whole run, so neither need
-        unwind."""
+        the call at ``span``: a library method natively, any other as its
+        IR function, which takes one step and one level of call depth.  An
+        exception ends the whole run, so ``depth`` need not unwind."""
         native = method.builtin
         if native is not None:
-            return self._run_builtin(native, args, guard, site.span)
+            return self._run_builtin(native, args, guard, span)
         fn = self.program.functions.get(method.function)
         if fn is None or len(args) != len(fn.params):
             raise InternalError(f"no function fits a call of {method!r}")
         self.steps += 1
         if self.steps > self.next_check:
             self._checkpoint()
-        frames = self.frames
-        self.frames = frames + call_frames(site.nesting)
-        if self.depth == MAX_CALL_DEPTH or self.frames > FRAME_BUDGET:
-            raise CallDepthExceeded(self.depth)
         self.depth += 1
         frame = _Frame(dict(zip(fn.params, args)), default_value(fn.ret_tag))
         self.exec_block(fn.body, frame, guard)
         self.depth -= 1
-        self.frames = frames
         return frame.retval
 
     # -- statements --------------------------------------------------------
@@ -590,7 +565,7 @@ class Interp:
         args = []
         for a in e.args:   # a loop: a comprehension nests one more frame
             args.append(self.eval(a, frame, active))
-        return self.call(e.method, args, active, e)
+        return self.call(e.method, args, active, e.span)
 
     def _eval_new(self, e, frame, active):
         # allocation comes before the arguments (JLS 15.9.4)
@@ -598,7 +573,7 @@ class Interp:
         args = [obj]
         for a in e.args:
             args.append(self.eval(a, frame, active))
-        self.call(e.ctor, args, active, e)
+        self.call(e.ctor, args, active, e.span)
         return obj
 
     def _eval_seq(self, e, frame, active):
@@ -629,7 +604,7 @@ class Interp:
             # ``active``, when the receiver's class implements the call
             impl = self.table.vtable.get((recv.class_id, e.sig))
             if impl is not None:
-                return self.call(impl, args, active, e)
+                return self.call(impl, args, active, e.span)
         self._null_check(recv, active, e, what="dynamic dispatch on null")
         acc = _NO_CASE
         for cg, ref in _as_cases(recv):
@@ -642,7 +617,7 @@ class Interp:
                                e.span)
                 continue
             args[0] = ref
-            v = self.call(impl, args, g, e)
+            v = self.call(impl, args, g, e.span)
             acc = v if acc is _NO_CASE else mux_value(cg, v, acc)
         return default_value(e.ret_tag) if acc is _NO_CASE else acc
 

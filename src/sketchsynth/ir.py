@@ -93,27 +93,21 @@ class Call(IrExpr):
     function, or (from a constructor) a superclass constructor's body,
     whose first argument is the receiver."""
 
-    _hidden = ("nesting",)
-
-    def __init__(self, method, args, span=None, nesting=0):
+    def __init__(self, method, args, span=None):
         self.method = method  # classtable.MethodInfo
         self.args = args
         self.span = span
-        self.nesting = nesting  # the IR nodes around it in its function
 
 
 class New(IrExpr):
     """``new cls(args)``: a fresh record of class ``cls``, which
     constructor ``ctor`` (a class-table MethodInfo) then initializes."""
 
-    _hidden = ("nesting",)
-
-    def __init__(self, cls, ctor, args, span=None, nesting=0):
+    def __init__(self, cls, ctor, args, span=None):
         self.cls = cls
         self.ctor = ctor
         self.args = args
         self.span = span
-        self.nesting = nesting  # the IR nodes around it in its function
 
 
 class Seq(IrExpr):
@@ -129,15 +123,12 @@ class Seq(IrExpr):
 class VirtualCall(IrExpr):
     """Instance-method call, resolved per receiver class through the vtable."""
 
-    _hidden = ("nesting",)
-
-    def __init__(self, sig, receiver, args, ret_tag, span=None, nesting=0):
+    def __init__(self, sig, receiver, args, ret_tag, span=None):
         self.sig = sig  # plain signature (name, mangled param types)
         self.receiver = receiver
         self.args = args
         self.ret_tag = ret_tag
         self.span = span
-        self.nesting = nesting  # the IR nodes around it in its function
 
 
 # -- instructions ----------------------------------------------------------

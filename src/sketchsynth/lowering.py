@@ -58,7 +58,6 @@ class _Lowerer:
             for f in ci.decl.fields():
                 if f.is_static and f.init is not None:
                     env = _Env(self, ci, None, static=True)
-                    env.nesting = 0         # in its AssignStatic
                     owner, ftag, _ = self.table.resolve_field(ci.name, f.name)
                     expr = env.lower_value(f.init, ftag)
                     body.append(I.AssignStatic(owner, f.name, expr))
@@ -87,7 +86,7 @@ class _Lowerer:
                     f"class '{ci.name}' may not extend builtin '{sup}'",
                     ci.decl.span)
             body.append(I.EvalInstr(I.Call(self._zero_arg_ctor(sup_ci, decl),
-                                           [I.LocalRead("self")], nesting=1)))
+                                           [I.LocalRead("self")])))
         body += env.lower_block(decl.body)
         _require(not (env.completes and env.returns_value()),
                  "missing return statement", decl.span)
@@ -128,10 +127,6 @@ class _Env:
         # whether the statements lowered so far can complete normally
         # (JLS 14.22, without labels or break)
         self.completes = True
-        # the IR nodes around the one being lowered, in its function: the
-        # ``nesting`` of a call, which the interpreter charges Python
-        # frames for; a block is no node of its own
-        self.nesting = -1
 
     # -- statements --------------------------------------------------------
 
@@ -143,12 +138,7 @@ class _Env:
         return out
 
     def lower_stmt(self, s):
-        if type(s) is A.Block:
-            return self.lower_block(s)
-        self.nesting += 1
-        out = _LOWER_STMT[type(s)](self, s)
-        self.nesting -= 1
-        return out
+        return _LOWER_STMT[type(s)](self, s)
 
     def _lower_local(self, s):
         tag = self.table.tag_from_typeref(s.type)
@@ -219,12 +209,23 @@ class _Env:
         kind = type(target)
         if kind is I.LocalRead:
             return [I.AssignLocal(target.name, value)]
-        if kind is I.FieldRead:
-            return [I.AssignField(target.obj, target.owner, target.name, value)]
         first = []
         if kind is I.Seq:       # a static reached through an expression
             first, target = [I.EvalInstr(target.first)], target.value
-        return first + [I.AssignStatic(target.cls, target.name, value)]
+        field = type(target) is I.FieldRead
+        owner = target.owner if field else target.cls
+        # as javac: an instance final field is assigned only by its class's
+        # constructors, by simple name or through this, and a static one
+        # only by its initializer (JLS 8.3.1.2)
+        _require((owner, target.name) not in self.table.final_fields
+                 or field and self.mi.is_constructor and owner == self.ci.name
+                 and (type(e.target) is A.Name
+                      or type(e.target.target) is A.ThisExpr),
+                 "cannot assign a value to final variable {}", e.target.span,
+                 target.name)
+        if field:
+            return [I.AssignField(target.obj, owner, target.name, value)]
+        return first + [I.AssignStatic(owner, target.name, value)]
 
     def lower_minimize(self, e):
         _require(self.mi is not None and self.mi.is_harness,
@@ -252,10 +253,7 @@ class _Env:
     def lower_expr(self, e, expected=None):
         """(IR expression, type tag) of ``e``; ``expected`` is the type
         its context wants, which decides the type of a bare ``??``."""
-        self.nesting += 1
-        out = _LOWER_EXPR[type(e)](self, e, expected)
-        self.nesting -= 1
-        return out
+        return _LOWER_EXPR[type(e)](self, e, expected)
 
     def _lower_int(self, e, expected):
         return self.literal(e.value, T.INT, abs(e.value))
@@ -373,13 +371,12 @@ class _Env:
             m = self.table.resolve_method(rtag.cls, e.name, tags, e.span)
         args = self.bind_args(e.args, lowered, m)
         if m.is_static:
-            return _after(recv, I.Call(m, args, e.span, self.nesting)), m.ret
+            return _after(recv, I.Call(m, args, e.span)), m.ret
         if m.plain_sig not in self.table.implemented:
             raise TypeLoweringError(f"no implementation of '{m.plain_name}'",
                                     e.span)
         # an instance call; the interpreter picks the override per receiver
-        return (I.VirtualCall(m.plain_sig, recv, args, m.ret, e.span,
-                              self.nesting), m.ret)
+        return I.VirtualCall(m.plain_sig, recv, args, m.ret, e.span), m.ret
 
     def _lower_new(self, e, expected):
         name = e.type.name
@@ -389,8 +386,8 @@ class _Env:
         lowered, tags = self.lower_args(e.args)
         m = pick_overload([m for m in ci.methods if m.is_constructor], tags,
                           f"constructor of '{name}'", e.span)
-        return (I.New(name, m, self.bind_args(e.args, lowered, m), e.span,
-                      self.nesting), T.obj(name))
+        return (I.New(name, m, self.bind_args(e.args, lowered, m), e.span),
+                T.obj(name))
 
     def lower_args(self, args):
         """The arguments lowered before overload resolution, as (expr, tag)
@@ -434,12 +431,9 @@ class _Env:
 
 def _after(first, value):
     """IR expression ``value``, after ``first`` (or None) is evaluated for
-    its effects; reading a local has none.  A call that a ``Seq`` wraps
-    nests one node deeper."""
+    its effects; reading a local has none."""
     if first is None or type(first) is I.LocalRead:
         return value
-    if type(value) is I.Call:
-        value.nesting += 1
     return I.Seq(first, value)
 
 

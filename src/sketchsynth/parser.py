@@ -49,7 +49,7 @@ class _Parser:
                     else SourceSpan(self.file_id, 1, 1, 0))
         self.toks.append(Token("EOF", "", eof_span))
         self.pos = 0
-        self.nesting = 0
+        self.level = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -73,9 +73,9 @@ class _Parser:
 
     def nest(self, what="an expression"):
         """Enter one level of nesting; the caller leaves it by lowering
-        ``self.nesting`` again."""
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
+        ``self.level`` again."""
+        self.level += 1
+        if self.level > MAX_NESTING:
             self.error(f"{what} nested at most {MAX_NESTING} deep")
 
     def error(self, expected):
@@ -266,7 +266,7 @@ class _Parser:
         if tok.kind == "{":
             self.nest("a statement")
             block = self.parse_block()
-            self.nesting -= 1
+            self.level -= 1
             return block
         if tok.kind == "if":
             self.next()
@@ -302,7 +302,7 @@ class _Parser:
             self.next()
             self.nest("a statement")
             body = self.parse_block()
-            self.nesting -= 1
+            self.level -= 1
             return A.MinRepeat(body=body, span=tok.span)
         if tok.kind == "IDENT" and tok.text in UNSUPPORTED_STATEMENTS:
             raise ParseError(tok.span, "a statement", repr(tok.text),
@@ -326,7 +326,7 @@ class _Parser:
         local declaration (JLS 14.5)."""
         self.nest("a statement")
         body = self.parse_block() if self.at("{") else self.parse_stmt()
-        self.nesting -= 1
+        self.level -= 1
         if type(body) is A.LocalDecl:
             raise ParseError(body.span, "a statement", "a declaration",
                              "variable declaration not allowed here")
@@ -365,7 +365,7 @@ class _Parser:
             if not isinstance(expr, (A.Name, A.FieldAccess)):
                 raise ParseError(eq.span, "assignable target", repr("="))
             expr = A.Assign(target=expr, value=self.parse_expr(), span=eq.span)
-        self.nesting -= 1
+        self.level -= 1
         return expr
 
     def parse_binary(self, min_prec):
@@ -382,7 +382,7 @@ class _Parser:
             right = self.parse_binary(prec + 1)
             left = A.BinOp(op=op.kind, left=left, right=right, span=op.span)
             prec = A.BINARY_PREC.get(self.peek().kind, 0)
-        self.nesting -= chain
+        self.level -= chain
         return left
 
     def parse_unary(self):
@@ -410,7 +410,7 @@ class _Parser:
                     expr = A.FieldAccess(target=expr, name=name.text, span=dot.span)
         for tok in reversed(ops):
             expr = A.UnOp(op=tok.kind, operand=expr, span=tok.span)
-        self.nesting -= len(ops)
+        self.level -= len(ops)
         return expr
 
     def parse_args(self):

@@ -97,7 +97,9 @@ def test_vtable_matches_chain_walk_on_random_hierarchies():
         lines = ["interface I { int m(); }", "interface J extends I { int n(); }"]
         for i in range(n):
             sup = rng.randrange(-1, i)  # only earlier classes: acyclic
-            head = f"class C{i}" + (f" extends C{sup}" if sup >= 0 else "")
+            head = f"abstract class C{i}"
+            if sup >= 0:
+                head += f" extends C{sup}"
             impls = rng.sample(["I", "J"], rng.randrange(0, 3))
             if impls:
                 head += " implements " + ", ".join(impls)
@@ -107,7 +109,7 @@ def test_vtable_matches_chain_walk_on_random_hierarchies():
                 if roll < 0.35:     # an override
                     body.append(f"{decls[sig]} {{ return {10 * i + k}; }}")
                 elif roll < 0.5:    # an abstract redeclaration
-                    body.append(f"{decls[sig]};")
+                    body.append(f"abstract {decls[sig]};")
             lines.append(head + " { " + " ".join(body) + " }")
         t = table_for("\n".join(lines))
         for i in range(n):
@@ -193,8 +195,8 @@ def test_vtable_matches_chain_walk_oracle():
 def test_implemented_signatures_cover_all_concrete_arms():
     t = table_for("""
         interface I { public int m(); public int n(); }
-        class A implements I { public int m() { return 1; } }
-        class B implements I { public int m() { return 2; } }
+        abstract class A implements I { public int m() { return 1; } }
+        abstract class B implements I { public int m() { return 2; } }
         """)
     assert ("m", ()) in t.implemented and ("n", ()) not in t.implemented
     impls = {t.vtable[(t.id_of(c), ("m", ()))].mangled for c in ("A", "B")}

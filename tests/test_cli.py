@@ -18,8 +18,8 @@ from conftest import (CADSR, CADSR_SMALL, DB, DB_TWO_STATE, MULT2, PROGRAMS,
                       program_files, run_front_end)
 import sketchsynth
 from sketchsynth import cli, engine, parser
-from sketchsynth.interp import (FRAME_BUDGET, MAX_CALL_DEPTH, ConcreteUnknowns,
-                                Interp, SymbolicUnknowns)
+from sketchsynth.interp import (STACK_FRAMES, ConcreteUnknowns, Interp,
+                                SymbolicUnknowns)
 
 STAGES = [
     "rewriting syntax sugar",
@@ -372,11 +372,13 @@ _B_AND_C = ("class B { int m() { return 1; } } "
     ("class A { harness static void t() { String s = null; "
      "Iterator it = convertToIterator(s); assert ?? == 1; } }",
      cli.EXIT_UNSAT, None),
-    # X has no m, so only Y can be the receiver
-    ("interface I { public int m(); } class X implements I { X() { } } "
-     "class Y implements I { public int m() { return 1; } } "
+    # the library's CharToken implements the program's Token but has no
+    # m, so only Y can be the receiver
+    ("interface Token { int getId(); int m(); } class Y implements Token { "
+     "public int getId() { return 0; } public int m() { return 1; } } "
      "class A { harness static void t() { "
-     "I x = {| new X(), new Y() |}; assert x.m() == 1; } }",
+     'Iterator it = convertToIterator("a"); Token c = it.next(); '
+     "Token x = {| c, new Y() |}; assert x.m() == 1; } }",
      cli.EXIT_SOLVED, ["choice e_c1 = 1"]),
     # a library call that mutates its receiver needs a concrete path
     ("class A { harness static void t() { LinkedList l = new LinkedList(); "
@@ -666,33 +668,84 @@ def _recursion(n, nest=1):
             f"harness static void t() {{ assert f({n}) + ?? == {n + 1}; }} }}")
 
 
+def _call_depth_overrun(err):
+    """The call depth at which a run's calls overran its Python frames,
+    as its error line ``err`` says."""
+    m = re.fullmatch(f"call nesting exceeds {STACK_FRAMES} Python "
+                     r"frames at call depth (\d+) while encoding depth 0\n",
+                     err)
+    assert m, err
+    return int(m.group(1))
+
+
 def test_calls_up_to_the_depth_bound_solve(tmp_path, capsys):
-    # at the bound, with the deepest expression the parser accepts at the
-    # bottom, the run fits Python's default recursion limit
+    # 132 calls, 9 Python frames each, with the deepest expression the
+    # parser accepts at the bottom fit the frames a run allows
     src = tmp_path / "A.java"
-    src.write_text(_recursion(MAX_CALL_DEPTH - 2, nest=parser.MAX_NESTING))
+    src.write_text(_recursion(130, nest=parser.MAX_NESTING))
     code, out = run(tmp_path, str(src))
     assert code == cli.EXIT_SOLVED
     assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 1"
-    src.write_text(_recursion(MAX_CALL_DEPTH - 1))
+    src.write_text(_recursion(400))
     code, out = run(tmp_path, str(src))
     assert code == cli.EXIT_TIMEOUT
-    err = capsys.readouterr().err
-    assert f"call depth limit of {MAX_CALL_DEPTH} exceeded" in err
-    assert "--step-limit" not in err
+    assert 170 <= _call_depth_overrun(capsys.readouterr().err) <= 190
     assert not (out / "java").exists()
+
+
+def _plain_recursion(n):
+    return ("class A { static int f(int k) { if (k == 0) { return 0; } "
+            "return f(k - 1) + 1; } "
+            f"harness static void t() {{ assert f({n}) == ??; }} }}")
+
+
+def _under_frames(n, fn):
+    """``fn()``, called under ``n`` more Python frames."""
+    return fn() if n == 0 else _under_frames(n - 1, fn)
+
+
+def test_the_call_depth_bound_does_not_depend_on_the_callers_stack(
+        tmp_path, capsys):
+    """A run sets Python's recursion limit above its own caller's frame,
+    so neither the frames under the CLI nor the limit they ran with moves
+    the call depth at which a recursion stops."""
+    src = tmp_path / "A.java"
+    src.write_text(_plain_recursion(200))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == \
+        "hole e_h1 = 200"
+    src.write_text(_plain_recursion(400))
+    capsys.readouterr()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1000)
+    depths = set()
+    try:
+        for extra in (0, 50, 300, 900):
+            code, _ = _under_frames(extra, lambda: run(tmp_path, str(src)))
+            assert code == cli.EXIT_TIMEOUT
+            depths.add(_call_depth_overrun(capsys.readouterr().err))
+            assert sys.getrecursionlimit() == limit + 1000
+    finally:
+        sys.setrecursionlimit(limit)
+    depth, = depths
+    assert 220 <= depth <= 240
+
+
+def _recursion_through_ifs(n):
+    """f(n) recurses n deep, each call from inside 13 nested ifs."""
+    return ("class R { static int f(int k) { if (k == 0) { return 0; } "
+            + "if (k > -1) { " * 13 + "return f(k - 1) + 1; " + "} " * 13
+            + "return 0; } harness static void t() { assert f(%d) == ??; } }"
+            % n)
 
 
 def test_recursion_through_13_nested_ifs_solves_29_calls_deep(tmp_path):
     """Each call level runs inside 13 ifs, the Python frames of each if
-    nesting on those of the call; at 29 levels the CLI, run as a user runs
-    it, stays within Python's default recursion limit only while a call
-    of an IR function nests no Python frame beyond its statements'."""
+    nesting on those of the call; the CLI, run as a user runs it, solves
+    29 levels."""
     src = tmp_path / "R.java"
-    src.write_text(
-        "class R { static int f(int k) { if (k == 0) { return 0; } "
-        + "if (k > -1) { " * 13 + "return f(k - 1) + 1; " + "} " * 13
-        + "return 0; } harness static void t() { assert f(29) == ??; } }")
+    src.write_text(_recursion_through_ifs(29))
     env = dict(os.environ,
                PYTHONPATH=str(Path(sketchsynth.__file__).parents[1]))
     done = subprocess.run(
@@ -703,21 +756,22 @@ def test_recursion_through_13_nested_ifs_solves_29_calls_deep(tmp_path):
         == "hole e_h1 = 29"
 
 
-def test_recursion_through_13_nested_ifs_38_calls_deep_is_a_resource_limit(
+def test_recursion_through_13_nested_ifs_solves_38_deep_and_stops_at_60(
         tmp_path, capsys):
-    """Each call is charged the Python frames of the 15 IR nodes around its
-    call site, so 38 of them overrun the interpreter's frame budget before
-    Python's stack: exit 3, never a RecursionError's exit 4."""
+    """A call from inside 13 ifs takes 33 Python frames, so 38 levels
+    fit the frames a run allows and 60 overrun them: exit 3, never a
+    RecursionError's exit 4."""
     src = tmp_path / "R.java"
-    src.write_text(
-        "class R { static int f(int k) { if (k == 0) { return 0; } "
-        + "if (k > -1) { " * 13 + "return f(k - 1) + 1; " + "} " * 13
-        + "return 0; } harness static void t() { assert f(38) == ??; } }")
+    src.write_text(_recursion_through_ifs(38))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == \
+        "hole e_h1 = 38"
+    src.write_text(_recursion_through_ifs(60))
+    capsys.readouterr()
     code, out = run(tmp_path, str(src))
     assert code == cli.EXIT_TIMEOUT
-    assert capsys.readouterr().err == (
-        f"call nesting limit of {FRAME_BUDGET} interpreter frames exceeded "
-        "at call depth 38 while encoding depth 0\n")
+    assert 45 <= _call_depth_overrun(capsys.readouterr().err) <= 55
     assert not (out / "java").exists()
 
 
@@ -1055,32 +1109,48 @@ def _sketchsynth_owned(obj):
     return (type(obj).__module__ or "").startswith("sketchsynth")
 
 
+# sketches whose search overruns a resource limit: (text, flags)
+_OVERRUNS = {
+    "recursion-400": (_plain_recursion(400), []),
+    "step-limit": (_harness("int i = 0; while (i < 60) { i = i + 1; } "
+                            "assert i == ??;"), ["--step-limit", "100"]),
+}
+
+
 @pytest.mark.parametrize("sid", ["mult2", "db", "db-two-state", "cadsr",
                                  "cadsr-small", "wide0", "wide1", "wide2",
-                                 "wide3", "wide4"])
+                                 "wide3", "wide4", *_OVERRUNS])
 def test_a_bench_sketch_leaves_no_cyclic_garbage(tmp_path, sid):
     """Runs pause the cyclic collector because they make no cycles; a
-    change that makes some fails here before it shows as memory."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    sk, = [sk for sk in (workloads.paper_sketches(tmp_path, 0)
-                         + workloads.wide_sketches(tmp_path, 1))
-           if sk.sid == sid]
+    change that makes some fails here before it shows as memory.  The
+    overrun sketches keep the limit they overran until the search ends."""
+    if sid in _OVERRUNS:
+        text, flags = _OVERRUNS[sid]
+        (tmp_path / "A.java").write_text(text)
+        files, code = [str(tmp_path / "A.java")], cli.EXIT_TIMEOUT
+    else:
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                               / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        sk, = [sk for sk in (workloads.paper_sketches(tmp_path, 0)
+                             + workloads.wide_sketches(tmp_path, 1))
+               if sk.sid == sid]
+        files, flags, code = sk.files, sk.flags, sk.exit_code
     gc.collect()
-    flags = gc.get_debug()
+    debug = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        got, _ = run(tmp_path, *sk.files, *sk.flags)
+        got, _ = run(tmp_path, *files, *flags)
         gc.collect()
         owned = [repr(o)[:80] for o in gc.garbage if _sketchsynth_owned(o)]
     finally:
-        gc.set_debug(flags)
+        gc.set_debug(debug)
         gc.garbage.clear()
         gc.collect()
-    assert got == sk.exit_code
+    assert got == code
     assert owned == []
 
 

@@ -1,7 +1,5 @@
 """Interpreter tests: concrete execution, traps, guards, symbolic encoding."""
 
-import sys
-
 import pytest
 
 from conftest import run_front_end, subclasses
@@ -230,29 +228,3 @@ def test_a_concrete_run_builds_a_term_only_for_each_arithmetic_result(
     run_concrete(prog)
     assert len(built) == 5 * 4
     assert all(t.op == "const" for t in built)
-
-
-@pytest.mark.parametrize("ifs", [1, 2, 5, 13])
-def test_a_call_is_charged_the_python_frames_it_takes(monkeypatch, ifs):
-    """In a recursion from inside ``ifs`` nested ifs, the stack grows by
-    ``call_frames`` of the call site's nesting per call (and the frame of
-    the spy that measures it)."""
-    prog = program(
-        "class R { static int f(int k) { if (k == 0) { return 0; } "
-        + "if (k > -1) { " * ifs + "return f(k - 1) + 1; " + "} " * ifs
-        + "return 0; } harness static void t() { assert f(4) == 4; } }")
-    seen = []
-    call = Interp.call
-
-    def spy(self, method, args, guard, site):
-        depth, f = 0, sys._getframe()
-        while f is not None:
-            depth, f = depth + 1, f.f_back
-        seen.append((depth, interp.call_frames(site.nesting)))
-        return call(self, method, args, guard, site)
-    monkeypatch.setattr(Interp, "call", spy)
-    run_concrete(prog)
-    assert len(seen) == 5
-    for (a, _), (b, charged) in zip(seen, seen[1:]):
-        assert b - a == charged + 1
-    assert seen[-1][1] == interp.call_frames(ifs + 2)

@@ -315,6 +315,38 @@ class Outer {
         assert r == 0;
     }
 }""", 1),
+    # an interface that extends two others has the methods of both
+    "interface-extending-two-interfaces": ("""interface I1 { int f(); }
+interface I2 { int g(); }
+interface I3 extends I1, I2 { }
+class C implements I3 {
+    public int f() { return 1; }
+    public int g() { return 2; }
+}
+class Outer {
+    harness static void t() { I3 c = new C(); assert c.f() + c.g() == ??; }
+}""", 3),
+    # a private interface method has a body, and is no abstract method
+    # that a class must implement
+    "private-interface-method": ("""interface I {
+    private int f() { return 1; }
+    int g();
+}
+class C implements I { public int g() { return 2; } }
+class Outer {
+    harness static void t() { assert new C().g() == ??; }
+}""", 2),
+    # final fields assigned where javac allows it: by their initializers,
+    # which desugar moves into the constructors, and through this
+    "final-fields": ("""class A {
+    static final int Z = 2;
+    final int x = 5;
+    final int y;
+    A() { this.y = x + Z; }
+}
+class Outer {
+    harness static void t() { assert new A().y == ??; }
+}""", 7),
     # JLS 14.6: the empty statement, also as a branch
     "empty-statements": ("""class Outer {
     harness static void t() {
@@ -506,6 +538,61 @@ def test_missing_zero_argument_super_constructor_is_reported_where_javac_does(
     head, _, caret = done.stderr.splitlines()[:3]
     line, col = position.split(":")
     assert head.startswith(f"E.java:{line}: error: constructor A in class A")
+    assert caret.index("^") + 1 == int(col)
+
+
+@pytest.mark.parametrize("source, position, message", [
+    ("abstract class A {\n    abstract int f() { return 1; }\n}\n", "2:18",
+     "abstract methods cannot have a body"),
+    ("interface I { int f() { return 1; } }\n", "1:23",
+     "interface abstract methods cannot have body"),
+    ("class A {\n    int f();\n}\n", "2:9",
+     "missing method body, or declare abstract"),
+    ("interface I { int f(); }\nclass C implements I { }\n", "2:1",
+     "'C' is not abstract and does not override abstract method 'f()' in 'I'"),
+    ("abstract class A { abstract int f(int x); }\nclass C extends A { }\n",
+     "2:1", "'C' is not abstract and does not override abstract method "
+     "'f(int)' in 'A'"),
+    # B's redeclaration hides A's body from C
+    ("class A { int f() { return 1; } }\n"
+     "abstract class B extends A { abstract int f(); }\n"
+     "class C extends B { }\n", "3:1",
+     "'C' is not abstract and does not override abstract method 'f()' in 'B'"),
+    ("class A { static final int X = 1; A() { X = 2; } }\n", "1:41",
+     "cannot assign a value to final variable X"),
+    ("interface I { int K = 1; }\n"
+     "class A implements I { void g() { K = 2; } }\n", "2:35",
+     "cannot assign a value to final variable K"),
+    ("class A { final int x; A() { x = 1; } void g() { x = 2; } }\n", "1:50",
+     "cannot assign a value to final variable x"),
+    ("class A { final int x; A(A o) { o.x = 1; x = 2; } }\n", "1:34",
+     "cannot assign a value to final variable x"),
+    ("class A { final int x; A() { this.x = 1; } }\n"
+     "class B extends A { B() { x = 2; } }\n", "2:27",
+     "cannot assign a value to final variable x"),
+], ids=["abstract-method-with-body", "interface-method-with-body",
+        "method-without-body", "interface-method-not-implemented",
+        "abstract-method-not-implemented", "abstract-redeclaration",
+        "static-final-field", "interface-field", "final-field-in-a-method",
+        "final-field-of-another-object", "final-field-of-a-superclass"])
+def test_what_javac_rejects_for_its_modifiers_gives_exit_2_where_javac_says(
+        tmp_path, capsys, monkeypatch, source, position, message):
+    """An abstract method has no body and any other method one, a concrete
+    class overrides every abstract method it inherits, and a final field
+    is assigned only by its own class's constructors: each error is
+    reported where javac 17 reports it, in its words."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "E.java").write_text(source)
+    assert cli.main(["E.java", "--out", "out"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: E.java:{position}: {message}\n"
+    if shutil.which("javac") is None:
+        pytest.skip("javac is not on PATH")
+    done = subprocess.run(["javac", "-d", "classes", "E.java"],
+                          capture_output=True, text=True)
+    head, _, caret = done.stderr.splitlines()[:3]
+    line, col = position.split(":")
+    unquoted = message.replace("'", "")
+    assert head == f"E.java:{line}: error: {unquoted}"
     assert caret.index("^") + 1 == int(col)
 
 

@@ -1,7 +1,5 @@
 """Lowering tests: function naming, dispatch, unknowns, error cases."""
 
-from pathlib import Path
-
 import pytest
 
 from conftest import (CADSR, find_type, program_files, run_front_end,
@@ -159,58 +157,3 @@ def test_every_syntax_node_kind_has_a_lowering():
     assert set(lowering._LOWER_STMT) == subclasses(A.Stmt)
 
 
-def calls_by_walk(body):
-    """Oracle: (call, the IR nodes around it) for each call in function
-    body ``body``, found by walking the IR."""
-    out = []
-    stack = [(node, 0) for node in body]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, (I.Call, I.New, I.VirtualCall)):
-            out.append((node, depth))
-        for v in vars(node).values():
-            for x in v if isinstance(v, list) else [v]:
-                if isinstance(x, (I.IrExpr, I.IrInstr)):
-                    stack.append((x, depth + 1))
-    return out
-
-
-NESTED_CALLS = """
-class Base { int b = g(1); Base() { b = g(b); } static int g(int x) { return x; } }
-class A extends Base {
-    static int s = Base.g(Base.g(2));
-    static A make() { return new A(); }
-    int v() { return s; }
-    A() { { { b = make().v() + g(3); } } }
-    static int h(int n) {
-        int t = 0;
-        if (n > 0) { while (t < g(n)) { t = t + {| g(1), make().v() |}; } }
-        minrepeat { if (t == ??) { return make().g(t); } }
-        make().s = g(make().v());
-        return g(g(g(n)));
-    }
-    harness static void t() {
-        A a = new A();
-        assert h(new A().v()) == ??;
-        if (a.v() > 0) { if (a.v() > 1) { assert a.v() + make().v() > ??; } }
-    }
-}
-"""
-
-
-def test_each_call_records_the_ir_nodes_around_it(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
-                                    / "perfbench"))
-    import workloads
-    files, _, _ = workloads.wide_program(7)
-    programs = [lower_texts(NESTED_CALLS)[3],
-                run_front_end(texts=list(files.items()))[3],
-                run_front_end(files=program_files(*CADSR))[3]]
-    seen = set()
-    for prog in programs:
-        for fn in prog.functions.values():
-            for call, depth in calls_by_walk(fn.body):
-                assert call.nesting == depth, (fn.name, call)
-                seen.add((type(call), depth))
-    assert {t for t, _ in seen} == {I.Call, I.New, I.VirtualCall}
-    assert max(d for _, d in seen) >= 6

@@ -18,17 +18,26 @@ KEPT = {
 
 
 def test_every_definition_is_used_in_src():
-    """No function, method or class of src/ exists only for tests: each
-    non-dunder name defined there is read by name somewhere in src/."""
+    """No function, method, class or module constant of src/ exists only
+    for tests: each non-dunder name defined there, and each ALL-CAPS name
+    a module assigns at its top level, is read by name somewhere in
+    src/."""
     defined, used = set(), set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                defined.update(n.id for n in ast.walk(stmt)
+                               if isinstance(n, ast.Name) and n.id.isupper()
+                               and isinstance(n.ctx, ast.Store))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__")
                         and node.name.endswith("__")):
                     defined.add(node.name)
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(defined - used - set(KEPT)) == []
