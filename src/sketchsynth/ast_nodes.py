@@ -295,10 +295,12 @@ class UnOp(Expr):
 
 
 class Assign(Expr):
-    def __init__(self, target=None, value=None, span=None):
+    def __init__(self, target=None, value=None, span=None, initializer=False):
         self.target = target  # Name or FieldAccess
         self.value = value
         self.span = span
+        # a field's initializer, which desugar moved into a constructor
+        self.initializer = initializer
 
 
 class Hole(Expr):

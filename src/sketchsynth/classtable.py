@@ -2,12 +2,18 @@
 
 Built once from the desugared AST (inner classes already flattened, anonymous
 classes already lifted).  Builtin library classes are registered after user
-classes so that dispatch over e.g. ``Iterator`` receivers works uniformly;
-a user class shadows the library class of its name, except the root: the
-library's ``Object`` is the superclass of every class that names none
-but itself and the interfaces, and a program's own ``Object`` is an
-ordinary class beside it, which the root's name ``java.lang.Object``
-then tells apart.
+classes so that dispatch over e.g. ``Iterator`` receivers works uniformly.
+Every library class is in the table, whatever the program names its own:
+a program's class of a library class's name shadows it only in the
+program's references (JLS 6.4.1), and the library class goes by its
+qualified name, ``java.lang.String``, instead.  ``ClassTable.library``
+maps each library class's simple name to its name in the program, and
+library code reaches library classes only through it: the tags of their
+methods, their interfaces and the interpreter's allocations.  So the
+root, the library's ``Object``, is the superclass of every class that
+names none but itself and the interfaces, beside a program's own
+``Object``, and a String literal or ``StringBuilder.toString`` makes a
+library String beside a program's own ``String``.
 Every callee is a :class:`MethodInfo` here: the library's methods and
 constructors are members of their classes, ``convertToIterator`` a static
 method of the root, so a program's own method of that name hides it as a
@@ -25,9 +31,6 @@ from .errors import (
     UnresolvedTypeError,
 )
 from .records import Record
-
-# the library root's name in a program that declares its own ``Object``
-SHADOWED_ROOT = "java.lang.Object"
 
 PRIMITIVE_TAGS = {
     "int": T.INT, "boolean": T.BOOL, "char": T.CHAR, "void": T.VOID,
@@ -99,7 +102,8 @@ class ClassTable:
         self.final_fields = set()   # (owner, name) of each final field
         self.vtable = {}            # (cid, plain_sig) -> MethodInfo
         self.implemented = set()    # plain_sigs with an override in some class
-        self.root = stdlib.ROOT_CLASS   # the library root's name
+        self.library = {}           # library class's simple name -> its name
+        self.root = None            # the library root's name
 
     # -- queries -----------------------------------------------------------
 
@@ -219,13 +223,11 @@ def build_class_table(ast):
         table.classes.append(ci)
         table.by_name[ci.name] = ci
 
-    if table.root in user_names:
-        table.root = SHADOWED_ROOT
     for spec in stdlib.BUILTIN_CLASSES:
-        name = table.root if spec.name == stdlib.ROOT_CLASS else spec.name
-        if name in user_names:
-            continue  # user declaration shadows the builtin
-        interfaces = [i for i in spec.interfaces]
+        simple = spec.name.rpartition(".")[2]
+        name = spec.name if simple in user_names else simple
+        table.library[simple] = name
+        interfaces = [table.library[i] for i in spec.interfaces]
         for i in spec.implements_if_declared:
             if i in table.by_name and table.by_name[i].is_interface:
                 interfaces.append(i)
@@ -237,6 +239,7 @@ def build_class_table(ast):
         table.classes.append(ci)
         table.by_name[ci.name] = ci
 
+    table.root = table.library[stdlib.ROOT_CLASS]
     for ci in table.classes:
         if (ci.superclass is None and not ci.is_interface
                 and ci.name != table.root):
@@ -295,28 +298,30 @@ def _new_method(taken, info):
     return info
 
 
-def _library_method(taken, root, ci, bm, is_constructor=False):
-    """The MethodInfo of library record ``bm`` as a member of ``ci``; its
-    tags that name the library root name it by ``root``."""
+def _library_method(taken, library, ci, bm, is_constructor=False):
+    """The MethodInfo of library record ``bm`` as a member of ``ci``; each
+    of its tags names a library class by its name in ``library``."""
+    def own(t):
+        return T.obj(library[t.cls]) if t.kind == "obj" else t
     name = ci.name if is_constructor else bm.name
-    params = [T.obj(root) if t == stdlib.OBJECT else t for t in bm.param_tags]
+    params = [own(t) for t in bm.param_tags]
     return _new_method(taken, MethodInfo(
         plain_name=name, mangled=mangle_method(name, ci.name, params),
         params=[(f"a{i}", t) for i, t in enumerate(params)],
-        ret=T.obj(root) if bm.ret == stdlib.OBJECT else bm.ret,
+        ret=own(bm.ret),
         is_static=bm.is_static, is_constructor=is_constructor,
         is_abstract=ci.is_interface, builtin=bm))
 
 
 def _build_members(table):
-    taken = set()
+    taken, library = set(), table.library
     for ci in table.classes:
         if ci.is_builtin:
             for bm in ci.decl.methods:
-                ci.methods.append(_library_method(taken, table.root, ci, bm))
+                ci.methods.append(_library_method(taken, library, ci, bm))
             if ci.decl.ctor is not None:
                 ci.methods.append(_library_method(
-                    taken, table.root, ci, ci.decl.ctor, is_constructor=True))
+                    taken, library, ci, ci.decl.ctor, is_constructor=True))
             continue
         decl = ci.decl
         for f in decl.fields():

@@ -18,7 +18,7 @@ the end of :func:`desugar`.
    member ``x`` of its enclosing class ``Outer``.
 3. normalization — member classes hoisted (``Inner_Outer``), anonymous
    classes lifted (``Base_<n>``), constructors named after their class and
-   given the field initializers.
+   given the field initializers, each an ``Assign`` marked ``initializer``.
 
 A class that names no superclass keeps none here; the class table makes
 the root class ``Object`` its superclass.
@@ -368,7 +368,8 @@ def _finish_constructors(ast):
         inits = [f for f in decl.fields() if f.init is not None and not f.is_static]
         for ctor in ctors:
             ctor.body.stmts[:0] = [
-                A.ExprStmt(A.Assign(A.Name(f.name, f.span), f.init.clone(), f.span),
+                A.ExprStmt(A.Assign(A.Name(f.name, f.span), f.init.clone(),
+                                    f.span, initializer=True),
                            f.span) for f in inits]
         for f in inits:
             f.init = None

@@ -287,7 +287,9 @@ class Interp:
         self.next_check = min(self.step_limit, self.steps + CLOCK_STEPS)
 
     def alloc_builtin(self, cls_name, payload):
-        return ObjRecord(self.table.id_of(cls_name), cls_name, payload)
+        """A record of the library class of simple name ``cls_name``."""
+        name = self.table.library[cls_name]
+        return ObjRecord(self.table.id_of(name), name, payload)
 
     # -- entry points ------------------------------------------------------
 

@@ -5,6 +5,8 @@ Sketch extensions get their own token kinds: ``??`` (HOLE), ``{|`` (LCHOICE),
 Comments and whitespace are discarded; every token carries a SourceSpan.
 Unicode escapes (``\\u0041``) are translated first, over the whole text
 (JLS 3.3); columns and lengths still count the raw characters of the file.
+A String literal's text is its UTF-16 code units, as in Java: a character
+above U+FFFF is a surrogate pair, two characters of the text.
 
 One compiled pattern scans the text, one match per token: the skipped
 text (whitespace and comments) and then the token, in a named group per
@@ -55,6 +57,9 @@ _ESCAPE_RE = re.compile(rf"\\({_ESCAPE_TAIL})")
 # a backslash starts a Unicode escape when an even number of backslashes
 # precede it (JLS 3.3): ``\\u0041`` is an escaped backslash and ``u0041``
 _UNICODE_RE = re.compile(r"(?<!\\)((?:\\\\)*)\\u+([0-9A-Fa-f]{4})")
+
+# a character that UTF-16 writes as a surrogate pair
+_SUPPLEMENTARY_RE = re.compile("[\U00010000-\U0010ffff]")
 
 # builds a Token or SourceSpan from a tuple of its fields, without the
 # namedtuple's ``__new__``
@@ -136,6 +141,7 @@ def tokenize(source_text, file_id="<input>"):
             if m.end("body") == end:
                 raise LexError("unterminated string literal",
                                span._replace(length=end - start))
+            text = _SUPPLEMENTARY_RE.sub(_surrogate_pair, text)
         elif kind == "CHAR":
             text = _unescape(text[1:-1], span._replace(length=2))
         elif kind == "open_comment":
@@ -146,6 +152,12 @@ def tokenize(source_text, file_id="<input>"):
             raise LexError(f"unexpected character {text!r}", span)
         toks.append(_new(Token, (kind, text, span)))
     return toks
+
+
+def _surrogate_pair(m):
+    """The high and the low surrogate of character ``m[0]`` (JLS 3.1)."""
+    c = ord(m[0]) - 0x10000
+    return chr(0xD800 | c >> 10) + chr(0xDC00 | c & 0x3FF)
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", "s": " ",

@@ -127,6 +127,8 @@ class _Env:
         # whether the statements lowered so far can complete normally
         # (JLS 14.22, without labels or break)
         self.completes = True
+        # (owner, name) of each field that its initializer has assigned
+        self.initialized = set()
 
     # -- statements --------------------------------------------------------
 
@@ -214,11 +216,15 @@ class _Env:
             first, target = [I.EvalInstr(target.first)], target.value
         field = type(target) is I.FieldRead
         owner = target.owner if field else target.cls
-        # as javac: an instance final field is assigned only by its class's
-        # constructors, by simple name or through this, and a static one
-        # only by its initializer (JLS 8.3.1.2)
-        _require((owner, target.name) not in self.table.final_fields
-                 or field and self.mi.is_constructor and owner == self.ci.name
+        key = (owner, target.name)
+        if e.initializer:
+            self.initialized.add(key)
+        # as javac: a final field is assigned by its initializer, and an
+        # instance one that has none by its class's constructors, by
+        # simple name or through this (JLS 8.3.1.2)
+        _require(e.initializer or key not in self.table.final_fields
+                 or field and self.mi.is_constructor
+                 and owner == self.ci.name and key not in self.initialized
                  and (type(e.target) is A.Name
                       or type(e.target.target) is A.ThisExpr),
                  "cannot assign a value to final variable {}", e.target.span,
@@ -262,8 +268,9 @@ class _Env:
         return self.literal(e.value, T.CHAR, e.value)
 
     def _lower_string(self, e, expected):
-        # a literal is a java.lang.String, which the program's own class
-        # String would hide
+        # a literal is a java.lang.String, which javac assigns to no
+        # variable of the program's own class String; object types are
+        # not told apart here, so the literal itself is rejected
         _require(self.table.info("String").is_builtin,
                  "a String literal needs the library class String, which "
                  "the program's own class 'String' hides", e.span)

@@ -7,9 +7,11 @@ this module's tables: it makes each record a method of its class.  The
 library is the root class ``Object``, Iterator, List/LinkedList,
 StringBuilder and String; ``Object``'s constructor does nothing, and its
 one static method is the string-to-token bridge ``convertToIterator``,
-which every class inherits.  A program's own class of a library class's
-name shadows it, except ``Object``: the class table keeps the root beside
-a program's own ``Object``, which is an ordinary class.  Library
+which every class inherits.  The records name library classes by their
+simple names, and so does the code here; the class table keeps every
+library class beside a program's own class of its name and maps each
+simple name to the class's name in the program, which the tags and
+``ctx.alloc_builtin`` go through.  Library
 calls are run natively by the interpreter and consume no unknowns.  A
 constructor fills the payload of the record that ``new`` allocated.
 Out-of-bounds access and iterator overrun raise :class:`BuiltinTrap`,
@@ -54,9 +56,11 @@ class BuiltinClassSpec(namedtuple(
         "BuiltinClassSpec",
         "name methods is_interface interfaces implements_if_declared ctor",
         defaults=((), False, (), (), None))):
-    """One library class.  implements_if_declared: interfaces attached only
-    when the program declares them; ctor: a BuiltinMethod, or None when the
-    class cannot be instantiated."""
+    """One library class.  name: its qualified name, which no program class
+    can take, and which the class goes by where a program class takes its
+    simple name, the part after the last dot; implements_if_declared:
+    interfaces attached only when the program declares them; ctor: a
+    BuiltinMethod, or None when the class cannot be instantiated."""
 
     __slots__ = ()
 
@@ -65,9 +69,10 @@ class BuiltinClassSpec(namedtuple(
 # native evaluation
 #
 # ``ctx`` is the calling interpreter; it provides ``alloc_builtin(cls,
-# payload)``.  Values of library classes are object records with a
-# ``payload`` attribute; a String's payload is its text.  Int and char
-# arguments arrive as Python ints.
+# payload)``, a record of the library class of simple name ``cls``.
+# Values of library classes are object records with a ``payload``
+# attribute; a String's payload is its text.  Int and char arguments
+# arrive as Python ints.
 
 
 def char_tokens(ctx, s):
@@ -143,7 +148,7 @@ LIST_METHODS = (
 BUILTIN_CLASSES = (
     # the root class, the superclass of every class that names none
     BuiltinClassSpec(
-        ROOT_CLASS, (
+        "java.lang.Object", (
             BuiltinMethod(ROOT_CLASS, "convertToIterator", (T.STR,),
                           T.obj("Iterator"),
                           lambda ctx, r, a: char_tokens(ctx, _text(a[0])),
@@ -151,15 +156,16 @@ BUILTIN_CLASSES = (
         ),
         ctor=BuiltinMethod(ROOT_CLASS, "new", (), OBJECT,
                            lambda ctx, r, a: None)),
-    BuiltinClassSpec("Iterator", ITERATOR_METHODS, is_interface=True),
-    BuiltinClassSpec("List", LIST_METHODS, is_interface=True),
+    BuiltinClassSpec("java.util.Iterator", ITERATOR_METHODS,
+                     is_interface=True),
+    BuiltinClassSpec("java.util.List", LIST_METHODS, is_interface=True),
     BuiltinClassSpec(
-        "LinkedList", LIST_METHODS, interfaces=("List",),
+        "java.util.LinkedList", LIST_METHODS, interfaces=("List",),
         ctor=BuiltinMethod("LinkedList", "new", (), T.obj("LinkedList"),
                            lambda ctx, r, a: setattr(r, "payload",
                                                      {"items": []}))),
     BuiltinClassSpec(
-        "StringBuilder", (
+        "java.lang.StringBuilder", (
             # Java appends a null String as "null"
             BuiltinMethod("StringBuilder", "append", (T.STR,), _SB,
                           lambda ctx, r, a: _sb_append(
@@ -180,17 +186,16 @@ BUILTIN_CLASSES = (
         ctor=BuiltinMethod("StringBuilder", "new", (), _SB,
                            lambda ctx, r, a: setattr(r, "payload",
                                                      {"parts": []}))),
-    BuiltinClassSpec("CharTokenIterator", ITERATOR_METHODS,
+    BuiltinClassSpec("sketchsynth.CharTokenIterator", ITERATOR_METHODS,
                      interfaces=("Iterator",)),
     BuiltinClassSpec(
-        "CharToken", (
+        "sketchsynth.CharToken", (
             BuiltinMethod("CharToken", "getId", (), T.INT,
                           lambda ctx, r, a: r.payload),
         ),
         implements_if_declared=("Token",)),
-    # last, so that the other library classes keep their ids
     BuiltinClassSpec(
-        "String", (
+        "java.lang.String", (
             BuiltinMethod("String", "length", (), T.INT,
                           lambda ctx, r, a: len(r.payload)),
             BuiltinMethod("String", "charAt", (T.INT,), T.CHAR, _char_at),

@@ -59,6 +59,26 @@ def test_a_programs_own_object_is_an_ordinary_class_beside_the_root():
     assert get.ret.cls == t.root
 
 
+def test_library_classes_stay_beside_program_classes_of_their_names():
+    t = table_for("class String { } interface Iterator { } class List { } "
+                  "class CharToken { } class A { }")
+    builtin = {ci.name for ci in t.classes if ci.is_builtin}
+    assert builtin == set(t.library.values()) == {
+        "Object", "java.util.Iterator", "java.util.List", "LinkedList",
+        "StringBuilder", "CharTokenIterator", "sketchsynth.CharToken",
+        "java.lang.String"}
+    for name in ("String", "Iterator", "List", "CharToken"):
+        assert not t.info(name).is_builtin
+    # library code names library classes only
+    for ci in t.classes:
+        if ci.is_builtin:
+            assert all(t.info(i).is_builtin for i in ci.interfaces)
+            for m in ci.methods:
+                for tag in (*m.param_tags, m.ret):
+                    assert tag.kind != "obj" or t.info(tag.cls).is_builtin
+    assert t.info("LinkedList").interfaces == ["java.util.List"]
+
+
 def test_interfaces_count_as_supertypes():
     t = table_for("interface I { } class A implements I { } "
                   "class B extends A { }")

@@ -1171,6 +1171,19 @@ def test_string_literal_beside_an_own_string_class_gives_exit_2(tmp_path, capsys
     assert "own class 'String'" in err
 
 
+def test_library_tokens_stay_library_tokens_beside_an_own_chartoken(tmp_path):
+    # convertToIterator makes the library's tokens, whose getId is the
+    # code point, whatever the program names its own classes
+    src = tmp_path / "A.java"
+    src.write_text("class CharToken { public int getId() { return 99; } } "
+                   + _harness('Iterator it = convertToIterator("a"); '
+                              "CharToken c = it.next(); "
+                              "assert c.getId() == ??;"))
+    code, out = run(tmp_path, str(src))
+    assert code == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 97"
+
+
 def test_own_string_class_without_literals_still_solves(tmp_path):
     src = tmp_path / "A.java"
     src.write_text(_OWN_STRING + _harness(

@@ -306,6 +306,16 @@ class B extends Object { }
 class Outer {
     harness static void t() { B b = new B(); assert b.k == ??; }
 }""", 1),
+    # a program's own String hides the library's only in the program's
+    # references: StringBuilder.toString still makes a java.lang.String
+    "library-string-beside-own-string": ("""class String { int length() { return 7; } }
+class Outer {
+    harness static void t() {
+        StringBuilder sb = new StringBuilder();
+        sb.append(12);
+        assert sb.toString().length() == ??;
+    }
+}""", 2),
     # a library trap rejects only the path it is on
     "library-trap-under-a-symbolic-guard": ("""class Outer {
     harness static void t() {
@@ -377,11 +387,13 @@ def solve(tmp_path, source):
 def java_source(source, value, package):
     """``source`` with ``value`` in place of its ``??``, no ``harness``, and
     a ``main`` that calls the harness, in ``package``; the library classes
-    come from ``java.util``."""
+    come from ``java.util``, and ``main`` names ``java.lang.String``, which
+    a probe's own ``String`` does not hide."""
     assert source.count("??") == 1
     text = source.replace("??", str(value)).replace("harness ", "")
     return (f"package {package};\nimport java.util.*;\n{text}\n"
-            "class Main { public static void main(String[] a) { Outer.t(); } }\n")
+            "class Main { public static void main(java.lang.String[] a) "
+            "{ Outer.t(); } }\n")
 
 
 @pytest.mark.parametrize("pid", PROBES)
@@ -394,9 +406,10 @@ def test_probe_answer_is_javas(tmp_path, pid):
 def jvm_exits(tmp_path_factory):
     """{run id: exit code of ``java -ea``} for each probe's solved answer
     (None for a probe without one), and as controls for two former
-    answers: 2 to the member pair, and 1 to String identity, when Strings
-    were compared by their text; one ``javac`` call compiles them all,
-    each in a package of its own."""
+    answers: 2 to the member pair, 1 to String identity, when Strings were
+    compared by their text, and 7 to the library String beside a
+    program's own, when the program's class replaced the library's; one
+    ``javac`` call compiles them all, each in a package of its own."""
     if shutil.which("javac") is None or shutil.which("java") is None:
         pytest.skip("javac and java are not on PATH")
     root = tmp_path_factory.mktemp("jvm")
@@ -404,6 +417,8 @@ def jvm_exits(tmp_path_factory):
             for pid, (source, _) in PROBES.items()}
     runs["member-pair-former-answer"] = (PROBES["member-pair"][0], 2)
     runs["string-identity-former-answer"] = (PROBES["string-identity"][0], 1)
+    runs["own-string-former-answer"] = (
+        PROBES["library-string-beside-own-string"][0], 7)
     packages, paths = {}, []
     for rid, (source, value) in runs.items():
         if value is None:
@@ -436,6 +451,45 @@ def test_the_jvm_rejects_the_former_member_pair_answer(jvm_exits):
 def test_the_jvm_rejects_the_former_string_identity_answer(jvm_exits):
     # comparing Strings by their text answered 1
     assert jvm_exits["string-identity-former-answer"] != 0
+
+
+def test_the_jvm_rejects_the_former_own_string_answer(jvm_exits):
+    # the program's String in place of the library's answered 7
+    assert jvm_exits["own-string-former-answer"] != 0
+
+
+def test_a_supplementary_character_is_two_chars_of_a_string(tmp_path):
+    """A String literal holds UTF-16 code units, as in Java: U+1F600,
+    written raw in the UTF-8 source, is a surrogate pair, which the
+    decoded tree writes as two Unicode escapes that read back as the same
+    pair."""
+    source = ('class Outer { harness static void t() { String s = '
+              '"a\U0001F600"; assert s.charAt(1) == 55357 && s.length() == ??; '
+              '} }')
+    src = tmp_path / "Probe.java"
+    src.write_text(source, encoding="utf-8")
+    out = tmp_path / "result"
+    assert cli.main([str(src), "--out", str(out)]) == cli.EXIT_SOLVED
+    assert (out / "solution.txt").read_text().splitlines()[0] == "hole e_h1 = 3"
+    text = (out / "java" / "Probe.java").read_text()
+    assert r'"a\ud83d\ude00"' in text
+    again = tmp_path / "again" / "Probe.java"
+    again.parent.mkdir()
+    again.write_text(text.replace("== 3", "== ??"))
+    code = cli.main([str(again), "--out", str(again.parent / "result")])
+    assert code == cli.EXIT_SOLVED
+    if shutil.which("javac") is None or shutil.which("java") is None:
+        pytest.skip("javac and java are not on PATH")
+    path = tmp_path / "jvm" / "p" / "Probe.java"
+    path.parent.mkdir(parents=True)
+    path.write_text(java_source(source, 3, "p"), encoding="utf-8")
+    classes = tmp_path / "classes"
+    # javac reads the source in the platform's charset unless told
+    done = subprocess.run(["javac", "-encoding", "UTF-8", "-d", str(classes),
+                           str(path)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert subprocess.run(["java", "-ea", "-cp", str(classes), "p.Main"],
+                          capture_output=True).returncode == 0
 
 
 def test_decoded_literals_keep_their_escapes(tmp_path):
@@ -570,17 +624,22 @@ def test_missing_zero_argument_super_constructor_is_reported_where_javac_does(
     ("class A { final int x; A() { this.x = 1; } }\n"
      "class B extends A { B() { x = 2; } }\n", "2:27",
      "cannot assign a value to final variable x"),
+    # desugar moves the initializer into the constructor, before x = 3
+    ("class A { final int x = 5; A() { x = 3; } }\n", "1:34",
+     "cannot assign a value to final variable x"),
 ], ids=["abstract-method-with-body", "interface-method-with-body",
         "method-without-body", "interface-method-not-implemented",
         "abstract-method-not-implemented", "abstract-redeclaration",
         "static-final-field", "interface-field", "final-field-in-a-method",
-        "final-field-of-another-object", "final-field-of-a-superclass"])
+        "final-field-of-another-object", "final-field-of-a-superclass",
+        "final-field-with-an-initializer"])
 def test_what_javac_rejects_for_its_modifiers_gives_exit_2_where_javac_says(
         tmp_path, capsys, monkeypatch, source, position, message):
     """An abstract method has no body and any other method one, a concrete
     class overrides every abstract method it inherits, and a final field
-    is assigned only by its own class's constructors: each error is
-    reported where javac 17 reports it, in its words."""
+    is assigned only by its initializer or, without one, by its own
+    class's constructors: each error is reported where javac 17 reports
+    it, in its words."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "E.java").write_text(source)
     assert cli.main(["E.java", "--out", "out"]) == cli.EXIT_INPUT

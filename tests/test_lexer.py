@@ -87,6 +87,14 @@ def test_unicode_escapes_are_translated_first(text, tokens):
     assert [(t.kind, t.text) for t in tokenize(text)] == tokens
 
 
+def test_a_string_literal_holds_utf16_code_units():
+    # U+1F600 is one character of the file and two of the String, the
+    # same two that its pair of Unicode escapes gives
+    raw, escaped = tokenize('"a\U0001F600" "a\\ud83d\\ude00"')
+    assert raw.text == escaped.text == "a\ud83d\ude00"
+    assert raw.span.length == 4
+
+
 def test_columns_after_a_unicode_escape_count_raw_characters():
     toks = tokenize("class U {\n"
                     "    harness static void t() { int \\u0061b = zz; }\n"
@@ -187,9 +195,17 @@ def _word(word):
     return (word, word if word in KEYWORDS else "IDENT", word)
 
 
+def _code_units(text):
+    """``text`` as Java's String holds it: one character per UTF-16 code
+    unit, so a character above U+FFFF becomes its surrogate pair."""
+    data = text.encode("utf-16-be")
+    return "".join(chr(int.from_bytes(data[i:i + 2], "big"))
+                   for i in range(0, len(data), 2))
+
+
 def _string(units):
     return ('"' + "".join(r for r, _ in units) + '"', "STRING",
-            "".join(c for _, c in units))
+            _code_units("".join(c for _, c in units)))
 
 
 _TOKENS = st.one_of(
