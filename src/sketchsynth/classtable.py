@@ -26,10 +26,7 @@ from __future__ import annotations
 from . import ast_nodes as A
 from . import stdlib
 from . import typetags as T
-from .errors import (
-    InheritanceCycleError, SignatureClashError, TypeLoweringError,
-    UnresolvedTypeError,
-)
+from .errors import SketchError
 from .records import Record
 
 PRIMITIVE_TAGS = {
@@ -101,7 +98,6 @@ class ClassTable:
         self.field_tags = {}        # (owner, name) -> TypeTag
         self.final_fields = set()   # (owner, name) of each final field
         self.vtable = {}            # (cid, plain_sig) -> MethodInfo
-        self.implemented = set()    # plain_sigs with an override in some class
         self.library = {}           # library class's simple name -> its name
         self.root = None            # the library root's name
 
@@ -114,7 +110,7 @@ class ClassTable:
         try:
             return self.by_name[name]
         except KeyError:
-            raise UnresolvedTypeError(f"unknown type '{name}'") from None
+            raise SketchError(f"unknown type '{name}'") from None
 
     def id_of(self, name):
         return self.info(name).cid
@@ -123,7 +119,7 @@ class ClassTable:
         if tref.name in PRIMITIVE_TAGS:
             return PRIMITIVE_TAGS[tref.name]
         if not self.has_class(tref.name):
-            raise UnresolvedTypeError(f"unknown type '{tref.name}'", tref.span)
+            raise SketchError(f"unknown type '{tref.name}'", tref.span)
         return T.obj(tref.name)
 
     def superclass_chain(self, name):
@@ -157,7 +153,7 @@ class ClassTable:
                 for name, tag, is_static in self.info(cur).fields:
                     if name == fname:
                         return cur, tag, is_static
-        raise TypeLoweringError(f"no field '{fname}' in class '{cls_name}'")
+        raise SketchError(f"no field '{fname}' in class '{cls_name}'")
 
     def resolve_method(self, cls_name, name, arg_tags, span=None):
         """Overload resolution over the class chain and its interfaces,
@@ -197,10 +193,10 @@ def pick_overload(cands, arg_tags, what, span):
               if all(map(fits, arg_tags, m.param_tags))]
         if ok:
             if len({m.param_tags for m in ok}) > 1:
-                raise TypeLoweringError(f"ambiguous call to {what}", span)
+                raise SketchError(f"ambiguous call to {what}", span)
             return ok[0]
     shown = ", ".join(str(a or T.INT) for a in arg_tags)
-    raise TypeLoweringError(f"no {what} takes ({shown})", span)
+    raise SketchError(f"no {what} takes ({shown})", span)
 
 
 # --------------------------------------------------------------------------
@@ -254,9 +250,9 @@ def _check_hierarchy(table):
     for ci in table.classes:
         for ref in _supertypes(ci):
             if ref not in table.by_name:
-                span = ci.decl.span if isinstance(ci.decl, A.ClassDecl) else None
-                raise UnresolvedTypeError(
-                    f"class '{ci.name}' references unknown type '{ref}'", span)
+                raise SketchError(
+                    f"class '{ci.name}' references unknown type '{ref}'",
+                    _span_of(ci))
     # cycle detection over extends + implements edges: depth-first, with an
     # explicit stack of (class, iterator over its supertypes)
     done, on_path = set(), set()
@@ -273,10 +269,16 @@ def _check_hierarchy(table):
                 on_path.discard(name)
                 done.add(name)
             elif nxt in on_path:
-                raise InheritanceCycleError(f"inheritance cycle through '{nxt}'")
+                raise SketchError(f"inheritance cycle through '{nxt}'",
+                                  _span_of(table.by_name[nxt]))
             elif nxt not in done:
                 on_path.add(nxt)
                 stack.append((nxt, iter(_supertypes(table.by_name[nxt]))))
+
+
+def _span_of(ci):
+    """Where class ``ci`` is declared; None for a library class."""
+    return ci.decl.span if isinstance(ci.decl, A.ClassDecl) else None
 
 
 def _supertypes(ci):
@@ -340,13 +342,13 @@ def _build_members(table):
             abstract = "abstract" in m.modifiers or decl.is_interface and not (
                 m.is_static or "private" in m.modifiers)
             if abstract and m.body is not None and decl.is_interface:
-                raise TypeLoweringError(
+                raise SketchError(
                     "interface abstract methods cannot have body", m.body.span)
             if abstract and m.body is not None:
-                raise TypeLoweringError(
+                raise SketchError(
                     "abstract methods cannot have a body", m.span)
             if not abstract and m.body is None:
-                raise TypeLoweringError(
+                raise SketchError(
                     "missing method body, or declare abstract", m.span)
             params = [(p.slot, table.tag_from_typeref(p.type)) for p in m.params]
             ret = (T.obj(ci.name) if m.is_constructor
@@ -360,7 +362,7 @@ def _build_members(table):
                 is_abstract=abstract, decl=m,
             )
             if mi.plain_sig in sigs and not m.is_constructor:
-                raise SignatureClashError(
+                raise SketchError(
                     f"duplicate signature '{m.name}' in class '{ci.name}'", m.span)
             sigs.add(mi.plain_sig)
             ci.methods.append(_new_method(taken, mi))
@@ -385,10 +387,9 @@ def _build_vtable(table):
                     left[m.plain_sig] = cur
                 elif not m.is_constructor:
                     table.vtable[(ci.cid, m.plain_sig)] = m
-                    table.implemented.add(m.plain_sig)
                     left.pop(m.plain_sig, None)
         if left and not (ci.is_abstract or ci.is_builtin):
             (name, params), owner = next(iter(left.items()))
-            raise TypeLoweringError(
+            raise SketchError(
                 f"'{ci.name}' is not abstract and does not override abstract "
                 f"method '{name}({','.join(params)})' in '{owner}'", ci.decl.span)

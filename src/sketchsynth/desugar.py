@@ -27,7 +27,7 @@ the root class ``Object`` its superclass.
 from __future__ import annotations
 
 from . import ast_nodes as A
-from .errors import DirectGeneratorUseError, EncodingError, SketchError
+from .errors import SketchError
 from .unknowns import CHOICE, HOLE, REPEAT, UnknownId, UnknownRegistry
 
 
@@ -89,7 +89,7 @@ class _Binder:
             decl = types.get(name)
             if decl is not None:
                 if decl.is_generator and not extends:
-                    raise DirectGeneratorUseError(
+                    raise SketchError(
                         f"generator class '{name}' may only appear in 'extends'",
                         node.span)
                 self.bound[id(node)] = (node, attr, decl)
@@ -215,7 +215,7 @@ class _Binder:
                 slot = names.get(ident)
                 if slot is _CAPTURED:
                     if self.member(scope[0][0], ident, A.FieldDecl) is None:
-                        raise EncodingError(
+                        raise SketchError(
                             f"an anonymous class uses '{ident}', a local or "
                             "parameter of an enclosing method; captures are "
                             "not supported",
@@ -241,7 +241,7 @@ class _Binder:
                              template_of=template, arity=len(node.alternatives))
             elif kind is A.MinRepeat:
                 if template is not None:
-                    raise EncodingError("nested minrepeat is not supported", node.span)
+                    raise SketchError("nested minrepeat is not supported", node.span)
                 template = self.unknown(REPEAT, owner, node, registry.repeats)
             elif kind is A.MethodCall:
                 if node.target is None and len(scope) > 2:
@@ -298,7 +298,7 @@ class _Binder:
         """``node``, in a nested class, uses ``member`` of its enclosing
         class ``cls``: a static member becomes ``Cls.member``."""
         if not member.is_static or type(cls) is not A.ClassDecl:
-            raise EncodingError(
+            raise SketchError(
                 f"a nested class uses '{member.name}', an instance member of "
                 "an enclosing class; only static ones are supported", node.span)
         qualifier = A.Name(cls.name, span=node.span, slot=A.CLASS)

@@ -1,7 +1,12 @@
 """Error types raised across the pipeline.
 
-Every user-facing error carries a source span when one is available so the
-CLI can print ``file:line:col`` diagnostics.
+Every rejected input is one :class:`SketchError`, whichever stage rejects
+it: the CLI reports each the same way, exit 2 with its message and, when
+the error is about a place in the input, its span as ``file:line:col``.
+Two subclasses stay apart because code tells them apart:
+:class:`EncodingError`, which the engine catches to leave the depths past
+the switch to one vector at a time, and :class:`InternalError`, a fault
+of the tool rather than of its input, which exits 4.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ import time
 
 
 class SketchError(Exception):
-    """Base class for all tool errors."""
+    """An input the tool rejects, at ``span`` (None: at no one place)."""
 
     def __init__(self, message, span=None):
         super().__init__(message)
@@ -21,49 +26,6 @@ class SketchError(Exception):
         if self.span is not None:
             return f"{self.span}: {self.message}"
         return self.message
-
-
-class LexError(SketchError):
-    pass
-
-
-class ParseError(SketchError):
-    def __init__(self, span, expected, found, message=None):
-        super().__init__(message or f"expected {expected}, found {found}", span)
-        self.expected = expected
-        self.found = found
-
-
-class DuplicateTypeError(SketchError):
-    def __init__(self, name, span1, span2):
-        super().__init__(f"duplicate top-level type '{name}' (first at {span1})", span2)
-        self.name = name
-        self.span1 = span1
-        self.span2 = span2
-
-
-class DirectGeneratorUseError(SketchError):
-    pass
-
-
-class UnresolvedTypeError(SketchError):
-    pass
-
-
-class InheritanceCycleError(SketchError):
-    pass
-
-
-class SignatureClashError(SketchError):
-    pass
-
-
-class TypeLoweringError(SketchError):
-    pass
-
-
-class HarnessShapeError(SketchError):
-    """Harness is not static/void/parameterless."""
 
 
 class EncodingError(SketchError):

@@ -359,12 +359,12 @@ class Interp:
     def _exec_assign_local(self, instr, frame, active):
         v = self.eval(instr.expr, frame, active)
         name = instr.name
-        if active is TRUE:
+        # a local's first write is its declaration, and no path reads it
+        # outside the declaration's scope: that write needs no mux
+        if active is TRUE or name not in frame.locals:
             frame.locals[name] = v
-        elif name in frame.locals:
-            frame.locals[name] = mux_value(active, v, frame.locals[name])
         else:
-            frame.locals[name] = mux_value(active, v, _zero_like(v))
+            frame.locals[name] = mux_value(active, v, frame.locals[name])
 
     def _exec_assign_field(self, instr, frame, active):
         objv = self.eval(instr.obj, frame, active)
@@ -651,6 +651,8 @@ class Interp:
         except BuiltinTrap as t:
             self.constrain(B.not_(guard), f"library trap: {t.reason}", span)
             return default_value(method.ret)
+        except EncodingError as e:
+            raise EncodingError(e.message, span) from None
         if isinstance(out, bool):
             return B.bconst(out)
         if isinstance(out, int):
@@ -665,12 +667,6 @@ def _stack_depth():
         depth += 1
         f = f.f_back
     return depth
-
-
-def _zero_like(v):
-    if isinstance(v, B.Term):
-        return FALSE if v.is_bool else ZERO
-    return None
 
 
 # Binary operators whose term the interpreter guards: a division's divisor

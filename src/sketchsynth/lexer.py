@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .ast_nodes import SourceSpan
-from .errors import LexError
+from .errors import SketchError
 
 KEYWORDS = {
     "class", "interface", "extends", "implements", "new", "return",
@@ -128,8 +128,8 @@ def tokenize(source_text, file_id="<input>"):
             if text in KEYWORDS:
                 kind = text
             elif not (text[0].isalpha() or text[0] == "_"):   # e.g. '½'
-                raise LexError(f"unexpected character {text[0]!r}",
-                               span._replace(length=1))
+                raise SketchError(f"unexpected character {text[0]!r}",
+                                  span._replace(length=1))
         elif kind == "SYM":
             kind = text
         elif kind == "INT":
@@ -139,17 +139,17 @@ def tokenize(source_text, file_id="<input>"):
         elif kind == "STRING":
             text = _unescape(m.group("body"), span._replace(length=2))
             if m.end("body") == end:
-                raise LexError("unterminated string literal",
-                               span._replace(length=end - start))
+                raise SketchError("unterminated string literal",
+                                  span._replace(length=end - start))
             text = _SUPPLEMENTARY_RE.sub(_surrogate_pair, text)
         elif kind == "CHAR":
             text = _unescape(text[1:-1], span._replace(length=2))
         elif kind == "open_comment":
-            raise LexError("unterminated block comment", span)
+            raise SketchError("unterminated block comment", span)
         elif kind == "bad_char":
-            raise LexError("malformed char literal", span._replace(length=2))
+            raise SketchError("malformed char literal", span._replace(length=2))
         elif kind == "bad":
-            raise LexError(f"unexpected character {text!r}", span)
+            raise SketchError(f"unexpected character {text!r}", span)
         toks.append(_new(Token, (kind, text, span)))
     return toks
 
@@ -165,7 +165,7 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", "s": " ",
 
 
 def _unescape(text, at):
-    """``text`` with every backslash escape replaced; LexError at ``at`` on
+    """``text`` with every backslash escape replaced; SketchError at ``at`` on
     the first unknown one."""
     def one(m):
         tail = m[1]
@@ -174,5 +174,5 @@ def _unescape(text, at):
         try:
             return _ESCAPES[tail]
         except KeyError:
-            raise LexError(f"unknown escape '\\{tail}'", at) from None
+            raise SketchError(f"unknown escape '\\{tail}'", at) from None
     return _ESCAPE_RE.sub(one, text)

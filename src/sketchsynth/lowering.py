@@ -20,7 +20,7 @@ from . import bitvec as B
 from . import ir as I
 from . import typetags as T
 from .classtable import pick_overload
-from .errors import HarnessShapeError, TypeLoweringError
+from .errors import SketchError
 
 ARITH_OPS = {"+", "-", "*", "/", "%"}
 REL_OPS = {"<", "<=", ">", ">="}
@@ -72,7 +72,7 @@ class _Lowerer:
         decl = mi.decl
         if mi.is_harness:
             if not mi.is_static or mi.params or mi.ret != T.VOID:
-                raise HarnessShapeError(
+                raise SketchError(
                     f"harness '{ci.name}.{mi.plain_name}' must be static, void "
                     "and parameterless", decl.span)
         env = _Env(self, ci, mi, static=mi.is_static)
@@ -82,7 +82,7 @@ class _Lowerer:
         if mi.is_constructor and sup not in (None, self.table.root):
             sup_ci = self.table.info(sup)
             if sup_ci.is_builtin:
-                raise TypeLoweringError(
+                raise SketchError(
                     f"class '{ci.name}' may not extend builtin '{sup}'",
                     ci.decl.span)
             body.append(I.EvalInstr(I.Call(self._zero_arg_ctor(sup_ci, decl),
@@ -104,7 +104,7 @@ class _Lowerer:
         for m in ci.methods:
             if m.is_constructor and not m.params:
                 return m
-        raise TypeLoweringError(
+        raise SketchError(
             f"class '{ci.name}' needs a zero-argument constructor "
             "(implicit super call)", ctor.body.span)
 
@@ -315,8 +315,7 @@ class _Env:
         return I.Un("-", op), T.INT
 
     def _lower_assign_expr(self, e, expected):
-        raise TypeLoweringError("assignment is only supported as a statement",
-                                e.span)
+        raise SketchError("assignment is only supported as a statement", e.span)
 
     def literal(self, value, tag, magnitude):
         """A literal's ``Const``; holes widen to hold ``magnitude`` (see
@@ -345,12 +344,12 @@ class _Env:
                 _require(rtag.kind == "obj", "field access on non-object", e.span)
                 cls = rtag.cls
         else:
-            raise TypeLoweringError("unsupported assignment target", e.span)
+            raise SketchError("unsupported assignment target", e.span)
         try:
             owner, tag, is_static = self.table.resolve_field(cls, name)
-        except TypeLoweringError as err:
+        except SketchError as err:
             message = f"unknown name '{name}'" if kind is A.Name else err.message
-            raise TypeLoweringError(message, e.span) from None
+            raise SketchError(message, e.span) from None
         if is_static:
             return _after(recv, I.StaticRead(owner, name)), tag
         _require(recv is not None, "non-static field '{}' cannot be referenced "
@@ -379,14 +378,13 @@ class _Env:
         args = self.bind_args(e.args, lowered, m)
         if m.is_static:
             return _after(recv, I.Call(m, args, e.span)), m.ret
-        if m.plain_sig not in self.table.implemented:
-            raise TypeLoweringError(f"no implementation of '{m.plain_name}'",
-                                    e.span)
         # an instance call; the interpreter picks the override per receiver
         return I.VirtualCall(m.plain_sig, recv, args, m.ret, e.span), m.ret
 
     def _lower_new(self, e, expected):
         name = e.type.name
+        _require(self.table.has_class(name), "unknown type '{}'", e.type.span,
+                 name)
         ci = self.table.info(name)
         _require(not ci.is_abstract,
                  "'{}' is abstract; cannot be instantiated", e.span, name)
@@ -433,7 +431,7 @@ class _Env:
             _require(ltag == T.BOOL and rtag == T.BOOL,
                      "'{}' needs boolean operands", e.span, op)
             return I.Bin(op, left, right), T.BOOL
-        raise TypeLoweringError(f"unknown operator '{op}'", e.span)
+        raise SketchError(f"unknown operator '{op}'", e.span)
 
 
 def _after(first, value):
@@ -452,10 +450,10 @@ def _class_of(target):
 
 
 def _require(cond, message, span, *args):
-    """Raise TypeLoweringError at ``span`` unless ``cond``; the message is
+    """Raise SketchError at ``span`` unless ``cond``; the message is
     ``message.format(*args)``, built only then."""
     if not cond:
-        raise TypeLoweringError(message.format(*args), span)
+        raise SketchError(message.format(*args), span)
 
 
 def _fold(e):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import ast_nodes as A
 from .ast_nodes import SourceSpan
-from .errors import DuplicateTypeError, ParseError, SketchError
+from .errors import SketchError
 from .lexer import Token, tokenize
 
 MODIFIER_KINDS = {
@@ -67,7 +67,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.toks[self.pos]
         if tok.kind != kind:
-            raise ParseError(tok.span, repr(kind), repr(tok.text or tok.kind))
+            self.error(repr(kind))
         self.pos += 1
         return tok
 
@@ -80,7 +80,8 @@ class _Parser:
 
     def error(self, expected):
         tok = self.peek()
-        raise ParseError(tok.span, expected, repr(tok.text or tok.kind))
+        raise SketchError(
+            f"expected {expected}, found {tok.text or tok.kind!r}", tok.span)
 
     # -- declarations ------------------------------------------------------
 
@@ -160,11 +161,10 @@ class _Parser:
         if "generator" in mods:
             # Sketch gives each call of a generator function fresh holes;
             # here every call would share them
-            raise ParseError(self.toks[start + mods.index("generator")].span,
-                             "a member", "'generator'",
-                             "'generator' on a method, field or constructor "
-                             "is outside the supported subset (only "
-                             "'generator class' is supported)")
+            raise SketchError("'generator' on a method, field or constructor "
+                              "is outside the supported subset (only "
+                              "'generator class' is supported)",
+                              self.toks[start + mods.index("generator")].span)
         # constructor: ClassName '('
         if self.at("IDENT") and self.peek().text == class_name and self.peek(1).kind == "(":
             name = self.next()
@@ -199,7 +199,7 @@ class _Parser:
                 span=name.span,
             )
         if rtype.name == "void":
-            raise ParseError(rtype.span, "a type", "'void'")
+            raise SketchError("expected a type, found 'void'", rtype.span)
         init = None
         if self.at("="):
             self.next()
@@ -305,8 +305,7 @@ class _Parser:
             self.level -= 1
             return A.MinRepeat(body=body, span=tok.span)
         if tok.kind == "IDENT" and tok.text in UNSUPPORTED_STATEMENTS:
-            raise ParseError(tok.span, "a statement", repr(tok.text),
-                             f"unsupported statement '{tok.text}'")
+            raise SketchError(f"unsupported statement '{tok.text}'", tok.span)
         if self.looks_like_local_decl():
             vtype = self.parse_type_ref()
             name = self.expect("IDENT")
@@ -328,8 +327,8 @@ class _Parser:
         body = self.parse_block() if self.at("{") else self.parse_stmt()
         self.level -= 1
         if type(body) is A.LocalDecl:
-            raise ParseError(body.span, "a statement", "a declaration",
-                             "variable declaration not allowed here")
+            raise SketchError("variable declaration not allowed here",
+                              body.span)
         return body
 
     def looks_like_local_decl(self):
@@ -361,9 +360,9 @@ class _Parser:
         self.nest()
         expr = self.parse_binary(1)
         if self.at("="):
-            eq = self.next()
             if not isinstance(expr, (A.Name, A.FieldAccess)):
-                raise ParseError(eq.span, "assignable target", repr("="))
+                self.error("assignable target")
+            eq = self.next()
             expr = A.Assign(target=expr, value=self.parse_expr(), span=eq.span)
         self.level -= 1
         return expr
@@ -432,11 +431,10 @@ class _Parser:
                 return A.MethodCall(target=None, name=tok.text, args=args, span=tok.span)
             return A.Name(ident=tok.text, span=tok.span)
         if tok.kind == "INT":
-            self.next()
             value = int(tok.text)
             if value > INT_LITERAL_MAX:
-                raise ParseError(tok.span, f"an int literal of at most {INT_LITERAL_MAX}",
-                                 repr(tok.text))
+                self.error(f"an int literal of at most {INT_LITERAL_MAX}")
+            self.next()
             return A.IntLit(value=value, span=tok.span)
         if tok.kind == "STRING":
             self.next()
@@ -520,6 +518,7 @@ def parse_program_texts(named_texts):
     for unit in units:
         for decl in unit.types:
             if decl.name in seen:
-                raise DuplicateTypeError(decl.name, seen[decl.name], decl.span)
+                raise SketchError(f"duplicate top-level type '{decl.name}' "
+                                  f"(first at {seen[decl.name]})", decl.span)
             seen[decl.name] = decl.span
     return A.SketchAst(units=units)

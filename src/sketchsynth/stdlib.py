@@ -93,12 +93,13 @@ def _iter_next(ctx, recv, args):
 def _text(s):
     """The text of String argument ``s``; null traps.  Object tags are
     mutually compatible, so the type check lets a record of another class
-    through, where Java would call its ``toString``: unsupported."""
+    through, where Java would call its ``toString``: unsupported, and the
+    interpreter reports it at the call."""
     if s is None:
         raise BuiltinTrap("String argument is null")
     if type(s.payload) is not str:
-        raise EncodingError(f"a {s.class_name} passed as a String is not "
-                            "supported")
+        raise EncodingError(f"an object of class '{s.class_name}' passed as "
+                            "a java.lang.String is not supported")
     return s.payload
 
 

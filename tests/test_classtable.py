@@ -9,9 +9,7 @@ from sketchsynth import ir as I
 from sketchsynth import typetags as T
 from sketchsynth.classtable import build_class_table
 from sketchsynth.desugar import desugar
-from sketchsynth.errors import (
-    InheritanceCycleError, SignatureClashError, UnresolvedTypeError,
-)
+from sketchsynth.errors import SketchError
 from sketchsynth.lowering import lower_program
 from sketchsynth.parser import parse_program_texts
 
@@ -138,23 +136,23 @@ def test_vtable_matches_chain_walk_on_random_hierarchies():
                 want = chain_walk(t, f"C{i}", sig)
                 got = t.vtable.get((cid, sig))
                 assert (got.decl if got else None) is want
-        assert t.implemented & set(sigs) == {
-            sig for sig in sigs
-            if any(chain_walk(t, f"C{i}", sig) for i in range(n))}
 
 
 def test_inheritance_cycle_rejected():
-    with pytest.raises(InheritanceCycleError):
+    with pytest.raises(SketchError,
+                       match="^f0.java:1:1: inheritance cycle through 'A'$"):
         table_for("class A extends B { } class B extends A { }")
 
 
 def test_unknown_supertype_rejected():
-    with pytest.raises(UnresolvedTypeError):
+    with pytest.raises(SketchError, match="class 'A' references unknown "
+                       "type 'Nowhere'"):
         table_for("class A extends Nowhere { }")
 
 
 def test_duplicate_signature_rejected():
-    with pytest.raises(SignatureClashError):
+    with pytest.raises(SketchError,
+                       match="duplicate signature 'f' in class 'A'"):
         table_for("class A { int f(int x) { return 1; } int f(int y) { return 2; } }")
 
 
@@ -212,15 +210,15 @@ def test_vtable_matches_chain_walk_oracle():
             assert impl is expected
 
 
-def test_implemented_signatures_cover_all_concrete_arms():
+def test_vtable_holds_each_concrete_arm():
     t = table_for("""
         interface I { public int m(); public int n(); }
         abstract class A implements I { public int m() { return 1; } }
         abstract class B implements I { public int m() { return 2; } }
         """)
-    assert ("m", ()) in t.implemented and ("n", ()) not in t.implemented
     impls = {t.vtable[(t.id_of(c), ("m", ()))].mangled for c in ("A", "B")}
     assert impls == {"m_A", "m_B"}
+    assert ("n", ()) not in {sig for _, sig in t.vtable}
 
 
 def test_builtin_classes_present_on_demand():

@@ -259,6 +259,20 @@ def test_front_end_error_gives_exit_2_and_its_position(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: E.java:{message}\n"
 
 
+def test_own_string_passed_as_a_library_string_gives_exit_2_at_the_call(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "E.java").write_text(
+        "class String { int length() { return 7; } }\n"
+        "class A {\n    harness static void t() {\n"
+        "        StringBuilder sb = new StringBuilder();\n"
+        "        sb.append(new String());\n        assert ?? == 1;\n    }\n}\n")
+    assert cli.main(["E.java", "--out", "out"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: E.java:5:11: an object of class 'String' passed as a "
+        "java.lang.String is not supported\n")
+
+
 def test_chain_of_150_additions_solves(tmp_path):
     # each operator of the left-nested chain is one level of nesting
     src = tmp_path / "A.java"

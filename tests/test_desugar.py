@@ -6,7 +6,7 @@ from conftest import find_type, program_files
 from sketchsynth import ast_nodes as A
 from sketchsynth import decode
 from sketchsynth.desugar import desugar
-from sketchsynth.errors import DirectGeneratorUseError, SketchError
+from sketchsynth.errors import SketchError
 from sketchsynth.parser import parse_program, parse_program_texts
 
 
@@ -44,7 +44,8 @@ def test_specialization_map_records_contexts():
 
 
 def test_direct_generator_instantiation_is_rejected():
-    with pytest.raises(DirectGeneratorUseError):
+    with pytest.raises(SketchError, match="generator class 'Gen' may only "
+                       "appear in 'extends'"):
         desugar_texts(GEN, "class A { Gen g = new Gen(); }")
 
 

@@ -336,6 +336,13 @@ class C implements I3 {
 class Outer {
     harness static void t() { I3 c = new C(); assert c.f() + c.g() == ??; }
 }""", 3),
+    # a call of a method that no class implements: no receiver reaches it,
+    # as null returns before the call
+    "call-of-a-method-no-class-implements": ("""interface I { int m(); }
+class Outer {
+    static int f(I x) { if (x == null) { return 3; } return x.m(); }
+    harness static void t() { assert f(null) == ??; }
+}""", 3),
     # a private interface method has a body, and is no abstract method
     # that a class must implement
     "private-interface-method": ("""interface I {
@@ -652,6 +659,32 @@ def test_what_javac_rejects_for_its_modifiers_gives_exit_2_where_javac_says(
     line, col = position.split(":")
     unquoted = message.replace("'", "")
     assert head == f"E.java:{line}: error: {unquoted}"
+    assert caret.index("^") + 1 == int(col)
+
+
+@pytest.mark.parametrize("source, position, message, javacs", [
+    ("class E {\n    harness static void t() { Object o = new Nope(); }\n}\n",
+     "2:46", "unknown type 'Nope'", "cannot find symbol"),
+    ("class A extends B { }\nclass B extends A { }\n", "1:1",
+     "inheritance cycle through 'A'", "cyclic inheritance involving A"),
+], ids=["new-of-an-unknown-class", "inheritance-cycle"])
+def test_an_unknown_class_and_a_cycle_are_reported_where_javac_says(
+        tmp_path, capsys, monkeypatch, source, position, message, javacs):
+    """Each at the place javac 17 reports it: the class name after
+    ``new``, and the declaration of the class that closes the cycle."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "E.java").write_text(source)
+    assert cli.main(["E.java", "--out", "out"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: E.java:{position}: {message}\n"
+    if shutil.which("javac") is None:
+        pytest.skip("javac is not on PATH")
+    # a run of spaces keeps the columns where ``harness`` was
+    (tmp_path / "E.java").write_text(source.replace("harness", " " * 7))
+    done = subprocess.run(["javac", "-d", "classes", "E.java"],
+                          capture_output=True, text=True)
+    head, _, caret = done.stderr.splitlines()[:3]
+    line, col = position.split(":")
+    assert head == f"E.java:{line}: error: {javacs}"
     assert caret.index("^") + 1 == int(col)
 
 

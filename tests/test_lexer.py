@@ -1,10 +1,12 @@
 """Scanner tests: token kinds, sketch symbols, spans, escapes, errors."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchsynth.errors import LexError
+from sketchsynth.errors import SketchError
 from sketchsynth.lexer import KEYWORDS, tokenize
 
 
@@ -64,7 +66,7 @@ def test_octal_and_named_escapes_as_in_jls_3_10_7(literal, value):
 
 @pytest.mark.parametrize("text", ["c = '\\400';", "c = '\\1234';"])
 def test_char_literal_of_an_octal_escape_and_a_digit_is_malformed(text):
-    with pytest.raises(LexError) as info:
+    with pytest.raises(SketchError, match="malformed char literal") as info:
         tokenize(text, file_id="f.java")
     assert (info.value.message, str(info.value.span)) == (
         "malformed char literal", "f.java:1:5")
@@ -123,12 +125,12 @@ def test_spans_are_one_based_line_and_col():
 
 
 def test_unterminated_string_is_a_lex_error():
-    with pytest.raises(LexError):
+    with pytest.raises(SketchError, match="unterminated string literal"):
         tokenize('"oops')
 
 
 def test_stray_character_is_a_lex_error():
-    with pytest.raises(LexError):
+    with pytest.raises(SketchError, match="unexpected character '@'"):
         tokenize("a @ b")
 
 
@@ -149,7 +151,7 @@ def test_stray_character_is_a_lex_error():
         "char-long", "char-escape-eof", "string-escape", "escape-before-eof",
         "char-escape", "at-sign", "after-tab", "non-letter-start"])
 def test_lex_errors_keep_message_and_position(text, message, where):
-    with pytest.raises(LexError) as info:
+    with pytest.raises(SketchError, match=re.escape(message)) as info:
         tokenize(text, file_id="f.java")
     assert info.value.message == message
     assert str(info.value.span) == where
@@ -164,7 +166,7 @@ def test_positions_after_block_comment_crlf_and_tab():
 @pytest.mark.parametrize("text", ["'''", "'\n'"], ids=["quote", "newline"])
 def test_char_literal_of_a_bare_quote_or_line_end_is_malformed(text):
     # javac rejects both; each must be written as an escape
-    with pytest.raises(LexError) as info:
+    with pytest.raises(SketchError, match="malformed char literal") as info:
         tokenize("c = " + text + ";", file_id="f.java")
     assert (info.value.message, str(info.value.span)) == (
         "malformed char literal", "f.java:1:5")
