@@ -223,14 +223,11 @@ def build_class_table(ast):
         simple = spec.name.rpartition(".")[2]
         name = spec.name if simple in user_names else simple
         table.library[simple] = name
-        interfaces = [table.library[i] for i in spec.interfaces]
-        for i in spec.implements_if_declared:
-            if i in table.by_name and table.by_name[i].is_interface:
-                interfaces.append(i)
         ci = ClassInfo(
             cid=len(table.classes), name=name,
             is_interface=spec.is_interface, is_abstract=spec.is_interface,
-            is_builtin=True, interfaces=interfaces, decl=spec,
+            is_builtin=True, decl=spec,
+            interfaces=[table.library[i] for i in spec.interfaces],
         )
         table.classes.append(ci)
         table.by_name[ci.name] = ci

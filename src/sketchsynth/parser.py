@@ -20,7 +20,11 @@ MODIFIER_KINDS = {
     "harness", "generator",
 }
 
-TYPE_START = {"int", "boolean", "char", "void"}
+PRIMITIVE_TYPES = {"int", "boolean", "char"}
+TYPE_START = PRIMITIVE_TYPES | {"void"}
+
+# expressions that may stand as a statement (JLS 14.8)
+STATEMENT_EXPRESSIONS = (A.Assign, A.MethodCall, A.NewObject)
 
 # the largest int literal; 2^31 itself is legal only as the operand of
 # unary minus, so that -2147483648 parses
@@ -28,9 +32,10 @@ INT_LITERAL_MAX = 2**31 - 1
 
 # deepest nesting accepted: each nested expression (in parentheses, an
 # argument list or a choice), each unary operator, each binary operator of
-# a left-associative chain and each nested statement (the body of an
+# a left-associative chain, each nested statement (the body of an
 # ``if``, ``else``, ``while`` or ``minrepeat``, or a block inside a block)
-# is one level; the parser and the later tree passes recurse on this depth
+# and each ``<`` of a type's arguments is one level; the parser and the
+# later tree passes recurse on this depth
 MAX_NESTING = 160
 
 # Java statements outside the subset; their keywords scan as identifiers
@@ -96,11 +101,9 @@ class _Parser:
 
     def parse_type_decl(self):
         mods = self.parse_modifiers()
-        if self.at("class"):
-            return self.parse_class(mods, is_interface=False)
-        if self.at("interface"):
-            return self.parse_class(mods, is_interface=True)
-        self.error("'class' or 'interface'")
+        if not self.at("class", "interface"):
+            self.error("'class' or 'interface'")
+        return self.parse_class(mods)
 
     def parse_modifiers(self):
         mods = []
@@ -108,26 +111,21 @@ class _Parser:
             mods.append(self.next().kind)
         return mods
 
-    def parse_class(self, mods, is_interface):
+    def parse_class(self, mods):
         kw = self.next()  # class | interface
+        is_interface = kw.kind == "interface"
         name = self.expect("IDENT")
         superclass = None
         interfaces = []
         if self.at("extends"):
             self.next()
             if is_interface:
-                interfaces.append(self.parse_type_ref())
-                while self.at(","):
-                    self.next()
-                    interfaces.append(self.parse_type_ref())
+                interfaces = self.parse_class_types()
             else:
-                superclass = self.parse_type_ref()
+                superclass = self.parse_type_ref(())
         if self.at("implements"):
             self.next()
-            interfaces.append(self.parse_type_ref())
-            while self.at(","):
-                self.next()
-                interfaces.append(self.parse_type_ref())
+            interfaces += self.parse_class_types()
         members = self.parse_class_body(name.text, is_interface)
         return A.ClassDecl(
             name=name.text,
@@ -140,7 +138,9 @@ class _Parser:
             span=kw.span,
         )
 
-    def parse_class_body(self, class_name, is_interface):
+    def parse_class_body(self, class_name, is_interface=False):
+        """The members of a class body; an anonymous one, without a
+        ``class_name``, has no constructor (JLS 15.9.5)."""
         self.expect("{")
         members = []
         while not self.at("}"):
@@ -151,13 +151,11 @@ class _Parser:
         self.expect("}")
         return members
 
-    def parse_member(self, class_name, in_interface=False):
+    def parse_member(self, class_name, in_interface):
         start = self.pos
         mods = self.parse_modifiers()
-        if self.at("class"):
-            return self.parse_class(mods, is_interface=False)
-        if self.at("interface"):
-            return self.parse_class(mods, is_interface=True)
+        if self.at("class", "interface"):
+            return self.parse_class(mods)
         if "generator" in mods:
             # Sketch gives each call of a generator function fresh holes;
             # here every call would share them
@@ -166,8 +164,12 @@ class _Parser:
                               "'generator class' is supported)",
                               self.toks[start + mods.index("generator")].span)
         # constructor: ClassName '('
-        if self.at("IDENT") and self.peek().text == class_name and self.peek(1).kind == "(":
+        if self.at("IDENT") and self.peek(1).kind == "(":
             name = self.next()
+            if name.text != class_name:
+                raise SketchError(
+                    "invalid method declaration; return type required",
+                    name.span)
             params = self.parse_params()
             body = self.parse_block()
             return A.MethodDecl(
@@ -179,7 +181,7 @@ class _Parser:
                 modifiers=mods,
                 span=name.span,
             )
-        rtype = self.parse_type_ref(allow_void=True)
+        rtype = self.parse_type_ref(TYPE_START)
         name = self.expect("IDENT")
         if self.at("("):
             params = self.parse_params()
@@ -200,15 +202,10 @@ class _Parser:
             )
         if rtype.name == "void":
             raise SketchError("expected a type, found 'void'", rtype.span)
-        init = None
-        if self.at("="):
-            self.next()
-            init = self.parse_expr()
-        self.expect(";")
         return A.FieldDecl(
             type=rtype,
             name=name.text,
-            init=init,
+            init=self.parse_init(),
             # every interface field is static (JLS 9.3)
             is_static="static" in mods or in_interface,
             modifiers=mods,
@@ -227,24 +224,41 @@ class _Parser:
         self.expect(")")
         return params
 
-    def parse_type_ref(self, allow_void=False):
+    def parse_type_ref(self, keywords=PRIMITIVE_TYPES):
+        """A type named by one of ``keywords`` or a class type.  A class
+        type's arguments are class types (JLS 4.5.1), parsed and erased;
+        each ``<`` is one level of nesting."""
         tok = self.peek()
-        if tok.kind in TYPE_START:
-            if tok.kind == "void" and not allow_void:
-                self.error("a type")
+        if tok.kind in keywords:
             self.next()
             return A.TypeRef(tok.kind, span=tok.span)
-        if tok.kind == "IDENT":
+        if tok.kind != "IDENT":
+            self.error("a type" if keywords else "a class type")
+        self.next()
+        if self.at("<"):
+            self.nest("a type")
             self.next()
-            if self.at("<"):   # generic arguments: parsed and erased
-                self.next()
-                self.parse_type_ref()
-                while self.at(","):
-                    self.next()
-                    self.parse_type_ref()
-                self.expect(">")
-            return A.TypeRef(tok.text, span=tok.span)
-        self.error("a type")
+            self.parse_class_types()
+            self.expect(">")
+            self.level -= 1
+        return A.TypeRef(tok.text, span=tok.span)
+
+    def parse_class_types(self):
+        """A comma-separated list of class types."""
+        refs = [self.parse_type_ref(())]
+        while self.at(","):
+            self.next()
+            refs.append(self.parse_type_ref(()))
+        return refs
+
+    def parse_init(self):
+        """The ``= e`` of a field or a local, if any, and its ``;``."""
+        init = None
+        if self.at("="):
+            self.next()
+            init = self.parse_expr()
+        self.expect(";")
+        return init
 
     # -- statements --------------------------------------------------------
 
@@ -270,9 +284,7 @@ class _Parser:
             return block
         if tok.kind == "if":
             self.next()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
+            cond = self.parse_cond()
             then = self.parse_body()
             els = None
             if self.at("else"):
@@ -281,9 +293,7 @@ class _Parser:
             return A.IfStmt(cond=cond, then=then, els=els, span=tok.span)
         if tok.kind == "while":
             self.next()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
+            cond = self.parse_cond()
             body = self.parse_body()
             return A.WhileStmt(cond=cond, body=body, span=tok.span)
         if tok.kind == "return":
@@ -309,15 +319,20 @@ class _Parser:
         if self.looks_like_local_decl():
             vtype = self.parse_type_ref()
             name = self.expect("IDENT")
-            init = None
-            if self.at("="):
-                self.next()
-                init = self.parse_expr()
-            self.expect(";")
-            return A.LocalDecl(type=vtype, name=name.text, init=init, span=name.span)
+            return A.LocalDecl(type=vtype, name=name.text,
+                               init=self.parse_init(), span=name.span)
         expr = self.parse_expr()
+        if not isinstance(expr, STATEMENT_EXPRESSIONS):
+            raise SketchError("not a statement", expr.span)
         self.expect(";")
         return A.ExprStmt(expr=expr, span=tok.span)
+
+    def parse_cond(self):
+        """The parenthesized condition of an ``if`` or a ``while``."""
+        self.expect("(")
+        cond = self.parse_expr()
+        self.expect(")")
+        return cond
 
     def parse_body(self):
         """The statement under an ``if``, ``else`` or ``while``: one level
@@ -332,27 +347,21 @@ class _Parser:
         return body
 
     def looks_like_local_decl(self):
+        """Whether the statement starts with a type and a name, as in
+        ``int x``, ``Monitor m`` or ``Map<K, List<V>> m``; only a statement
+        starting ``IDENT IDENT`` or ``IDENT <`` needs the type parsed."""
         if self.peek().kind in TYPE_START:
             return True
-        if self.peek().kind != "IDENT":
+        if not self.at("IDENT") or self.peek(1).kind not in ("IDENT", "<"):
             return False
-        # IDENT IDENT          e.g. "Monitor m"
-        if self.peek(1).kind == "IDENT":
-            return True
-        # IDENT '<' balanced type arguments '>' IDENT    e.g. "Map<K, List<V>> m"
-        if self.peek(1).kind == "<":
-            depth, i = 1, 2
-            while depth:
-                kind = self.peek(i).kind
-                if kind == "<":
-                    depth += 1
-                elif kind == ">":
-                    depth -= 1
-                elif kind not in ("IDENT", ","):
-                    return False
-                i += 1
-            return self.peek(i).kind == "IDENT"
-        return False
+        pos, level = self.pos, self.level
+        try:
+            self.parse_type_ref()
+            return self.at("IDENT")
+        except SketchError:
+            return False
+        finally:
+            self.pos, self.level = pos, level
 
     # -- expressions -------------------------------------------------------
 
@@ -466,13 +475,7 @@ class _Parser:
             self.next()
             tref = self.parse_type_ref()
             args = self.parse_args()
-            anon = None
-            if self.at("{"):
-                self.next()
-                anon = []
-                while not self.at("}"):
-                    anon.append(self.parse_member(tref.name))
-                self.expect("}")
+            anon = self.parse_class_body(None) if self.at("{") else None
             return A.NewObject(type=tref, args=args, anon_members=anon, span=tok.span)
         if tok.kind == "(":
             self.next()

@@ -54,12 +54,11 @@ class BuiltinMethod(namedtuple(
 
 class BuiltinClassSpec(namedtuple(
         "BuiltinClassSpec",
-        "name methods is_interface interfaces implements_if_declared ctor",
-        defaults=((), False, (), (), None))):
+        "name methods is_interface interfaces ctor",
+        defaults=((), False, (), None))):
     """One library class.  name: its qualified name, which no program class
     can take, and which the class goes by where a program class takes its
-    simple name, the part after the last dot; implements_if_declared:
-    interfaces attached only when the program declares them; ctor: a
+    simple name, the part after the last dot; ctor: a
     BuiltinMethod, or None when the class cannot be instantiated."""
 
     __slots__ = ()
@@ -193,8 +192,7 @@ BUILTIN_CLASSES = (
         "sketchsynth.CharToken", (
             BuiltinMethod("CharToken", "getId", (), T.INT,
                           lambda ctx, r, a: r.payload),
-        ),
-        implements_if_declared=("Token",)),
+        )),
     BuiltinClassSpec(
         "java.lang.String", (
             BuiltinMethod("String", "length", (), T.INT,

@@ -374,6 +374,15 @@ class Outer {
         assert x * 10 == ??;
     }
 }""", 10),
+    # an anonymous class body is a class body: empty members are skipped
+    # there too (JLS 8.1.6)
+    "empty-member-of-an-anonymous-class": ("""class F { int g() { return 0; } }
+class Outer {
+    harness static void t() {
+        F f = new F() { ; int g() { return 2; } ; };
+        assert f.g() == ??;
+    }
+}""", 2),
 }
 
 
@@ -680,6 +689,46 @@ def test_an_unknown_class_and_a_cycle_are_reported_where_javac_says(
         pytest.skip("javac is not on PATH")
     # a run of spaces keeps the columns where ``harness`` was
     (tmp_path / "E.java").write_text(source.replace("harness", " " * 7))
+    done = subprocess.run(["javac", "-d", "classes", "E.java"],
+                          capture_output=True, text=True)
+    head, _, caret = done.stderr.splitlines()[:3]
+    line, col = position.split(":")
+    assert head == f"E.java:{line}: error: {javacs}"
+    assert caret.index("^") + 1 == int(col)
+
+
+@pytest.mark.parametrize("source, position, message, javacs", [
+    ("class Base { int v() { return 1; } } class E {\n"
+     "    static int get() { return new Base() { Base() { } "
+     "int v() { return 5; } }.v(); }\n}\n", "2:44",
+     "invalid method declaration; return type required",
+     "invalid method declaration; return type required"),
+    ("class E {\n    static LinkedList<int> l;\n}\n", "2:23",
+     "expected a class type, found 'int'", "unexpected type"),
+    ("class E { }\nclass A extends int { }\n", "2:17",
+     "expected a class type, found 'int'", "unexpected type"),
+    ("class E {\n    static int k(int a) { a + 1; return a; }\n}\n", "2:29",
+     "not a statement", "not a statement"),
+    ("class E {\n    static int k(int a) { a; return a; }\n}\n", "2:27",
+     "not a statement", "not a statement"),
+], ids=["constructor-of-an-anonymous-class", "primitive-type-argument",
+        "primitive-superclass", "binary-expression-statement",
+        "name-statement"])
+def test_what_javac_rejects_in_its_grammar_gives_exit_2_where_javac_says(
+        tmp_path, capsys, monkeypatch, source, position, message, javacs):
+    """A member of another class's name has no return type, an anonymous
+    class has no constructor (JLS 15.9.5), a type argument and a supertype
+    are class types (JLS 4.5.1, 8.1.4), and only an assignment, a call or
+    a ``new`` stands as a statement (JLS 14.8): each at the place javac 17
+    reports it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "E.java").write_text(source)
+    assert cli.main(["E.java", "--out", "out"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: E.java:{position}: {message}\n"
+    if shutil.which("javac") is None:
+        pytest.skip("javac is not on PATH")
+    # javac finds LinkedList by the import, which keeps the lines as they are
+    (tmp_path / "E.java").write_text("import java.util.*; " + source)
     done = subprocess.run(["javac", "-d", "classes", "E.java"],
                           capture_output=True, text=True)
     head, _, caret = done.stderr.splitlines()[:3]

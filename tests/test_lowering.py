@@ -84,7 +84,8 @@ def test_minimize_collects_named_objective():
         "harness static void t() { minimize(s); s = 1; minimize(s); } }")
     assert prog.objectives == ["t_A", "t_A_2"]
     first, _, second = prog.functions["t_A"].body
-    assert first == I.MinimizeInstr("t_A", I.StaticRead("A", "s"))
+    assert repr(first) == repr(
+        I.MinimizeInstr("t_A", I.StaticRead("A", "s")))
     assert second.name == "t_A_2"
 
 
@@ -99,7 +100,7 @@ def test_minimize_over_a_local_reads_it_in_place():
                                 "{ int x = 1; minimize(x + 1); } }")
     (decl, minimize) = prog.functions["t_A"].body
     assert isinstance(minimize, I.MinimizeInstr) and minimize.name == "t_A"
-    assert minimize.expr.left == I.LocalRead(decl.name)
+    assert repr(minimize.expr.left) == repr(I.LocalRead(decl.name))
 
 
 def test_hole_in_boolean_context_is_flagged_bool():
@@ -141,12 +142,12 @@ def test_extending_a_builtin_class_is_rejected():
         lower_texts("class A extends LinkedList { A() { } }")
 
 
-def test_a_constant_is_compared_and_printed_without_its_term():
+def test_a_constant_is_printed_without_its_term():
     # the term a Const builds for the interpreter is derived from its value
     a, b = I.Const(7, T.INT), I.Const(7, T.INT)
     assert a.term is not b.term and B.const_value(a.term) == 7
-    assert a == b and a != I.Const(8, T.INT)
-    assert repr(a) == "Const(value=7, tag=TypeTag(kind='int', cls=None))"
+    assert repr(a) == repr(b) == \
+        "Const(value=7, tag=TypeTag(kind='int', cls=None))"
 
 
 def test_every_syntax_node_kind_has_a_lowering():

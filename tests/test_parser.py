@@ -80,10 +80,11 @@ def test_generic_type_arguments_are_parsed_and_dropped():
     (d,) = parse_one("class A { Iterator<Token> it; Map<K, List<V>> m; "
                      "void f() { Iterator<Token> j = null; } }")
     it, m = (f.type for f in d.fields())
-    assert it == A.TypeRef("Iterator", span=it.span)
-    assert m == A.TypeRef("Map", span=m.span)
+    assert repr(it) == repr(A.TypeRef("Iterator", span=it.span))
+    assert repr(m) == repr(A.TypeRef("Map", span=m.span))
     local = d.methods()[0].body.stmts[0]
-    assert local.type == A.TypeRef("Iterator", span=local.type.span)
+    assert repr(local.type) == repr(
+        A.TypeRef("Iterator", span=local.type.span))
 
 
 @pytest.mark.parametrize("decl, type_name, name", [
@@ -99,10 +100,12 @@ def test_nested_generic_local_parses_as_declaration(decl, type_name, name):
 
 
 def test_generic_lookahead_leaves_comparisons_alone():
-    (d,) = parse_one("class A { void f(int a, int b) { a < b; g(a < b, b > a); } }")
-    first, second = d.methods()[0].body.stmts
-    assert isinstance(first, A.ExprStmt) and first.expr.op == "<"
-    assert isinstance(second, A.ExprStmt)
+    (d,) = parse_one("class A { void f(int a, int b) { g(a < b, b > a); } }")
+    (call,) = d.methods()[0].body.stmts
+    assert [arg.op for arg in call.expr.args] == ["<", ">"]
+    # a comparison is no statement (JLS 14.8), as javac says too
+    with pytest.raises(SketchError, match=r"^t\.java:1:36: not a statement$"):
+        parse_one("class A { void f(int a, int b) { a < b; } }")
 
 
 def test_walk_keeps_pre_order_over_fields():
@@ -146,6 +149,19 @@ def test_anonymous_class_expression():
         """)
     init = d.fields()[0].init
     assert isinstance(init, A.NewObject) and init.anon_members is not None
+
+
+def test_anonymous_class_body_is_a_class_body():
+    # empty members are skipped (JLS 8.1.6), and no member is a
+    # constructor (JLS 15.9.5)
+    (d,) = parse_one("class A { Object o = new Object() "
+                     "{ ; int f() { return 1; } ; }; }")
+    assert [m.name for m in d.fields()[0].init.anon_members] == ["f"]
+    for src, col in [("class A { B() { } }", 11),
+                     ("class A { A a = new A() { A() { } }; }", 27)]:
+        with pytest.raises(SketchError, match=f"^t\\.java:1:{col}: invalid "
+                           "method declaration; return type required$"):
+            parse_one(src)
 
 
 def test_precedence_and_associativity():
@@ -202,6 +218,18 @@ def test_nesting_limit(open_, close):
     with pytest.raises(SketchError, match=": expected an expression nested at "
                        f"most {MAX_NESTING} deep, found "):
         parse_one(f"class A {{ int a = {open_ * n}1{close * n}; }}")
+
+
+def test_type_argument_nesting_limit():
+    # each ``<`` is one level; far past the limit is still an input error
+    def field(n):
+        return f"class A {{ static {'List<' * n}A{'>' * n} f; }}"
+    (d,) = parse_one(field(MAX_NESTING))
+    assert d.fields()[0].type.name == "List"
+    for n in (MAX_NESTING + 1, 1200):
+        with pytest.raises(SketchError, match=": expected a type nested at "
+                           f"most {MAX_NESTING} deep, found '<'$"):
+            parse_one(field(n))
 
 
 @pytest.mark.parametrize("open_, close", [
